@@ -8,7 +8,6 @@ from .fbl_core import (
     capacity,
     decode_error_prob,
     dispersion,
-    error_prob_partials,
     q_func,
     q_inv,
 )
@@ -16,8 +15,6 @@ from .lfp_model import (
     Allocation,
     FeasibleBox,
     LinkErrors,
-    direction_success,
-    feasible_m1_interval,
     lfp,
     lfp_gradient_reduced,
     lfp_value,
@@ -34,7 +31,6 @@ from .scenario import (
     sample_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    secrecy_rate_fbl,
     snr_from_geometry,
 )
 from .solvers import (
@@ -54,10 +50,9 @@ __all__ = [
     "LinkErrors", "LinkGeometry", "NumericalError", "Scenario",
     "SolverConfig", "SolverReport",
     "bcd_scalar_min", "capacity", "db_to_linear", "decode_error_prob",
-    "direction_success", "dispersion", "error_prob_partials",
-    "feasible_m1_interval", "lfp", "lfp_gradient_reduced", "lfp_value",
+    "dispersion", "lfp", "lfp_gradient_reduced", "lfp_value",
     "linear_to_db", "link_errors", "load_scenario", "q_func", "q_inv",
     "redundancy_bounds", "sample_scenario", "scenario_from_dict",
-    "scenario_to_dict", "secrecy_rate_fbl", "snr_from_geometry",
+    "scenario_to_dict", "snr_from_geometry",
     "solve_bcd", "solve_exhaustive", "solve_mm", "surrogate_g",
 ]

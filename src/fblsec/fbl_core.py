@@ -1,10 +1,16 @@
 """Scalar finite-blocklength primitives.
 
-Gaussian Q-function and its inverse, Shannon capacity, channel dispersion,
-and the normal-approximation decoding-error probability with its analytic
-partial derivatives.  All functions accept floats or numpy arrays and are
-pure (no shared state), so they are safe to call from any number of
-threads.
+Gaussian Q-function and its inverse, Shannon capacity, channel dispersion
+and the normal-approximation decoding-error probability.  All functions
+accept floats or numpy arrays and are pure (no shared state), so they
+are safe to call from any number of threads.
+
+Validation contract: every public function here checks its arguments and
+raises :class:`DomainError` outside the domain, except ``rate_margin``.
+``rate_margin`` is the unchecked link kernel that the model and the
+solvers evaluate in their inner loops; its callers validate once, at
+their own entry (``Scenario``, ``Allocation`` and the public functions
+of ``lfp_model``), and pass only in-domain values.
 
 Internally the error-probability argument is evaluated in natural-log
 form,
@@ -134,9 +140,11 @@ def rate_margin(gamma, m, d):
 
     w = (ln(1+gamma) - d*ln2/m) * sqrt(m / V(gamma)); positive when the
     coding rate d/m sits below capacity, negative above it.
+
+    Unchecked: the caller guarantees gamma > 0, m >= 1 and d >= 0, all
+    finite (see the module docstring).  Out-of-domain input yields NaN
+    or a meaningless number, not an error.
     """
-    gamma = _check_snr(gamma)
-    m, d = _check_code(m, d)
     v = gamma * (2.0 + gamma) / np.square(1.0 + gamma)
     out = (np.log1p(gamma) - d * LN2 / m) * np.sqrt(m / v)
     return float(out) if out.ndim == 0 else out
@@ -165,57 +173,11 @@ def decode_error_prob(gamma, m, d):
         precision.  Strictly increasing in d, strictly decreasing in m
         away from the clip boundaries.
     """
+    gamma = _check_snr(gamma)
+    m, d = _check_code(m, d)
     w = rate_margin(gamma, m, d)
     out = np.clip(0.5 * erfc(np.asarray(w) / _SQRT2), _P_FLOOR, _P_CEIL)
     return float(out) if out.ndim == 0 else out
-
-
-def log_decode_error_prob(gamma, m, d):
-    """log of the decoding error probability, exact in the deep tail.
-
-    Equals log(Q(w)) = log_ndtr(-w); usable far beyond the point where
-    ``decode_error_prob`` saturates at the floating-point floor.
-    """
-    w = rate_margin(gamma, m, d)
-    out = log_ndtr(-np.asarray(w))
-    return float(out) if out.ndim == 0 else out
-
-
-def log_decode_success_prob(gamma, m, d):
-    """log of the complement 1 - epsilon, exact when epsilon is near 1."""
-    w = rate_margin(gamma, m, d)
-    out = log_ndtr(np.asarray(w))
-    return float(out) if out.ndim == 0 else out
-
-
-def error_prob_partials(gamma, m, d):
-    """Analytic partial derivatives of ``decode_error_prob``.
-
-    Parameters
-    ----------
-    gamma, m, d : float or array
-        Same domain as ``decode_error_prob``.
-
-    Returns
-    -------
-    (d_eps_dm, d_eps_dd)
-        d_eps_dm = -phi(w) * (ln(1+gamma) + d*ln2/m) / (2*sqrt(m*V)) <= 0
-        d_eps_dd =  phi(w) * ln2 / sqrt(m*V)                         >= 0
-
-    where phi is the standard normal density.  The signs hold for every
-    valid input: more channel uses always help, more bits always hurt.
-    """
-    gamma = _check_snr(gamma)
-    m, d = _check_code(m, d)
-    v = gamma * (2.0 + gamma) / np.square(1.0 + gamma)
-    sqrt_mv = np.sqrt(m * v)
-    w = (np.log1p(gamma) - d * LN2 / m) * np.sqrt(m / v)
-    phi = np.exp(-0.5 * w * w) / _SQRT_2PI
-    d_eps_dm = -phi * (np.log1p(gamma) + d * LN2 / m) / (2.0 * sqrt_mv)
-    d_eps_dd = phi * LN2 / sqrt_mv
-    if np.ndim(d_eps_dm) == 0:
-        return float(d_eps_dm), float(d_eps_dd)
-    return d_eps_dm, d_eps_dd
 
 
 def log_hazard_ratio(w):

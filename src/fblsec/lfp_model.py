@@ -7,16 +7,21 @@ The leakage-failure probability (LFP) of a round trip is
 the probability that the two transmissions are not simultaneously
 reliable (both legitimate decodes succeed) and secure (both eavesdrops
 fail).  This module provides the per-link error evaluation, the
-per-direction success probability, the LFP itself, the redundancy bounds
-induced by the reliability/leakage thresholds, the matching feasibility
-interval for the blocklength split, and the analytic LFP gradient in the
-reduced variable space (m1, d_r1, d_r2) with m2 = M - m1.
+per-direction log success probability, the LFP itself, the redundancy
+bounds induced by the reliability/leakage thresholds, and the analytic
+LFP gradient in the reduced variable space (m1, d_r1, d_r2) with
+m2 = M - m1.
 
-Internals work on log success probabilities (via ``log_ndtr``) so that
-deeply reliable operating points -- where the naive product rounds to
-exactly 1 and the LFP to exactly 0 -- keep their true magnitude.  The
-public ``lfp`` returns the plain product composition whenever it is
-representable (>= 1e-6) and the log-domain value below that.
+The LFP is always evaluated as -expm1(log P), with log P the sum of the
+four per-link log probabilities (via ``log_ndtr``).  This keeps ~1e-14
+relative accuracy where a plain 1 - product form loses ~1e-10 (LFP near
+1e-6), and keeps the magnitude at deeply reliable operating points where
+the plain product rounds to exactly 1 and the LFP to exactly 0.
+
+``lfp``, ``lfp_value``, ``lfp_gradient_reduced``, ``redundancy_bounds``
+and ``link_errors`` validate their arguments; ``log_direction_success``
+and ``log_round_trip_success`` sit below that boundary and run the
+unchecked ``fbl_core.rate_margin`` kernel on whatever they are given.
 """
 
 from __future__ import annotations
@@ -38,10 +43,6 @@ from .fbl_core import (
 )
 from .scenario import Scenario
 
-# Below this LFP the direct 1 - product form has fewer than ~10 good
-# digits; switch to the log-domain evaluation.
-_DIRECT_FORM_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -56,10 +57,10 @@ class Allocation:
     d_r2: float
 
     def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1:
-            raise DomainError(f"blocklengths must be >= 1, got {self}")
-        if self.d_r1 < 0 or self.d_r2 < 0:
-            raise DomainError(f"redundancy must be >= 0, got {self}")
+        if not (1 <= self.m1 < math.inf and 1 <= self.m2 < math.inf):
+            raise DomainError(f"blocklengths must be finite and >= 1, got {self}")
+        if not (0 <= self.d_r1 < math.inf and 0 <= self.d_r2 < math.inf):
+            raise DomainError(f"redundancy must be finite and >= 0, got {self}")
 
     @property
     def is_integral(self):
@@ -115,30 +116,22 @@ def link_errors(scenario: Scenario, alloc: Allocation) -> LinkErrors:
     )
 
 
-def direction_success(eps_legit: float, eps_eave: float) -> float:
-    """Probability that one direction is both reliable and secure:
-    (1 - eps_legit) * eps_eave."""
-    if not (0.0 < eps_legit < 1.0 and 0.0 < eps_eave < 1.0):
-        raise DomainError("error probabilities must lie in (0, 1)")
-    return (1.0 - eps_legit) * eps_eave
-
-
 def log_direction_success(gamma_b, gamma_e, m, d):
     """log[(1 - eps_b) * eps_e] for one direction, tail-exact.
 
     log(1 - eps_b) = log_ndtr(w_b) and log(eps_e) = log_ndtr(-w_e); both
     stay finite and accurate where the plain probabilities saturate.
-    Accepts arrays in d (the exhaustive scan path).
+    Accepts arrays in d (the exhaustive scan path).  Unchecked, like
+    ``rate_margin``: the caller passes in-domain values.
     """
     w_b = rate_margin(gamma_b, m, d)
     w_e = rate_margin(gamma_e, m, d)
     return log_ndtr(w_b) + log_ndtr(-np.asarray(w_e))
 
 
-def log_round_trip_success(scenario, m1, d_r1, d_r2):
-    """log of the round-trip success product at a (possibly relaxed)
-    point; m2 = M - m1 throughout the reduced space."""
-    m2 = scenario.M - m1
+def _log_success(scenario, m1, m2, d_r1, d_r2):
+    """log of the round-trip success product, each direction at its
+    own blocklength."""
     s1 = log_direction_success(scenario.gamma_ab, scenario.gamma_ae,
                                m1, scenario.d_m1 + d_r1)
     s2 = log_direction_success(scenario.gamma_ba, scenario.gamma_be,
@@ -146,37 +139,35 @@ def log_round_trip_success(scenario, m1, d_r1, d_r2):
     return s1 + s2
 
 
-def lfp_from_log_success(log_p):
-    """LFP = 1 - exp(log_p), exact for tiny failure probabilities."""
-    return -math.expm1(log_p)
+def log_round_trip_success(scenario, m1, d_r1, d_r2):
+    """log of the round-trip success product at a (possibly relaxed)
+    point; m2 = M - m1 throughout the reduced space.  Unchecked."""
+    return _log_success(scenario, m1, scenario.M - m1, d_r1, d_r2)
+
+
+def _check_point(scenario, m1, d_r1, d_r2):
+    if not (1 <= m1 <= scenario.M - 1
+            and 0 <= scenario.d_m1 + d_r1 < math.inf
+            and 0 <= scenario.d_m2 + d_r2 < math.inf):
+        raise DomainError(
+            f"point (m1={m1!r}, d_r1={d_r1!r}, d_r2={d_r2!r}) lies outside "
+            f"1 <= m1 <= M - 1 = {scenario.M - 1} with finite total bits "
+            f">= 0")
 
 
 def lfp_value(scenario, m1, d_r1, d_r2):
-    """Scalar LFP at a reduced-space point (solver fast path).
-
-    Uses the exact product composition whenever the result is >= 1e-6
-    (where it agrees with the log form to ~1e-10 relative) and the
-    log-domain evaluation below, so the value never collapses to 0 while
-    the true failure probability is merely small.
-    """
-    log_p = log_round_trip_success(scenario, m1, d_r1, d_r2)
-    val = -math.expm1(log_p)
-    if val >= _DIRECT_FORM_FLOOR:
-        d1 = scenario.d_m1 + d_r1
-        d2 = scenario.d_m2 + d_r2
-        m2 = scenario.M - m1
-        s1 = direction_success(decode_error_prob(scenario.gamma_ab, m1, d1),
-                               decode_error_prob(scenario.gamma_ae, m1, d1))
-        s2 = direction_success(decode_error_prob(scenario.gamma_ba, m2, d2),
-                               decode_error_prob(scenario.gamma_be, m2, d2))
-        return 1.0 - s1 * s2
-    return val
+    """Scalar LFP at a reduced-space point (m2 = M - m1): the solver
+    fast path, -expm1 of the log round-trip success."""
+    _check_point(scenario, m1, d_r1, d_r2)
+    return -math.expm1(log_round_trip_success(scenario, m1, d_r1, d_r2))
 
 
 def lfp(scenario: Scenario, alloc: Allocation) -> float:
-    """Leakage-failure probability of an allocation."""
+    """Leakage-failure probability of an allocation, with each direction
+    at its own blocklength (``alloc.m2`` may be below M - m1)."""
     _check_alloc(scenario, alloc)
-    return lfp_value(scenario, alloc.m1, alloc.d_r1, alloc.d_r2)
+    return -math.expm1(_log_success(scenario, alloc.m1, alloc.m2,
+                                    alloc.d_r1, alloc.d_r2))
 
 
 # ----------------------------------------------------------------------
@@ -208,8 +199,9 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
     clamped at zero (negative redundancy is meaningless).  An empty box
     is returned with feasible=False, never raised.
     """
-    if m1 < 1.0 or m2 < 1.0:
-        raise DomainError(f"blocklengths must be >= 1, got {m1}, {m2}")
+    if not (1.0 <= m1 < math.inf and 1.0 <= m2 < math.inf):
+        raise DomainError(
+            f"blocklengths must be finite and >= 1, got {m1}, {m2}")
     lo1, hi1 = _direction_bounds(scenario.gamma_ab, scenario.gamma_ae,
                                  scenario.d_m1, scenario.eps_ab_max,
                                  scenario.eps_e_max, m1)
@@ -219,49 +211,6 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
     feasible = lo1 <= hi1 and lo2 <= hi2 and hi1 >= 0.0 and hi2 >= 0.0
     return FeasibleBox(d_r1_min=lo1, d_r1_max=hi1,
                        d_r2_min=lo2, d_r2_max=hi2, feasible=feasible)
-
-
-def _min_m_for_reliability(gamma_b, d_total, eps_b_max):
-    """Smallest m with eps_b(m, d_total) <= eps_b_max.
-
-    The constraint m*ln(1+g) - sqrt(m*V)*q >= d*ln2 is quadratic in
-    sqrt(m); the positive root gives the boundary.
-    """
-    a = math.log1p(gamma_b)
-    b = q_inv(eps_b_max) * math.sqrt(dispersion(gamma_b))
-    c = d_total * LN2
-    x = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
-    return x * x
-
-
-def _max_m_for_leakage(gamma_e, d_total, eps_e_max):
-    """Largest m with eps_e(m, d_total) >= eps_e_max (same quadratic,
-    opposite side)."""
-    a = math.log1p(gamma_e)
-    b = q_inv(eps_e_max) * math.sqrt(dispersion(gamma_e))
-    c = d_total * LN2
-    x = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
-    return x * x
-
-
-def feasible_m1_interval(scenario: Scenario, d_r1: float, d_r2: float):
-    """Interval of m1 values keeping fixed redundancy threshold-feasible.
-
-    With m2 = M - m1, each of the four threshold constraints bounds m1
-    from one side; the returned (lo, hi) is their intersection with
-    [1, M-1] and may be empty (lo > hi).
-    """
-    d1 = scenario.d_m1 + d_r1
-    d2 = scenario.d_m2 + d_r2
-    lo = max(1.0,
-             _min_m_for_reliability(scenario.gamma_ab, d1, scenario.eps_ab_max),
-             scenario.M - _max_m_for_leakage(scenario.gamma_be, d2,
-                                             scenario.eps_e_max))
-    hi = min(float(scenario.M - 1),
-             _max_m_for_leakage(scenario.gamma_ae, d1, scenario.eps_e_max),
-             scenario.M - _min_m_for_reliability(scenario.gamma_ba, d2,
-                                                 scenario.eps_ba_max))
-    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +250,7 @@ def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
     """
     if not (1.0 < m1 < scenario.M - 1):
         raise DomainError(f"m1 must lie in (1, M-1), got {m1!r}")
+    _check_point(scenario, m1, d_r1, d_r2)
     m2 = scenario.M - m1
     d1 = scenario.d_m1 + d_r1
     d2 = scenario.d_m2 + d_r2
@@ -321,7 +271,7 @@ def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
 
 __all__ = [
     "Allocation", "LinkErrors", "FeasibleBox",
-    "link_errors", "direction_success", "lfp", "lfp_value",
-    "log_direction_success", "log_round_trip_success", "lfp_from_log_success",
-    "redundancy_bounds", "feasible_m1_interval", "lfp_gradient_reduced",
+    "link_errors", "lfp", "lfp_value",
+    "log_direction_success", "log_round_trip_success",
+    "redundancy_bounds", "lfp_gradient_reduced",
 ]

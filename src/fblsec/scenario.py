@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbl_core import DomainError, capacity, dispersion, q_inv
+from .fbl_core import DomainError
 
 FADING_MODELS = ("real_normal", "complex_normal")
 
@@ -83,6 +83,10 @@ class Scenario:
             v = getattr(self, name)
             if not (np.isfinite(v) and 0.0 < v < 1.0):
                 raise DomainError(f"Scenario.{name} must lie in (0,1), got {v!r}")
+        for name in ("M", "d_m1", "d_m2"):
+            v = getattr(self, name)
+            if not float(v).is_integer():
+                raise DomainError(f"Scenario.{name} must be an integer, got {v!r}")
         if int(self.M) < 2:
             raise DomainError(f"Scenario.M must be >= 2, got {self.M!r}")
         if int(self.d_m1) < 1 or int(self.d_m2) < 1:
@@ -97,14 +101,6 @@ class Scenario:
         object.__setattr__(self, "d_m1", int(self.d_m1))
         object.__setattr__(self, "d_m2", int(self.d_m2))
 
-    def direction(self, j):
-        """(gamma_legit, gamma_eave, d_m, eps_legit_max) for direction j in {1, 2}."""
-        if j == 1:
-            return self.gamma_ab, self.gamma_ae, self.d_m1, self.eps_ab_max
-        if j == 2:
-            return self.gamma_ba, self.gamma_be, self.d_m2, self.eps_ba_max
-        raise DomainError(f"direction must be 1 or 2, got {j!r}")
-
 
 def snr_from_geometry(geom: LinkGeometry, fading_sample: float) -> float:
     """Instantaneous SNR p * pathloss * h^2 / noise for one fading draw.
@@ -115,9 +111,14 @@ def snr_from_geometry(geom: LinkGeometry, fading_sample: float) -> float:
     """
     if not np.isfinite(fading_sample):
         raise DomainError(f"fading_sample must be finite, got {fading_sample!r}")
-    gain = float(fading_sample) ** 2
+    return _link_snr(geom, float(fading_sample) ** 2, "fading sample")
+
+
+def _link_snr(geom, gain, what):
+    """SNR tx_power * pathloss * gain / noise_power for a small-scale
+    power gain; a gain of exactly zero is a dead link."""
     if gain == 0.0:
-        raise DegenerateChannelError("fading sample of 0 gives a dead link")
+        raise DegenerateChannelError(f"{what}: fading gain of 0 gives a dead link")
     return geom.tx_power * geom.pathloss * gain / geom.noise_power
 
 
@@ -158,10 +159,7 @@ def sample_scenario(geoms, seed, template, fading_model="real_normal"):
     gains = _fading_gains(rng, 4, fading_model)
     snrs = {}
     for key, gain in zip(("ab", "ae", "ba", "be"), gains):
-        geom = geoms[key]
-        if gain == 0.0:
-            raise DegenerateChannelError(f"link {key}: fading gain of 0")
-        snrs[key] = geom.tx_power * geom.pathloss * gain / geom.noise_power
+        snrs[key] = _link_snr(geoms[key], gain, f"link {key}")
     return Scenario(
         gamma_ab=snrs["ab"], gamma_ae=snrs["ae"],
         gamma_ba=snrs["ba"], gamma_be=snrs["be"],
@@ -169,26 +167,6 @@ def sample_scenario(geoms, seed, template, fading_model="real_normal"):
         eps_ab_max=template["eps_ab_max"], eps_ba_max=template["eps_ba_max"],
         eps_e_max=template["eps_e_max"],
     )
-
-
-def secrecy_rate_fbl(scenario: Scenario, direction: int, m: float,
-                     eps_bar: float, delta_bar: float) -> float:
-    """Finite-blocklength achievable secrecy rate (diagnostic only).
-
-    r_s = C_s - sqrt(V(gamma_b)/m) * Qinv(eps_bar)
-              - sqrt(V(gamma_e)/m) * Qinv(delta_bar)
-
-    with C_s = C(gamma_b) - C(gamma_e).  May be negative; reported as-is.
-    Not used by any solver -- the allocation problem works on the
-    packet-level failure probability instead.
-    """
-    if m < 1.0:
-        raise DomainError(f"blocklength must be >= 1, got {m!r}")
-    gamma_b, gamma_e, _, _ = scenario.direction(direction)
-    c_s = capacity(gamma_b) - capacity(gamma_e)
-    return (c_s
-            - np.sqrt(dispersion(gamma_b) / m) * q_inv(eps_bar)
-            - np.sqrt(dispersion(gamma_e) / m) * q_inv(delta_bar))
 
 
 # ----------------------------------------------------------------------
@@ -230,22 +208,22 @@ def scenario_from_dict(cfg: dict) -> Scenario:
                     f"fading_seed") from exc
             rng = np.random.default_rng(seed)
             gain = float(_fading_gains(rng, 1, fading_model)[0])
-            if gain == 0.0:
-                raise DegenerateChannelError(f"link {link}: fading gain of 0")
-            snrs[link] = geom.tx_power * geom.pathloss * gain / geom.noise_power
+            snrs[link] = _link_snr(geom, gain, f"link {link}")
         else:
             raise DomainError(f"scenario config missing {db_key} or {geo_key}")
     missing = [k for k in _SCALAR_FIELDS if k not in cfg]
     if missing:
         raise DomainError(f"scenario config missing fields: {missing}")
-    return Scenario(
-        gamma_ab=snrs["ab"], gamma_ae=snrs["ae"],
-        gamma_ba=snrs["ba"], gamma_be=snrs["be"],
-        d_m1=int(cfg["d_m1"]), d_m2=int(cfg["d_m2"]), M=int(cfg["M"]),
-        eps_ab_max=float(cfg["eps_ab_max"]),
-        eps_ba_max=float(cfg["eps_ba_max"]),
-        eps_e_max=float(cfg["eps_e_max"]),
-    )
+    scalars = {}
+    for k in _SCALAR_FIELDS:
+        try:
+            scalars[k] = float(cfg[k])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"scenario field {k} must be a number, "
+                              f"got {cfg[k]!r}") from exc
+    # Scenario itself rejects non-integral M, d_m1 and d_m2.
+    return Scenario(gamma_ab=snrs["ab"], gamma_ae=snrs["ae"],
+                    gamma_ba=snrs["ba"], gamma_be=snrs["be"], **scalars)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -271,6 +249,6 @@ def load_scenario(path) -> Scenario:
 __all__ = [
     "DegenerateChannelError", "LinkGeometry", "Scenario",
     "db_to_linear", "linear_to_db", "snr_from_geometry", "sample_scenario",
-    "secrecy_rate_fbl", "scenario_from_dict", "scenario_to_dict",
+    "scenario_from_dict", "scenario_to_dict",
     "load_scenario", "FADING_MODELS",
 ]

@@ -32,6 +32,7 @@ from .fbl_core import DomainError, LN2, NumericalError, dispersion, rate_margin
 from .lfp_model import (
     Allocation,
     LinkErrors,
+    lfp,
     lfp_value,
     log_direction_success,
     log_round_trip_success,
@@ -62,7 +63,8 @@ class SolverConfig:
     product (see ``surrogate_g``); with the default 4 the bound holds
     everywhere.  ``full_budget_only`` restricts enumeration to
     m1 + m2 = M; disabling it is only useful for oracle cross-checks,
-    since partial-budget optima are never better.
+    since partial-budget optima are never better unless the full-budget
+    boxes are empty (eavesdroppers above their legitimate receivers).
     """
 
     rel_tol: float = 1e-8
@@ -419,7 +421,8 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
         return _infeasible(obj, t_start)
     _, m1, dr1, dr2, m2 = best
     alloc = Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2)
-    final = obj.lfp(float(m1), float(dr1), float(dr2))
+    obj.evaluations += 1
+    final = lfp(scenario, alloc)
     return SolverReport(status=STATUS_CONVERGED, alloc=alloc, lfp_final=final,
                         trace=[(0, final)], evaluations=obj.evaluations,
                         wall_time=time.perf_counter() - t_start)

@@ -104,6 +104,16 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("field,value", [("M", 40.7), ("d_m1", 4.9),
+                                             ("M", None)])
+    def test_bad_scalar_field_exits_1(self, capsys, tmp_path, field, value):
+        path = write_scenario(tmp_path, **{field: value})
+        code, out, err = run_main(capsys, [
+            "solve", "--scenario", path, "--method", "bcd"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_main(capsys, [
             "solve", "--scenario", str(tmp_path / "nope.json"),

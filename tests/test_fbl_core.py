@@ -15,17 +15,11 @@ from fblsec import (
     capacity,
     decode_error_prob,
     dispersion,
-    error_prob_partials,
     q_func,
     q_inv,
 )
-from fblsec.fbl_core import (
-    LN2,
-    log_decode_error_prob,
-    log_decode_success_prob,
-    log_hazard_ratio,
-    rate_margin,
-)
+from fblsec.fbl_core import LN2, log_hazard_ratio, rate_margin
+from fblsec.lfp_model import log_direction_success
 
 # mpmath oracle values (dps=60)
 Q_1959964 = 0.024999999096442404302
@@ -158,72 +152,17 @@ class TestDecodeErrorProb:
         assert checked > 150
 
     def test_log_forms_match_linear_forms(self):
+        """log_direction_success(g, g, m, d) = log(1 - eps) + log(eps):
+        below capacity the log(eps) term carries the value, above it
+        the log(1 - eps) term."""
         rng = np.random.default_rng(103)
         for _ in range(200):
             g = 10 ** rng.uniform(-1, 2)
             m = rng.uniform(10, 500)
             d = rng.uniform(0.2, 1.4) * m * capacity(g)
             eps = decode_error_prob(g, m, d)
-            assert math.exp(log_decode_error_prob(g, m, d)) == pytest.approx(
-                eps, rel=1e-12)
-            assert math.exp(log_decode_success_prob(g, m, d)) == pytest.approx(
-                1.0 - eps, rel=1e-12)
-
-
-class TestErrorProbPartials:
-    def test_signs(self):
-        d_dm, d_dd = error_prob_partials(3.0, 100.0, 100.0)
-        assert d_dm < 0
-        assert d_dd > 0
-
-    def test_matches_finite_differences_spot(self):
-        h = 1e-3
-        d_dm, d_dd = error_prob_partials(1.0, 200.0, 150.0)
-        fd_m = (decode_error_prob(1.0, 200.0 + h, 150.0)
-                - decode_error_prob(1.0, 200.0 - h, 150.0)) / (2 * h)
-        fd_d = (decode_error_prob(1.0, 200.0, 150.0 + h)
-                - decode_error_prob(1.0, 200.0, 150.0 - h)) / (2 * h)
-        assert d_dm == pytest.approx(fd_m, rel=1e-5)
-        assert d_dd == pytest.approx(fd_d, rel=1e-5)
-
-    def test_gradient_consistency_random_grid(self):
-        """Central differences agree to 1e-5 relative over the randomized
-        grid gamma in [0.1, 100], m in [10, 1000], d/m in [0.1, 1.5]*C.
-
-        The comparison is only well posed where the probability itself
-        resolves in double precision: once eps underflows, or sits within
-        an ulp of 1, the finite difference of the clipped value is
-        identically zero while the analytic density is merely tiny, so
-        those draws are skipped (their signs are covered by the
-        monotonicity tests).  A fourth-order stencil keeps the truncation
-        error below the tolerance even at deep-tail points where the
-        relative curvature grows like the squared margin."""
-        rng = np.random.default_rng(104)
-        h = 1e-3
-
-        def fd5(f, x):
-            return (-f(x + 2 * h) + 8 * f(x + h)
-                    - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-        checked = 0
-        for _ in range(1000):
-            g = 10 ** rng.uniform(-1, 2)
-            m = rng.uniform(10, 1000)
-            d = rng.uniform(0.1, 1.5) * m * capacity(g)
-            eps = decode_error_prob(g, m, d)
-            if eps < 1e-290 or eps > 1.0 - 1e-10:
-                continue
-            d_dm, d_dd = error_prob_partials(g, m, d)
-            fd_m = fd5(lambda x: decode_error_prob(g, x, d), m)
-            fd_d = fd5(lambda x: decode_error_prob(g, m, x), d)
-            for a, f in ((d_dm, fd_m), (d_dd, fd_d)):
-                if max(abs(a), abs(f)) < 1e-6 * eps:
-                    # the finite difference sits below its own rounding
-                    # noise (~1e-13 * eps for this step); nothing to check
-                    continue
-                assert abs(a - f) <= 1e-5 * max(abs(a), abs(f))
-                checked += 1
-        assert checked > 1200  # the grid is not dominated by saturation
+            assert math.exp(log_direction_success(g, g, m, d)) == \
+                pytest.approx((1.0 - eps) * eps, rel=1e-12)
 
 
 def test_log_hazard_ratio_matches_direct_and_tail():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -11,8 +12,6 @@ from fblsec import (
     DomainError,
     capacity,
     decode_error_prob,
-    direction_success,
-    feasible_m1_interval,
     lfp,
     lfp_gradient_reduced,
     lfp_value,
@@ -26,6 +25,30 @@ from conftest import draw_random_scenario, make_scenario, sample_interior_point
 # mpmath oracle (dps=60): eps at gamma in {3, 1}, m=100, d=120
 EPS_G3_M100_D120 = 5.1100653640124239539e-9
 EPS_G1_M100_D120 = 0.94528438580415469128
+
+
+def composed_lfp(sc, alloc):
+    """1 - (1 - eps_ab) * eps_ae * (1 - eps_ba) * eps_be from link_errors."""
+    e = link_errors(sc, alloc)
+    return 1.0 - (1.0 - e.eps_ab) * e.eps_ae * (1.0 - e.eps_ba) * e.eps_be
+
+
+def mpmath_lfp(sc, m1, d_r1, d_r2):
+    """LFP at a reduced-space point in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        def eps(gamma, m, d):
+            g = mpmath.mpf(gamma)
+            v = 1 - 1 / (1 + g) ** 2
+            w = (mpmath.log1p(g) - d * mpmath.log(2) / m) * mpmath.sqrt(m / v)
+            return mpmath.erfc(w / mpmath.sqrt(2)) / 2
+
+        m1 = mpmath.mpf(m1)
+        m2 = sc.M - m1
+        d1 = sc.d_m1 + mpmath.mpf(d_r1)
+        d2 = sc.d_m2 + mpmath.mpf(d_r2)
+        success = ((1 - eps(sc.gamma_ab, m1, d1)) * eps(sc.gamma_ae, m1, d1)
+                   * (1 - eps(sc.gamma_ba, m2, d2)) * eps(sc.gamma_be, m2, d2))
+        return float(1 - success)
 
 
 class TestLinkErrors:
@@ -56,22 +79,6 @@ class TestLinkErrors:
             link_errors(sc, Allocation(m1=60, m2=60, d_r1=10, d_r2=10))
 
 
-class TestDirectionSuccess:
-    def test_perfect_direction(self):
-        assert direction_success(1e-12, 1.0 - 1e-12) == pytest.approx(1.0, abs=1e-9)
-
-    def test_half_half(self):
-        assert direction_success(0.5, 0.5) == 0.25
-
-    def test_equal_eps_maximized_at_half(self):
-        vals = [direction_success(e, e) for e in np.linspace(0.05, 0.95, 19)]
-        assert max(vals) == pytest.approx(direction_success(0.5, 0.5), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            direction_success(0.0, 0.5)
-
-
 class TestLfp:
     def test_all_half(self):
         sc = make_scenario(gamma_ab=3.0, gamma_ae=3.0, gamma_ba=3.0,
@@ -79,9 +86,10 @@ class TestLfp:
         val = lfp(sc, Allocation(m1=100, m2=100, d_r1=180, d_r2=180))
         assert val == pytest.approx(1.0 - 0.0625, abs=1e-12)
 
-    def test_decomposition_identity_exact(self):
-        """Where the direct product form is in range, lfp reproduces the
-        two-direction composition bit for bit."""
+    def test_decomposition_identity(self):
+        """lfp agrees with the composition of the four link errors: to
+        1e-12 relative where the plain product resolves the LFP, to
+        1e-12 absolute below 1e-6 where it does not."""
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(200):
@@ -91,16 +99,35 @@ class TestLfp:
                 continue
             m1, d_r1, d_r2 = pt
             alloc = Allocation(m1=m1, m2=sc.M - m1, d_r1=d_r1, d_r2=d_r2)
-            errs = link_errors(sc, alloc)
-            composed = 1.0 - (direction_success(errs.eps_ab, errs.eps_ae)
-                              * direction_success(errs.eps_ba, errs.eps_be))
             val = lfp(sc, alloc)
             if val >= 1e-6:
-                assert val == composed
+                assert val == pytest.approx(composed_lfp(sc, alloc), rel=1e-12)
                 checked += 1
             else:
-                assert val == pytest.approx(composed, abs=1e-12)
+                assert val == pytest.approx(composed_lfp(sc, alloc), abs=1e-12)
         assert checked > 50
+
+    def test_matches_mpmath_reference(self):
+        """60-digit reference at interior points with LFP >= 1e-6, the
+        regime where a plain 1 - product form loses ~1e-10 relative."""
+        rng = np.random.default_rng(23)
+        checked = 0
+        while checked < 400:
+            sc = draw_random_scenario(rng)
+            pt = sample_interior_point(rng, sc)
+            if pt is None:
+                continue
+            ref = mpmath_lfp(sc, *pt)
+            if ref < 1e-6:
+                continue
+            assert abs(lfp_value(sc, *pt) - ref) <= 1e-13 * ref
+            checked += 1
+
+    def test_partial_budget_allocation_uses_its_m2(self):
+        sc = make_scenario(M=40)
+        alloc = Allocation(m1=19, m2=15, d_r1=8, d_r2=8)
+        assert lfp(sc, alloc) == pytest.approx(composed_lfp(sc, alloc),
+                                               rel=1e-12)
 
     def test_oracle_composition(self):
         sc = make_scenario(d_m1=20, d_m2=20, M=200)
@@ -173,36 +200,6 @@ class TestRedundancyBounds:
         box = redundancy_bounds(sc, 100.0, 100.0)
         assert not box.feasible
         assert box.d_r1_min > box.d_r1_max
-
-
-class TestFeasibleM1Interval:
-    def test_interval_matches_box_membership(self):
-        rng = np.random.default_rng(13)
-        tested = 0
-        for _ in range(200):
-            sc = draw_random_scenario(rng)
-            pt = sample_interior_point(rng, sc, margin=0.3)
-            if pt is None:
-                continue
-            m1, d_r1, d_r2 = pt
-            lo, hi = feasible_m1_interval(sc, d_r1, d_r2)
-            assert lo <= m1 <= hi
-
-            def in_boxes(m):
-                box = redundancy_bounds(sc, m, sc.M - m)
-                return (box.feasible
-                        and box.d_r1_min - 1e-7 <= d_r1 <= box.d_r1_max + 1e-7
-                        and box.d_r2_min - 1e-7 <= d_r2 <= box.d_r2_max + 1e-7)
-
-            for m_in in (lo + 1e-4, hi - 1e-4):
-                if lo < m_in < hi:
-                    assert in_boxes(m_in)
-            if lo > 1.0 + 1e-3:
-                assert not in_boxes(lo - 1e-3)
-            if hi < sc.M - 1.0 - 1e-3:
-                assert not in_boxes(hi + 1e-3)
-            tested += 1
-        assert tested > 50
 
 
 class TestGradientReduced:
@@ -287,3 +284,90 @@ class TestBudgetMonotonicity:
             assert np.all(diffs >= -1e-9)
             tested += 1
         assert tested > 20
+
+
+NAN, INF = math.nan, math.inf
+BOUNDARY_SC = make_scenario(d_m1=20, d_m2=20, M=200)
+
+
+OUT_OF_DOMAIN = [
+    ('lfp_value(NAN,50.0,50.0)',
+     lambda: lfp_value(BOUNDARY_SC, NAN, 50.0, 50.0)),
+    ('lfp_value(INF,50.0,50.0)',
+     lambda: lfp_value(BOUNDARY_SC, INF, 50.0, 50.0)),
+    ('lfp_value(0.5,50.0,50.0)',
+     lambda: lfp_value(BOUNDARY_SC, 0.5, 50.0, 50.0)),
+    ('lfp_value(199.5,50.0,50.0)',
+     lambda: lfp_value(BOUNDARY_SC, 199.5, 50.0, 50.0)),
+    ('lfp_value(100.0,NAN,50.0)',
+     lambda: lfp_value(BOUNDARY_SC, 100.0, NAN, 50.0)),
+    ('lfp_value(100.0,50.0,INF)',
+     lambda: lfp_value(BOUNDARY_SC, 100.0, 50.0, INF)),
+    ('lfp_value(100.0,-INF,50.0)',
+     lambda: lfp_value(BOUNDARY_SC, 100.0, -INF, 50.0)),
+    ('lfp_value(100.0,-30.0,50.0)',
+     lambda: lfp_value(BOUNDARY_SC, 100.0, -30.0, 50.0)),
+    ('lfp(A(NAN,100.0,50.0,50.0))',
+     lambda: lfp(BOUNDARY_SC, Allocation(NAN, 100.0, 50.0, 50.0))),
+    ('lfp(A(INF,100.0,50.0,50.0))',
+     lambda: lfp(BOUNDARY_SC, Allocation(INF, 100.0, 50.0, 50.0))),
+    ('lfp(A(100.0,100.0,NAN,50.0))',
+     lambda: lfp(BOUNDARY_SC, Allocation(100.0, 100.0, NAN, 50.0))),
+    ('lfp(A(100.0,100.0,50.0,INF))',
+     lambda: lfp(BOUNDARY_SC, Allocation(100.0, 100.0, 50.0, INF))),
+    ('lfp(A(0.5,100.0,50.0,50.0))',
+     lambda: lfp(BOUNDARY_SC, Allocation(0.5, 100.0, 50.0, 50.0))),
+    ('lfp(A(150.0,100.0,50.0,50.0))',
+     lambda: lfp(BOUNDARY_SC, Allocation(150.0, 100.0, 50.0, 50.0))),
+    ('link_errors(A(NAN,100.0,50.0,50.0))',
+     lambda: link_errors(BOUNDARY_SC, Allocation(NAN, 100.0, 50.0, 50.0))),
+    ('link_errors(A(100.0,100.0,50.0,NAN))',
+     lambda: link_errors(BOUNDARY_SC, Allocation(100.0, 100.0, 50.0, NAN))),
+    ('link_errors(A(100.0,100.0,-1.0,50.0))',
+     lambda: link_errors(BOUNDARY_SC, Allocation(100.0, 100.0, -1.0, 50.0))),
+    ('link_errors(A(150.0,100.0,50.0,50.0))',
+     lambda: link_errors(BOUNDARY_SC, Allocation(150.0, 100.0, 50.0, 50.0))),
+    ('lfp_gradient_reduced(NAN,50.0,50.0)',
+     lambda: lfp_gradient_reduced(BOUNDARY_SC, NAN, 50.0, 50.0)),
+    ('lfp_gradient_reduced(100.0,NAN,50.0)',
+     lambda: lfp_gradient_reduced(BOUNDARY_SC, 100.0, NAN, 50.0)),
+    ('lfp_gradient_reduced(100.0,50.0,INF)',
+     lambda: lfp_gradient_reduced(BOUNDARY_SC, 100.0, 50.0, INF)),
+    ('lfp_gradient_reduced(100.0,-30.0,50.0)',
+     lambda: lfp_gradient_reduced(BOUNDARY_SC, 100.0, -30.0, 50.0)),
+    ('lfp_gradient_reduced(199.0,50.0,50.0)',
+     lambda: lfp_gradient_reduced(BOUNDARY_SC, 199.0, 50.0, 50.0)),
+    ('redundancy_bounds(NAN,100.0)',
+     lambda: redundancy_bounds(BOUNDARY_SC, NAN, 100.0)),
+    ('redundancy_bounds(100.0,NAN)',
+     lambda: redundancy_bounds(BOUNDARY_SC, 100.0, NAN)),
+    ('redundancy_bounds(INF,1.0)',
+     lambda: redundancy_bounds(BOUNDARY_SC, INF, 1.0)),
+    ('redundancy_bounds(0.5,100.0)',
+     lambda: redundancy_bounds(BOUNDARY_SC, 0.5, 100.0)),
+    ('redundancy_bounds(100.0,0.0)',
+     lambda: redundancy_bounds(BOUNDARY_SC, 100.0, 0.0)),
+    ('decode_error_prob(NAN,100.0,100.0)',
+     lambda: decode_error_prob(NAN, 100.0, 100.0)),
+    ('decode_error_prob(0.0,100.0,100.0)',
+     lambda: decode_error_prob(0.0, 100.0, 100.0)),
+    ('decode_error_prob(3.0,NAN,100.0)',
+     lambda: decode_error_prob(3.0, NAN, 100.0)),
+    ('decode_error_prob(3.0,0.5,100.0)',
+     lambda: decode_error_prob(3.0, 0.5, 100.0)),
+    ('decode_error_prob(3.0,100.0,INF)',
+     lambda: decode_error_prob(3.0, 100.0, INF)),
+    ('decode_error_prob(3.0,100.0,-1.0)',
+     lambda: decode_error_prob(3.0, 100.0, -1.0)),
+    ('decode_error_prob(3.0,np.array([100.0,NAN]),100.0)',
+     lambda: decode_error_prob(3.0, np.array([100.0, NAN]), 100.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [pytest.param(c, id=i) for i, c in OUT_OF_DOMAIN])
+def test_entry_points_reject_out_of_domain_input(call):
+    """The public functions validate at entry; the unchecked kernel
+    below them never sees NaN, inf or out-of-range input."""
+    with pytest.raises(DomainError):
+        call()

@@ -11,21 +11,14 @@ from fblsec import (
     DomainError,
     LinkGeometry,
     Scenario,
-    capacity,
     db_to_linear,
-    dispersion,
     linear_to_db,
     load_scenario,
-    q_inv,
     sample_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    secrecy_rate_fbl,
     snr_from_geometry,
 )
-
-# mpmath oracle (dps=60) for the secrecy-rate example below
-R_S_3_1_M100_001 = 0.57328469996294083846
 
 
 def unit_geoms():
@@ -113,6 +106,8 @@ class TestScenarioInvariants:
     @pytest.mark.parametrize("field,value", [
         ("gamma_ab", 0.0), ("gamma_ae", -1.0), ("eps_ab_max", 0.0),
         ("eps_e_max", 1.0), ("M", 1), ("d_m1", 0),
+        ("M", 40.7), ("d_m1", 4.9), ("d_m2", float("nan")),
+        ("M", float("inf")),
     ])
     def test_invalid_fields_rejected(self, field, value):
         kwargs = dict(gamma_ab=3.0, gamma_ae=1.0, gamma_ba=3.0, gamma_be=1.0,
@@ -121,47 +116,6 @@ class TestScenarioInvariants:
         kwargs[field] = value
         with pytest.raises(DomainError):
             Scenario(**kwargs)
-
-
-class TestSecrecyRate:
-    def scenario(self):
-        return Scenario(gamma_ab=3.0, gamma_ae=1.0, gamma_ba=3.0, gamma_be=1.0,
-                        d_m1=4, d_m2=4, M=100, eps_ab_max=0.5, eps_ba_max=0.5,
-                        eps_e_max=0.5)
-
-    def test_half_thresholds_give_capacity_gap(self):
-        sc = self.scenario()
-        expect = capacity(3.0) - capacity(1.0)
-        assert secrecy_rate_fbl(sc, 1, 100.0, 0.5, 0.5) == pytest.approx(
-            expect, rel=1e-14)
-
-    def test_equal_snrs_give_zero(self):
-        sc = Scenario(gamma_ab=2.0, gamma_ae=2.0, gamma_ba=3.0, gamma_be=1.0,
-                      d_m1=4, d_m2=4, M=100, eps_ab_max=0.5, eps_ba_max=0.5,
-                      eps_e_max=0.5)
-        assert secrecy_rate_fbl(sc, 1, 100.0, 0.5, 0.5) == pytest.approx(
-            0.0, abs=1e-15)
-
-    def test_frozen_oracle_value(self):
-        sc = self.scenario()
-        r = secrecy_rate_fbl(sc, 1, 100.0, 0.01, 0.01)
-        assert r == pytest.approx(R_S_3_1_M100_001, rel=1e-10)
-        assert r < 1.0
-
-    def test_increasing_in_blocklength(self):
-        sc = self.scenario()
-        r100 = secrecy_rate_fbl(sc, 2, 100.0, 0.01, 0.01)
-        r400 = secrecy_rate_fbl(sc, 2, 400.0, 0.01, 0.01)
-        assert r400 > r100
-
-    def test_re_evaluation_identity(self):
-        sc = self.scenario()
-        for m, eb, db_ in ((50.0, 0.2, 0.05), (300.0, 0.01, 0.3)):
-            expect = (capacity(3.0) - capacity(1.0)
-                      - np.sqrt(dispersion(3.0) / m) * q_inv(eb)
-                      - np.sqrt(dispersion(1.0) / m) * q_inv(db_))
-            assert secrecy_rate_fbl(sc, 1, m, eb, db_) == pytest.approx(
-                expect, rel=1e-10)
 
 
 class TestJsonSurface:
@@ -208,6 +162,23 @@ class TestJsonSurface:
         del cfg["eps_e_max"]
         with pytest.raises(DomainError):
             scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("field,value", [
+        ("M", 40.7), ("d_m1", 4.9), ("d_m2", 2.5), ("M", None),
+        ("eps_e_max", None), ("M", "forty"),
+    ])
+    def test_bad_scalar_field_raises(self, field, value):
+        cfg = self.base_cfg()
+        cfg[field] = value
+        with pytest.raises(DomainError):
+            scenario_from_dict(cfg)
+
+    def test_integral_floats_accepted(self):
+        cfg = self.base_cfg()
+        cfg.update(M=200.0, d_m1=20.0)
+        sc = scenario_from_dict(cfg)
+        assert (sc.M, sc.d_m1) == (200, 20)
+        assert type(sc.M) is int and type(sc.d_m1) is int
 
     def test_missing_link_raises(self):
         cfg = self.base_cfg()

@@ -142,6 +142,20 @@ class TestExhaustive:
         assert report.status == "converged"
         assert (report.alloc.m1, report.alloc.m2) == (1, 1)
 
+    def test_partial_budget_optimum_scored_at_its_own_m2(self):
+        # both eavesdroppers above their legitimate receivers with loose
+        # reliability ceilings: the boxes are non-empty only for short
+        # blocks, so the free-enumeration optimum leaves budget unused
+        sc = make_scenario(gamma_ab=1.0, gamma_ae=1.2, gamma_ba=1.0,
+                           gamma_be=1.2, d_m1=2, d_m2=2, M=40,
+                           eps_ab_max=0.8, eps_ba_max=0.8, eps_e_max=0.3)
+        report = solve_exhaustive(sc, SolverConfig(full_budget_only=False))
+        alloc = report.alloc
+        assert alloc.m1 + alloc.m2 < sc.M
+        e = link_errors(sc, alloc)
+        composed = 1.0 - (1.0 - e.eps_ab) * e.eps_ae * (1.0 - e.eps_ba) * e.eps_be
+        assert report.lfp_final == pytest.approx(composed, rel=1e-12)
+
     def test_infeasible_scenario(self):
         sc = make_scenario(gamma_ab=1.0, gamma_ae=1.2, d_m1=4, d_m2=4, M=60)
         report = solve_exhaustive(sc)
