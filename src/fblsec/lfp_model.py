@@ -18,16 +18,20 @@ relative accuracy where a plain 1 - product form loses ~1e-10 (LFP near
 1e-6), and keeps the magnitude at deeply reliable operating points where
 the plain product rounds to exactly 1 and the LFP to exactly 0.
 
-``lfp``, ``lfp_value``, ``lfp_gradient_reduced``, ``redundancy_bounds``
-and ``link_errors`` validate their arguments; ``log_direction_success``
-and ``log_round_trip_success`` sit below that boundary and run the
-unchecked ``fbl_core.rate_margin`` kernel on whatever they are given.
+``lfp``, ``lfp_value``, ``lfp_gradient_reduced``, ``redundancy_bounds``,
+``redundancy_bounds_table`` and ``link_errors`` validate their
+arguments; ``log_direction_success`` and ``log_round_trip_success`` sit
+below that boundary and run the unchecked ``fbl_core.rate_margin``
+kernel on whatever they are given.  The per-link constants ln(1+gamma),
+V(gamma) and Qinv(threshold) are computed once per scenario
+(``link_constants``), not once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -174,7 +178,23 @@ def lfp(scenario: Scenario, alloc: Allocation) -> float:
 # Threshold geometry
 # ----------------------------------------------------------------------
 
-def _direction_bounds(gamma_b, gamma_e, d_m, eps_b_max, eps_e_max, m):
+@lru_cache(maxsize=1024)
+def link_constants(scenario: Scenario):
+    """Per-link constants (ln(1+gamma), V(gamma), Qinv(threshold)) of
+    the links ab, ae, ba, be, in that order.
+
+    They depend on the scenario alone, so each is computed once, through
+    the checked ``dispersion`` and ``q_inv``, and cached by the
+    scenario's field values.
+    """
+    return tuple((math.log1p(gamma), dispersion(gamma), q_inv(eps))
+                 for gamma, eps in ((scenario.gamma_ab, scenario.eps_ab_max),
+                                    (scenario.gamma_ae, scenario.eps_e_max),
+                                    (scenario.gamma_ba, scenario.eps_ba_max),
+                                    (scenario.gamma_be, scenario.eps_e_max)))
+
+
+def _direction_bounds(legit, eve, d_m, m, sqrt=math.sqrt, maximum=max):
     """Exact inversion of the error probability through the thresholds.
 
     Reliability eps_b <= eps_b_max caps the total bits from above,
@@ -183,12 +203,15 @@ def _direction_bounds(gamma_b, gamma_e, d_m, eps_b_max, eps_e_max, m):
 
         d * ln2 <= m * ln(1+gamma_b) - sqrt(m * V_b) * Qinv(eps_b_max)
         d * ln2 >= m * ln(1+gamma_e) - sqrt(m * V_e) * Qinv(eps_e_max)
+
+    ``legit`` and ``eve`` are ``link_constants`` entries.  ``m`` is a
+    float with the default ``math`` operations, or an array with
+    ``np.sqrt`` and ``np.maximum``; both give the same bits per element.
     """
-    d_max = (m * math.log1p(gamma_b)
-             - math.sqrt(m * dispersion(gamma_b)) * q_inv(eps_b_max)) / LN2 - d_m
-    d_min = (m * math.log1p(gamma_e)
-             - math.sqrt(m * dispersion(gamma_e)) * q_inv(eps_e_max)) / LN2 - d_m
-    return max(0.0, d_min), d_max
+    (log1p_b, v_b, q_b), (log1p_e, v_e, q_e) = legit, eve
+    d_max = (m * log1p_b - sqrt(m * v_b) * q_b) / LN2 - d_m
+    d_min = (m * log1p_e - sqrt(m * v_e) * q_e) / LN2 - d_m
+    return maximum(0.0, d_min), d_max
 
 
 def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
@@ -202,31 +225,43 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
     if not (1.0 <= m1 < math.inf and 1.0 <= m2 < math.inf):
         raise DomainError(
             f"blocklengths must be finite and >= 1, got {m1}, {m2}")
-    lo1, hi1 = _direction_bounds(scenario.gamma_ab, scenario.gamma_ae,
-                                 scenario.d_m1, scenario.eps_ab_max,
-                                 scenario.eps_e_max, m1)
-    lo2, hi2 = _direction_bounds(scenario.gamma_ba, scenario.gamma_be,
-                                 scenario.d_m2, scenario.eps_ba_max,
-                                 scenario.eps_e_max, m2)
+    ab, ae, ba, be = link_constants(scenario)
+    lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m1)
+    lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m2)
     feasible = lo1 <= hi1 and lo2 <= hi2 and hi1 >= 0.0 and hi2 >= 0.0
     return FeasibleBox(d_r1_min=lo1, d_r1_max=hi1,
                        d_r2_min=lo2, d_r2_max=hi2, feasible=feasible)
+
+
+def redundancy_bounds_table(scenario: Scenario, m):
+    """``redundancy_bounds`` of both directions at every blocklength of
+    the array ``m``: (d_r1_min, d_r1_max, d_r2_min, d_r2_max) arrays,
+    each direction at the same m, equal bit for bit to the scalar
+    boxes."""
+    m = np.asarray(m, dtype=float)
+    if not np.all((1.0 <= m) & (m < math.inf)):
+        raise DomainError("blocklengths must be finite and >= 1")
+    ab, ae, ba, be = link_constants(scenario)
+    lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m, np.sqrt, np.maximum)
+    lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m, np.sqrt, np.maximum)
+    return lo1, hi1, lo2, hi2
 
 
 # ----------------------------------------------------------------------
 # Reduced-space gradient
 # ----------------------------------------------------------------------
 
-def _link_log_derivatives(gamma, m, d):
-    """d(log eps)/d(m,d) and d(log(1-eps))/d(m,d) for one link.
+def _link_log_derivatives(gamma, link, m, d):
+    """d(log eps)/d(m,d) and d(log(1-eps))/d(m,d) for one link, with
+    ``link`` its ``link_constants`` entry.
 
     Built from the hazard ratios phi(w)/Q(+-w), which stay finite where
     eps or its complement underflow.
     """
     w = rate_margin(gamma, m, d)
-    v = dispersion(gamma)
+    log1p_gamma, v, _ = link
     sqrt_mv = math.sqrt(m * v)
-    dw_dm = (math.log1p(gamma) + d * LN2 / m) / (2.0 * sqrt_mv)
+    dw_dm = (log1p_gamma + d * LN2 / m) / (2.0 * sqrt_mv)
     dw_dd = -LN2 / sqrt_mv
     # eps = Q(w): dlog(eps) = -phi/Q(w) * dw ; dlog(1-eps) = phi/Q(-w) * dw
     r_eps = log_hazard_ratio(w)
@@ -254,10 +289,11 @@ def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
     m2 = scenario.M - m1
     d1 = scenario.d_m1 + d_r1
     d2 = scenario.d_m2 + d_r2
-    ab = _link_log_derivatives(scenario.gamma_ab, m1, d1)
-    ae = _link_log_derivatives(scenario.gamma_ae, m1, d1)
-    ba = _link_log_derivatives(scenario.gamma_ba, m2, d2)
-    be = _link_log_derivatives(scenario.gamma_be, m2, d2)
+    c_ab, c_ae, c_ba, c_be = link_constants(scenario)
+    ab = _link_log_derivatives(scenario.gamma_ab, c_ab, m1, d1)
+    ae = _link_log_derivatives(scenario.gamma_ae, c_ae, m1, d1)
+    ba = _link_log_derivatives(scenario.gamma_ba, c_ba, m2, d2)
+    be = _link_log_derivatives(scenario.gamma_be, c_be, m2, d2)
     p = math.exp(log_round_trip_success(scenario, m1, d_r1, d_r2))
     # log P = log(1-eps_ab) + log(eps_ae) + log(1-eps_ba) + log(eps_be);
     # backward links see m2 = M - m1, hence the sign flip on their
@@ -273,5 +309,5 @@ __all__ = [
     "Allocation", "LinkErrors", "FeasibleBox",
     "link_errors", "lfp", "lfp_value",
     "log_direction_success", "log_round_trip_success",
-    "redundancy_bounds", "lfp_gradient_reduced",
+    "redundancy_bounds", "redundancy_bounds_table", "lfp_gradient_reduced",
 ]

@@ -177,6 +177,16 @@ _LINKS = ("ab", "ae", "ba", "be")
 _SCALAR_FIELDS = ("d_m1", "d_m2", "M", "eps_ab_max", "eps_ba_max", "eps_e_max")
 
 
+def _number(cfg, key):
+    """cfg[key] as a float; null, lists, objects and non-numeric strings
+    raise DomainError."""
+    try:
+        return float(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"scenario field {key} must be a number, "
+                          f"got {cfg[key]!r}") from exc
+
+
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Build a Scenario from its JSON dict form.
 
@@ -194,7 +204,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         db_key = f"gamma_{link}_db"
         geo_key = f"geometry_{link}"
         if db_key in cfg:
-            snrs[link] = float(db_to_linear(float(cfg[db_key])))
+            snrs[link] = float(db_to_linear(_number(cfg, db_key)))
         elif geo_key in cfg:
             geo_cfg = cfg[geo_key]
             try:
@@ -214,13 +224,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     missing = [k for k in _SCALAR_FIELDS if k not in cfg]
     if missing:
         raise DomainError(f"scenario config missing fields: {missing}")
-    scalars = {}
-    for k in _SCALAR_FIELDS:
-        try:
-            scalars[k] = float(cfg[k])
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"scenario field {k} must be a number, "
-                              f"got {cfg[k]!r}") from exc
+    scalars = {k: _number(cfg, k) for k in _SCALAR_FIELDS}
     # Scenario itself rejects non-integral M, d_m1 and d_m2.
     return Scenario(gamma_ab=snrs["ab"], gamma_ae=snrs["ae"],
                     gamma_ba=snrs["ba"], gamma_be=snrs["be"], **scalars)

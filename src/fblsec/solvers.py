@@ -1,11 +1,14 @@
 """Three optimizers over the round-trip allocation.
 
 * ``solve_exhaustive`` -- integer enumeration, the global oracle.  The
-  objective factors into independent per-direction success terms, so for
-  each blocklength split the scan maximizes each direction over its
-  integer redundancy range and combines the maxima; this evaluates the
-  same candidate set as the full cross product but in
-  O(M * (d_r1_range + d_r2_range)) work.
+  objective factors into independent per-direction success terms, so
+  each direction is maximized over its integer redundancy box at every
+  blocklength and the maxima are combined over the splits.  For a fixed
+  blocklength a direction's log success is concave in the redundancy
+  (log Phi is concave), so its first maximizer -- the smallest d with
+  g(d+1) <= g(d) -- is found by bisection, for all blocklengths at once:
+  O(M * log(range)) link evaluations instead of the O(M * range) dense
+  scan, with the same first-maximum tie rule.
 * ``solve_bcd`` -- block coordinate descent on the relaxed problem:
   an m1 block followed by golden-section minimization in d_r1 and d_r2,
   with threshold bounds refreshed after every m1 update and optional
@@ -28,15 +31,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbl_core import DomainError, LN2, NumericalError, dispersion, rate_margin
+# ``dispersion`` is unused here, but benchmarks/tracing.py instruments it
+# at this import site, so the name stays bound.
+from .fbl_core import DomainError, LN2, NumericalError, dispersion, rate_margin  # noqa: F401
 from .lfp_model import (
     Allocation,
     LinkErrors,
     lfp,
     lfp_value,
+    link_constants,
     log_direction_success,
     log_round_trip_success,
     redundancy_bounds,
+    redundancy_bounds_table,
 )
 from .scenario import Scenario
 
@@ -359,15 +366,42 @@ def _infeasible(obj, t_start):
 # exhaustive enumeration
 # ----------------------------------------------------------------------
 
+def _first_maxima(obj, gamma_b, gamma_e, d_m, m, lo, hi):
+    """Best integer redundancy of one direction at every blocklength.
+
+    ``m``, ``lo`` and ``hi`` are arrays (non-empty integer boxes
+    [lo, hi]).  For each m this finds the smallest d in the box with
+    g(d+1) <= g(d), or hi if there is none, where g is the direction's
+    log success; all blocklengths share one bisection of about
+    log2(hi - lo) steps.  g is concave in d (log Phi is concave), so that
+    d is the first maximizer a dense scan of the box would return, plateau
+    ties included.  Returns (max log success, its d) arrays.
+    """
+    a, b = lo.copy(), hi.copy()
+    active = np.flatnonzero(a < b)
+    while active.size:
+        mid = np.floor(0.5 * (a[active] + b[active]))
+        g = log_direction_success(gamma_b, gamma_e, m[active],
+                                  d_m + np.stack((mid, mid + 1.0)))
+        obj.evaluations += g.size
+        falls = g[1] <= g[0]
+        b[active[falls]] = mid[falls]
+        a[active[~falls]] = mid[~falls] + 1.0
+        active = active[a[active] < b[active]]
+    best = log_direction_success(gamma_b, gamma_e, m, d_m + a)
+    obj.evaluations += best.size
+    return best, a
+
+
 def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     """Global integer optimum by enumeration.
 
     For every split m1 (and, with ``full_budget_only=False``, every
     m2 <= M - m1, largest first) the per-direction success is maximized
-    over the integer redundancy box; the incumbent is replaced only on
-    strict improvement, so ties resolve to the lexicographically
-    smallest (m1, d_r1, d_r2) and, at equal splits, to the fullest
-    budget.
+    over the integer redundancy box by ``_first_maxima``; the incumbent
+    is replaced only on strict improvement, so ties resolve to the
+    lexicographically smallest (m1, d_r1, d_r2) and, at equal splits,
+    to the fullest budget.
     """
     config = config or SolverConfig()
     if not config.integer_mode:
@@ -376,50 +410,51 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     obj = _Objective(scenario)
     M = scenario.M
 
-    # Direction-2 scans are reused across (m1, m2) pairs: cache by m2.
-    dir2_cache = {}
+    # Both directions tabulated over every blocklength 1..M-1: direction
+    # 1 at m1, direction 2 at m2.
+    m = np.arange(1, M, dtype=float)
+    lo1, hi1, lo2, hi2 = redundancy_bounds_table(scenario, m)
+    tables = []
+    for gamma_b, gamma_e, d_m, lo, hi in (
+            (scenario.gamma_ab, scenario.gamma_ae, scenario.d_m1, lo1, hi1),
+            (scenario.gamma_ba, scenario.gamma_be, scenario.d_m2, lo2, hi2)):
+        lo = np.ceil(lo - 1e-9)
+        hi = np.floor(hi + 1e-9)
+        ok = hi >= lo
+        s = np.full(m.size, -np.inf)
+        d = np.zeros(m.size, dtype=np.int64)
+        s[ok], d[ok] = _first_maxima(obj, gamma_b, gamma_e, d_m, m[ok],
+                                     lo[ok], hi[ok])
+        tables.append((ok, s, d))
+    (ok1, s1, d1), (ok2, s2, d2) = tables
 
-    def dir2(m2):
-        if m2 not in dir2_cache:
-            box = redundancy_bounds(scenario, float(M - m2), float(m2))
-            lo = math.ceil(box.d_r2_min - 1e-9)
-            hi = math.floor(box.d_r2_max + 1e-9)
-            if hi < lo:
-                dir2_cache[m2] = None
-            else:
-                d_r = np.arange(lo, hi + 1, dtype=float)
-                ls = log_direction_success(scenario.gamma_ba, scenario.gamma_be,
-                                           float(m2), scenario.d_m2 + d_r)
-                i = int(np.argmax(ls))
-                obj.evaluations += d_r.size
-                dir2_cache[m2] = (float(ls[i]), int(d_r[i]))
-        return dir2_cache[m2]
-
-    best = None  # (-log_success, m1, d_r1, d_r2, m2)
-    for m1 in range(1, M):
-        box = redundancy_bounds(scenario, float(m1), float(M - m1))
-        lo1 = math.ceil(box.d_r1_min - 1e-9)
-        hi1 = math.floor(box.d_r1_max + 1e-9)
-        if hi1 < lo1:
-            continue
-        d_r = np.arange(lo1, hi1 + 1, dtype=float)
-        ls1 = log_direction_success(scenario.gamma_ab, scenario.gamma_ae,
-                                    float(m1), scenario.d_m1 + d_r)
-        obj.evaluations += d_r.size
-        i1 = int(np.argmax(ls1))
-        s1, dr1 = float(ls1[i1]), int(d_r[i1])
-        m2_values = (M - m1,) if config.full_budget_only else range(M - m1, 0, -1)
-        for m2 in m2_values:
-            res2 = dir2(m2)
-            if res2 is None:
+    best = None  # (m1, d_r1, d_r2, m2)
+    if config.full_budget_only:
+        # m2 = M - m1 reverses the direction-2 table
+        ok = ok1 & ok2[::-1]
+        if ok.any():
+            splits = np.flatnonzero(ok)
+            neg = -(s1[splits] + s2[::-1][splits])
+            i = int(splits[np.argmin(neg)])
+            best = (i + 1, int(d1[i]), int(d2[M - 2 - i]), M - 1 - i)
+    else:
+        dir1 = list(zip(ok1.tolist(), s1.tolist(), d1.tolist()))
+        dir2 = list(zip(ok2.tolist(), s2.tolist(), d2.tolist()))
+        best_key = None
+        for m1 in range(1, M):
+            ok, sv1, dr1 = dir1[m1 - 1]
+            if not ok:
                 continue
-            s2, dr2 = res2
-            key = (-(s1 + s2), m1, dr1, dr2)
-            if best is None or key < (best[0], best[1], best[2], best[3]):
-                best = (key[0], m1, dr1, dr2, m2)
+            for m2 in range(M - m1, 0, -1):
+                ok, sv2, dr2 = dir2[m2 - 1]
+                if not ok:
+                    continue
+                key = (-(sv1 + sv2), m1, dr1, dr2)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (m1, dr1, dr2, m2)
     if best is None:
         return _infeasible(obj, t_start)
-    _, m1, dr1, dr2, m2 = best
+    m1, dr1, dr2, m2 = best
     alloc = Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2)
     obj.evaluations += 1
     final = lfp(scenario, alloc)
@@ -504,16 +539,17 @@ def _success_reciprocals(scenario, m1, d_r1, d_r2):
     m2 = scenario.M - m1
     d1 = scenario.d_m1 + d_r1
     d2 = scenario.d_m2 + d_r2
+    ab, ae, ba, be = link_constants(scenario)
     out = []
-    for gamma, m, d, legit in ((scenario.gamma_ab, m1, d1, True),
-                               (scenario.gamma_ae, m1, d1, False),
-                               (scenario.gamma_ba, m2, d2, True),
-                               (scenario.gamma_be, m2, d2, False)):
+    for gamma, (_, v, _), m, d, legit in ((scenario.gamma_ab, ab, m1, d1, True),
+                                          (scenario.gamma_ae, ae, m1, d1, False),
+                                          (scenario.gamma_ba, ba, m2, d2, True),
+                                          (scenario.gamma_be, be, m2, d2, False)):
         w = rate_margin(gamma, m, d)
         eps = 0.5 * math.erfc(w / math.sqrt(2.0))
         eps = min(max(eps, 1e-300), 1.0 - 1e-16)
         deps = (math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
-                * LN2 / math.sqrt(m * dispersion(gamma)))
+                * LN2 / math.sqrt(m * v))
         if legit:
             val = 1.0 / (1.0 - eps)
             dval = deps * val * val

@@ -17,7 +17,7 @@ from fblsec.bench_cli import (
     ibl_reference_lfp,
     main,
 )
-from conftest import make_scenario
+from conftest import REPO_ROOT, make_scenario
 
 
 def write_scenario(tmp_path, name="sc.json", **overrides):
@@ -113,6 +113,14 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and field in err
+
+    def test_null_db_field_exits_1(self, capsys, tmp_path):
+        path = write_scenario(tmp_path, gamma_ab_db=None)
+        code, out, err = run_main(capsys, [
+            "solve", "--scenario", path, "--method", "bcd"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and "gamma_ab_db" in err
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_main(capsys, [
@@ -259,6 +267,26 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["status"].startswith("error(")
         assert rows[1]["status"] == "converged"
+
+
+class TestGoldenSweep:
+    """The default-operating-point sweep reproduces the committed CSV on
+    every column except ``wall_time``: a change to any solver's results
+    (allocation, last bit of the LFP, iteration or evaluation count)
+    shows here."""
+
+    GOLDEN = REPO_ROOT / "tests" / "data" / "sweep_default_M200-1000.csv"
+
+    def test_matches_committed_csv(self, capsys, tmp_path, monkeypatch,
+                                   default_scenario_path):
+        monkeypatch.setenv("FBLSEC_THREADS", "1")
+        out_csv = str(tmp_path / "sweep.csv")
+        code, _, _ = run_main(capsys, [
+            "sweep", "--scenario", default_scenario_path, "--vary", "M",
+            "--from", "200", "--to", "1000", "--step", "100",
+            "--methods", "exhaustive,bcd,mm", "--out", out_csv])
+        assert code == EXIT_OK
+        assert strip_wall_time(out_csv) == strip_wall_time(self.GOLDEN)
 
 
 class TestSweepHelpers:

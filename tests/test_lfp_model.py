@@ -12,13 +12,19 @@ from fblsec import (
     DomainError,
     capacity,
     decode_error_prob,
+    dispersion,
     lfp,
     lfp_gradient_reduced,
     lfp_value,
     link_errors,
+    q_inv,
     redundancy_bounds,
 )
-from fblsec.lfp_model import log_round_trip_success
+from fblsec.lfp_model import (
+    link_constants,
+    log_round_trip_success,
+    redundancy_bounds_table,
+)
 
 from conftest import draw_random_scenario, make_scenario, sample_interior_point
 
@@ -200,6 +206,51 @@ class TestRedundancyBounds:
         box = redundancy_bounds(sc, 100.0, 100.0)
         assert not box.feasible
         assert box.d_r1_min > box.d_r1_max
+
+
+TABLE_SCENARIOS = [
+    make_scenario(M=1000),
+    make_scenario(d_m1=20, d_m2=20, M=200, eps_ab_max=0.01, eps_e_max=0.9),
+    make_scenario(gamma_ab=1000.0, gamma_ae=0.01, gamma_ba=1000.0,
+                  gamma_be=0.01, M=300),
+    # infeasible and degenerate directions
+    make_scenario(gamma_ab=1.05, gamma_ae=1.0, d_m1=20, d_m2=20, M=200,
+                  eps_ab_max=0.01, eps_e_max=0.99),
+    make_scenario(gamma_ab=1.0, gamma_ae=1.2, gamma_ba=1.0, gamma_be=1.2,
+                  d_m1=2, d_m2=2, M=40, eps_ab_max=0.8, eps_ba_max=0.8,
+                  eps_e_max=0.3),
+] + [draw_random_scenario(np.random.default_rng(seed), m_hi=400)
+     for seed in (5, 6, 7)]
+
+
+class TestRedundancyBoundsTable:
+    """The oracle's vector boxes against the scalar ``redundancy_bounds``,
+    paired as the oracle pairs them: direction 1 at m1, direction 2 at
+    m2 = M - m1."""
+
+    @pytest.mark.parametrize("sc", TABLE_SCENARIOS)
+    def test_matches_scalar_boxes_bit_for_bit(self, sc):
+        M = sc.M
+        lo1, hi1, lo2, hi2 = redundancy_bounds_table(
+            sc, np.arange(1, M, dtype=float))
+        for m1 in range(1, M):
+            box = redundancy_bounds(sc, float(m1), float(M - m1))
+            table = (lo1[m1 - 1], hi1[m1 - 1], lo2[M - m1 - 1], hi2[M - m1 - 1])
+            scalar = (box.d_r1_min, box.d_r1_max, box.d_r2_min, box.d_r2_max)
+            assert [float(x).hex() for x in table] == \
+                [float(x).hex() for x in scalar], m1
+
+    @pytest.mark.parametrize("m", [[0.5, 2.0], [1.0, np.nan], [np.inf]])
+    def test_rejects_bad_blocklengths(self, m):
+        with pytest.raises(DomainError):
+            redundancy_bounds_table(TABLE_SCENARIOS[0], m)
+
+    def test_link_constants_are_the_checked_values(self):
+        for sc in TABLE_SCENARIOS:
+            links = ((sc.gamma_ab, sc.eps_ab_max), (sc.gamma_ae, sc.eps_e_max),
+                     (sc.gamma_ba, sc.eps_ba_max), (sc.gamma_be, sc.eps_e_max))
+            assert link_constants(sc) == tuple(
+                (math.log1p(g), dispersion(g), q_inv(e)) for g, e in links)
 
 
 class TestGradientReduced:

@@ -173,6 +173,13 @@ class TestJsonSurface:
         with pytest.raises(DomainError):
             scenario_from_dict(cfg)
 
+    @pytest.mark.parametrize("value", [None, [3.0], {"db": 3.0}, "loud"])
+    def test_bad_db_field_raises(self, value):
+        cfg = self.base_cfg()
+        cfg["gamma_ab_db"] = value
+        with pytest.raises(DomainError, match="gamma_ab_db"):
+            scenario_from_dict(cfg)
+
     def test_integral_floats_accepted(self):
         cfg = self.base_cfg()
         cfg.update(M=200.0, d_m1=20.0)

@@ -24,6 +24,7 @@ from fblsec import (
 from fblsec.lfp_model import log_direction_success
 
 from conftest import make_scenario, random_feasible_suite
+from dense_oracle import dense_exhaustive
 
 
 def brute_force_optimum(scenario, full_budget_only=False):
@@ -170,6 +171,78 @@ class TestExhaustive:
         a = solve_exhaustive(SMALL)
         b = solve_exhaustive(SMALL)
         assert a.alloc == b.alloc and a.lfp_final == b.lfp_final
+
+
+@pytest.fixture(scope="module")
+def dense_suite():
+    return [sc for seed in (11, 12)
+            for sc in random_feasible_suite(8, seed=seed, m_lo=40, m_hi=200)]
+
+
+class TestExhaustiveAgainstDenseScan:
+    """The per-direction bisection against the dense first-maximum scan
+    it replaced (``dense_oracle``): same allocation, same LFP bits."""
+
+    @pytest.mark.parametrize("full_budget_only", [True, False])
+    def test_same_allocation_and_lfp_bits(self, dense_suite, full_budget_only):
+        config = SolverConfig(full_budget_only=full_budget_only)
+        for sc in dense_suite:
+            report = solve_exhaustive(sc, config)
+            alloc, value = dense_exhaustive(sc, full_budget_only)
+            assert report.alloc == alloc
+            assert report.lfp_final.hex() == value.hex()
+
+    def test_dense_scan_matches_cross_product(self):
+        alloc, value = dense_exhaustive(SMALL)
+        val, best = brute_force_optimum(SMALL, full_budget_only=True)
+        assert (alloc.m1, alloc.m2, alloc.d_r1, alloc.d_r2) == best
+        assert value == val
+
+
+class TestExhaustivePlateauTies:
+    """30 dB legitimate links against -20 dB eavesdroppers: the log
+    success rounds to exactly 0.0 over a range of redundancy, so several
+    splits and several redundancies tie at the optimum.  The oracle
+    must return the lexicographically smallest (m1, d_r1, d_r2), which
+    is the first point of each plateau, not the continuous maximizer."""
+
+    SC = make_scenario(gamma_ab=1000.0, gamma_ae=0.01, gamma_ba=1000.0,
+                       gamma_be=0.01, d_m1=4, d_m2=4, M=80)
+
+    @staticmethod
+    def split_max(sc, m1):
+        """Dense per-split maximum of the total log success."""
+        box = redundancy_bounds(sc, float(m1), float(sc.M - m1))
+        d1 = np.arange(math.ceil(box.d_r1_min - 1e-9),
+                       math.floor(box.d_r1_max + 1e-9) + 1.0)
+        d2 = np.arange(math.ceil(box.d_r2_min - 1e-9),
+                       math.floor(box.d_r2_max + 1e-9) + 1.0)
+        return (log_direction_success(sc.gamma_ab, sc.gamma_ae, float(m1),
+                                      sc.d_m1 + d1).max()
+                + log_direction_success(sc.gamma_ba, sc.gamma_be,
+                                        float(sc.M - m1), sc.d_m2 + d2).max())
+
+    def test_smallest_tied_allocation(self):
+        sc = self.SC
+        report = solve_exhaustive(sc)
+        a = report.alloc
+        _, best = brute_force_optimum(sc, full_budget_only=True)
+        assert (a.m1, a.m2, a.d_r1, a.d_r2) == best
+        assert report.lfp_final == 0.0
+        # the tie spans splits: the next split reaches the same optimum
+        assert self.split_max(sc, a.m1) == self.split_max(sc, a.m1 + 1) == 0.0
+        assert self.split_max(sc, a.m1 - 1) < 0.0
+        # direction 2 sits at the first point of an exact 0.0 plateau
+        ls2 = log_direction_success(sc.gamma_ba, sc.gamma_be, float(a.m2),
+                                    sc.d_m2 + np.arange(a.d_r2 - 1, a.d_r2 + 3))
+        assert ls2[0] < 0.0 and np.all(ls2[1:] == 0.0)
+
+    def test_partial_budget_tie_rule(self):
+        config = SolverConfig(full_budget_only=False)
+        report = solve_exhaustive(self.SC, config)
+        alloc, value = dense_exhaustive(self.SC, full_budget_only=False)
+        assert report.alloc == alloc
+        assert report.lfp_final == value == 0.0
 
 
 class TestBcd:
