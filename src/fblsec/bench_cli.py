@@ -68,6 +68,10 @@ class SweepSpec:
         if self.vary not in SWEEP_FIELDS:
             raise DomainError(f"cannot sweep {self.vary!r}; "
                               f"choose one of {SWEEP_FIELDS}")
+        for flag, v in (("--from", self.start), ("--to", self.stop),
+                        ("--step", self.step)):
+            if not math.isfinite(v):
+                raise DomainError(f"sweep {flag} must be finite, got {v!r}")
         if not self.start < self.stop:
             raise DomainError("sweep needs start < stop")
         if self.step <= 0:

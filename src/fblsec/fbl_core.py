@@ -18,7 +18,14 @@ form,
     w = (ln(1 + gamma) - d * ln2 / m) * sqrt(m / V(gamma)),
 
 which is algebraically identical to the usual base-2 expression
-sqrt(m/V) * (C - d/m) * ln2 but avoids mixed-base rounding.  Tail values
+sqrt(m/V) * (C - d/m) * ln2 but avoids mixed-base rounding.  The
+expression is written once (``_margin``) and takes ln(1+gamma) and V as
+inputs: ``rate_margin`` computes them with numpy from gamma, while the
+scalar solver path reads the same two values from a per-scenario cache
+and evaluates the expression in plain floats with ``math.sqrt``.  Each
+step is a correctly rounded IEEE operation either way, so both give the
+same bits; ln(1+gamma) must come from ``np.log1p``, which differs from
+``math.log1p`` in the last bit on a few per cent of SNRs.  Tail values
 are computed through the complementary error function (and ``log_ndtr``
 for log-domain work) so that arguments beyond |w| ~ 38 do not collapse
 to 0/1 prematurely.
@@ -135,6 +142,17 @@ def dispersion(gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
+    """w = (ln(1+gamma) - d*ln2/m) * sqrt(m / V) from the link's
+    ln(1+gamma) and V(gamma): the one margin expression.
+
+    ``rate_margin`` calls it with ``np.sqrt`` on arrays; the scalar
+    solver path calls it with ``math.sqrt`` on floats and the constants
+    ``lfp_model.link_constants`` caches, which gives the same bits.
+    """
+    return (log1p_gamma - d * LN2 / m) * sqrt(m / v)
+
+
 def rate_margin(gamma, m, d):
     """Standardized rate margin fed to the Q-function.
 
@@ -146,7 +164,7 @@ def rate_margin(gamma, m, d):
     or a meaningless number, not an error.
     """
     v = gamma * (2.0 + gamma) / np.square(1.0 + gamma)
-    out = (np.log1p(gamma) - d * LN2 / m) * np.sqrt(m / v)
+    out = _margin(np.log1p(gamma), v, m, d)
     return float(out) if out.ndim == 0 else out
 
 

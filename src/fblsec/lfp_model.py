@@ -21,10 +21,18 @@ the plain product rounds to exactly 1 and the LFP to exactly 0.
 ``lfp``, ``lfp_value``, ``lfp_gradient_reduced``, ``redundancy_bounds``,
 ``redundancy_bounds_table`` and ``link_errors`` validate their
 arguments; ``log_direction_success`` and ``log_round_trip_success`` sit
-below that boundary and run the unchecked ``fbl_core.rate_margin``
-kernel on whatever they are given.  The per-link constants ln(1+gamma),
-V(gamma) and Qinv(threshold) are computed once per scenario
-(``link_constants``), not once per call.
+below that boundary and run the unchecked margin kernel on whatever
+they are given.
+
+The per-link constants are computed once per scenario
+(``link_constants``), not once per call, and hold ln(1+gamma) twice:
+the margin kernel's value (``np.log1p``, as ``fbl_core.rate_margin``
+computes it) and the threshold boxes' value (``math.log1p``).  The two
+differ in the last bit on a few per cent of SNRs.  With the kernel's
+value and V(gamma) cached, the scalar round trip evaluates the shared
+margin expression (``fbl_core._margin``) in plain floats and makes one
+``log_ndtr`` call for its four links, bit for bit what the vector path
+(``log_direction_success``) returns at the same point.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -39,6 +48,7 @@ from scipy.special import log_ndtr
 from .fbl_core import (
     LN2,
     DomainError,
+    _margin,
     decode_error_prob,
     dispersion,
     log_hazard_ratio,
@@ -125,28 +135,40 @@ def log_direction_success(gamma_b, gamma_e, m, d):
 
     log(1 - eps_b) = log_ndtr(w_b) and log(eps_e) = log_ndtr(-w_e); both
     stay finite and accurate where the plain probabilities saturate.
-    Accepts arrays in d (the exhaustive scan path).  Unchecked, like
-    ``rate_margin``: the caller passes in-domain values.
+    Accepts arrays in m and d (the exhaustive scan and the m1 bracket
+    grid).  Unchecked, like ``rate_margin``: the caller passes in-domain
+    values.
     """
     w_b = rate_margin(gamma_b, m, d)
     w_e = rate_margin(gamma_e, m, d)
     return log_ndtr(w_b) + log_ndtr(-np.asarray(w_e))
 
 
-def _log_success(scenario, m1, m2, d_r1, d_r2):
-    """log of the round-trip success product, each direction at its
-    own blocklength."""
-    s1 = log_direction_success(scenario.gamma_ab, scenario.gamma_ae,
-                               m1, scenario.d_m1 + d_r1)
-    s2 = log_direction_success(scenario.gamma_ba, scenario.gamma_be,
-                               m2, scenario.d_m2 + d_r2)
-    return s1 + s2
+def _log_success(links, m1, m2, d1, d2):
+    """log of the round-trip success product at scalar blocklengths and
+    total bits, each direction at its own blocklength; ``links`` is
+    ``link_constants(scenario)``.
+
+    The four margins go through one ``log_ndtr`` call and are summed per
+    direction, then across, in the order ``log_direction_success`` sums
+    them, so the result equals the sum of its two directions bit for
+    bit.
+    """
+    (l_ab, v_ab, _, _), (l_ae, v_ae, _, _), (l_ba, v_ba, _, _), \
+        (l_be, v_be, _, _) = links
+    sqrt = math.sqrt
+    a, b, c, d = log_ndtr((_margin(l_ab, v_ab, m1, d1, sqrt),
+                           -_margin(l_ae, v_ae, m1, d1, sqrt),
+                           _margin(l_ba, v_ba, m2, d2, sqrt),
+                           -_margin(l_be, v_be, m2, d2, sqrt))).tolist()
+    return (a + b) + (c + d)
 
 
 def log_round_trip_success(scenario, m1, d_r1, d_r2):
     """log of the round-trip success product at a (possibly relaxed)
-    point; m2 = M - m1 throughout the reduced space.  Unchecked."""
-    return _log_success(scenario, m1, scenario.M - m1, d_r1, d_r2)
+    scalar point; m2 = M - m1 throughout the reduced space.  Unchecked."""
+    return _log_success(link_constants(scenario), m1, scenario.M - m1,
+                        scenario.d_m1 + d_r1, scenario.d_m2 + d_r2)
 
 
 def _check_point(scenario, m1, d_r1, d_r2):
@@ -170,24 +192,36 @@ def lfp(scenario: Scenario, alloc: Allocation) -> float:
     """Leakage-failure probability of an allocation, with each direction
     at its own blocklength (``alloc.m2`` may be below M - m1)."""
     _check_alloc(scenario, alloc)
-    return -math.expm1(_log_success(scenario, alloc.m1, alloc.m2,
-                                    alloc.d_r1, alloc.d_r2))
+    return -math.expm1(_log_success(link_constants(scenario), alloc.m1,
+                                    alloc.m2, scenario.d_m1 + alloc.d_r1,
+                                    scenario.d_m2 + alloc.d_r2))
 
 
 # ----------------------------------------------------------------------
 # Threshold geometry
 # ----------------------------------------------------------------------
 
+class _Link(NamedTuple):
+    """Constants of one link that depend on the scenario alone."""
+
+    log1p: float      # ln(1+gamma) of the margin kernel: np.log1p
+    v: float          # dispersion V(gamma)
+    box_log1p: float  # ln(1+gamma) of the threshold box: math.log1p
+    q: float          # Qinv(threshold)
+
+
 @lru_cache(maxsize=1024)
 def link_constants(scenario: Scenario):
-    """Per-link constants (ln(1+gamma), V(gamma), Qinv(threshold)) of
-    the links ab, ae, ba, be, in that order.
+    """The constants (``_Link``) of the links ab, ae, ba, be, in that order.
 
-    They depend on the scenario alone, so each is computed once, through
-    the checked ``dispersion`` and ``q_inv``, and cached by the
-    scenario's field values.
+    Each is computed once, V and Qinv through the checked ``dispersion``
+    and ``q_inv``, and cached by the scenario's field values.  ``log1p``
+    and ``v`` are the ln(1+gamma) and V(gamma) that
+    ``fbl_core.rate_margin`` computes, so the scalar kernel built on
+    them returns its bits.
     """
-    return tuple((math.log1p(gamma), dispersion(gamma), q_inv(eps))
+    return tuple(_Link(float(np.log1p(gamma)), dispersion(gamma),
+                       math.log1p(gamma), q_inv(eps))
                  for gamma, eps in ((scenario.gamma_ab, scenario.eps_ab_max),
                                     (scenario.gamma_ae, scenario.eps_e_max),
                                     (scenario.gamma_ba, scenario.eps_ba_max),
@@ -198,20 +232,34 @@ def _direction_bounds(legit, eve, d_m, m, sqrt=math.sqrt, maximum=max):
     """Exact inversion of the error probability through the thresholds.
 
     Reliability eps_b <= eps_b_max caps the total bits from above,
-    leakage eps_e >= eps_e_max from below; working in nats keeps the
-    inversion consistent with ``rate_margin`` to the last ulp:
+    leakage eps_e >= eps_e_max from below; in nats, as the margin
+    kernel works:
 
         d * ln2 <= m * ln(1+gamma_b) - sqrt(m * V_b) * Qinv(eps_b_max)
         d * ln2 >= m * ln(1+gamma_e) - sqrt(m * V_e) * Qinv(eps_e_max)
+
+    The box takes ln(1+gamma) from ``math.log1p`` and the kernel from
+    ``np.log1p``, which can differ in the last bit, so the margin at a
+    box edge reproduces the threshold to ~1e-12, not to the last ulp.
 
     ``legit`` and ``eve`` are ``link_constants`` entries.  ``m`` is a
     float with the default ``math`` operations, or an array with
     ``np.sqrt`` and ``np.maximum``; both give the same bits per element.
     """
-    (log1p_b, v_b, q_b), (log1p_e, v_e, q_e) = legit, eve
-    d_max = (m * log1p_b - sqrt(m * v_b) * q_b) / LN2 - d_m
-    d_min = (m * log1p_e - sqrt(m * v_e) * q_e) / LN2 - d_m
+    d_max = (m * legit.box_log1p - sqrt(m * legit.v) * legit.q) / LN2 - d_m
+    d_min = (m * eve.box_log1p - sqrt(m * eve.v) * eve.q) / LN2 - d_m
     return maximum(0.0, d_min), d_max
+
+
+def _split_boxes(links, scenario, m1, m2, sqrt=math.sqrt, maximum=max):
+    """Unchecked boxes of both directions, direction 1 at ``m1`` and 2
+    at ``m2``: (d_r1_min, d_r1_max, d_r2_min, d_r2_max, feasible), for
+    floats or, with ``np.sqrt`` and ``np.maximum``, arrays."""
+    ab, ae, ba, be = links
+    lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m1, sqrt, maximum)
+    lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m2, sqrt, maximum)
+    feasible = (lo1 <= hi1) & (lo2 <= hi2) & (hi1 >= 0.0) & (hi2 >= 0.0)
+    return lo1, hi1, lo2, hi2, feasible
 
 
 def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
@@ -225,10 +273,8 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
     if not (1.0 <= m1 < math.inf and 1.0 <= m2 < math.inf):
         raise DomainError(
             f"blocklengths must be finite and >= 1, got {m1}, {m2}")
-    ab, ae, ba, be = link_constants(scenario)
-    lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m1)
-    lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m2)
-    feasible = lo1 <= hi1 and lo2 <= hi2 and hi1 >= 0.0 and hi2 >= 0.0
+    lo1, hi1, lo2, hi2, feasible = _split_boxes(link_constants(scenario),
+                                                scenario, m1, m2)
     return FeasibleBox(d_r1_min=lo1, d_r1_max=hi1,
                        d_r2_min=lo2, d_r2_max=hi2, feasible=feasible)
 
@@ -251,17 +297,16 @@ def redundancy_bounds_table(scenario: Scenario, m):
 # Reduced-space gradient
 # ----------------------------------------------------------------------
 
-def _link_log_derivatives(gamma, link, m, d):
+def _link_log_derivatives(link, m, d):
     """d(log eps)/d(m,d) and d(log(1-eps))/d(m,d) for one link, with
     ``link`` its ``link_constants`` entry.
 
     Built from the hazard ratios phi(w)/Q(+-w), which stay finite where
     eps or its complement underflow.
     """
-    w = rate_margin(gamma, m, d)
-    log1p_gamma, v, _ = link
-    sqrt_mv = math.sqrt(m * v)
-    dw_dm = (log1p_gamma + d * LN2 / m) / (2.0 * sqrt_mv)
+    w = _margin(link.log1p, link.v, m, d, math.sqrt)
+    sqrt_mv = math.sqrt(m * link.v)
+    dw_dm = (link.log1p + d * LN2 / m) / (2.0 * sqrt_mv)
     dw_dd = -LN2 / sqrt_mv
     # eps = Q(w): dlog(eps) = -phi/Q(w) * dw ; dlog(1-eps) = phi/Q(-w) * dw
     r_eps = log_hazard_ratio(w)
@@ -290,10 +335,10 @@ def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
     d1 = scenario.d_m1 + d_r1
     d2 = scenario.d_m2 + d_r2
     c_ab, c_ae, c_ba, c_be = link_constants(scenario)
-    ab = _link_log_derivatives(scenario.gamma_ab, c_ab, m1, d1)
-    ae = _link_log_derivatives(scenario.gamma_ae, c_ae, m1, d1)
-    ba = _link_log_derivatives(scenario.gamma_ba, c_ba, m2, d2)
-    be = _link_log_derivatives(scenario.gamma_be, c_be, m2, d2)
+    ab = _link_log_derivatives(c_ab, m1, d1)
+    ae = _link_log_derivatives(c_ae, m1, d1)
+    ba = _link_log_derivatives(c_ba, m2, d2)
+    be = _link_log_derivatives(c_be, m2, d2)
     p = math.exp(log_round_trip_success(scenario, m1, d_r1, d_r2))
     # log P = log(1-eps_ab) + log(eps_ae) + log(1-eps_ba) + log(eps_be);
     # backward links see m2 = M - m1, hence the sign flip on their

@@ -31,12 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# ``dispersion`` is unused here, but benchmarks/tracing.py instruments it
-# at this import site, so the name stays bound.
-from .fbl_core import DomainError, LN2, NumericalError, dispersion, rate_margin  # noqa: F401
-from .lfp_model import (
+# ``dispersion``, ``rate_margin`` and ``redundancy_bounds`` are unused
+# here, but benchmarks/tracing.py instruments them at this import site,
+# so the names stay bound.
+from .fbl_core import DomainError, LN2, NumericalError, _margin, dispersion, rate_margin  # noqa: F401
+from .lfp_model import (  # noqa: F401
     Allocation,
     LinkErrors,
+    _split_boxes,
     lfp,
     lfp_value,
     link_constants,
@@ -156,7 +158,8 @@ def bcd_scalar_min(objective, lo, hi, tol):
 # ----------------------------------------------------------------------
 
 class _Objective:
-    """Negative log round-trip success with an evaluation counter.
+    """Negative log round-trip success with an evaluation counter, and
+    the solve's link constants.
 
     Minimizing it is equivalent to minimizing the LFP but it stays
     informative where the LFP itself underflows.
@@ -164,7 +167,16 @@ class _Objective:
 
     def __init__(self, scenario):
         self.scenario = scenario
+        self.links = link_constants(scenario)
         self.evaluations = 0
+
+    def box(self, m1, sqrt=math.sqrt, maximum=max):
+        """Redundancy boxes of split m1 (m2 = M - m1) and their
+        feasibility, straight from the solve's constants, with no check:
+        (d_r1_min, d_r1_max, d_r2_min, d_r2_max, feasible).  ``m1`` is a
+        float, or an array with ``np.sqrt`` and ``np.maximum``."""
+        return _split_boxes(self.links, self.scenario, m1,
+                            self.scenario.M - m1, sqrt, maximum)
 
     def nl(self, m1, d_r1, d_r2):
         self.evaluations += 1
@@ -175,25 +187,44 @@ class _Objective:
         return lfp_value(self.scenario, m1, d_r1, d_r2)
 
 
-def _box(scenario, m1):
-    return redundancy_bounds(scenario, m1, scenario.M - m1)
-
-
 def _rel_pos(x, lo, hi):
     if hi <= lo:
         return 0.5
     return (x - lo) / (hi - lo)
 
 
+def _carried(obj, m1, t1, t2, sqrt=math.sqrt, maximum=max):
+    """Feasibility of split m1 and the redundancy pair at the
+    box-relative positions (t1, t2) of its box; for a float m1, or an
+    array with ``np.sqrt`` and ``np.maximum``."""
+    lo1, hi1, lo2, hi2, feasible = obj.box(m1, sqrt, maximum)
+    return feasible, lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2)
+
+
 def _m1_profile(obj, m1, t1, t2):
     """Objective along the split with redundancy carried at fixed
     box-relative positions; +inf where the box is empty."""
-    box = _box(obj.scenario, m1)
-    if not box.feasible:
+    feasible, a, b = _carried(obj, m1, t1, t2)
+    if not feasible:
         return math.inf, None, None
-    a = box.d_r1_min + t1 * (box.d_r1_max - box.d_r1_min)
-    b = box.d_r2_min + t2 * (box.d_r2_max - box.d_r2_min)
     return obj.nl(m1, a, b), a, b
+
+
+def _m1_profile_grid(obj, m1, t1, t2):
+    """``_m1_profile`` values at every split of the array ``m1``, in
+    one vector evaluation with the same bits per point; each feasible
+    point counts as one evaluation."""
+    scenario = obj.scenario
+    feasible, a, b = _carried(obj, m1, t1, t2, np.sqrt, np.maximum)
+    m = m1[feasible]
+    s1 = log_direction_success(scenario.gamma_ab, scenario.gamma_ae, m,
+                               scenario.d_m1 + a[feasible])
+    s2 = log_direction_success(scenario.gamma_ba, scenario.gamma_be,
+                               scenario.M - m, scenario.d_m2 + b[feasible])
+    obj.evaluations += m.size
+    vals = np.full(m1.size, math.inf)
+    vals[feasible] = -(s1 + s2)
+    return vals
 
 
 def _m1_block(obj, m1, d_r1, d_r2, tol):
@@ -203,17 +234,15 @@ def _m1_block(obj, m1, d_r1, d_r2, tol):
     strip that the thresholds carve out when the legitimate and
     eavesdropper capacities are close, so candidates are evaluated with
     the redundancy pair held at its current box-relative position; a
-    coarse bracket on [1, M-1] isolates the best basin before the
-    golden-section refinement.  The move is accepted only if it improves
+    coarse bracket on [1, M-1], evaluated in one vector call, isolates
+    the best basin before the golden-section refinement.  The move is accepted only if it improves
     the incumbent.
     """
-    scenario = obj.scenario
-    box = _box(scenario, m1)
-    t1 = _rel_pos(d_r1, box.d_r1_min, box.d_r1_max)
-    t2 = _rel_pos(d_r2, box.d_r2_min, box.d_r2_max)
-    lo, hi = 1.0, float(scenario.M - 1)
-    xs = np.linspace(lo, hi, _M1_GRID + 1)
-    vals = [_m1_profile(obj, x, t1, t2)[0] for x in xs]
+    lo1, hi1, lo2, hi2, _ = obj.box(m1)
+    t1 = _rel_pos(d_r1, lo1, hi1)
+    t2 = _rel_pos(d_r2, lo2, hi2)
+    xs = np.linspace(1.0, float(obj.scenario.M - 1), _M1_GRID + 1)
+    vals = _m1_profile_grid(obj, xs, t1, t2)
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         return m1, d_r1, d_r2
@@ -235,26 +264,35 @@ def _coord_min(obj_1d, x_cur, lo, hi, tol):
     return x if obj_1d(x) <= obj_1d(x_cur) else x_cur
 
 
+def _check_init(scenario, init):
+    """A start must leave the backward direction at least one channel
+    use: 1 <= init.m1 <= M - 1 (``Allocation`` guarantees the lower
+    end)."""
+    if init is not None and not init.m1 <= scenario.M - 1:
+        raise DomainError(f"init.m1 must be <= M - 1 = {scenario.M - 1}, "
+                          f"got {init.m1!r}")
+
+
 def _initial_point(obj, config, init):
     """Start at the given allocation, else at the mid-budget split with
     mid-box redundancy; on an infeasible start, retry on a 16-point
     split grid before giving up."""
     scenario = obj.scenario
     if init is not None:
-        box = _box(scenario, init.m1)
-        if box.feasible:
-            d_r1 = min(max(init.d_r1, box.d_r1_min), box.d_r1_max)
-            d_r2 = min(max(init.d_r2, box.d_r2_min), box.d_r2_max)
+        lo1, hi1, lo2, hi2, feasible = obj.box(init.m1)
+        if feasible:
+            d_r1 = min(max(init.d_r1, lo1), hi1)
+            d_r2 = min(max(init.d_r2, lo2), hi2)
             return float(init.m1), d_r1, d_r2
     candidates = [float(round(scenario.M / 2))]
     candidates += list(np.linspace(1.0, scenario.M - 1.0, 16))
     best = None
     for m1 in candidates:
-        box = _box(scenario, m1)
-        if not box.feasible:
+        lo1, hi1, lo2, hi2, feasible = obj.box(m1)
+        if not feasible:
             continue
-        d_r1 = 0.5 * (box.d_r1_min + box.d_r1_max)
-        d_r2 = 0.5 * (box.d_r2_min + box.d_r2_max)
+        d_r1 = 0.5 * (lo1 + hi1)
+        d_r2 = 0.5 * (lo2 + hi2)
         val = obj.nl(m1, d_r1, d_r2)
         if best is None or val < best[0]:
             best = (val, m1, d_r1, d_r2)
@@ -281,13 +319,13 @@ def _integer_reconstruct(obj, m1, d_r1, d_r2, extra=None):
     scenario = obj.scenario
 
     def candidates_for(im1):
-        box = _box(scenario, float(im1))
-        if not box.feasible:
+        lo1, hi1, lo2, hi2, feasible = obj.box(float(im1))
+        if not feasible:
             return None
-        ilo1 = math.ceil(box.d_r1_min - 1e-9)
-        ihi1 = math.floor(box.d_r1_max + 1e-9)
-        ilo2 = math.ceil(box.d_r2_min - 1e-9)
-        ihi2 = math.floor(box.d_r2_max + 1e-9)
+        ilo1 = math.ceil(lo1 - 1e-9)
+        ihi1 = math.floor(hi1 + 1e-9)
+        ilo2 = math.ceil(lo2 - 1e-9)
+        ihi2 = math.floor(hi2 + 1e-9)
         if ihi1 < ilo1 or ihi2 < ilo2:
             return None
         c1 = sorted({min(max(math.floor(d_r1), ilo1), ihi1),
@@ -299,10 +337,10 @@ def _integer_reconstruct(obj, m1, d_r1, d_r2, extra=None):
     best = None
     if extra is not None:
         em1, ea, eb = extra
-        box = _box(scenario, float(em1))
-        if (1 <= em1 <= scenario.M - 1 and box.feasible
-                and box.d_r1_min - 1e-9 <= ea <= box.d_r1_max + 1e-9
-                and box.d_r2_min - 1e-9 <= eb <= box.d_r2_max + 1e-9):
+        lo1, hi1, lo2, hi2, feasible = obj.box(float(em1))
+        if (1 <= em1 <= scenario.M - 1 and feasible
+                and lo1 - 1e-9 <= ea <= hi1 + 1e-9
+                and lo2 - 1e-9 <= eb <= hi2 + 1e-9):
             best = (obj.nl(float(em1), float(ea), float(eb)), em1, ea, eb)
     for im1 in sorted({math.floor(m1), math.ceil(m1)}):
         if not 1 <= im1 <= scenario.M - 1:
@@ -481,6 +519,7 @@ def solve_bcd(scenario: Scenario, config: SolverConfig | None = None,
     corner comparison.
     """
     config = config or SolverConfig()
+    _check_init(scenario, init)
     t_start = time.perf_counter()
     obj = _Objective(scenario)
     start = _initial_point(obj, config, init)
@@ -492,11 +531,9 @@ def solve_bcd(scenario: Scenario, config: SolverConfig | None = None,
     status = STATUS_MAX_ITERS
     for k in range(1, config.max_outer_iters + 1):
         m1, d_r1, d_r2 = _m1_block(obj, m1, d_r1, d_r2, tol)
-        box = _box(scenario, m1)
-        d_r1 = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1,
-                          box.d_r1_min, box.d_r1_max, tol)
-        d_r2 = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2,
-                          box.d_r2_min, box.d_r2_max, tol)
+        lo1, hi1, lo2, hi2, _ = obj.box(m1)
+        d_r1 = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1, lo1, hi1, tol)
+        d_r2 = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2, lo2, hi2, tol)
         trace.append((k, obj.lfp(m1, d_r1, d_r2)))
         if _stopped(trace[-2][1], trace[-1][1], config.rel_tol):
             status = STATUS_CONVERGED
@@ -533,19 +570,20 @@ def surrogate_g(errors: LinkErrors, exponent: int = 4) -> float:
     return mean ** exponent
 
 
-def _success_reciprocals(scenario, m1, d_r1, d_r2):
+def _success_reciprocals(obj, m1, d_r1, d_r2):
     """The four reciprocals (A, B, C, D) and the per-link d-derivative
     of each, at a reduced-space point."""
+    scenario = obj.scenario
     m2 = scenario.M - m1
     d1 = scenario.d_m1 + d_r1
     d2 = scenario.d_m2 + d_r2
-    ab, ae, ba, be = link_constants(scenario)
+    ab, ae, ba, be = obj.links
     out = []
-    for gamma, (_, v, _), m, d, legit in ((scenario.gamma_ab, ab, m1, d1, True),
-                                          (scenario.gamma_ae, ae, m1, d1, False),
-                                          (scenario.gamma_ba, ba, m2, d2, True),
-                                          (scenario.gamma_be, be, m2, d2, False)):
-        w = rate_margin(gamma, m, d)
+    for (log1p, v, _, _), m, d, legit in ((ab, m1, d1, True),
+                                          (ae, m1, d1, False),
+                                          (ba, m2, d2, True),
+                                          (be, m2, d2, False)):
+        w = _margin(log1p, v, m, d, math.sqrt)
         eps = 0.5 * math.erfc(w / math.sqrt(2.0))
         eps = min(max(eps, 1e-300), 1.0 - 1e-16)
         deps = (math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
@@ -560,7 +598,7 @@ def _success_reciprocals(scenario, m1, d_r1, d_r2):
     return out
 
 
-def _anchored_surrogate(scenario, m1, x1, x2, anchor, exponent):
+def _anchored_surrogate(obj, m1, x1, x2, anchor, exponent):
     """Value and redundancy gradient of the anchored reciprocal-mean
     surrogate ((A/Ah + B/Bh + C/Ch + D/Dh) / 4) ** exponent.
 
@@ -570,7 +608,7 @@ def _anchored_surrogate(scenario, m1, x1, x2, anchor, exponent):
     reciprocal product; the unanchored ``surrogate_g`` is this same
     expression at an equal-valued anchor.
     """
-    terms = _success_reciprocals(scenario, m1, x1, x2)
+    terms = _success_reciprocals(obj, m1, x1, x2)
     (a, da), (b, db), (c, dc), (d, dd) = terms
     ah, bh, ch, dh = anchor
     mean = 0.25 * (a / ah + b / bh + c / ch + d / dh)
@@ -590,22 +628,20 @@ def _mm_dr_block(obj, m1, d_r1, d_r2, box, config):
     decrease is a true decrease (exponent 4).  Steps that would increase
     the true objective (possible with exponent 2) end the loop.
     """
-    scenario = obj.scenario
-    lo1, hi1 = box.d_r1_min, box.d_r1_max
-    lo2, hi2 = box.d_r2_min, box.d_r2_max
+    lo1, hi1, lo2, hi2 = box
     x1, x2 = d_r1, d_r2
     f_cur = obj.nl(m1, x1, x2)
     step = 1.0
     accepted = 0
     for _ in range(config.max_inner_iters):
-        anchor = tuple(v for v, _ in _success_reciprocals(scenario, m1, x1, x2))
-        hv, g1, g2 = _anchored_surrogate(scenario, m1, x1, x2, anchor,
+        anchor = tuple(v for v, _ in _success_reciprocals(obj, m1, x1, x2))
+        hv, g1, g2 = _anchored_surrogate(obj, m1, x1, x2, anchor,
                                          config.surrogate_exponent)
         step = min(step * 2.0, 1e12)
         while True:
             n1 = min(max(x1 - step * g1, lo1), hi1)
             n2 = min(max(x2 - step * g2, lo2), hi2)
-            hn = _anchored_surrogate(scenario, m1, n1, n2, anchor,
+            hn = _anchored_surrogate(obj, m1, n1, n2, anchor,
                                      config.surrogate_exponent)[0]
             decrease = g1 * (x1 - n1) + g2 * (x2 - n2)
             if hn <= hv - 1e-4 * decrease or step < 1e-14:
@@ -637,6 +673,7 @@ def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
     integer reconstruction mirror ``solve_bcd``.
     """
     config = config or SolverConfig()
+    _check_init(scenario, init)
     t_start = time.perf_counter()
     obj = _Objective(scenario)
     start = _initial_point(obj, config, init)
@@ -648,18 +685,19 @@ def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
     status = STATUS_MAX_ITERS
     for k in range(1, config.max_outer_iters + 1):
         m1, d_r1, d_r2 = _m1_block(obj, m1, d_r1, d_r2, tol)
-        box = _box(scenario, m1)
+        lo1, hi1, lo2, hi2, _ = obj.box(m1)
         f_before = obj.lfp(m1, d_r1, d_r2)
-        x1, x2, _ = _mm_dr_block(obj, m1, d_r1, d_r2, box, config)
+        x1, x2, _ = _mm_dr_block(obj, m1, d_r1, d_r2, (lo1, hi1, lo2, hi2),
+                                 config)
         f_after = obj.lfp(m1, x1, x2)
         if (not config.mm_safeguard) or f_after <= f_before:
             d_r1, d_r2 = x1, x2
         if config.mm_safeguard and \
                 f_before - f_after <= config.rel_tol * abs(f_before) + _STOP_ATOL:
             d_r1 = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1,
-                              box.d_r1_min, box.d_r1_max, tol)
+                              lo1, hi1, tol)
             d_r2 = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2,
-                              box.d_r2_min, box.d_r2_max, tol)
+                              lo2, hi2, tol)
         trace.append((k, obj.lfp(m1, d_r1, d_r2)))
         if _stopped(trace[-2][1], trace[-1][1], config.rel_tol):
             status = STATUS_CONVERGED

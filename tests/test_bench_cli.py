@@ -251,6 +251,23 @@ class TestSweep:
             "--methods", "bcd", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--to", "inf"), ("--step", "nan"), ("--from", "-inf"),
+        ("--step", "inf"), ("--to", "nan")])
+    def test_non_finite_flag_exits_1(self, capsys, tmp_path, flag, value):
+        # --to inf used to end in an OverflowError traceback from the
+        # grid size, --step nan in a message that named no flag
+        path = write_scenario(tmp_path)
+        grid = {"--from": "40", "--to": "60", "--step": "10"}
+        grid[flag] = value
+        argv = (["sweep", "--scenario", path, "--vary", "M"]
+                + [f"{f}={v}" for f, v in grid.items()]
+                + ["--methods", "bcd", "--out", str(tmp_path / "x.csv")])
+        code, _, err = run_main(capsys, argv)
+        assert code == EXIT_INPUT
+        assert f"sweep {flag} must be finite" in err
+        assert not os.path.exists(tmp_path / "x.csv")
+
     def test_out_of_range_point_recorded_in_row(self, capsys, tmp_path,
                                                 monkeypatch):
         # a grid value that breaks scenario validity (M=1) must produce

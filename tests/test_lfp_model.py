@@ -20,8 +20,10 @@ from fblsec import (
     q_inv,
     redundancy_bounds,
 )
+from fblsec.fbl_core import _margin, rate_margin
 from fblsec.lfp_model import (
     link_constants,
+    log_direction_success,
     log_round_trip_success,
     redundancy_bounds_table,
 )
@@ -250,7 +252,95 @@ class TestRedundancyBoundsTable:
             links = ((sc.gamma_ab, sc.eps_ab_max), (sc.gamma_ae, sc.eps_e_max),
                      (sc.gamma_ba, sc.eps_ba_max), (sc.gamma_be, sc.eps_e_max))
             assert link_constants(sc) == tuple(
-                (math.log1p(g), dispersion(g), q_inv(e)) for g, e in links)
+                (float(np.log1p(g)), dispersion(g), math.log1p(g), q_inv(e))
+                for g, e in links)
+
+
+KERNEL_SCENARIOS = [
+    make_scenario(M=1000),
+    # 30 dB legitimate links against -20 dB eavesdroppers
+    make_scenario(gamma_ab=1000.0, gamma_ae=0.01, gamma_ba=1000.0,
+                  gamma_be=0.01, M=300),
+] + [draw_random_scenario(np.random.default_rng(seed), m_hi=400)
+     for seed in (8, 9, 10)]
+
+
+def kernel_points(sc, rng, n=200):
+    """Seeded reduced-space points: relaxed and integral m1, each with
+    the redundancy pair at both box edges and inside the box (total
+    bits kept >= 0)."""
+    out = []
+    for i in range(n):
+        m1 = rng.uniform(1.0, sc.M - 1.0)
+        if i % 2:
+            m1 = float(min(max(round(m1), 1), sc.M - 1))
+        box = redundancy_bounds(sc, m1, sc.M - m1)
+        for t in (0.0, 1.0, rng.uniform()):
+            a = box.d_r1_min + t * (box.d_r1_max - box.d_r1_min)
+            b = box.d_r2_min + t * (box.d_r2_max - box.d_r2_min)
+            if sc.d_m1 + a >= 0.0 and sc.d_m2 + b >= 0.0:
+                out.append((m1, a, b))
+    return out
+
+
+class TestScalarKernel:
+    """The scalar round trip (cached constants, ``math.sqrt``, one
+    ``log_ndtr`` call) against the vector path (``rate_margin`` and
+    ``log_direction_success``), bit for bit."""
+
+    @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
+    def test_round_trip_is_the_sum_of_its_directions(self, sc):
+        pts = kernel_points(sc, np.random.default_rng(sc.M))
+        m1, a, b = (np.array(x) for x in zip(*pts))
+        s1 = log_direction_success(sc.gamma_ab, sc.gamma_ae, m1, sc.d_m1 + a)
+        s2 = log_direction_success(sc.gamma_ba, sc.gamma_be, sc.M - m1,
+                                   sc.d_m2 + b)
+        vector = s1 + s2
+        for i, (x, y, z) in enumerate(pts):
+            scalar = log_round_trip_success(sc, x, y, z)
+            one_by_one = (
+                log_direction_success(sc.gamma_ab, sc.gamma_ae, x, sc.d_m1 + y)
+                + log_direction_success(sc.gamma_ba, sc.gamma_be, sc.M - x,
+                                        sc.d_m2 + z))
+            assert scalar.hex() == float(one_by_one).hex() == \
+                float(vector[i]).hex(), (x, y, z)
+            assert lfp_value(sc, x, y, z).hex() == (-math.expm1(scalar)).hex()
+
+    @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
+    def test_lfp_below_the_full_budget(self, sc):
+        rng = np.random.default_rng(sc.M + 1)
+        checked = 0
+        for _ in range(100):
+            m1 = int(rng.integers(1, sc.M - 1))
+            m2 = int(rng.integers(1, sc.M - m1 + 1))
+            box = redundancy_bounds(sc, float(m1), float(m2))
+            d_r1 = max(0, math.floor(box.d_r1_max))
+            d_r2 = max(0, math.floor(box.d_r2_max))
+            s1 = log_direction_success(sc.gamma_ab, sc.gamma_ae, m1,
+                                       sc.d_m1 + d_r1)
+            s2 = log_direction_success(sc.gamma_ba, sc.gamma_be, m2,
+                                       sc.d_m2 + d_r2)
+            value = lfp(sc, Allocation(m1=m1, m2=m2, d_r1=d_r1, d_r2=d_r2))
+            assert value.hex() == (-math.expm1(s1 + s2)).hex(), (m1, m2)
+            checked += m1 + m2 < sc.M
+        assert checked > 50
+
+    @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
+    def test_cached_constants_are_the_margin_inputs(self, sc):
+        rng = np.random.default_rng(sc.M + 2)
+        m = rng.uniform(1.0, sc.M, 50)
+        d = rng.uniform(0.0, 2.0 * sc.M, 50)
+        gammas = (sc.gamma_ab, sc.gamma_ae, sc.gamma_ba, sc.gamma_be)
+        for gamma, link in zip(gammas, link_constants(sc)):
+            # the L and V of rate_margin, operation for operation
+            assert link.log1p == np.log1p(gamma)
+            assert link.v == gamma * (2.0 + gamma) / np.square(1.0 + gamma)
+            vector = rate_margin(gamma, m, d)
+            for i in range(m.size):
+                w = _margin(link.log1p, link.v, float(m[i]), float(d[i]),
+                            math.sqrt)
+                assert w.hex() == rate_margin(gamma, m[i], d[i]).hex() == \
+                    float(vector[i]).hex()
 
 
 class TestGradientReduced:

@@ -1,6 +1,7 @@
 """Solver correctness: enumeration against an independent brute force,
 descent contracts, safeguard behavior, rounding and determinism."""
 
+import json
 import math
 
 import numpy as np
@@ -22,9 +23,11 @@ from fblsec import (
     surrogate_g,
 )
 from fblsec.lfp_model import log_direction_success
+from fblsec.solvers import _M1_GRID, _m1_profile, _m1_profile_grid, _Objective
 
 from conftest import make_scenario, random_feasible_suite
 from dense_oracle import dense_exhaustive
+from iterative_golden import GOLDEN_PATH, golden_records
 
 
 def brute_force_optimum(scenario, full_budget_only=False):
@@ -455,3 +458,68 @@ class TestReportSurface:
         report = solve_bcd(SMALL)
         assert report.evaluations > 0
         assert report.wall_time >= 0.0
+
+
+class TestInitEntryCheck:
+    """A start at or past the budget leaves no channel use for the
+    backward direction; both solvers reject it at entry."""
+
+    @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
+    @pytest.mark.parametrize("m1", [200, 250, 199.5])
+    def test_start_past_the_budget_raises(self, solve, m1):
+        sc = make_scenario(M=200)
+        with pytest.raises(DomainError):
+            solve(sc, init=Allocation(m1=m1, m2=1, d_r1=10, d_r2=10))
+
+    @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
+    def test_last_split_accepted(self, solve):
+        sc = make_scenario(M=200)
+        report = solve(sc, init=Allocation(m1=199, m2=1, d_r1=10, d_r2=10))
+        assert report.status == "converged"
+
+
+class TestM1BracketGrid:
+    """The m1 block's one-call bracket grid against the scalar profile
+    it replaced, point for point and bit for bit."""
+
+    SCENARIOS = [SMALL, TestNearDegenerateLinks.SC, TestExhaustivePlateauTies.SC,
+                 make_scenario(M=1000)] + random_feasible_suite(4, seed=99)
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_grid_matches_scalar_profile(self, sc):
+        obj = _Objective(sc)
+        grids = (np.linspace(1.0, float(sc.M - 1), _M1_GRID + 1),
+                 np.arange(1.0, float(sc.M)))
+        for xs in grids:
+            for t1, t2 in ((0.0, 0.0), (1.0, 1.0), (0.25, 0.75), (0.5, 0.5)):
+                before = obj.evaluations
+                grid = _m1_profile_grid(obj, xs, t1, t2)
+                grid_count = obj.evaluations - before
+                scalar = [_m1_profile(obj, x, t1, t2)[0] for x in xs]
+                scalar_count = obj.evaluations - before - grid_count
+                assert grid_count == scalar_count == \
+                    sum(math.isfinite(v) for v in scalar)
+                assert [float(v).hex() for v in grid] == \
+                    [float(v).hex() for v in scalar]
+
+    def test_grid_sees_infeasible_splits(self):
+        # the near-degenerate forward direction is empty at short blocks
+        obj = _Objective(TestNearDegenerateLinks.SC)
+        xs = np.arange(1.0, float(obj.scenario.M))
+        grid = _m1_profile_grid(obj, xs, 0.5, 0.5)
+        assert np.isinf(grid).any() and np.isfinite(grid).any()
+
+
+class TestIterativeGolden:
+    """BCD (default, relaxed) and MM (default, relaxed, exponent 2) on
+    the solver suite, both scenario files and eight acceptance draws,
+    against tests/data/iterative_golden.json: status, allocation,
+    lfp_final, trace and evaluation count, exactly."""
+
+    def test_reports_match_golden_file(self):
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        current = golden_records()
+        assert current.keys() == golden.keys()
+        for name, modes in golden.items():
+            for mode, record in modes.items():
+                assert current[name][mode] == record, (name, mode)
