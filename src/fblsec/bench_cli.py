@@ -136,13 +136,10 @@ def ibl_reference_lfp(scenario: Scenario) -> float:
 
 def _config_from_args(args) -> SolverConfig:
     kwargs = {}
-    if getattr(args, "exponent", None) is not None:
+    if args.exponent is not None:
         kwargs["surrogate_exponent"] = args.exponent
-    if getattr(args, "no_safeguard", False):
-        kwargs["mm_safeguard"] = False
-    if getattr(args, "relaxed", False):
-        kwargs["integer_mode"] = False
-    return SolverConfig(**kwargs)
+    return SolverConfig(mm_safeguard=not args.no_safeguard,
+                        integer_mode=not args.relaxed, **kwargs)
 
 
 def _run_method(method, scenario, config):
@@ -169,21 +166,22 @@ def cmd_solve(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_converge(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods or not set(methods) <= {"bcd", "mm"}:
+        raise DomainError(f"converge --methods takes bcd and/or mm, got "
+                          f"{args.methods!r}; the exhaustive series is "
+                          f"always written")
     scenario = load_scenario(args.scenario)
     config = _config_from_args(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in _METHODS:
-            raise DomainError(f"unknown method {m!r}")
     reports = {}
     for m in methods:
         reports[m] = _run_method(m, scenario, config)
-    bench = solve_exhaustive(scenario, replace(config, integer_mode=True))
+    bench = _run_method("exhaustive", scenario, config)
     if bench.status == STATUS_INFEASIBLE or any(
             r.status == STATUS_INFEASIBLE for r in reports.values()):
         sys.stderr.write("error: scenario infeasible\n")
         return EXIT_INFEASIBLE
-    max_k = max(r.trace[-1][0] for r in reports.values())
+    max_k = max(r.iterations for r in reports.values())
     lines = ["method,k,lfp"]
     for k in range(max_k + 1):
         lines.append(f"exhaustive,{k},{bench.lfp_final!r}")
@@ -203,16 +201,16 @@ def _sweep_point(payload):
     """Evaluate one grid point (module-level so it pickles for the
     process pool)."""
     scenario, vary, value, methods, config = payload
+    try:
+        point = apply_sweep_value(scenario, vary, value)
+    except DomainError as exc:
+        # keep the cell CSV-safe: no separators from the message
+        reason = str(exc).replace(",", ";").replace("\n", " ")
+        return [{"vary": vary, "value": value, "method": method,
+                 "status": f"error({reason})", "lfp_ibl": ""}
+                for method in methods]
     rows = []
     for method in methods:
-        try:
-            point = apply_sweep_value(scenario, vary, value)
-        except DomainError as exc:
-            # keep the cell CSV-safe: no separators from the message
-            reason = str(exc).replace(",", ";").replace("\n", " ")
-            rows.append({"vary": vary, "value": value, "method": method,
-                         "status": f"error({reason})", "lfp_ibl": ""})
-            continue
         report = _run_method(method, point, config)
         row = {"vary": vary, "value": value, "method": method,
                "status": report.status,
@@ -222,7 +220,7 @@ def _sweep_point(payload):
                 "lfp": report.lfp_final,
                 "m1": report.alloc.m1, "m2": report.alloc.m2,
                 "d_r1": report.alloc.d_r1, "d_r2": report.alloc.d_r2,
-                "iterations": report.trace[-1][0],
+                "iterations": report.iterations,
                 "evaluations": report.evaluations,
                 "wall_time": report.wall_time,
             })
@@ -408,7 +406,8 @@ def _build_parser():
     p_conv = sub.add_parser("converge", help="write per-iteration traces")
     add_common(p_conv)
     p_conv.add_argument("--methods", default="bcd,mm",
-                        help="comma-separated iterative methods")
+                        help="comma-separated iterative methods (bcd, mm); "
+                             "the exhaustive series is always written")
     p_conv.add_argument("--out", required=True, help="output CSV path")
     p_conv.set_defaults(func=cmd_converge, relaxed=False)
 

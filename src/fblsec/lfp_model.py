@@ -18,11 +18,10 @@ relative accuracy where a plain 1 - product form loses ~1e-10 (LFP near
 1e-6), and keeps the magnitude at deeply reliable operating points where
 the plain product rounds to exactly 1 and the LFP to exactly 0.
 
-``lfp``, ``lfp_value``, ``lfp_gradient_reduced``, ``redundancy_bounds``,
-``redundancy_bounds_table`` and ``link_errors`` validate their
-arguments; ``log_direction_success`` and ``log_round_trip_success`` sit
-below that boundary and run the unchecked margin kernel on whatever
-they are given.
+``lfp``, ``lfp_value``, ``lfp_gradient_reduced``, ``redundancy_bounds``
+and ``link_errors`` validate their arguments; ``log_direction_success``,
+``log_round_trip_success`` and the solvers' box function ``_split_boxes``
+sit below that boundary and run on whatever they are given.
 
 The per-link constants are computed once per scenario
 (``link_constants``), not once per call, and hold ln(1+gamma) twice:
@@ -279,20 +278,6 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
                        d_r2_min=lo2, d_r2_max=hi2, feasible=feasible)
 
 
-def redundancy_bounds_table(scenario: Scenario, m):
-    """``redundancy_bounds`` of both directions at every blocklength of
-    the array ``m``: (d_r1_min, d_r1_max, d_r2_min, d_r2_max) arrays,
-    each direction at the same m, equal bit for bit to the scalar
-    boxes."""
-    m = np.asarray(m, dtype=float)
-    if not np.all((1.0 <= m) & (m < math.inf)):
-        raise DomainError("blocklengths must be finite and >= 1")
-    ab, ae, ba, be = link_constants(scenario)
-    lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m, np.sqrt, np.maximum)
-    lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m, np.sqrt, np.maximum)
-    return lo1, hi1, lo2, hi2
-
-
 # ----------------------------------------------------------------------
 # Reduced-space gradient
 # ----------------------------------------------------------------------
@@ -354,5 +339,5 @@ __all__ = [
     "Allocation", "LinkErrors", "FeasibleBox",
     "link_errors", "lfp", "lfp_value",
     "log_direction_success", "log_round_trip_success",
-    "redundancy_bounds", "redundancy_bounds_table", "lfp_gradient_reduced",
+    "redundancy_bounds", "lfp_gradient_reduced",
 ]

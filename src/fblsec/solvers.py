@@ -18,6 +18,9 @@
   success product, safeguarded against any increase of the true
   objective.
 
+BCD and MM differ only in their redundancy update and share the outer
+loop around it (``_descend``).
+
 Every accepted step is checked against the incumbent, so traces are
 nonincreasing by construction.  All solvers are deterministic functions
 of (scenario, config, init).
@@ -45,7 +48,6 @@ from .lfp_model import (  # noqa: F401
     log_direction_success,
     log_round_trip_success,
     redundancy_bounds,
-    redundancy_bounds_table,
 )
 from .scenario import Scenario
 
@@ -54,6 +56,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # enough to isolate the global basin of the (empirically unimodal)
 # split profile.
 _M1_GRID = 32
+# Run control of BCD and MM: relative stopping tolerance (outer cycle
+# and MM step), outer and MM-step caps, golden-section/MM step tolerance.
+_REL_TOL = 1e-8
+_MAX_OUTER_ITERS = 100
+_MAX_INNER_ITERS = 200
+_LINE_SEARCH_TOL = 1e-6
 # Absolute floor added to the relative stopping test; below this the
 # double-precision evaluation itself is noise.
 _STOP_ATOL = 1e-12
@@ -65,31 +73,27 @@ STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run-control knobs shared by the three solvers.
+    """Problem and method choices shared by the three solvers.
 
     ``surrogate_exponent=2`` reproduces the printed form of the
     reciprocal-mean bound, which does not actually upper-bound the
     product (see ``surrogate_g``); with the default 4 the bound holds
-    everywhere.  ``full_budget_only`` restricts enumeration to
-    m1 + m2 = M; disabling it is only useful for oracle cross-checks,
-    since partial-budget optima are never better unless the full-budget
-    boxes are empty (eavesdroppers above their legitimate receivers).
+    everywhere.  ``mm_safeguard`` is MM's guard and fallback (see
+    ``solve_mm``); ``integer_mode`` rounds BCD/MM's relaxed solution.
+    ``full_budget_only`` restricts enumeration to m1 + m2 = M; disabling
+    it is only useful for oracle cross-checks, since partial-budget
+    optima are never better unless the full-budget boxes are empty
+    (eavesdroppers above their legitimate receivers).  Run control is
+    fixed: stop at a relative LFP change of 1e-8 per cycle or after 100
+    cycles, at most 200 MM steps, step tolerance 1e-6.
     """
 
-    rel_tol: float = 1e-8
-    max_outer_iters: int = 100
-    max_inner_iters: int = 200
-    line_search_tol: float = 1e-6
     surrogate_exponent: int = 4
     mm_safeguard: bool = True
     integer_mode: bool = True
     full_budget_only: bool = True
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.line_search_tol <= 0:
-            raise DomainError("tolerances must be > 0")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise DomainError("iteration caps must be >= 1")
         if self.surrogate_exponent not in (2, 4):
             raise DomainError("surrogate_exponent must be 2 or 4")
 
@@ -106,6 +110,12 @@ class SolverReport:
     evaluations: int = 0
     wall_time: float = 0.0
 
+    @property
+    def iterations(self):
+        """Outer iterations run: the last trace index (0 for the oracle
+        and for an infeasible start)."""
+        return max((k for k, _ in self.trace), default=0)
+
     def to_dict(self):
         alloc = None
         if self.alloc is not None:
@@ -115,7 +125,7 @@ class SolverReport:
             "status": self.status,
             "alloc": alloc,
             "lfp_final": self.lfp_final,
-            "iterations": max((k for k, _ in self.trace), default=0),
+            "iterations": self.iterations,
             "trace": [[k, v] for k, v in self.trace],
             "evaluations": self.evaluations,
             "wall_time": self.wall_time,
@@ -227,7 +237,7 @@ def _m1_profile_grid(obj, m1, t1, t2):
     return vals
 
 
-def _m1_block(obj, m1, d_r1, d_r2, tol):
+def _m1_block(obj, m1, d_r1, d_r2):
     """One blocklength-split update.
 
     A plain fixed-redundancy line search cannot leave the thin diagonal
@@ -248,19 +258,20 @@ def _m1_block(obj, m1, d_r1, d_r2, tol):
         return m1, d_r1, d_r2
     a = xs[max(0, i - 1)]
     b = xs[min(_M1_GRID, i + 1)]
-    cand = bcd_scalar_min(lambda x: _m1_profile(obj, x, t1, t2)[0], a, b, tol)
+    cand = bcd_scalar_min(lambda x: _m1_profile(obj, x, t1, t2)[0], a, b,
+                          _LINE_SEARCH_TOL)
     v_new, dr1_new, dr2_new = _m1_profile(obj, cand, t1, t2)
     if v_new <= obj.nl(m1, d_r1, d_r2):
         return cand, dr1_new, dr2_new
     return m1, d_r1, d_r2
 
 
-def _coord_min(obj_1d, x_cur, lo, hi, tol):
+def _coord_min(obj_1d, x_cur, lo, hi):
     """Golden-section step in one coordinate, kept only if it improves."""
     if hi <= lo:
         x = lo
     else:
-        x = bcd_scalar_min(obj_1d, lo, hi, tol)
+        x = bcd_scalar_min(obj_1d, lo, hi, _LINE_SEARCH_TOL)
     return x if obj_1d(x) <= obj_1d(x_cur) else x_cur
 
 
@@ -273,7 +284,7 @@ def _check_init(scenario, init):
                           f"got {init.m1!r}")
 
 
-def _initial_point(obj, config, init):
+def _initial_point(obj, init):
     """Start at the given allocation, else at the mid-budget split with
     mid-box redundancy; on an infeasible start, retry on a 16-point
     split grid before giving up."""
@@ -301,8 +312,8 @@ def _initial_point(obj, config, init):
     return best[1], best[2], best[3]
 
 
-def _stopped(prev, cur, rel_tol):
-    return abs(prev - cur) <= rel_tol * abs(prev) + _STOP_ATOL
+def _stopped(prev, cur):
+    return abs(prev - cur) <= _REL_TOL * abs(prev) + _STOP_ATOL
 
 
 def _integer_reconstruct(obj, m1, d_r1, d_r2, extra=None):
@@ -376,28 +387,56 @@ def _integral_init_candidate(scenario, init):
     return (int(init.m1), int(init.d_r1), int(init.d_r2))
 
 
-def _finish(obj, config, status, m1, d_r1, d_r2, trace, t_start,
-            extra_integer=None):
-    if config.integer_mode:
-        alloc = _integer_reconstruct(obj, m1, d_r1, d_r2, extra=extra_integer)
-        if alloc is None:
-            return SolverReport(status=STATUS_INFEASIBLE, alloc=None,
-                                lfp_final=None, trace=trace,
-                                evaluations=obj.evaluations,
-                                wall_time=time.perf_counter() - t_start)
-        final = obj.lfp(float(alloc.m1), float(alloc.d_r1), float(alloc.d_r2))
-    else:
-        alloc = Allocation(m1=m1, m2=obj.scenario.M - m1, d_r1=d_r1, d_r2=d_r2)
-        final = obj.lfp(m1, d_r1, d_r2)
+def _report(obj, t_start, status, trace, alloc=None, final=None):
+    """Report of a solve started at ``t_start`` (no allocation: none
+    was found)."""
     return SolverReport(status=status, alloc=alloc, lfp_final=final,
                         trace=trace, evaluations=obj.evaluations,
                         wall_time=time.perf_counter() - t_start)
 
 
-def _infeasible(obj, t_start):
-    return SolverReport(status=STATUS_INFEASIBLE, alloc=None, lfp_final=None,
-                        trace=[], evaluations=obj.evaluations,
-                        wall_time=time.perf_counter() - t_start)
+def _descend(scenario, config, init, redundancy_step):
+    """The outer alternation of BCD and MM.
+
+    From ``_initial_point``, each cycle runs the m1 block, refreshes the
+    box at the new split, updates the redundancy pair by
+    ``redundancy_step(obj, config, m1, d_r1, d_r2, (lo1, hi1, lo2,
+    hi2))`` and records the LFP.  It stops when a cycle changes the LFP
+    by at most ``_REL_TOL`` relative (with a ``_STOP_ATOL`` floor for
+    LFPs below double-precision resolution) or after
+    ``_MAX_OUTER_ITERS`` cycles.  In integer mode ``_integer_reconstruct``
+    rounds the result, with an integral full-budget ``init`` as one more
+    candidate.
+    """
+    config = config or SolverConfig()
+    _check_init(scenario, init)
+    t_start = time.perf_counter()
+    obj = _Objective(scenario)
+    start = _initial_point(obj, init)
+    if start is None:
+        return _report(obj, t_start, STATUS_INFEASIBLE, [])
+    m1, d_r1, d_r2 = start
+    trace = [(0, obj.lfp(m1, d_r1, d_r2))]
+    status = STATUS_MAX_ITERS
+    for k in range(1, _MAX_OUTER_ITERS + 1):
+        m1, d_r1, d_r2 = _m1_block(obj, m1, d_r1, d_r2)
+        box = obj.box(m1)[:4]
+        d_r1, d_r2 = redundancy_step(obj, config, m1, d_r1, d_r2, box)
+        trace.append((k, obj.lfp(m1, d_r1, d_r2)))
+        if _stopped(trace[-2][1], trace[-1][1]):
+            status = STATUS_CONVERGED
+            break
+    if not config.integer_mode:
+        alloc = Allocation(m1=m1, m2=scenario.M - m1, d_r1=d_r1, d_r2=d_r2)
+        return _report(obj, t_start, status, trace, alloc,
+                       obj.lfp(m1, d_r1, d_r2))
+    alloc = _integer_reconstruct(obj, m1, d_r1, d_r2,
+                                 extra=_integral_init_candidate(scenario, init))
+    if alloc is None:
+        return _report(obj, t_start, STATUS_INFEASIBLE, trace)
+    return _report(obj, t_start, status, trace, alloc,
+                   obj.lfp(float(alloc.m1), float(alloc.d_r1),
+                           float(alloc.d_r2)))
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +490,8 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     # Both directions tabulated over every blocklength 1..M-1: direction
     # 1 at m1, direction 2 at m2.
     m = np.arange(1, M, dtype=float)
-    lo1, hi1, lo2, hi2 = redundancy_bounds_table(scenario, m)
+    lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, scenario, m, m,
+                                         np.sqrt, np.maximum)
     tables = []
     for gamma_b, gamma_e, d_m, lo, hi in (
             (scenario.gamma_ab, scenario.gamma_ae, scenario.d_m1, lo1, hi1),
@@ -491,55 +531,37 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
                 if best_key is None or key < best_key:
                     best_key, best = key, (m1, dr1, dr2, m2)
     if best is None:
-        return _infeasible(obj, t_start)
+        return _report(obj, t_start, STATUS_INFEASIBLE, [])
     m1, dr1, dr2, m2 = best
     alloc = Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2)
     obj.evaluations += 1
     final = lfp(scenario, alloc)
-    return SolverReport(status=STATUS_CONVERGED, alloc=alloc, lfp_final=final,
-                        trace=[(0, final)], evaluations=obj.evaluations,
-                        wall_time=time.perf_counter() - t_start)
+    return _report(obj, t_start, STATUS_CONVERGED, [(0, final)], alloc, final)
 
 
 # ----------------------------------------------------------------------
 # block coordinate descent
 # ----------------------------------------------------------------------
 
+def _bcd_step(obj, config, m1, d_r1, d_r2, box):
+    """BCD's redundancy update: one golden-section step in d_r1, then
+    one in d_r2, each kept only if it does not worsen the objective."""
+    lo1, hi1, lo2, hi2 = box
+    d_r1 = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1, lo1, hi1)
+    d_r2 = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2, lo2, hi2)
+    return d_r1, d_r2
+
+
 def solve_bcd(scenario: Scenario, config: SolverConfig | None = None,
               init: Allocation | None = None):
     """Cyclic descent m1 -> d_r1 -> d_r2 on the relaxed problem.
 
     Each redundancy coordinate is minimized by golden-section search
-    over its refreshed threshold box; every update is kept only when it
-    does not worsen the objective, so the trace is nonincreasing.  Stops
-    when the relative LFP change per cycle falls below ``rel_tol`` (with
-    a 1e-12 absolute floor for operating points where the LFP itself is
-    below double-precision resolution) or at ``max_outer_iters``.  In
-    integer mode the relaxed solution is rounded through the feasible
-    corner comparison.
+    over its refreshed threshold box (``_bcd_step``); every update is
+    kept only when it does not worsen the objective, so the trace is
+    nonincreasing.  Stopping and integer rounding are ``_descend``'s.
     """
-    config = config or SolverConfig()
-    _check_init(scenario, init)
-    t_start = time.perf_counter()
-    obj = _Objective(scenario)
-    start = _initial_point(obj, config, init)
-    if start is None:
-        return _infeasible(obj, t_start)
-    m1, d_r1, d_r2 = start
-    tol = config.line_search_tol
-    trace = [(0, obj.lfp(m1, d_r1, d_r2))]
-    status = STATUS_MAX_ITERS
-    for k in range(1, config.max_outer_iters + 1):
-        m1, d_r1, d_r2 = _m1_block(obj, m1, d_r1, d_r2, tol)
-        lo1, hi1, lo2, hi2, _ = obj.box(m1)
-        d_r1 = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1, lo1, hi1, tol)
-        d_r2 = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2, lo2, hi2, tol)
-        trace.append((k, obj.lfp(m1, d_r1, d_r2)))
-        if _stopped(trace[-2][1], trace[-1][1], config.rel_tol):
-            status = STATUS_CONVERGED
-            break
-    return _finish(obj, config, status, m1, d_r1, d_r2, trace, t_start,
-                   extra_integer=_integral_init_candidate(scenario, init))
+    return _descend(scenario, config, init, _bcd_step)
 
 
 # ----------------------------------------------------------------------
@@ -619,7 +641,7 @@ def _anchored_surrogate(obj, m1, x1, x2, anchor, exponent):
     return val, g1, g2
 
 
-def _mm_dr_block(obj, m1, d_r1, d_r2, box, config):
+def _mm_dr_block(obj, m1, d_r1, d_r2, box, exponent):
     """Joint redundancy update by majorize-minimize iterations.
 
     Each pass anchors the surrogate at the current point and takes one
@@ -632,17 +654,14 @@ def _mm_dr_block(obj, m1, d_r1, d_r2, box, config):
     x1, x2 = d_r1, d_r2
     f_cur = obj.nl(m1, x1, x2)
     step = 1.0
-    accepted = 0
-    for _ in range(config.max_inner_iters):
+    for _ in range(_MAX_INNER_ITERS):
         anchor = tuple(v for v, _ in _success_reciprocals(obj, m1, x1, x2))
-        hv, g1, g2 = _anchored_surrogate(obj, m1, x1, x2, anchor,
-                                         config.surrogate_exponent)
+        hv, g1, g2 = _anchored_surrogate(obj, m1, x1, x2, anchor, exponent)
         step = min(step * 2.0, 1e12)
         while True:
             n1 = min(max(x1 - step * g1, lo1), hi1)
             n2 = min(max(x2 - step * g2, lo2), hi2)
-            hn = _anchored_surrogate(obj, m1, n1, n2, anchor,
-                                     config.surrogate_exponent)[0]
+            hn = _anchored_surrogate(obj, m1, n1, n2, anchor, exponent)[0]
             decrease = g1 * (x1 - n1) + g2 * (x2 - n2)
             if hn <= hv - 1e-4 * decrease or step < 1e-14:
                 break
@@ -653,10 +672,25 @@ def _mm_dr_block(obj, m1, d_r1, d_r2, box, config):
         moved = abs(n1 - x1) + abs(n2 - x2)
         rel_gain = abs(f_cur - f_new) / max(abs(f_cur), 1e-300)
         x1, x2, f_cur = n1, n2, f_new
-        accepted += 1
-        if rel_gain < config.rel_tol or moved < config.line_search_tol:
+        if rel_gain < _REL_TOL or moved < _LINE_SEARCH_TOL:
             break
-    return x1, x2, accepted
+    return x1, x2
+
+
+def _mm_step(obj, config, m1, d_r1, d_r2, box):
+    """MM's redundancy update: ``_mm_dr_block``, with ``mm_safeguard``
+    kept only if the LFP does not rise and followed by ``_bcd_step``
+    unless the LFP fell by more than ``_REL_TOL`` (+ ``_STOP_ATOL``)."""
+    f_before = obj.lfp(m1, d_r1, d_r2)
+    x1, x2 = _mm_dr_block(obj, m1, d_r1, d_r2, box, config.surrogate_exponent)
+    f_after = obj.lfp(m1, x1, x2)
+    if not config.mm_safeguard:
+        return x1, x2
+    if f_after <= f_before:
+        d_r1, d_r2 = x1, x2
+    if f_before - f_after <= _REL_TOL * abs(f_before) + _STOP_ATOL:
+        d_r1, d_r2 = _bcd_step(obj, config, m1, d_r1, d_r2, box)
+    return d_r1, d_r2
 
 
 def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
@@ -666,44 +700,13 @@ def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
 
     With ``mm_safeguard`` (default) the redundancy block result is kept
     only if it does not increase the true objective, and whenever the
-    block fails to make relative progress above ``rel_tol`` the
-    iteration falls back to coordinate-wise golden-section descent --
-    this covers both the exponent-2 surrogate (not a true upper bound)
-    and the flat tail where surrogate steps stall.  Termination and
-    integer reconstruction mirror ``solve_bcd``.
+    block fails to make relative progress above ``_REL_TOL`` the
+    iteration falls back to BCD's coordinate-wise golden-section step
+    (``_mm_step``) -- this covers both the exponent-2 surrogate (not a
+    true upper bound) and the flat tail where surrogate steps stall.
+    Stopping and integer rounding are ``_descend``'s, as for BCD.
     """
-    config = config or SolverConfig()
-    _check_init(scenario, init)
-    t_start = time.perf_counter()
-    obj = _Objective(scenario)
-    start = _initial_point(obj, config, init)
-    if start is None:
-        return _infeasible(obj, t_start)
-    m1, d_r1, d_r2 = start
-    tol = config.line_search_tol
-    trace = [(0, obj.lfp(m1, d_r1, d_r2))]
-    status = STATUS_MAX_ITERS
-    for k in range(1, config.max_outer_iters + 1):
-        m1, d_r1, d_r2 = _m1_block(obj, m1, d_r1, d_r2, tol)
-        lo1, hi1, lo2, hi2, _ = obj.box(m1)
-        f_before = obj.lfp(m1, d_r1, d_r2)
-        x1, x2, _ = _mm_dr_block(obj, m1, d_r1, d_r2, (lo1, hi1, lo2, hi2),
-                                 config)
-        f_after = obj.lfp(m1, x1, x2)
-        if (not config.mm_safeguard) or f_after <= f_before:
-            d_r1, d_r2 = x1, x2
-        if config.mm_safeguard and \
-                f_before - f_after <= config.rel_tol * abs(f_before) + _STOP_ATOL:
-            d_r1 = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1,
-                              lo1, hi1, tol)
-            d_r2 = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2,
-                              lo2, hi2, tol)
-        trace.append((k, obj.lfp(m1, d_r1, d_r2)))
-        if _stopped(trace[-2][1], trace[-1][1], config.rel_tol):
-            status = STATUS_CONVERGED
-            break
-    return _finish(obj, config, status, m1, d_r1, d_r2, trace, t_start,
-                   extra_integer=_integral_init_candidate(scenario, init))
+    return _descend(scenario, config, init, _mm_step)
 
 
 __all__ = [

@@ -1,10 +1,13 @@
-"""Golden BCD/MM reports: the instances, the solver modes, the recorded
+"""Golden solver reports: the instances, the solver modes, the recorded
 fields, and the writer of ``tests/data/iterative_golden.json``.
 
-The golden file pins every iterative solve bit for bit (status,
-allocation, ``lfp_final``, trace and evaluation count), relaxed modes
-included, so a change to the scalar evaluation path that moves any last
-bit shows up.  Regenerate it only for an intended change of results:
+The golden file pins every solve bit for bit (status, allocation,
+``lfp_final``, trace and evaluation count): BCD and MM in every mode,
+relaxed included, BCD and MM restarted from the oracle's allocation,
+and the exhaustive oracle at full budget and, up to
+``PARTIAL_BUDGET_MAX_M``, at partial budget.  A change to the
+evaluation path or the solver scaffolding that moves any last bit shows
+up.  Regenerate it only for an intended change of results:
 
     PYTHONPATH=src python3 tests/iterative_golden.py
 """
@@ -12,7 +15,13 @@ bit shows up.  Regenerate it only for an intended change of results:
 import json
 from pathlib import Path
 
-from fblsec import SolverConfig, load_scenario, solve_bcd, solve_mm
+from fblsec import (
+    SolverConfig,
+    load_scenario,
+    solve_bcd,
+    solve_exhaustive,
+    solve_mm,
+)
 
 from conftest import SCENARIO_DIR, random_feasible_suite
 
@@ -30,6 +39,12 @@ MODES = (
     ("mm_relaxed", solve_mm, SolverConfig(integer_mode=False)),
     ("mm_exponent2", solve_mm, SolverConfig(surrogate_exponent=2)),
 )
+# Restarts from the oracle's (integral, full-budget) allocation: the
+# entry check, the clamp of the start into its box and the integral
+# start as a rounding candidate.
+RESTART_MODES = (("bcd_restart", solve_bcd), ("mm_restart", solve_mm))
+# The partial-budget oracle is O(M^2) in its split pairs.
+PARTIAL_BUDGET_MAX_M = 200
 
 
 def instances():
@@ -63,11 +78,23 @@ def report_record(report):
     }
 
 
+def instance_records(sc):
+    """{mode: record} of one instance."""
+    records = {mode: report_record(solve(sc, config))
+               for mode, solve, config in MODES}
+    oracle = solve_exhaustive(sc)
+    for mode, solve in RESTART_MODES:
+        records[mode] = report_record(solve(sc, init=oracle.alloc))
+    records["exhaustive"] = report_record(oracle)
+    if sc.M <= PARTIAL_BUDGET_MAX_M:
+        records["exhaustive_partial"] = report_record(
+            solve_exhaustive(sc, SolverConfig(full_budget_only=False)))
+    return records
+
+
 def golden_records():
     """{instance: {mode: record}} for every instance and mode."""
-    return {name: {mode: report_record(solve(sc, config))
-                   for mode, solve, config in MODES}
-            for name, sc in instances()}
+    return {name: instance_records(sc) for name, sc in instances()}
 
 
 if __name__ == "__main__":

@@ -178,6 +178,21 @@ class TestConverge:
             "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("methods", ["bcd,exhaustive", "exhaustive",
+                                         "mm,newton", ""])
+    def test_non_iterative_method_exits_1(self, capsys, tmp_path, methods):
+        # the exhaustive series is written anyway; asking for it again
+        # wrote it twice
+        path = write_scenario(tmp_path)
+        out_csv = tmp_path / "trace.csv"
+        code, _, err = run_main(capsys, [
+            "converge", "--scenario", path, "--methods", methods,
+            "--out", str(out_csv)])
+        assert code == EXIT_INPUT
+        if methods:
+            assert "exhaustive series is always written" in err
+        assert not out_csv.exists()
+
 
 class TestSweep:
     def test_blocklength_sweep_trends(self, capsys, tmp_path, monkeypatch):

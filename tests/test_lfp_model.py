@@ -22,10 +22,10 @@ from fblsec import (
 )
 from fblsec.fbl_core import _margin, rate_margin
 from fblsec.lfp_model import (
+    _split_boxes,
     link_constants,
     log_direction_success,
     log_round_trip_success,
-    redundancy_bounds_table,
 )
 
 from conftest import draw_random_scenario, make_scenario, sample_interior_point
@@ -226,15 +226,17 @@ TABLE_SCENARIOS = [
 
 
 class TestRedundancyBoundsTable:
-    """The oracle's vector boxes against the scalar ``redundancy_bounds``,
-    paired as the oracle pairs them: direction 1 at m1, direction 2 at
-    m2 = M - m1."""
+    """The oracle's vector boxes (``_split_boxes`` on an array of
+    blocklengths, both directions at the same m) against the scalar
+    ``redundancy_bounds``, paired as the oracle pairs them: direction 1
+    at m1, direction 2 at m2 = M - m1."""
 
     @pytest.mark.parametrize("sc", TABLE_SCENARIOS)
     def test_matches_scalar_boxes_bit_for_bit(self, sc):
         M = sc.M
-        lo1, hi1, lo2, hi2 = redundancy_bounds_table(
-            sc, np.arange(1, M, dtype=float))
+        m = np.arange(1, M, dtype=float)
+        lo1, hi1, lo2, hi2, _ = _split_boxes(link_constants(sc), sc, m, m,
+                                             np.sqrt, np.maximum)
         for m1 in range(1, M):
             box = redundancy_bounds(sc, float(m1), float(M - m1))
             table = (lo1[m1 - 1], hi1[m1 - 1], lo2[M - m1 - 1], hi2[M - m1 - 1])
@@ -244,8 +246,18 @@ class TestRedundancyBoundsTable:
 
     @pytest.mark.parametrize("m", [[0.5, 2.0], [1.0, np.nan], [np.inf]])
     def test_rejects_bad_blocklengths(self, m):
-        with pytest.raises(DomainError):
-            redundancy_bounds_table(TABLE_SCENARIOS[0], m)
+        # redundancy_bounds is the checked entry to the box formula: a
+        # NaN, infinite or < 1 blocklength in either direction raises,
+        # a valid one gives the table's box.
+        sc = TABLE_SCENARIOS[0]
+        for x in m:
+            for m1, m2 in ((x, x), (x, 2.0), (2.0, x)):
+                if 1.0 <= x < math.inf:
+                    assert isinstance(redundancy_bounds(sc, m1, m2).feasible,
+                                      bool)
+                else:
+                    with pytest.raises(DomainError):
+                        redundancy_bounds(sc, m1, m2)
 
     def test_link_constants_are_the_checked_values(self):
         for sc in TABLE_SCENARIOS:

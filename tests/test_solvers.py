@@ -14,14 +14,17 @@ from fblsec import (
     NumericalError,
     SolverConfig,
     bcd_scalar_min,
+    lfp,
     lfp_value,
     link_errors,
+    load_scenario,
     redundancy_bounds,
     solve_bcd,
     solve_exhaustive,
     solve_mm,
     surrogate_g,
 )
+from fblsec import solvers
 from fblsec.lfp_model import log_direction_success
 from fblsec.solvers import _M1_GRID, _m1_profile, _m1_profile_grid, _Objective
 
@@ -458,6 +461,28 @@ class TestReportSurface:
         report = solve_bcd(SMALL)
         assert report.evaluations > 0
         assert report.wall_time >= 0.0
+
+
+class TestRunControl:
+    """The fixed outer-iteration cap and the one settable value check."""
+
+    @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
+    def test_outer_cap_stops_with_max_iters(self, solve, monkeypatch,
+                                            small_scenario_path):
+        # the first cycle moves the LFP (0.17091 -> 0.16972), so one
+        # cycle cannot satisfy the stopping test
+        monkeypatch.setattr(solvers, "_MAX_OUTER_ITERS", 1)
+        sc = load_scenario(small_scenario_path)
+        report = solve(sc)
+        assert report.status == "max_iters"
+        assert len(report.trace) == 2
+        assert report.iterations == 1
+        assert report.alloc.is_integral
+        assert report.lfp_final == lfp(sc, report.alloc)
+
+    def test_surrogate_exponent_checked(self):
+        with pytest.raises(DomainError):
+            SolverConfig(surrogate_exponent=3)
 
 
 class TestInitEntryCheck:
