@@ -12,15 +12,13 @@ validate  Monte-Carlo check of the analytic LFP at a given allocation
 Exit codes are uniform across subcommands: 0 success, 1 input error,
 2 infeasible.  CSV output is deterministic for fixed inputs (no
 timestamps; the wall_time column is informational and excluded from
-golden comparisons).  Sweep grid points are evaluated in parallel when
-the FBLSEC_THREADS environment variable allows it (absent: all cores),
-but rows are always written in grid order.
+golden comparisons).  A sweep solves its grid points one after another
+in the calling process and writes the rows in grid order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -56,13 +54,12 @@ SWEEP_FIELDS = ("gamma_ab_db", "gamma_ae_db", "gamma_ba_db", "gamma_be_db",
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-axis sweep description: which field, the grid, the methods."""
+    """One-axis sweep description: which field and the grid."""
 
     vary: str
     start: float
     stop: float
     step: float
-    methods: tuple
 
     def __post_init__(self):
         if self.vary not in SWEEP_FIELDS:
@@ -76,11 +73,6 @@ class SweepSpec:
             raise DomainError("sweep needs start < stop")
         if self.step <= 0:
             raise DomainError("sweep step must be > 0")
-        if not self.methods:
-            raise DomainError("sweep needs at least one method")
-        for m in self.methods:
-            if m not in _METHODS:
-                raise DomainError(f"unknown method {m!r}")
 
     def values(self):
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9))
@@ -142,6 +134,17 @@ def _config_from_args(args) -> SolverConfig:
                         integer_mode=not args.relaxed, **kwargs)
 
 
+def _parse_methods(text, allowed, note=""):
+    """The comma-separated method names of a ``--methods`` flag: at least
+    one, each in ``allowed`` and none twice."""
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if (not methods or not set(methods) <= set(allowed)
+            or len(set(methods)) != len(methods)):
+        raise DomainError(f"--methods takes distinct names from "
+                          f"{','.join(allowed)}, got {text!r}{note}")
+    return methods
+
+
 def _run_method(method, scenario, config):
     if method == "exhaustive" and not config.integer_mode:
         config = replace(config, integer_mode=True)
@@ -166,11 +169,8 @@ def cmd_solve(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_converge(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods or not set(methods) <= {"bcd", "mm"}:
-        raise DomainError(f"converge --methods takes bcd and/or mm, got "
-                          f"{args.methods!r}; the exhaustive series is "
-                          f"always written")
+    methods = _parse_methods(args.methods, ("bcd", "mm"),
+                             "; the exhaustive series is always written")
     scenario = load_scenario(args.scenario)
     config = _config_from_args(args)
     reports = {}
@@ -197,10 +197,8 @@ def cmd_converge(args) -> int:
 # sweep
 # ----------------------------------------------------------------------
 
-def _sweep_point(payload):
-    """Evaluate one grid point (module-level so it pickles for the
-    process pool)."""
-    scenario, vary, value, methods, config = payload
+def _sweep_point(scenario, vary, value, methods, config):
+    """The CSV rows of one grid point, one per method."""
     try:
         point = apply_sweep_value(scenario, vary, value)
     except DomainError as exc:
@@ -294,33 +292,15 @@ def _write_plot_script(csv_path, vary):
     return script_path
 
 
-def _worker_count():
-    raw = os.environ.get("FBLSEC_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise DomainError(f"FBLSEC_THREADS must be an integer, got {raw!r}") \
-                from exc
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     config = _config_from_args(args)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = _parse_methods(args.methods, tuple(_METHODS))
     spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop,
-                     step=args.step, methods=methods)
-    payloads = [(scenario, spec.vary, v, spec.methods, config)
-                for v in spec.values()]
-    workers = min(_worker_count(), len(payloads))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_sweep_point, payloads))
-    else:
-        results = [_sweep_point(p) for p in payloads]
-    rows = [row for point_rows in results for row in point_rows]
+                     step=args.step)
+    rows = [row for value in spec.values()
+            for row in _sweep_point(scenario, spec.vary, value, methods,
+                                    config)]
     _write_rows(args.out, rows)
     _write_plot_script(args.out, spec.vary)
     return EXIT_OK

@@ -620,9 +620,10 @@ def _success_reciprocals(obj, m1, d_r1, d_r2):
     return out
 
 
-def _anchored_surrogate(obj, m1, x1, x2, anchor, exponent):
+def _anchored_surrogate(terms, anchor, exponent):
     """Value and redundancy gradient of the anchored reciprocal-mean
-    surrogate ((A/Ah + B/Bh + C/Ch + D/Dh) / 4) ** exponent.
+    surrogate ((A/Ah + B/Bh + C/Ch + D/Dh) / 4) ** exponent at the point
+    whose ``_success_reciprocals`` are ``terms``.
 
     Dividing each reciprocal by its value at the anchor point makes the
     bound tight there (all four ratios equal one), which is what lets a
@@ -630,7 +631,6 @@ def _anchored_surrogate(obj, m1, x1, x2, anchor, exponent):
     reciprocal product; the unanchored ``surrogate_g`` is this same
     expression at an equal-valued anchor.
     """
-    terms = _success_reciprocals(obj, m1, x1, x2)
     (a, da), (b, db), (c, dc), (d, dd) = terms
     ah, bh, ch, dh = anchor
     mean = 0.25 * (a / ah + b / bh + c / ch + d / dh)
@@ -655,13 +655,15 @@ def _mm_dr_block(obj, m1, d_r1, d_r2, box, exponent):
     f_cur = obj.nl(m1, x1, x2)
     step = 1.0
     for _ in range(_MAX_INNER_ITERS):
-        anchor = tuple(v for v, _ in _success_reciprocals(obj, m1, x1, x2))
-        hv, g1, g2 = _anchored_surrogate(obj, m1, x1, x2, anchor, exponent)
+        terms = _success_reciprocals(obj, m1, x1, x2)
+        anchor = tuple(v for v, _ in terms)
+        hv, g1, g2 = _anchored_surrogate(terms, anchor, exponent)
         step = min(step * 2.0, 1e12)
         while True:
             n1 = min(max(x1 - step * g1, lo1), hi1)
             n2 = min(max(x2 - step * g2, lo2), hi2)
-            hn = _anchored_surrogate(obj, m1, n1, n2, anchor, exponent)[0]
+            hn = _anchored_surrogate(_success_reciprocals(obj, m1, n1, n2),
+                                     anchor, exponent)[0]
             decrease = g1 * (x1 - n1) + g2 * (x2 - n2)
             if hn <= hv - 1e-4 * decrease or step < 1e-14:
                 break

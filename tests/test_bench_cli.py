@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report JSON, CSV artifacts,
 determinism and the Monte-Carlo validator."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -179,10 +180,10 @@ class TestConverge:
         assert code == EXIT_INFEASIBLE
 
     @pytest.mark.parametrize("methods", ["bcd,exhaustive", "exhaustive",
-                                         "mm,newton", ""])
+                                         "mm,newton", "bcd,bcd", ""])
     def test_non_iterative_method_exits_1(self, capsys, tmp_path, methods):
-        # the exhaustive series is written anyway; asking for it again
-        # wrote it twice
+        # the exhaustive series is written anyway; asking for it again,
+        # like naming bcd twice, wrote a series twice
         path = write_scenario(tmp_path)
         out_csv = tmp_path / "trace.csv"
         code, _, err = run_main(capsys, [
@@ -195,8 +196,7 @@ class TestConverge:
 
 
 class TestSweep:
-    def test_blocklength_sweep_trends(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FBLSEC_THREADS", "1")
+    def test_blocklength_sweep_trends(self, capsys, tmp_path):
         path = write_scenario(tmp_path)
         out_csv = str(tmp_path / "sweep.csv")
         code, _, _ = run_main(capsys, [
@@ -217,8 +217,7 @@ class TestSweep:
         assert os.path.exists(script)
         assert "sweep.csv" in open(script).read()
 
-    def test_byte_stable_rerun(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FBLSEC_THREADS", "1")
+    def test_byte_stable_rerun(self, capsys, tmp_path):
         path = write_scenario(tmp_path)
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")
@@ -229,24 +228,7 @@ class TestSweep:
                 "--methods", "bcd", "--out", out])
         assert strip_wall_time(a) == strip_wall_time(b)
 
-    def test_parallel_matches_serial(self, capsys, tmp_path, monkeypatch):
-        path = write_scenario(tmp_path)
-        serial = str(tmp_path / "serial.csv")
-        parallel = str(tmp_path / "parallel.csv")
-        monkeypatch.setenv("FBLSEC_THREADS", "1")
-        run_main(capsys, [
-            "sweep", "--scenario", path, "--vary", "M",
-            "--from", "40", "--to", "70", "--step", "10",
-            "--methods", "bcd", "--out", serial])
-        monkeypatch.setenv("FBLSEC_THREADS", "2")
-        run_main(capsys, [
-            "sweep", "--scenario", path, "--vary", "M",
-            "--from", "40", "--to", "70", "--step", "10",
-            "--methods", "bcd", "--out", parallel])
-        assert strip_wall_time(serial) == strip_wall_time(parallel)
-
-    def test_all_infeasible_still_exits_0(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FBLSEC_THREADS", "1")
+    def test_all_infeasible_still_exits_0(self, capsys, tmp_path):
         path = write_scenario(tmp_path, gamma_ab_db=0.0, gamma_ae_db=3.0)
         out_csv = str(tmp_path / "inf.csv")
         code, _, _ = run_main(capsys, [
@@ -266,6 +248,38 @@ class TestSweep:
             "--methods", "bcd", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("methods", ["bcd,bcd", "mm,newton", ""])
+    def test_bad_methods_exits_1(self, capsys, tmp_path, methods):
+        # bcd,bcd solved and wrote every grid point twice
+        path = write_scenario(tmp_path)
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_main(capsys, [
+            "sweep", "--scenario", path, "--vary", "M",
+            "--from", "40", "--to", "60", "--step", "10",
+            "--methods", methods, "--out", str(out_csv)])
+        assert code == EXIT_INPUT
+        assert "--methods" in err
+        assert not out_csv.exists()
+
+    def test_solves_in_the_calling_process(self, capsys, tmp_path,
+                                           monkeypatch):
+        # FBLSEC_THREADS is not read: no worker pool is ever started
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("sweep started a process pool")
+
+        monkeypatch.setenv("FBLSEC_THREADS", "2")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        path = write_scenario(tmp_path)
+        out_csv = str(tmp_path / "sweep.csv")
+        code, _, _ = run_main(capsys, [
+            "sweep", "--scenario", path, "--vary", "M",
+            "--from", "40", "--to", "70", "--step", "10",
+            "--methods", "bcd", "--out", out_csv])
+        assert code == EXIT_OK
+        rows = read_csv(out_csv)
+        assert [r["value"] for r in rows] == ["40.0", "50.0", "60.0", "70.0"]
+        assert all(r["status"] == "converged" for r in rows)
+
     @pytest.mark.parametrize("flag, value", [
         ("--to", "inf"), ("--step", "nan"), ("--from", "-inf"),
         ("--step", "inf"), ("--to", "nan")])
@@ -283,11 +297,9 @@ class TestSweep:
         assert f"sweep {flag} must be finite" in err
         assert not os.path.exists(tmp_path / "x.csv")
 
-    def test_out_of_range_point_recorded_in_row(self, capsys, tmp_path,
-                                                monkeypatch):
+    def test_out_of_range_point_recorded_in_row(self, capsys, tmp_path):
         # a grid value that breaks scenario validity (M=1) must produce
         # an error row, not abort, and the CSV must stay parseable
-        monkeypatch.setenv("FBLSEC_THREADS", "1")
         path = write_scenario(tmp_path)
         out_csv = str(tmp_path / "edge.csv")
         code, _, _ = run_main(capsys, [
@@ -309,9 +321,8 @@ class TestGoldenSweep:
 
     GOLDEN = REPO_ROOT / "tests" / "data" / "sweep_default_M200-1000.csv"
 
-    def test_matches_committed_csv(self, capsys, tmp_path, monkeypatch,
+    def test_matches_committed_csv(self, capsys, tmp_path,
                                    default_scenario_path):
-        monkeypatch.setenv("FBLSEC_THREADS", "1")
         out_csv = str(tmp_path / "sweep.csv")
         code, _, _ = run_main(capsys, [
             "sweep", "--scenario", default_scenario_path, "--vary", "M",
