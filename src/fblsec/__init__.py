@@ -26,12 +26,8 @@ from .scenario import (
     LinkGeometry,
     Scenario,
     db_to_linear,
-    linear_to_db,
     load_scenario,
-    sample_scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    snr_from_geometry,
 )
 from .solvers import (
     SolverConfig,
@@ -51,8 +47,7 @@ __all__ = [
     "SolverConfig", "SolverReport",
     "bcd_scalar_min", "capacity", "db_to_linear", "decode_error_prob",
     "dispersion", "lfp", "lfp_gradient_reduced", "lfp_value",
-    "linear_to_db", "link_errors", "load_scenario", "q_func", "q_inv",
-    "redundancy_bounds", "sample_scenario", "scenario_from_dict",
-    "scenario_to_dict", "snr_from_geometry",
+    "link_errors", "load_scenario", "q_func", "q_inv",
+    "redundancy_bounds", "scenario_from_dict",
     "solve_bcd", "solve_exhaustive", "solve_mm", "surrogate_g",
 ]

@@ -6,11 +6,9 @@ accept floats or numpy arrays and are pure (no shared state), so they
 are safe to call from any number of threads.
 
 Validation contract: every public function here checks its arguments and
-raises :class:`DomainError` outside the domain, except ``rate_margin``.
-``rate_margin`` is the unchecked link kernel that the model and the
-solvers evaluate in their inner loops; its callers validate once, at
-their own entry (``Scenario``, ``Allocation`` and the public functions
-of ``lfp_model``), and pass only in-domain values.
+raises :class:`DomainError` outside the domain, except ``rate_margin``,
+the unchecked margin that ``decode_error_prob`` evaluates once its own
+checks have passed.
 
 Internally the error-probability argument is evaluated in natural-log
 form,
@@ -20,15 +18,15 @@ form,
 which is algebraically identical to the usual base-2 expression
 sqrt(m/V) * (C - d/m) * ln2 but avoids mixed-base rounding.  The
 expression is written once (``_margin``) and takes ln(1+gamma) and V as
-inputs: ``rate_margin`` computes them with numpy from gamma, while the
-scalar solver path reads the same two values from a per-scenario cache
-and evaluates the expression in plain floats with ``math.sqrt``.  Each
-step is a correctly rounded IEEE operation either way, so both give the
-same bits; ln(1+gamma) must come from ``np.log1p``, which differs from
-``math.log1p`` in the last bit on a few per cent of SNRs.  Tail values
-are computed through the complementary error function (and ``log_ndtr``
-for log-domain work) so that arguments beyond |w| ~ 38 do not collapse
-to 0/1 prematurely.
+inputs.  ``rate_margin`` computes them with numpy from gamma; the model's
+one link kernel, which every solver evaluates, reads the same two values
+from a per-scenario cache (``lfp_model.link_constants``).  Each step is
+a correctly rounded IEEE operation, so the margin has the same bits with
+``math.sqrt`` on floats as with ``np.sqrt`` on arrays; ln(1+gamma) must
+come from ``np.log1p``, which differs from ``math.log1p`` in the last
+bit on a few per cent of SNRs.  Tail values are computed through the
+complementary error function (and ``log_ndtr`` for log-domain work) so
+that arguments beyond |w| ~ 38 do not collapse to 0/1 prematurely.
 """
 
 from __future__ import annotations
@@ -146,9 +144,11 @@ def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
     """w = (ln(1+gamma) - d*ln2/m) * sqrt(m / V) from the link's
     ln(1+gamma) and V(gamma): the one margin expression.
 
-    ``rate_margin`` calls it with ``np.sqrt`` on arrays; the scalar
-    solver path calls it with ``math.sqrt`` on floats and the constants
-    ``lfp_model.link_constants`` caches, which gives the same bits.
+    ``rate_margin`` calls it with ``np.sqrt`` on the two values it
+    computes from gamma.  The model's link kernel, its gradient and the
+    MM step call it on the constants ``lfp_model.link_constants``
+    caches, with ``math.sqrt`` on floats or ``np.sqrt`` on arrays; all
+    give the same bits.
     """
     return (log1p_gamma - d * LN2 / m) * sqrt(m / v)
 

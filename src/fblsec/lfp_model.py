@@ -25,13 +25,12 @@ sit below that boundary and run on whatever they are given.
 
 The per-link constants are computed once per scenario
 (``link_constants``), not once per call, and hold ln(1+gamma) twice:
-the margin kernel's value (``np.log1p``, as ``fbl_core.rate_margin``
-computes it) and the threshold boxes' value (``math.log1p``).  The two
-differ in the last bit on a few per cent of SNRs.  With the kernel's
-value and V(gamma) cached, the scalar round trip evaluates the shared
-margin expression (``fbl_core._margin``) in plain floats and makes one
-``log_ndtr`` call for its four links, bit for bit what the vector path
-(``log_direction_success``) returns at the same point.
+the margin's value (``np.log1p``, as ``fbl_core.rate_margin`` computes
+it) and the threshold boxes' value (``math.log1p``).  The two differ in
+the last bit on a few per cent of SNRs.  One kernel, ``_log_direction``,
+gives a direction's log success from these constants: on arrays it is
+``log_direction_success``, and the scalar round trip is the sum of its
+two directions on floats.
 """
 
 from __future__ import annotations
@@ -44,7 +43,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import log_ndtr
 
-from .fbl_core import (
+# ``rate_margin`` is unused here, but benchmarks/tracing.py instruments
+# it at this import site, so the name stays bound.
+from .fbl_core import (  # noqa: F401
     LN2,
     DomainError,
     _margin,
@@ -129,38 +130,32 @@ def link_errors(scenario: Scenario, alloc: Allocation) -> LinkErrors:
     )
 
 
-def log_direction_success(gamma_b, gamma_e, m, d):
-    """log[(1 - eps_b) * eps_e] for one direction, tail-exact.
+def _log_direction(legit, eve, m, d, sqrt):
+    """The one link kernel: log[(1 - eps_b) * eps_e] of one direction
+    from the ``link_constants`` entries of its two links.
 
-    log(1 - eps_b) = log_ndtr(w_b) and log(eps_e) = log_ndtr(-w_e); both
-    stay finite and accurate where the plain probabilities saturate.
-    Accepts arrays in m and d (the exhaustive scan and the m1 bracket
-    grid).  Unchecked, like ``rate_margin``: the caller passes in-domain
-    values.
+    log(1 - eps_b) = log_ndtr(w_b) and log(eps_e) = log_ndtr(-w_e) stay
+    finite and accurate where the plain probabilities saturate;
+    ``math.sqrt`` on floats and ``np.sqrt`` on arrays give the same bits.
     """
-    w_b = rate_margin(gamma_b, m, d)
-    w_e = rate_margin(gamma_e, m, d)
-    return log_ndtr(w_b) + log_ndtr(-np.asarray(w_e))
+    return (log_ndtr(_margin(legit.log1p, legit.v, m, d, sqrt))
+            + log_ndtr(-_margin(eve.log1p, eve.v, m, d, sqrt)))
+
+
+def log_direction_success(legit, eve, m, d):
+    """``_log_direction`` on arrays in m and d (the exhaustive scan and
+    the m1 bracket grid).  Unchecked: the caller passes in-domain
+    values."""
+    return _log_direction(legit, eve, m, d, np.sqrt)
 
 
 def _log_success(links, m1, m2, d1, d2):
     """log of the round-trip success product at scalar blocklengths and
     total bits, each direction at its own blocklength; ``links`` is
-    ``link_constants(scenario)``.
-
-    The four margins go through one ``log_ndtr`` call and are summed per
-    direction, then across, in the order ``log_direction_success`` sums
-    them, so the result equals the sum of its two directions bit for
-    bit.
-    """
-    (l_ab, v_ab, _, _), (l_ae, v_ae, _, _), (l_ba, v_ba, _, _), \
-        (l_be, v_be, _, _) = links
-    sqrt = math.sqrt
-    a, b, c, d = log_ndtr((_margin(l_ab, v_ab, m1, d1, sqrt),
-                           -_margin(l_ae, v_ae, m1, d1, sqrt),
-                           _margin(l_ba, v_ba, m2, d2, sqrt),
-                           -_margin(l_be, v_be, m2, d2, sqrt))).tolist()
-    return (a + b) + (c + d)
+    ``link_constants(scenario)``.  The sum of its two directions."""
+    ab, ae, ba, be = links
+    return float(_log_direction(ab, ae, m1, d1, math.sqrt)
+                 + _log_direction(ba, be, m2, d2, math.sqrt))
 
 
 def log_round_trip_success(scenario, m1, d_r1, d_r2):
@@ -216,8 +211,8 @@ def link_constants(scenario: Scenario):
     Each is computed once, V and Qinv through the checked ``dispersion``
     and ``q_inv``, and cached by the scenario's field values.  ``log1p``
     and ``v`` are the ln(1+gamma) and V(gamma) that
-    ``fbl_core.rate_margin`` computes, so the scalar kernel built on
-    them returns its bits.
+    ``fbl_core.rate_margin`` computes, so the link kernel built on them
+    returns its bits.
     """
     return tuple(_Link(float(np.log1p(gamma)), dispersion(gamma),
                        math.log1p(gamma), q_inv(eps))

@@ -3,15 +3,17 @@
 A :class:`Scenario` bundles the four link SNRs of a round-trip wiretap
 setup (forward legitimate/eavesdrop, backward legitimate/eavesdrop) with
 the message sizes, the total blocklength budget and the reliability and
-leakage thresholds.  Scenarios are built either deterministically from
-given SNRs (directly in dB through the JSON schema) or randomly from
-pathloss/noise/transmit-power geometry with seeded small-scale fading.
+leakage thresholds.  A scenario is built from its four SNRs, directly or
+from its JSON form (``scenario_from_dict``).  There a link gives its SNR
+in dB, or its pathloss/noise/transmit-power geometry and a fading seed,
+from which one seeded small-scale fading draw sets the SNR; that is the
+only path from geometry to SNR, and there is no random scenario sampler.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +29,6 @@ class DegenerateChannelError(DomainError):
 def db_to_linear(x_db):
     """dB -> linear power ratio."""
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    """Linear power ratio -> dB."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,6 @@ class Scenario:
     eps_ab_max: float
     eps_ba_max: float
     eps_e_max: float
-    degenerate_directions: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         for name in ("gamma_ab", "gamma_ae", "gamma_ba", "gamma_be"):
@@ -91,27 +87,17 @@ class Scenario:
             raise DomainError(f"Scenario.M must be >= 2, got {self.M!r}")
         if int(self.d_m1) < 1 or int(self.d_m2) < 1:
             raise DomainError("message sizes d_m1, d_m2 must be >= 1")
-        flags = []
-        if self.gamma_ab <= self.gamma_ae:
-            flags.append("forward")
-        if self.gamma_ba <= self.gamma_be:
-            flags.append("backward")
-        object.__setattr__(self, "degenerate_directions", tuple(flags))
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "d_m1", int(self.d_m1))
         object.__setattr__(self, "d_m2", int(self.d_m2))
 
-
-def snr_from_geometry(geom: LinkGeometry, fading_sample: float) -> float:
-    """Instantaneous SNR p * pathloss * h^2 / noise for one fading draw.
-
-    The small-scale coefficient enters squared; a draw of exactly zero is
-    rejected as a degenerate channel rather than silently producing an
-    SNR of zero.
-    """
-    if not np.isfinite(fading_sample):
-        raise DomainError(f"fading_sample must be finite, got {fading_sample!r}")
-    return _link_snr(geom, float(fading_sample) ** 2, "fading sample")
+    @property
+    def degenerate_directions(self):
+        """The directions, of ("forward", "backward"), whose
+        eavesdropper SNR reaches the legitimate SNR."""
+        return tuple(name for name, legit, eve in (
+            ("forward", self.gamma_ab, self.gamma_ae),
+            ("backward", self.gamma_ba, self.gamma_be)) if legit <= eve)
 
 
 def _link_snr(geom, gain, what):
@@ -134,57 +120,45 @@ def _fading_gains(rng, n, fading_model):
                       f"expected one of {FADING_MODELS}")
 
 
-def sample_scenario(geoms, seed, template, fading_model="real_normal"):
-    """Draw one random Scenario from per-link geometries.
-
-    Parameters
-    ----------
-    geoms : mapping
-        Keys "ab", "ae", "ba", "be" -> :class:`LinkGeometry`.
-    seed : int
-        64-bit seed for numpy's PCG64 generator; identical seeds give
-        byte-identical scenarios.
-    template : mapping
-        The non-SNR fields: d_m1, d_m2, M, eps_ab_max, eps_ba_max,
-        eps_e_max.
-    fading_model : str
-        "real_normal" draws the coefficient from N(0,1) (gain is then
-        chi-square with one degree of freedom); "complex_normal" draws a
-        unit-variance complex coefficient (gain exponential with mean 1).
-
-    Fading is drawn independently per link in the fixed order ab, ae,
-    ba, be, so the mapping from seed to scenario is stable.
-    """
-    rng = np.random.default_rng(int(seed))
-    gains = _fading_gains(rng, 4, fading_model)
-    snrs = {}
-    for key, gain in zip(("ab", "ae", "ba", "be"), gains):
-        snrs[key] = _link_snr(geoms[key], gain, f"link {key}")
-    return Scenario(
-        gamma_ab=snrs["ab"], gamma_ae=snrs["ae"],
-        gamma_ba=snrs["ba"], gamma_be=snrs["be"],
-        d_m1=template["d_m1"], d_m2=template["d_m2"], M=template["M"],
-        eps_ab_max=template["eps_ab_max"], eps_ba_max=template["eps_ba_max"],
-        eps_e_max=template["eps_e_max"],
-    )
-
-
 # ----------------------------------------------------------------------
 # JSON config surface
 # ----------------------------------------------------------------------
 
 _LINKS = ("ab", "ae", "ba", "be")
 _SCALAR_FIELDS = ("d_m1", "d_m2", "M", "eps_ab_max", "eps_ba_max", "eps_e_max")
+_GEOMETRY_FIELDS = ("pathloss", "noise_power", "tx_power", "fading_seed")
 
 
-def _number(cfg, key):
+def _number(cfg, key, where=""):
     """cfg[key] as a float; null, lists, objects and non-numeric strings
-    raise DomainError."""
+    raise DomainError naming the field ``where + key``."""
     try:
         return float(cfg[key])
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"scenario field {key} must be a number, "
+        raise DomainError(f"scenario field {where}{key} must be a number, "
                           f"got {cfg[key]!r}") from exc
+
+
+def _geometry_snr(cfg, link, fading_model):
+    """SNR of a link given as "geometry_<link>": its geometry and one
+    seeded draw of the fading model."""
+    key = f"geometry_{link}"
+    geo_cfg = cfg[key]
+    if not (isinstance(geo_cfg, dict)
+            and all(k in geo_cfg for k in _GEOMETRY_FIELDS)):
+        raise DomainError(f"{key} needs {', '.join(_GEOMETRY_FIELDS)}")
+    where = f"{key}."
+    geom = LinkGeometry(*(_number(geo_cfg, k, where)
+                          for k in _GEOMETRY_FIELDS[:3]))
+    seed = geo_cfg["fading_seed"]
+    if not isinstance(seed, int):
+        seed = _number(geo_cfg, "fading_seed", where)
+        if not seed.is_integer():
+            raise DomainError(f"scenario field {where}fading_seed must be "
+                              f"an integer, got {geo_cfg['fading_seed']!r}")
+    rng = np.random.default_rng(int(seed))
+    gain = float(_fading_gains(rng, 1, fading_model)[0])
+    return _link_snr(geom, gain, f"link {link}")
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
@@ -206,19 +180,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         if db_key in cfg:
             snrs[link] = float(db_to_linear(_number(cfg, db_key)))
         elif geo_key in cfg:
-            geo_cfg = cfg[geo_key]
-            try:
-                geom = LinkGeometry(pathloss=float(geo_cfg["pathloss"]),
-                                    noise_power=float(geo_cfg["noise_power"]),
-                                    tx_power=float(geo_cfg["tx_power"]))
-                seed = int(geo_cfg["fading_seed"])
-            except (KeyError, TypeError) as exc:
-                raise DomainError(
-                    f"{geo_key} needs pathloss, noise_power, tx_power, "
-                    f"fading_seed") from exc
-            rng = np.random.default_rng(seed)
-            gain = float(_fading_gains(rng, 1, fading_model)[0])
-            snrs[link] = _link_snr(geom, gain, f"link {link}")
+            snrs[link] = _geometry_snr(cfg, link, fading_model)
         else:
             raise DomainError(f"scenario config missing {db_key} or {geo_key}")
     missing = [k for k in _SCALAR_FIELDS if k not in cfg]
@@ -228,15 +190,6 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     # Scenario itself rejects non-integral M, d_m1 and d_m2.
     return Scenario(gamma_ab=snrs["ab"], gamma_ae=snrs["ae"],
                     gamma_ba=snrs["ba"], gamma_be=snrs["be"], **scalars)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serialize with SNRs in dB (the plotting/sweep convention)."""
-    out = {f"gamma_{link}_db": float(linear_to_db(getattr(scenario, f"gamma_{link}")))
-           for link in _LINKS}
-    for k in _SCALAR_FIELDS:
-        out[k] = getattr(scenario, k)
-    return out
 
 
 def load_scenario(path) -> Scenario:
@@ -252,7 +205,5 @@ def load_scenario(path) -> Scenario:
 
 __all__ = [
     "DegenerateChannelError", "LinkGeometry", "Scenario",
-    "db_to_linear", "linear_to_db", "snr_from_geometry", "sample_scenario",
-    "scenario_from_dict", "scenario_to_dict",
-    "load_scenario", "FADING_MODELS",
+    "db_to_linear", "scenario_from_dict", "load_scenario", "FADING_MODELS",
 ]

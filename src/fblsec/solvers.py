@@ -225,12 +225,12 @@ def _m1_profile_grid(obj, m1, t1, t2):
     one vector evaluation with the same bits per point; each feasible
     point counts as one evaluation."""
     scenario = obj.scenario
+    ab, ae, ba, be = obj.links
     feasible, a, b = _carried(obj, m1, t1, t2, np.sqrt, np.maximum)
     m = m1[feasible]
-    s1 = log_direction_success(scenario.gamma_ab, scenario.gamma_ae, m,
-                               scenario.d_m1 + a[feasible])
-    s2 = log_direction_success(scenario.gamma_ba, scenario.gamma_be,
-                               scenario.M - m, scenario.d_m2 + b[feasible])
+    s1 = log_direction_success(ab, ae, m, scenario.d_m1 + a[feasible])
+    s2 = log_direction_success(ba, be, scenario.M - m,
+                               scenario.d_m2 + b[feasible])
     obj.evaluations += m.size
     vals = np.full(m1.size, math.inf)
     vals[feasible] = -(s1 + s2)
@@ -443,29 +443,30 @@ def _descend(scenario, config, init, redundancy_step):
 # exhaustive enumeration
 # ----------------------------------------------------------------------
 
-def _first_maxima(obj, gamma_b, gamma_e, d_m, m, lo, hi):
+def _first_maxima(obj, legit, eve, d_m, m, lo, hi):
     """Best integer redundancy of one direction at every blocklength.
 
-    ``m``, ``lo`` and ``hi`` are arrays (non-empty integer boxes
-    [lo, hi]).  For each m this finds the smallest d in the box with
-    g(d+1) <= g(d), or hi if there is none, where g is the direction's
-    log success; all blocklengths share one bisection of about
-    log2(hi - lo) steps.  g is concave in d (log Phi is concave), so that
-    d is the first maximizer a dense scan of the box would return, plateau
-    ties included.  Returns (max log success, its d) arrays.
+    ``legit`` and ``eve`` are the ``link_constants`` entries of the
+    direction's two links; ``m``, ``lo`` and ``hi`` are arrays (non-empty
+    integer boxes [lo, hi]).  For each m this finds the smallest d in the
+    box with g(d+1) <= g(d), or hi if there is none, where g is the
+    direction's log success; all blocklengths share one bisection of
+    about log2(hi - lo) steps.  g is concave in d (log Phi is concave), so
+    that d is the first maximizer a dense scan of the box would return,
+    plateau ties included.  Returns (max log success, its d) arrays.
     """
     a, b = lo.copy(), hi.copy()
     active = np.flatnonzero(a < b)
     while active.size:
         mid = np.floor(0.5 * (a[active] + b[active]))
-        g = log_direction_success(gamma_b, gamma_e, m[active],
+        g = log_direction_success(legit, eve, m[active],
                                   d_m + np.stack((mid, mid + 1.0)))
         obj.evaluations += g.size
         falls = g[1] <= g[0]
         b[active[falls]] = mid[falls]
         a[active[~falls]] = mid[~falls] + 1.0
         active = active[a[active] < b[active]]
-    best = log_direction_success(gamma_b, gamma_e, m, d_m + a)
+    best = log_direction_success(legit, eve, m, d_m + a)
     obj.evaluations += best.size
     return best, a
 
@@ -492,16 +493,16 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     m = np.arange(1, M, dtype=float)
     lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, scenario, m, m,
                                          np.sqrt, np.maximum)
+    ab, ae, ba, be = obj.links
     tables = []
-    for gamma_b, gamma_e, d_m, lo, hi in (
-            (scenario.gamma_ab, scenario.gamma_ae, scenario.d_m1, lo1, hi1),
-            (scenario.gamma_ba, scenario.gamma_be, scenario.d_m2, lo2, hi2)):
+    for legit, eve, d_m, lo, hi in ((ab, ae, scenario.d_m1, lo1, hi1),
+                                    (ba, be, scenario.d_m2, lo2, hi2)):
         lo = np.ceil(lo - 1e-9)
         hi = np.floor(hi + 1e-9)
         ok = hi >= lo
         s = np.full(m.size, -np.inf)
         d = np.zeros(m.size, dtype=np.int64)
-        s[ok], d[ok] = _first_maxima(obj, gamma_b, gamma_e, d_m, m[ok],
+        s[ok], d[ok] = _first_maxima(obj, legit, eve, d_m, m[ok],
                                      lo[ok], hi[ok])
         tables.append((ok, s, d))
     (ok1, s1, d1), (ok2, s2, d2) = tables

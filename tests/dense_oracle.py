@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from fblsec import Allocation, lfp, redundancy_bounds
-from fblsec.lfp_model import log_direction_success
+from fblsec.lfp_model import link_constants, log_direction_success
 
 
 def _integer_box(lo, hi):
@@ -23,10 +23,10 @@ def _integer_box(lo, hi):
     return (lo, hi) if hi >= lo else None
 
 
-def _first_max(gamma_b, gamma_e, m, d_m, box):
+def _first_max(legit, eve, m, d_m, box):
     lo, hi = box
     d_r = np.arange(lo, hi + 1, dtype=float)
-    ls = log_direction_success(gamma_b, gamma_e, float(m), d_m + d_r)
+    ls = log_direction_success(legit, eve, float(m), d_m + d_r)
     i = int(np.argmax(ls))
     return float(ls[i]), int(d_r[i])
 
@@ -35,6 +35,7 @@ def dense_exhaustive(scenario, full_budget_only=True):
     """(Allocation, LFP) of the integer optimum, or (None, None) when
     no split has a non-empty integer box in both directions."""
     M = scenario.M
+    ab, ae, ba, be = link_constants(scenario)
     dir2 = {}
 
     def direction2(m2):
@@ -42,7 +43,7 @@ def dense_exhaustive(scenario, full_budget_only=True):
             box = redundancy_bounds(scenario, float(M - m2), float(m2))
             ibox = _integer_box(box.d_r2_min, box.d_r2_max)
             dir2[m2] = None if ibox is None else _first_max(
-                scenario.gamma_ba, scenario.gamma_be, m2, scenario.d_m2, ibox)
+                ba, be, m2, scenario.d_m2, ibox)
         return dir2[m2]
 
     best = None  # (key, m2)
@@ -51,8 +52,7 @@ def dense_exhaustive(scenario, full_budget_only=True):
         ibox = _integer_box(box.d_r1_min, box.d_r1_max)
         if ibox is None:
             continue
-        s1, dr1 = _first_max(scenario.gamma_ab, scenario.gamma_ae, m1,
-                             scenario.d_m1, ibox)
+        s1, dr1 = _first_max(ab, ae, m1, scenario.d_m1, ibox)
         for m2 in ((M - m1,) if full_budget_only else range(M - m1, 0, -1)):
             res2 = direction2(m2)
             if res2 is None:

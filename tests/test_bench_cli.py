@@ -21,7 +21,7 @@ from fblsec.bench_cli import (
 from conftest import REPO_ROOT, make_scenario
 
 
-def write_scenario(tmp_path, name="sc.json", **overrides):
+def write_scenario(tmp_path, name="sc.json", drop=(), **overrides):
     cfg = {
         "gamma_ab_db": 4.771212547196624, "gamma_ae_db": 0.0,
         "gamma_ba_db": 4.771212547196624, "gamma_be_db": 0.0,
@@ -29,6 +29,8 @@ def write_scenario(tmp_path, name="sc.json", **overrides):
         "eps_ab_max": 0.5, "eps_ba_max": 0.5, "eps_e_max": 0.5,
     }
     cfg.update(overrides)
+    for key in drop:
+        del cfg[key]
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -122,6 +124,22 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ") and "gamma_ab_db" in err
+
+    @pytest.mark.parametrize("geometry,fading_model,needle", [
+        ({"pathloss": "abc"}, "real_normal", "geometry_ab.pathloss"),
+        ({}, "rician", "rician"),
+    ])
+    def test_bad_geometry_link_exits_1(self, capsys, tmp_path, geometry,
+                                       fading_model, needle):
+        path = write_scenario(
+            tmp_path, drop=("gamma_ab_db",), fading_model=fading_model,
+            geometry_ab={"pathloss": 2.0, "noise_power": 1.0,
+                         "tx_power": 1.0, "fading_seed": 7, **geometry})
+        code, out, err = run_main(capsys, [
+            "solve", "--scenario", path, "--method", "bcd"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and needle in err
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_main(capsys, [

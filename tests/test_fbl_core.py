@@ -12,6 +12,7 @@ import pytest
 
 from fblsec import (
     DomainError,
+    Scenario,
     capacity,
     decode_error_prob,
     dispersion,
@@ -19,7 +20,7 @@ from fblsec import (
     q_inv,
 )
 from fblsec.fbl_core import LN2, log_hazard_ratio, rate_margin
-from fblsec.lfp_model import log_direction_success
+from fblsec.lfp_model import link_constants, log_direction_success
 
 # mpmath oracle values (dps=60)
 Q_1959964 = 0.024999999096442404302
@@ -161,7 +162,10 @@ class TestDecodeErrorProb:
             m = rng.uniform(10, 500)
             d = rng.uniform(0.2, 1.4) * m * capacity(g)
             eps = decode_error_prob(g, m, d)
-            assert math.exp(log_direction_success(g, g, m, d)) == \
+            ab, ae, _, _ = link_constants(Scenario(
+                gamma_ab=g, gamma_ae=g, gamma_ba=g, gamma_be=g, d_m1=1,
+                d_m2=1, M=2, eps_ab_max=0.5, eps_ba_max=0.5, eps_e_max=0.5))
+            assert math.exp(log_direction_success(ab, ae, m, d)) == \
                 pytest.approx((1.0 - eps) * eps, rel=1e-12)
 
 

@@ -20,7 +20,7 @@ from fblsec import (
     q_inv,
     redundancy_bounds,
 )
-from fblsec.fbl_core import _margin, rate_margin
+from fblsec.fbl_core import _P_CEIL, _P_FLOOR, _margin, q_func, rate_margin
 from fblsec.lfp_model import (
     _split_boxes,
     link_constants,
@@ -296,30 +296,30 @@ def kernel_points(sc, rng, n=200):
 
 
 class TestScalarKernel:
-    """The scalar round trip (cached constants, ``math.sqrt``, one
-    ``log_ndtr`` call) against the vector path (``rate_margin`` and
-    ``log_direction_success``), bit for bit."""
+    """The scalar round trip (cached constants, ``math.sqrt``) against
+    the vector path (``log_direction_success``, ``np.sqrt``) and
+    ``decode_error_prob``'s margin (``rate_margin``), bit for bit."""
 
     @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
     def test_round_trip_is_the_sum_of_its_directions(self, sc):
+        ab, ae, ba, be = link_constants(sc)
         pts = kernel_points(sc, np.random.default_rng(sc.M))
         m1, a, b = (np.array(x) for x in zip(*pts))
-        s1 = log_direction_success(sc.gamma_ab, sc.gamma_ae, m1, sc.d_m1 + a)
-        s2 = log_direction_success(sc.gamma_ba, sc.gamma_be, sc.M - m1,
-                                   sc.d_m2 + b)
+        s1 = log_direction_success(ab, ae, m1, sc.d_m1 + a)
+        s2 = log_direction_success(ba, be, sc.M - m1, sc.d_m2 + b)
         vector = s1 + s2
         for i, (x, y, z) in enumerate(pts):
             scalar = log_round_trip_success(sc, x, y, z)
-            one_by_one = (
-                log_direction_success(sc.gamma_ab, sc.gamma_ae, x, sc.d_m1 + y)
-                + log_direction_success(sc.gamma_ba, sc.gamma_be, sc.M - x,
-                                        sc.d_m2 + z))
+            one_by_one = (log_direction_success(ab, ae, x, sc.d_m1 + y)
+                          + log_direction_success(ba, be, sc.M - x,
+                                                  sc.d_m2 + z))
             assert scalar.hex() == float(one_by_one).hex() == \
                 float(vector[i]).hex(), (x, y, z)
             assert lfp_value(sc, x, y, z).hex() == (-math.expm1(scalar)).hex()
 
     @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
     def test_lfp_below_the_full_budget(self, sc):
+        ab, ae, ba, be = link_constants(sc)
         rng = np.random.default_rng(sc.M + 1)
         checked = 0
         for _ in range(100):
@@ -328,10 +328,8 @@ class TestScalarKernel:
             box = redundancy_bounds(sc, float(m1), float(m2))
             d_r1 = max(0, math.floor(box.d_r1_max))
             d_r2 = max(0, math.floor(box.d_r2_max))
-            s1 = log_direction_success(sc.gamma_ab, sc.gamma_ae, m1,
-                                       sc.d_m1 + d_r1)
-            s2 = log_direction_success(sc.gamma_ba, sc.gamma_be, m2,
-                                       sc.d_m2 + d_r2)
+            s1 = log_direction_success(ab, ae, m1, sc.d_m1 + d_r1)
+            s2 = log_direction_success(ba, be, m2, sc.d_m2 + d_r2)
             value = lfp(sc, Allocation(m1=m1, m2=m2, d_r1=d_r1, d_r2=d_r2))
             assert value.hex() == (-math.expm1(s1 + s2)).hex(), (m1, m2)
             checked += m1 + m2 < sc.M
@@ -348,11 +346,15 @@ class TestScalarKernel:
             assert link.log1p == np.log1p(gamma)
             assert link.v == gamma * (2.0 + gamma) / np.square(1.0 + gamma)
             vector = rate_margin(gamma, m, d)
+            eps = decode_error_prob(gamma, m, d)
             for i in range(m.size):
                 w = _margin(link.log1p, link.v, float(m[i]), float(d[i]),
                             math.sqrt)
                 assert w.hex() == rate_margin(gamma, m[i], d[i]).hex() == \
                     float(vector[i]).hex()
+                # decode_error_prob is Q of the model kernel's margin
+                assert float(eps[i]).hex() == \
+                    min(max(q_func(w), _P_FLOOR), _P_CEIL).hex()
 
 
 class TestGradientReduced:
@@ -421,9 +423,8 @@ class TestBudgetMonotonicity:
             if not box.feasible:
                 return None
             grid = np.linspace(box.d_r2_min, box.d_r2_max, 4001)
-            from fblsec.lfp_model import log_direction_success
-            vals = log_direction_success(sc.gamma_ba, sc.gamma_be,
-                                         float(m2), sc.d_m2 + grid)
+            _, _, ba, be = link_constants(sc)
+            vals = log_direction_success(ba, be, float(m2), sc.d_m2 + grid)
             return float(np.max(vals))
 
         tested = 0

@@ -1,93 +1,19 @@
-"""Scenario construction, random sampling and the JSON config surface."""
+"""Scenario construction and the JSON config surface."""
 
 import json
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from fblsec import (
     DegenerateChannelError,
     DomainError,
-    LinkGeometry,
     Scenario,
     db_to_linear,
-    linear_to_db,
     load_scenario,
-    sample_scenario,
+    scenario,
     scenario_from_dict,
-    scenario_to_dict,
-    snr_from_geometry,
 )
-
-
-def unit_geoms():
-    g = LinkGeometry(pathloss=1.0, noise_power=1.0, tx_power=1.0)
-    return {"ab": g, "ae": g, "ba": g, "be": g}
-
-
-TEMPLATE = dict(d_m1=4, d_m2=4, M=100, eps_ab_max=0.5, eps_ba_max=0.5,
-                eps_e_max=0.5)
-
-
-class TestSnrFromGeometry:
-    def test_all_unity(self):
-        geom = LinkGeometry(pathloss=1.0, noise_power=1.0, tx_power=1.0)
-        assert snr_from_geometry(geom, 1.0) == 1.0
-
-    def test_linear_scaling(self):
-        geom = LinkGeometry(pathloss=4.0, noise_power=2.0, tx_power=1.0)
-        assert snr_from_geometry(geom, 1.0) == 2.0
-
-    def test_tx_power_scale_consistency(self):
-        geom1 = LinkGeometry(pathloss=3.0, noise_power=0.5, tx_power=1.0)
-        geom2 = LinkGeometry(pathloss=3.0, noise_power=0.5, tx_power=2.0)
-        assert snr_from_geometry(geom2, 0.7) == 2.0 * snr_from_geometry(geom1, 0.7)
-
-    def test_zero_fading_rejected(self):
-        geom = LinkGeometry(pathloss=1.0, noise_power=1.0, tx_power=1.0)
-        with pytest.raises(DegenerateChannelError):
-            snr_from_geometry(geom, 0.0)
-
-    def test_mean_snr_matches_unit_fading_power(self):
-        rng = np.random.default_rng(5)
-        geom = LinkGeometry(pathloss=1.0, noise_power=1.0, tx_power=1.0)
-        h = rng.standard_normal(100_000)
-        h = h[h != 0.0]
-        snrs = np.array([snr_from_geometry(geom, x) for x in h[:100_000]])
-        se = snrs.std() / np.sqrt(snrs.size)
-        assert abs(snrs.mean() - 1.0) <= 3.0 * se
-
-
-class TestSampleScenario:
-    def test_deterministic_in_seed(self):
-        a = sample_scenario(unit_geoms(), 42, TEMPLATE)
-        b = sample_scenario(unit_geoms(), 42, TEMPLATE)
-        assert a == b
-
-    def test_distinct_seeds_differ(self):
-        a = sample_scenario(unit_geoms(), 42, TEMPLATE)
-        b = sample_scenario(unit_geoms(), 43, TEMPLATE)
-        assert (a.gamma_ab, a.gamma_ae, a.gamma_ba, a.gamma_be) != \
-               (b.gamma_ab, b.gamma_ae, b.gamma_ba, b.gamma_be)
-
-    def test_real_normal_gain_is_chi_square_1(self):
-        gains = np.array([sample_scenario(unit_geoms(), s, TEMPLATE).gamma_ab
-                          for s in range(10_000)])
-        _, p = stats.kstest(gains, stats.chi2(df=1).cdf)
-        assert p > 0.01
-
-    def test_complex_normal_gain_is_exponential(self):
-        gains = np.array([
-            sample_scenario(unit_geoms(), s, TEMPLATE,
-                            fading_model="complex_normal").gamma_ab
-            for s in range(10_000)])
-        _, p = stats.kstest(gains, stats.expon.cdf)
-        assert p > 0.01
-
-    def test_unknown_fading_model(self):
-        with pytest.raises(DomainError):
-            sample_scenario(unit_geoms(), 1, TEMPLATE, fading_model="rician")
 
 
 class TestScenarioInvariants:
@@ -102,6 +28,13 @@ class TestScenarioInvariants:
                       d_m1=4, d_m2=4, M=100, eps_ab_max=0.5, eps_ba_max=0.5,
                       eps_e_max=0.5)
         assert sc.degenerate_directions == ()
+
+    def test_flags_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Scenario(gamma_ab=1.0, gamma_ae=2.0, gamma_ba=3.0, gamma_be=1.0,
+                     d_m1=4, d_m2=4, M=100, eps_ab_max=0.5, eps_ba_max=0.5,
+                     eps_e_max=0.5,
+                     degenerate_directions=("forward", "backward"))
 
     @pytest.mark.parametrize("field,value", [
         ("gamma_ab", 0.0), ("gamma_ae", -1.0), ("eps_ab_max", 0.0),
@@ -127,28 +60,53 @@ class TestJsonSurface:
             "eps_ab_max": 0.5, "eps_ba_max": 0.5, "eps_e_max": 0.5,
         }
 
+    def geometry_cfg(self, **geometry):
+        """The base config with link ab given by its geometry."""
+        cfg = self.base_cfg()
+        del cfg["gamma_ab_db"]
+        cfg["geometry_ab"] = {"pathloss": 2.0, "noise_power": 1.0,
+                              "tx_power": 1.0, "fading_seed": 7, **geometry}
+        return cfg
+
     def test_db_parsing(self):
         sc = scenario_from_dict(self.base_cfg())
         assert sc.gamma_ab == pytest.approx(3.0, rel=1e-12)
         assert sc.gamma_ae == pytest.approx(1.0, rel=1e-12)
         assert sc.M == 1000
 
-    def test_roundtrip_through_dict(self):
-        sc = scenario_from_dict(self.base_cfg())
-        again = scenario_from_dict(scenario_to_dict(sc))
-        assert again.gamma_ab == pytest.approx(sc.gamma_ab, rel=1e-12)
-        assert again.M == sc.M
-
     def test_geometry_link(self):
-        cfg = self.base_cfg()
-        del cfg["gamma_ab_db"]
-        cfg["geometry_ab"] = {"pathloss": 2.0, "noise_power": 1.0,
-                              "tx_power": 1.0, "fading_seed": 7}
+        cfg = self.geometry_cfg()
         sc1 = scenario_from_dict(cfg)
         sc2 = scenario_from_dict(cfg)
         assert sc1.gamma_ab == sc2.gamma_ab  # seed-deterministic
         gain = np.random.default_rng(7).standard_normal() ** 2
         assert sc1.gamma_ab == pytest.approx(2.0 * gain, rel=1e-12)
+
+    def test_integral_float_seed_is_the_integer_seed(self):
+        seven = scenario_from_dict(self.geometry_cfg()).gamma_ab
+        assert scenario_from_dict(
+            self.geometry_cfg(fading_seed=7.0)).gamma_ab == seven
+
+    @pytest.mark.parametrize("field,value", [
+        ("fading_seed", 7.9), ("fading_seed", "seven"), ("fading_seed", None),
+        ("fading_seed", float("inf")), ("pathloss", "abc"),
+        ("noise_power", None), ("tx_power", [1.0]),
+    ])
+    def test_bad_geometry_field_raises(self, field, value):
+        cfg = self.geometry_cfg(**{field: value})
+        with pytest.raises(DomainError, match=f"geometry_ab.{field}"):
+            scenario_from_dict(cfg)
+
+    def test_zero_fading_gain_is_a_dead_link(self, monkeypatch):
+        monkeypatch.setattr(scenario, "_fading_gains", lambda *args: [0.0])
+        with pytest.raises(DegenerateChannelError, match="link ab"):
+            scenario_from_dict(self.geometry_cfg())
+
+    def test_unknown_fading_model_raises(self):
+        cfg = self.geometry_cfg()
+        cfg["fading_model"] = "rician"
+        with pytest.raises(DomainError, match="rician"):
+            scenario_from_dict(cfg)
 
     def test_db_takes_precedence_over_geometry(self):
         cfg = self.base_cfg()
@@ -220,5 +178,3 @@ class TestJsonSurface:
 
     def test_db_conversion_helpers(self):
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
-        assert linear_to_db(100.0) == pytest.approx(20.0, rel=1e-15)
-        assert db_to_linear(linear_to_db(3.7)) == pytest.approx(3.7, rel=1e-14)

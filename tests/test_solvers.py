@@ -25,7 +25,7 @@ from fblsec import (
     surrogate_g,
 )
 from fblsec import solvers
-from fblsec.lfp_model import log_direction_success
+from fblsec.lfp_model import link_constants, log_direction_success
 from fblsec.solvers import _M1_GRID, _m1_profile, _m1_profile_grid, _Objective
 
 from conftest import make_scenario, random_feasible_suite
@@ -40,6 +40,7 @@ def brute_force_optimum(scenario, full_budget_only=False):
     best_val = -np.inf
     best = None
     M = scenario.M
+    ab, ae, ba, be = link_constants(scenario)
     for m1 in range(1, M):
         m2_range = [M - m1] if full_budget_only else range(1, M - m1 + 1)
         for m2 in m2_range:
@@ -52,10 +53,8 @@ def brute_force_optimum(scenario, full_budget_only=False):
                 continue
             d1 = np.arange(lo1, hi1 + 1, dtype=float)
             d2 = np.arange(lo2, hi2 + 1, dtype=float)
-            ls1 = log_direction_success(scenario.gamma_ab, scenario.gamma_ae,
-                                        float(m1), scenario.d_m1 + d1)
-            ls2 = log_direction_success(scenario.gamma_ba, scenario.gamma_be,
-                                        float(m2), scenario.d_m2 + d2)
+            ls1 = log_direction_success(ab, ae, float(m1), scenario.d_m1 + d1)
+            ls2 = log_direction_success(ba, be, float(m2), scenario.d_m2 + d2)
             total = ls1[:, None] + ls2[None, :]
             i, j = np.unravel_index(int(np.argmax(total)), total.shape)
             if total[i, j] > best_val:
@@ -223,10 +222,10 @@ class TestExhaustivePlateauTies:
                        math.floor(box.d_r1_max + 1e-9) + 1.0)
         d2 = np.arange(math.ceil(box.d_r2_min - 1e-9),
                        math.floor(box.d_r2_max + 1e-9) + 1.0)
-        return (log_direction_success(sc.gamma_ab, sc.gamma_ae, float(m1),
-                                      sc.d_m1 + d1).max()
-                + log_direction_success(sc.gamma_ba, sc.gamma_be,
-                                        float(sc.M - m1), sc.d_m2 + d2).max())
+        ab, ae, ba, be = link_constants(sc)
+        return (log_direction_success(ab, ae, float(m1), sc.d_m1 + d1).max()
+                + log_direction_success(ba, be, float(sc.M - m1),
+                                        sc.d_m2 + d2).max())
 
     def test_smallest_tied_allocation(self):
         sc = self.SC
@@ -239,7 +238,8 @@ class TestExhaustivePlateauTies:
         assert self.split_max(sc, a.m1) == self.split_max(sc, a.m1 + 1) == 0.0
         assert self.split_max(sc, a.m1 - 1) < 0.0
         # direction 2 sits at the first point of an exact 0.0 plateau
-        ls2 = log_direction_success(sc.gamma_ba, sc.gamma_be, float(a.m2),
+        _, _, ba, be = link_constants(sc)
+        ls2 = log_direction_success(ba, be, float(a.m2),
                                     sc.d_m2 + np.arange(a.d_r2 - 1, a.d_r2 + 3))
         assert ls2[0] < 0.0 and np.all(ls2[1:] == 0.0)
 
