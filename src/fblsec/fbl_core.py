@@ -198,13 +198,17 @@ def decode_error_prob(gamma, m, d):
     return float(out) if out.ndim == 0 else out
 
 
+def _log_hazard(x):
+    """log(phi(x) / Phi(x)), the log of d(log_ndtr)/dx; finite where
+    phi(x) itself underflows."""
+    return -0.5 * x * x - np.log(_SQRT_2PI) - log_ndtr(x)
+
+
 def log_hazard_ratio(w):
     """phi(w) / Q(w) computed in the log domain (stable for any w).
 
     This is the factor that turns d(w)/d(theta) into d(log eps)/d(theta);
     direct division overflows once Q(w) underflows around w ~ 38.
     """
-    w = np.asarray(w, dtype=float)
-    log_phi = -0.5 * w * w - np.log(_SQRT_2PI)
-    out = np.exp(log_phi - log_ndtr(-w))
+    out = np.exp(_log_hazard(-np.asarray(w, dtype=float)))
     return float(out) if out.ndim == 0 else out

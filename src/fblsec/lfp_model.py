@@ -48,6 +48,7 @@ from scipy.special import log_ndtr
 from .fbl_core import (  # noqa: F401
     LN2,
     DomainError,
+    _log_hazard,
     _margin,
     decode_error_prob,
     dispersion,
@@ -297,6 +298,49 @@ def _link_log_derivatives(link, m, d):
         "dlog_comp_dm": r_comp * dw_dm,
         "dlog_comp_dd": r_comp * dw_dd,
     }
+
+
+# Smallest margin at which scipy's ``log_ndtr`` returns 0.0 (found by
+# float bisection on scipy 1.17.1; ``log_ndtr`` is monotone around it).
+# Only ``_first_maximum_start`` uses it: a wrong value costs fallbacks
+# to the bisection, never a different table.
+_LOG_NDTR_ZERO = 37.67712072049519
+
+
+def _first_maximum_start(legit, eve, d_m, m, lo, hi):
+    """An estimate of where a direction's log success g first peaks in
+    the redundancy, at every blocklength of the array ``m`` with box
+    [lo, hi], in redundancy units.
+
+    Both margins are linear in the total bits D: w = alpha - c*D.  The
+    start is the balanced-margin point w_b = -w_e, clipped to the box.
+    Where g is exactly 0.0 there (both margins at least
+    ``_LOG_NDTR_ZERO``), g's first maximum is the first D at which the
+    eavesdropper's log_ndtr(-w_e) reaches 0.0, and the estimate is
+    ceil((_LOG_NDTR_ZERO + alpha_e) / c_e).  Elsewhere it is one Newton
+    step from the start on the log hazard balance
+    r(D) = log(c_e*h(-w_e)) - log(c_b*h(w_b)), h = phi/Phi, whose root
+    is g'(D) = 0; where that step is not finite the estimate is the
+    start.  Nothing here is checked.  Costs one link-pair evaluation
+    per blocklength.
+    """
+    s_b, s_e = np.sqrt(m / legit.v), np.sqrt(m / eve.v)
+    c_b, c_e = LN2 / m * s_b, LN2 / m * s_e
+    alpha_e = eve.log1p * s_e
+    start = np.clip((legit.log1p * s_b + alpha_e) / (c_b + c_e),
+                    d_m + lo, d_m + hi)
+    w_b = _margin(legit.log1p, legit.v, m, start, np.sqrt)
+    w_e = _margin(eve.log1p, eve.v, m, start, np.sqrt)
+    lh_b, lh_e = _log_hazard(w_b), _log_hazard(-w_e)
+    # log(c_e / c_b) = log(V_b / V_e) / 2; d(log h)/dx = -(x + h(x))
+    r = 0.5 * math.log(legit.v / eve.v) + lh_e - lh_b
+    slope = -(c_e * (np.exp(lh_e) - w_e) + c_b * (w_b + np.exp(lh_b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = start - r / slope
+    newton = np.where(np.isfinite(newton), newton, start)
+    plateau = np.ceil((_LOG_NDTR_ZERO + alpha_e) / c_e)
+    flat = np.minimum(w_b, -w_e) >= _LOG_NDTR_ZERO
+    return np.where(flat, plateau, newton) - d_m
 
 
 def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,

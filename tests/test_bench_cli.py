@@ -99,6 +99,23 @@ class TestSolve:
             "solve", "--scenario", path, "--method", "exhaustive"])
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("method", ["bcd", "mm"])
+    def test_degenerate_forward_direction_solves(self, capsys, tmp_path,
+                                                 method):
+        # gamma_ab = gamma_ae: the forward box is empty at most splits, so
+        # the m1 search meets +inf profile values
+        path = write_scenario(tmp_path, gamma_ab_db=0.0)
+        reports = {}
+        for m in (method, "exhaustive"):
+            code, out, _ = run_main(capsys, [
+                "solve", "--scenario", path, "--method", m])
+            assert code == EXIT_OK
+            reports[m] = json.loads(out)
+        assert reports[method]["alloc"] == reports["exhaustive"]["alloc"] \
+            == {"m1": 2, "m2": 38, "d_r1": 0, "d_r2": 54}
+        assert reports[method]["lfp_final"] == \
+            reports["exhaustive"]["lfp_final"]
+
     def test_malformed_json_exits_1_with_position(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"gamma_ab_db": \n 3.0,,}')
@@ -245,6 +262,21 @@ class TestSweep:
                 "--from", "2", "--to", "6", "--step", "2",
                 "--methods", "bcd", "--out", out])
         assert strip_wall_time(a) == strip_wall_time(b)
+
+    def test_sweep_through_degenerate_forward_direction(self, capsys,
+                                                       tmp_path):
+        path = write_scenario(tmp_path)
+        out_csv = str(tmp_path / "deg.csv")
+        code, _, _ = run_main(capsys, [
+            "sweep", "--scenario", path, "--vary", "gamma_ab_db",
+            "--from", "0", "--to", "2", "--step", "1",
+            "--methods", "exhaustive,bcd,mm", "--out", out_csv])
+        assert code == EXIT_OK
+        rows = read_csv(out_csv)
+        assert len(rows) == 3 * 3
+        assert all(r["status"] == "converged" for r in rows)
+        first = [r for r in rows if float(r["value"]) == 0.0]
+        assert len({r["lfp"] for r in first}) == 1
 
     def test_all_infeasible_still_exits_0(self, capsys, tmp_path):
         path = write_scenario(tmp_path, gamma_ab_db=0.0, gamma_ae_db=3.0)

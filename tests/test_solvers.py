@@ -1,6 +1,7 @@
 """Solver correctness: enumeration against an independent brute force,
 descent contracts, safeguard behavior, rounding and determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -25,10 +26,21 @@ from fblsec import (
     surrogate_g,
 )
 from fblsec import solvers
-from fblsec.lfp_model import link_constants, log_direction_success
-from fblsec.solvers import _M1_GRID, _m1_profile, _m1_profile_grid, _Objective
+from fblsec.lfp_model import (
+    _split_boxes,
+    link_constants,
+    log_direction_success,
+)
+from fblsec.solvers import (
+    _M1_GRID,
+    _bisect_first_maxima,
+    _first_maxima,
+    _m1_profile,
+    _m1_profile_grid,
+    _Objective,
+)
 
-from conftest import make_scenario, random_feasible_suite
+from conftest import REPO_ROOT, make_scenario, random_feasible_suite
 from dense_oracle import dense_exhaustive
 from iterative_golden import GOLDEN_PATH, golden_records
 
@@ -86,6 +98,14 @@ class TestBcdScalarMin:
         grid = np.arange(lo, hi, 0.001)
         x_grid = grid[int(np.argmin([f(g) for g in grid]))]
         assert abs(x - x_grid) <= 1e-6 + 0.001
+
+    def test_infinite_region_is_worse(self):
+        # +inf on either side of the minimum (as _m1_profile at splits
+        # with an empty box) is a worse value, not an error
+        for lo_inf, hi_inf in ((2.0, math.inf), (-math.inf, 5.0)):
+            f = lambda x: (x - 3.0) ** 2 if lo_inf <= x <= hi_inf else math.inf
+            x = bcd_scalar_min(f, 0.0, 10.0, 1e-6)
+            assert x == pytest.approx(3.0, abs=1e-6)
 
     def test_non_finite_objective(self):
         with pytest.raises(NumericalError):
@@ -249,6 +269,108 @@ class TestExhaustivePlateauTies:
         alloc, value = dense_exhaustive(self.SC, full_budget_only=False)
         assert report.alloc == alloc
         assert report.lfp_final == value == 0.0
+
+
+def direction_boxes(sc):
+    """(legit, eve, d_m, m, lo, hi) of both directions over every
+    blocklength with a non-empty integer box, as ``solve_exhaustive``
+    tabulates them."""
+    ab, ae, ba, be = link_constants(sc)
+    m = np.arange(1, sc.M, dtype=float)
+    lo1, hi1, lo2, hi2, _ = _split_boxes((ab, ae, ba, be), sc, m, m,
+                                         np.sqrt, np.maximum)
+    out = []
+    for legit, eve, d_m, lo, hi in ((ab, ae, sc.d_m1, lo1, hi1),
+                                    (ba, be, sc.d_m2, lo2, hi2)):
+        lo = np.ceil(lo - 1e-9)
+        hi = np.floor(hi + 1e-9)
+        ok = hi >= lo
+        out.append((legit, eve, d_m, m[ok], lo[ok], hi[ok]))
+    return out
+
+
+def hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFirstMaxima:
+    """The checked start of ``_first_maxima`` against the bisection it
+    replaces: every per-direction table, d and value, bit for bit."""
+
+    DEFAULT = load_scenario(REPO_ROOT / "scenarios" / "roundtrip_default.json")
+    # M = 4000 acceptance draws whose maxima at some blocklengths are
+    # subnormal (direction 1 near m = 3525, direction 2 near m = 3850),
+    # where g is not concave in floating point and a checked start
+    # would disagree with the bisection.
+    SUBNORMAL = [
+        make_scenario(2.113798685480762, 0.20133755123240113,
+                      2.9121206364118897, 0.6640210170604759,
+                      d_m1=4, d_m2=4, M=4000),
+        make_scenario(2.249482411204309, 0.5413754636074669,
+                      5.07149525471312, 0.9761767830937178,
+                      d_m1=4, d_m2=4, M=4000),
+    ]
+    SCENARIOS = [TestExhaustivePlateauTies.SC,
+                 dataclasses.replace(DEFAULT, M=5000)] + SUBNORMAL
+
+    @staticmethod
+    def assert_same_tables(sc):
+        for legit, eve, d_m, m, lo, hi in direction_boxes(sc):
+            s, d = _first_maxima(_Objective(sc), legit, eve, d_m, m, lo, hi)
+            sb, db = _bisect_first_maxima(_Objective(sc), legit, eve, d_m,
+                                          m, lo, hi)
+            assert d.tolist() == db.tolist()
+            assert hex_list(s) == hex_list(sb)
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_tables_match_bisection(self, sc):
+        self.assert_same_tables(sc)
+
+    @pytest.mark.parametrize("sc, direction, m", [(SUBNORMAL[0], 0, 3525),
+                                                  (SUBNORMAL[1], 1, 3850)])
+    def test_subnormal_maximum_goes_to_bisection(self, sc, direction, m,
+                                                 monkeypatch):
+        sent = []
+
+        def bisect(obj, legit, eve, d_m, ms, lo, hi):
+            sent.extend(ms.tolist())
+            return _bisect_first_maxima(obj, legit, eve, d_m, ms, lo, hi)
+
+        monkeypatch.setattr(solvers, "_bisect_first_maxima", bisect)
+        legit, eve, d_m, ms, lo, hi = direction_boxes(sc)[direction]
+        s, d = _first_maxima(_Objective(sc), legit, eve, d_m, ms, lo, hi)
+        value = s[ms == m][0]
+        assert value != 0.0 and abs(value) < np.finfo(float).tiny
+        assert m in sent
+
+    def test_fallback_alone_gives_the_tables(self, monkeypatch):
+        # every estimate at the box's lower end: only maxima at lo or
+        # lo + 1 pass the check, all others go to the bisection
+        sent = []
+
+        def bisect(obj, legit, eve, d_m, m, lo, hi):
+            sent.append(m.size)
+            return _bisect_first_maxima(obj, legit, eve, d_m, m, lo, hi)
+
+        monkeypatch.setattr(solvers, "_first_maximum_start",
+                            lambda legit, eve, d_m, m, lo, hi: lo)
+        monkeypatch.setattr(solvers, "_bisect_first_maxima", bisect)
+        sc = dataclasses.replace(self.DEFAULT, M=1000)
+        self.assert_same_tables(sc)
+        expected = 0
+        for legit, eve, d_m, m, lo, hi in direction_boxes(sc):
+            _, d = _bisect_first_maxima(_Objective(sc), legit, eve, d_m,
+                                        m, lo, hi)
+            expected += int(np.count_nonzero(d > lo + 1.0))
+        assert expected > 0 and sum(sent) == expected
+
+    @pytest.mark.parametrize("M", [1000, 5000])
+    def test_at_most_six_evaluations_per_blocklength(self, M):
+        sc = dataclasses.replace(self.DEFAULT, M=M)
+        blocklengths = sum(m.size for _, _, _, m, _, _ in direction_boxes(sc))
+        report = solve_exhaustive(sc)
+        # one more evaluation scores the chosen allocation
+        assert report.evaluations - 1 <= 6 * blocklengths
 
 
 class TestBcd:
