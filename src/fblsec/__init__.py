@@ -23,7 +23,6 @@ from .lfp_model import (
 )
 from .scenario import (
     DegenerateChannelError,
-    LinkGeometry,
     Scenario,
     db_to_linear,
     load_scenario,
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "DegenerateChannelError", "DomainError", "FeasibleBox",
-    "LinkErrors", "LinkGeometry", "NumericalError", "Scenario",
+    "LinkErrors", "NumericalError", "Scenario",
     "SolverConfig", "SolverReport",
     "bcd_scalar_min", "capacity", "db_to_linear", "decode_error_prob",
     "dispersion", "lfp", "lfp_gradient_reduced", "lfp_value",

@@ -32,7 +32,7 @@ def db_to_linear(x_db):
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
+class _LinkGeometry:
     """Large-scale description of one link: pathloss gain, noise power
     (W) and transmit power (W).  All strictly positive."""
 
@@ -44,7 +44,8 @@ class LinkGeometry:
         for name in ("pathloss", "noise_power", "tx_power"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
-                raise DomainError(f"LinkGeometry.{name} must be > 0, got {v!r}")
+                raise DomainError(f"link geometry {name} must be finite "
+                                  f"and > 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def _geometry_snr(cfg, link, fading_model):
             and all(k in geo_cfg for k in _GEOMETRY_FIELDS)):
         raise DomainError(f"{key} needs {', '.join(_GEOMETRY_FIELDS)}")
     where = f"{key}."
-    geom = LinkGeometry(*(_number(geo_cfg, k, where)
+    geom = _LinkGeometry(*(_number(geo_cfg, k, where)
                           for k in _GEOMETRY_FIELDS[:3]))
     seed = geo_cfg["fading_seed"]
     if not isinstance(seed, int):
@@ -204,6 +205,6 @@ def load_scenario(path) -> Scenario:
 
 
 __all__ = [
-    "DegenerateChannelError", "LinkGeometry", "Scenario",
+    "DegenerateChannelError", "Scenario",
     "db_to_linear", "scenario_from_dict", "load_scenario", "FADING_MODELS",
 ]

@@ -14,15 +14,17 @@
   O(M * range) dense scan, with the same first-maximum tie rule.
 * ``solve_bcd`` -- block coordinate descent on the relaxed problem:
   an m1 block followed by golden-section minimization in d_r1 and d_r2,
-  with threshold bounds refreshed after every m1 update and optional
-  integer reconstruction at the end.
+  with threshold bounds refreshed after every m1 update.  In integer
+  mode an exact per-split finish follows: the floor and ceil splits of
+  the relaxed m1, each with its best integer redundancy pair from the
+  oracle's own per-direction tables (``_best_split``).
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
   minimized jointly through a majorize-minimize loop on the reciprocal
   success product, safeguarded against any increase of the true
   objective.
 
 BCD and MM differ only in their redundancy update and share the outer
-loop around it (``_descend``).
+loop around it (``_descend``) and the integer finish.
 
 Every accepted step is checked against the incumbent, so traces are
 nonincreasing by construction.  All solvers are deterministic functions
@@ -37,14 +39,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# ``dispersion``, ``rate_margin`` and ``redundancy_bounds`` are unused
-# here, but benchmarks/tracing.py instruments them at this import site,
-# so the names stay bound.
+# ``dispersion``, ``rate_margin``, ``redundancy_bounds``, ``lfp_value``
+# and ``log_round_trip_success`` are unused here, but
+# benchmarks/tracing.py instruments them at this import site, so the
+# names stay bound.
 from .fbl_core import DomainError, LN2, NumericalError, _margin, dispersion, rate_margin  # noqa: F401
 from .lfp_model import (  # noqa: F401
     Allocation,
     LinkErrors,
     _first_maximum_start,
+    _log_success,
     _split_boxes,
     lfp,
     lfp_value,
@@ -108,7 +112,14 @@ class SolverConfig:
 @dataclass
 class SolverReport:
     """Outcome of one solve: final allocation, objective, per-iteration
-    trace [(k, lfp_k)], objective-evaluation count and wall time."""
+    trace [(k, lfp_k)], objective-evaluation count and wall time.
+
+    ``evaluations`` counts link-pair evaluations in the oracle's tables
+    (one direction at one blocklength and redundancy) and scalar round
+    trips and m1-grid points in BCD/MM's descent; BCD/MM's integer
+    finish adds its tables' link-pair evaluations, about five per
+    direction at each split it tries.
+    """
 
     status: str
     alloc: Allocation | None
@@ -196,13 +207,20 @@ class _Objective:
         return _split_boxes(self.links, self.scenario, m1,
                             self.scenario.M - m1, sqrt, maximum)
 
-    def nl(self, m1, d_r1, d_r2):
+    def _log_p(self, m1, d_r1, d_r2):
+        """``log_round_trip_success`` on the solve's own constants,
+        unchecked: solver points are in the domain by construction."""
         self.evaluations += 1
-        return -log_round_trip_success(self.scenario, m1, d_r1, d_r2)
+        sc = self.scenario
+        return _log_success(self.links, m1, sc.M - m1,
+                            sc.d_m1 + d_r1, sc.d_m2 + d_r2)
+
+    def nl(self, m1, d_r1, d_r2):
+        return -self._log_p(m1, d_r1, d_r2)
 
     def lfp(self, m1, d_r1, d_r2):
-        self.evaluations += 1
-        return lfp_value(self.scenario, m1, d_r1, d_r2)
+        """``lfp_value``'s bits: -expm1 of the log success."""
+        return -math.expm1(self._log_p(m1, d_r1, d_r2))
 
 
 def _rel_pos(x, lo, hi):
@@ -324,75 +342,21 @@ def _stopped(prev, cur):
     return abs(prev - cur) <= _REL_TOL * abs(prev) + _STOP_ATOL
 
 
-def _integer_reconstruct(obj, m1, d_r1, d_r2, extra=None):
-    """Round a relaxed solution by comparing the feasible corner points.
-
-    Up to 2^3 floor/ceil corners are evaluated after filtering through
-    the integer redundancy box at each candidate split; if every corner
-    is infeasible, all integer splits are scanned once with the
-    redundancy clamped into the box.  ``extra`` adds one more integer
-    candidate to the comparison (a caller-provided integral start, so
-    seeding with a known allocation can never yield something worse).
-    Returns None when no integer-feasible allocation is found at all.
+def _integer_reconstruct(obj, m1, init):
+    """Round a relaxed split m1 to the best integer allocation at
+    floor(m1) or ceil(m1), each with its exact best redundancy pair
+    (``_best_split``, as the oracle computes it).  An integral
+    full-budget ``init`` adds its own split, so seeding with a known
+    allocation can never yield something worse.  If none of these
+    splits has an integer box, the result is the oracle's over every
+    split; None when no split has one at all.
     """
-    scenario = obj.scenario
-
-    def candidates_for(im1):
-        lo1, hi1, lo2, hi2, feasible = obj.box(float(im1))
-        if not feasible:
-            return None
-        ilo1 = math.ceil(lo1 - 1e-9)
-        ihi1 = math.floor(hi1 + 1e-9)
-        ilo2 = math.ceil(lo2 - 1e-9)
-        ihi2 = math.floor(hi2 + 1e-9)
-        if ihi1 < ilo1 or ihi2 < ilo2:
-            return None
-        c1 = sorted({min(max(math.floor(d_r1), ilo1), ihi1),
-                     min(max(math.ceil(d_r1), ilo1), ihi1)})
-        c2 = sorted({min(max(math.floor(d_r2), ilo2), ihi2),
-                     min(max(math.ceil(d_r2), ilo2), ihi2)})
-        return [(a, b) for a in c1 for b in c2]
-
-    best = None
-    if extra is not None:
-        em1, ea, eb = extra
-        lo1, hi1, lo2, hi2, feasible = obj.box(float(em1))
-        if (1 <= em1 <= scenario.M - 1 and feasible
-                and lo1 - 1e-9 <= ea <= hi1 + 1e-9
-                and lo2 - 1e-9 <= eb <= hi2 + 1e-9):
-            best = (obj.nl(float(em1), float(ea), float(eb)), em1, ea, eb)
-    for im1 in sorted({math.floor(m1), math.ceil(m1)}):
-        if not 1 <= im1 <= scenario.M - 1:
-            continue
-        cands = candidates_for(im1)
-        if cands is None:
-            continue
-        for a, b in cands:
-            key = (obj.nl(float(im1), float(a), float(b)), im1, a, b)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        # corner rounding failed; one pass over every integer split
-        for im1 in range(1, scenario.M):
-            cands = candidates_for(im1)
-            if cands is None:
-                continue
-            a, b = cands[0]
-            key = (obj.nl(float(im1), float(a), float(b)), im1, a, b)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    _, im1, a, b = best
-    return Allocation(m1=im1, m2=scenario.M - im1, d_r1=a, d_r2=b)
-
-
-def _integral_init_candidate(scenario, init):
-    if init is None or not init.is_integral:
-        return None
-    if init.m1 + init.m2 != scenario.M:
-        return None
-    return (int(init.m1), int(init.d_r1), int(init.d_r2))
+    M = obj.scenario.M
+    splits = {math.floor(m1), math.ceil(m1)}
+    if init is not None and init.is_integral and init.m1 + init.m2 == M:
+        splits.add(int(init.m1))
+    return (_best_split(obj, np.array(sorted(splits), dtype=float))
+            or _best_split(obj, np.arange(1.0, M)))
 
 
 def _report(obj, t_start, status, trace, alloc=None, final=None):
@@ -413,8 +377,9 @@ def _descend(scenario, config, init, redundancy_step):
     by at most ``_REL_TOL`` relative (with a ``_STOP_ATOL`` floor for
     LFPs below double-precision resolution) or after
     ``_MAX_OUTER_ITERS`` cycles.  In integer mode ``_integer_reconstruct``
-    rounds the result, with an integral full-budget ``init`` as one more
-    candidate.
+    finishes exactly at the floor and ceil splits of the relaxed m1 (and
+    at an integral full-budget ``init``'s split): each split gets its
+    best integer redundancy pair from the oracle's per-direction tables.
     """
     config = config or SolverConfig()
     _check_init(scenario, init)
@@ -438,8 +403,7 @@ def _descend(scenario, config, init, redundancy_step):
         alloc = Allocation(m1=m1, m2=scenario.M - m1, d_r1=d_r1, d_r2=d_r2)
         return _report(obj, t_start, status, trace, alloc,
                        obj.lfp(m1, d_r1, d_r2))
-    alloc = _integer_reconstruct(obj, m1, d_r1, d_r2,
-                                 extra=_integral_init_candidate(scenario, init))
+    alloc = _integer_reconstruct(obj, m1, init)
     if alloc is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, trace)
     return _report(obj, t_start, status, trace, alloc,
@@ -513,6 +477,45 @@ def _first_maxima(obj, legit, eve, d_m, m, lo, hi):
     return best, d
 
 
+def _direction_tables(obj, m1, m2):
+    """Each direction's best integer redundancy, direction 1 at the
+    blocklengths of the array ``m1`` and direction 2 at ``m2``: per
+    direction (ok, max log success, its d), where ok marks a non-empty
+    integer box and ``_first_maxima`` fills the entries it marks."""
+    scenario = obj.scenario
+    lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, scenario, m1, m2,
+                                         np.sqrt, np.maximum)
+    ab, ae, ba, be = obj.links
+    tables = []
+    for legit, eve, d_m, m, lo, hi in ((ab, ae, scenario.d_m1, m1, lo1, hi1),
+                                       (ba, be, scenario.d_m2, m2, lo2, hi2)):
+        lo = np.ceil(lo - 1e-9)
+        hi = np.floor(hi + 1e-9)
+        ok = hi >= lo
+        s = np.full(m.size, -np.inf)
+        d = np.zeros(m.size, dtype=np.int64)
+        s[ok], d[ok] = _first_maxima(obj, legit, eve, d_m, m[ok],
+                                     lo[ok], hi[ok])
+        tables.append((ok, s, d))
+    return tables
+
+
+def _best_split(obj, splits):
+    """The best full-budget integer allocation over the ascending float
+    array ``splits`` of m1 values, each with its exact best redundancy
+    pair; the first split on ties, so the smallest (m1, d_r1, d_r2).
+    None when no split has a non-empty integer box in both directions.
+    """
+    M = obj.scenario.M
+    (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, splits, M - splits)
+    ok = np.flatnonzero(ok1 & ok2)
+    if not ok.size:
+        return None
+    i = ok[np.argmin(-(s1[ok] + s2[ok]))]
+    m1 = int(splits[i])
+    return Allocation(m1=m1, m2=M - m1, d_r1=int(d1[i]), d_r2=int(d2[i]))
+
+
 def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     """Global integer optimum by enumeration.
 
@@ -530,38 +533,15 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     obj = _Objective(scenario)
     M = scenario.M
 
-    # Both directions tabulated over every blocklength 1..M-1: direction
-    # 1 at m1, direction 2 at m2.
-    m = np.arange(1, M, dtype=float)
-    lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, scenario, m, m,
-                                         np.sqrt, np.maximum)
-    ab, ae, ba, be = obj.links
-    tables = []
-    for legit, eve, d_m, lo, hi in ((ab, ae, scenario.d_m1, lo1, hi1),
-                                    (ba, be, scenario.d_m2, lo2, hi2)):
-        lo = np.ceil(lo - 1e-9)
-        hi = np.floor(hi + 1e-9)
-        ok = hi >= lo
-        s = np.full(m.size, -np.inf)
-        d = np.zeros(m.size, dtype=np.int64)
-        s[ok], d[ok] = _first_maxima(obj, legit, eve, d_m, m[ok],
-                                     lo[ok], hi[ok])
-        tables.append((ok, s, d))
-    (ok1, s1, d1), (ok2, s2, d2) = tables
-
-    best = None  # (m1, d_r1, d_r2, m2)
     if config.full_budget_only:
-        # m2 = M - m1 reverses the direction-2 table
-        ok = ok1 & ok2[::-1]
-        if ok.any():
-            splits = np.flatnonzero(ok)
-            neg = -(s1[splits] + s2[::-1][splits])
-            i = int(splits[np.argmin(neg)])
-            best = (i + 1, int(d1[i]), int(d2[M - 2 - i]), M - 1 - i)
+        alloc = _best_split(obj, np.arange(1.0, M))
     else:
+        # both directions over every blocklength 1..M-1
+        m = np.arange(1.0, M)
+        (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, m, m)
         dir1 = list(zip(ok1.tolist(), s1.tolist(), d1.tolist()))
         dir2 = list(zip(ok2.tolist(), s2.tolist(), d2.tolist()))
-        best_key = None
+        best_key = alloc = None
         for m1 in range(1, M):
             ok, sv1, dr1 = dir1[m1 - 1]
             if not ok:
@@ -572,11 +552,10 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
                     continue
                 key = (-(sv1 + sv2), m1, dr1, dr2)
                 if best_key is None or key < best_key:
-                    best_key, best = key, (m1, dr1, dr2, m2)
-    if best is None:
+                    best_key = key
+                    alloc = Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2)
+    if alloc is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, [])
-    m1, dr1, dr2, m2 = best
-    alloc = Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2)
     obj.evaluations += 1
     final = lfp(scenario, alloc)
     return _report(obj, t_start, STATUS_CONVERGED, [(0, final)], alloc, final)

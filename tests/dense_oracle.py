@@ -1,4 +1,5 @@
-"""Test-only reference for ``solve_exhaustive``: the dense scan.
+"""Test-only reference for ``solve_exhaustive`` and for BCD/MM's
+integer finish: the dense scan.
 
 For every split it evaluates each direction's log success at every
 integer redundancy of the box and keeps the first maximum (``argmax``),
@@ -29,6 +30,22 @@ def _first_max(legit, eve, m, d_m, box):
     ls = log_direction_success(legit, eve, float(m), d_m + d_r)
     i = int(np.argmax(ls))
     return float(ls[i]), int(d_r[i])
+
+
+def dense_split(scenario, m1):
+    """(Allocation, LFP) of the first maxima at the full-budget split
+    m1, or (None, None) when either integer box is empty."""
+    m2 = scenario.M - m1
+    box = redundancy_bounds(scenario, float(m1), float(m2))
+    ibox1 = _integer_box(box.d_r1_min, box.d_r1_max)
+    ibox2 = _integer_box(box.d_r2_min, box.d_r2_max)
+    if ibox1 is None or ibox2 is None:
+        return None, None
+    ab, ae, ba, be = link_constants(scenario)
+    _, dr1 = _first_max(ab, ae, m1, scenario.d_m1, ibox1)
+    _, dr2 = _first_max(ba, be, m2, scenario.d_m2, ibox2)
+    alloc = Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2)
+    return alloc, lfp(scenario, alloc)
 
 
 def dense_exhaustive(scenario, full_budget_only=True):

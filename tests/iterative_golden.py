@@ -1,18 +1,22 @@
-"""Golden solver reports: the instances, the solver modes, the recorded
-fields, and the writer of ``tests/data/iterative_golden.json``.
+"""The golden files and their writer.
 
-The golden file pins every solve bit for bit (status, allocation,
-``lfp_final``, trace and evaluation count): BCD and MM in every mode,
-relaxed included, BCD and MM restarted from the oracle's allocation,
-and the exhaustive oracle at full budget and, up to
-``PARTIAL_BUDGET_MAX_M``, at partial budget.  A change to the
+``tests/data/iterative_golden.json`` pins every solve bit for bit
+(status, allocation, ``lfp_final``, trace and evaluation count): BCD
+and MM in every mode, relaxed included, BCD and MM restarted from the
+oracle's allocation, and the exhaustive oracle at full budget and, up
+to ``PARTIAL_BUDGET_MAX_M``, at partial budget.  A change to the
 evaluation path or the solver scaffolding that moves any last bit shows
-up.  Regenerate it only for an intended change of results:
+up.  ``tests/data/sweep_default_M200-1000.csv`` is the CLI sweep of
+``SWEEP_ARGV`` over the default operating point, compared on every
+column but ``wall_time``.  Regenerate both only for an intended change
+of results:
 
     PYTHONPATH=src python3 tests/iterative_golden.py
 """
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 from fblsec import (
@@ -22,10 +26,18 @@ from fblsec import (
     solve_exhaustive,
     solve_mm,
 )
+from fblsec.bench_cli import main
 
 from conftest import SCENARIO_DIR, random_feasible_suite
 
-GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "iterative_golden.json"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+GOLDEN_PATH = DATA_DIR / "iterative_golden.json"
+SWEEP_GOLDEN_PATH = DATA_DIR / "sweep_default_M200-1000.csv"
+# The golden sweep's arguments, without ``--out``.
+SWEEP_ARGV = [
+    "sweep", "--scenario", str(SCENARIO_DIR / "roundtrip_default.json"),
+    "--vary", "M", "--from", "200", "--to", "1000", "--step", "100",
+    "--methods", "exhaustive,bcd,mm"]
 
 # The seeds of the solver suite (test_solvers) and of the acceptance
 # batch (test_acceptance), whose first eight draws are used here.
@@ -41,7 +53,7 @@ MODES = (
 )
 # Restarts from the oracle's (integral, full-budget) allocation: the
 # entry check, the clamp of the start into its box and the integral
-# start as a rounding candidate.
+# start's split as a rounding candidate.
 RESTART_MODES = (("bcd_restart", solve_bcd), ("mm_restart", solve_mm))
 # The partial-budget oracle is O(M^2) in its split pairs.
 PARTIAL_BUDGET_MAX_M = 200
@@ -97,7 +109,19 @@ def golden_records():
     return {name: instance_records(sc) for name, sc in instances()}
 
 
+def write_golden_sweep():
+    """Run the golden sweep and copy its CSV, not the plot script the
+    sweep writes beside it, to ``SWEEP_GOLDEN_PATH``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / SWEEP_GOLDEN_PATH.name
+        if main(SWEEP_ARGV + ["--out", str(out)]) != 0:
+            raise SystemExit("golden sweep failed")
+        shutil.copyfile(out, SWEEP_GOLDEN_PATH)
+
+
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(golden_records(), indent=1) + "\n",
                            encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
+    write_golden_sweep()
+    print(f"wrote {SWEEP_GOLDEN_PATH}")

@@ -18,7 +18,8 @@ from fblsec.bench_cli import (
     ibl_reference_lfp,
     main,
 )
-from conftest import REPO_ROOT, make_scenario
+from conftest import make_scenario
+from iterative_golden import SWEEP_ARGV, SWEEP_GOLDEN_PATH
 
 
 def write_scenario(tmp_path, name="sc.json", drop=(), **overrides):
@@ -367,19 +368,14 @@ class TestGoldenSweep:
     """The default-operating-point sweep reproduces the committed CSV on
     every column except ``wall_time``: a change to any solver's results
     (allocation, last bit of the LFP, iteration or evaluation count)
-    shows here."""
+    shows here.  ``tests/iterative_golden.py`` regenerates the CSV."""
 
-    GOLDEN = REPO_ROOT / "tests" / "data" / "sweep_default_M200-1000.csv"
-
-    def test_matches_committed_csv(self, capsys, tmp_path,
-                                   default_scenario_path):
+    def test_matches_committed_csv(self, capsys, tmp_path):
         out_csv = str(tmp_path / "sweep.csv")
-        code, _, _ = run_main(capsys, [
-            "sweep", "--scenario", default_scenario_path, "--vary", "M",
-            "--from", "200", "--to", "1000", "--step", "100",
-            "--methods", "exhaustive,bcd,mm", "--out", out_csv])
+        code, _, _ = run_main(capsys, SWEEP_ARGV + ["--out", out_csv])
         assert code == EXIT_OK
-        assert strip_wall_time(out_csv) == strip_wall_time(self.GOLDEN)
+        assert (strip_wall_time(out_csv)
+                == strip_wall_time(SWEEP_GOLDEN_PATH))
 
 
 class TestSweepHelpers:

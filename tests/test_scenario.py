@@ -97,6 +97,13 @@ class TestJsonSurface:
         with pytest.raises(DomainError, match=f"geometry_ab.{field}"):
             scenario_from_dict(cfg)
 
+    @pytest.mark.parametrize("field", ["pathloss", "noise_power", "tx_power"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf")])
+    def test_non_positive_geometry_raises(self, field, value):
+        cfg = self.geometry_cfg(**{field: value})
+        with pytest.raises(DomainError, match=f"geometry {field} must be finite and > 0"):
+            scenario_from_dict(cfg)
+
     def test_zero_fading_gain_is_a_dead_link(self, monkeypatch):
         monkeypatch.setattr(scenario, "_fading_gains", lambda *args: [0.0])
         with pytest.raises(DegenerateChannelError, match="link ab"):

@@ -35,13 +35,14 @@ from fblsec.solvers import (
     _M1_GRID,
     _bisect_first_maxima,
     _first_maxima,
+    _integer_reconstruct,
     _m1_profile,
     _m1_profile_grid,
     _Objective,
 )
 
 from conftest import REPO_ROOT, make_scenario, random_feasible_suite
-from dense_oracle import dense_exhaustive
+from dense_oracle import dense_exhaustive, dense_split
 from iterative_golden import GOLDEN_PATH, golden_records
 
 
@@ -534,6 +535,52 @@ class TestNearDegenerateLinks:
         report = solve_mm(self.SC)
         assert report.status == "converged"
         assert report.lfp_final - ex.lfp_final <= 2e-3
+
+
+@pytest.fixture(scope="module")
+def finish_suite():
+    """(scenario, oracle, relaxed, integer) reports of BCD and MM on the
+    solver suite and the acceptance batch; the relaxed solve ends at the
+    m1 that the integer solve rounds."""
+    scenarios = (random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
+                 + random_feasible_suite(20, seed=20240801))
+    out = []
+    for sc in scenarios:
+        oracle = solve_exhaustive(sc)
+        for solve in (solve_bcd, solve_mm):
+            out.append((sc, oracle,
+                        solve(sc, SolverConfig(integer_mode=False)),
+                        solve(sc)))
+    return out
+
+
+class TestIntegerFinish:
+    """BCD/MM's integer finish against the dense scan: the redundancy
+    pair at the chosen split is that split's first maximum, and the LFP
+    is at least as good as the best floor/ceil split of the relaxed m1
+    and never below the oracle's."""
+
+    def test_first_maximum_at_the_chosen_split(self, finish_suite):
+        for sc, _, _, report in finish_suite:
+            alloc, value = dense_split(sc, report.alloc.m1)
+            assert report.alloc == alloc
+            assert report.lfp_final.hex() == value.hex()
+
+    def test_best_rounded_split_never_below_the_oracle(self, finish_suite):
+        for sc, oracle, relaxed, report in finish_suite:
+            m1 = relaxed.alloc.m1
+            values = [dense_split(sc, s)[1]
+                      for s in (math.floor(m1), math.ceil(m1))]
+            assert report.lfp_final <= min(v for v in values if v is not None)
+            assert report.lfp_final >= oracle.lfp_final
+
+    def test_no_integer_box_at_either_split_gives_the_oracle(self):
+        # splits 1, 2 and 3 have no integer box in the forward direction
+        sc = TestNearDegenerateLinks.SC
+        for m1 in (2, 3):
+            assert dense_split(sc, m1) == (None, None)
+        alloc = _integer_reconstruct(_Objective(sc), 2.5, None)
+        assert alloc == solve_exhaustive(sc).alloc
 
 
 @pytest.fixture(scope="module")
