@@ -48,6 +48,11 @@ _METHODS = {
     "mm": solve_mm,
 }
 
+# Trials ``validate`` draws at a time: 8 MiB of uniforms whatever
+# --trials is.  ``Generator.random`` fills in sequence, so the draws,
+# and the output, do not depend on it.
+_VALIDATE_CHUNK = 1 << 18
+
 SWEEP_FIELDS = ("gamma_ab_db", "gamma_ae_db", "gamma_ba_db", "gamma_be_db",
                 "M", "tx_power")
 
@@ -326,12 +331,14 @@ def cmd_validate(args) -> int:
     # One Bernoulli event per link and per trial: both legitimate
     # decodes must succeed and both eavesdrops must fail.
     rng = np.random.default_rng(args.seed)
-    u = rng.random((args.trials, 4))
-    success = ((u[:, 0] < 1.0 - errors.eps_ab)
-               & (u[:, 1] < errors.eps_ae)
-               & (u[:, 2] < 1.0 - errors.eps_ba)
-               & (u[:, 3] < errors.eps_be))
-    empirical = 1.0 - float(np.mean(success))
+    successes = 0
+    for start in range(0, args.trials, _VALIDATE_CHUNK):
+        u = rng.random((min(_VALIDATE_CHUNK, args.trials - start), 4))
+        successes += int(np.count_nonzero((u[:, 0] < 1.0 - errors.eps_ab)
+                                          & (u[:, 1] < errors.eps_ae)
+                                          & (u[:, 2] < 1.0 - errors.eps_ba)
+                                          & (u[:, 3] < errors.eps_be)))
+    empirical = 1.0 - successes / args.trials
     band = 4.0 * math.sqrt(max(analytic * (1.0 - analytic), 0.0) / args.trials)
     std_error = math.sqrt(max(empirical * (1.0 - empirical), 0.0) / args.trials)
     out = {
@@ -374,7 +381,8 @@ def _build_parser():
         p.add_argument("--exponent", type=int, choices=(2, 4), default=None,
                        help="surrogate exponent (default 4)")
         p.add_argument("--no-safeguard", action="store_true",
-                       help="disable the true-objective safeguard in mm")
+                       help="disable mm's fallback to a bcd redundancy step "
+                            "where its steps stall")
 
     p_solve = sub.add_parser("solve", help="solve one scenario")
     add_common(p_solve)

@@ -36,7 +36,7 @@ from scipy.special import erfc, log_ndtr, ndtri
 
 LN2 = float(np.log(2.0))
 _SQRT2 = float(np.sqrt(2.0))
-_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+_LOG_SQRT_2PI = float(np.log(np.sqrt(2.0 * np.pi)))
 
 # Smallest/largest probabilities representable without leaving (0, 1).
 _P_FLOOR = float(np.nextafter(0.0, 1.0))
@@ -145,10 +145,10 @@ def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
     ln(1+gamma) and V(gamma): the one margin expression.
 
     ``rate_margin`` calls it with ``np.sqrt`` on the two values it
-    computes from gamma.  The model's link kernel, its gradient and the
-    MM step call it on the constants ``lfp_model.link_constants``
-    caches, with ``math.sqrt`` on floats or ``np.sqrt`` on arrays; all
-    give the same bits.
+    computes from gamma.  The model's link kernel, its per-link log term
+    (the gradient and the MM step) and ``link_errors`` call it on the
+    constants ``lfp_model.link_constants`` caches, with ``math.sqrt`` on
+    floats or ``np.sqrt`` on arrays; all give the same bits.
     """
     return (log1p_gamma - d * LN2 / m) * sqrt(m / v)
 
@@ -193,7 +193,12 @@ def decode_error_prob(gamma, m, d):
     """
     gamma = _check_snr(gamma)
     m, d = _check_code(m, d)
-    w = rate_margin(gamma, m, d)
+    return _error_prob(rate_margin(gamma, m, d))
+
+
+def _error_prob(w):
+    """Q(w) clipped to the open interval (0, 1): the error probability
+    at margin ``w``, a float or an array.  Unchecked."""
     out = np.clip(0.5 * erfc(np.asarray(w) / _SQRT2), _P_FLOOR, _P_CEIL)
     return float(out) if out.ndim == 0 else out
 
@@ -201,14 +206,4 @@ def decode_error_prob(gamma, m, d):
 def _log_hazard(x):
     """log(phi(x) / Phi(x)), the log of d(log_ndtr)/dx; finite where
     phi(x) itself underflows."""
-    return -0.5 * x * x - np.log(_SQRT_2PI) - log_ndtr(x)
-
-
-def log_hazard_ratio(w):
-    """phi(w) / Q(w) computed in the log domain (stable for any w).
-
-    This is the factor that turns d(w)/d(theta) into d(log eps)/d(theta);
-    direct division overflows once Q(w) underflows around w ~ 38.
-    """
-    out = np.exp(_log_hazard(-np.asarray(w, dtype=float)))
-    return float(out) if out.ndim == 0 else out
+    return -0.5 * x * x - _LOG_SQRT_2PI - log_ndtr(x)

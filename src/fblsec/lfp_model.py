@@ -43,16 +43,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import log_ndtr
 
-# ``rate_margin`` is unused here, but benchmarks/tracing.py instruments
-# it at this import site, so the name stays bound.
+# ``decode_error_prob`` and ``rate_margin`` are unused here, but
+# benchmarks/tracing.py instruments them at this import site, so the
+# names stay bound.
 from .fbl_core import (  # noqa: F401
     LN2,
     DomainError,
+    _error_prob,
     _log_hazard,
     _margin,
     decode_error_prob,
     dispersion,
-    log_hazard_ratio,
     q_inv,
     rate_margin,
 )
@@ -119,16 +120,17 @@ def _check_alloc(scenario, alloc):
 
 
 def link_errors(scenario: Scenario, alloc: Allocation) -> LinkErrors:
-    """Evaluate the decoding error probability on all four links."""
+    """Evaluate the decoding error probability on all four links: the
+    bits of ``decode_error_prob``, from the scenario's link constants."""
     _check_alloc(scenario, alloc)
+    ab, ae, ba, be = link_constants(scenario)
     d1 = scenario.d_m1 + alloc.d_r1
     d2 = scenario.d_m2 + alloc.d_r2
-    return LinkErrors(
-        eps_ab=decode_error_prob(scenario.gamma_ab, alloc.m1, d1),
-        eps_ae=decode_error_prob(scenario.gamma_ae, alloc.m1, d1),
-        eps_ba=decode_error_prob(scenario.gamma_ba, alloc.m2, d2),
-        eps_be=decode_error_prob(scenario.gamma_be, alloc.m2, d2),
-    )
+    return LinkErrors(*(_error_prob(_margin(link.log1p, link.v, m, d))
+                        for link, m, d in ((ab, alloc.m1, d1),
+                                           (ae, alloc.m1, d1),
+                                           (ba, alloc.m2, d2),
+                                           (be, alloc.m2, d2))))
 
 
 def _log_direction(legit, eve, m, d, sqrt):
@@ -141,6 +143,35 @@ def _log_direction(legit, eve, m, d, sqrt):
     """
     return (log_ndtr(_margin(legit.log1p, legit.v, m, d, sqrt))
             + log_ndtr(-_margin(eve.log1p, eve.v, m, d, sqrt)))
+
+
+def _link_log_term(link, m, d, sign):
+    """One link's log success factor and its derivatives at scalar
+    blocklength m and total bits d: (l, dl/dm, dl/dd).
+
+    ``link`` is the link's ``link_constants`` entry.  With ``sign`` +1.0
+    (a legitimate link) l = log_ndtr(w) = log(1 - eps); with -1.0 (an
+    eavesdropper) l = log_ndtr(-w) = log(eps): the factors of
+    ``_log_direction``, with its bits.  d(log_ndtr)/dx is
+    exp(``_log_hazard``(x)), which stays finite where the factor
+    saturates.  Unchecked.
+    """
+    x = sign * _margin(link.log1p, link.v, m, d, math.sqrt)
+    sqrt_mv = math.sqrt(m * link.v)
+    dl_dw = sign * math.exp(_log_hazard(x))
+    # dw/dm = (ln(1+gamma) + d*ln2/m) / (2*sqrt(m*V)), dw/dd = -ln2/sqrt(m*V)
+    return (float(log_ndtr(x)),
+            dl_dw * (link.log1p + d * LN2 / m) / (2.0 * sqrt_mv),
+            -dl_dw * LN2 / sqrt_mv)
+
+
+def _link_log_terms(links, m1, m2, d1, d2):
+    """``_link_log_term`` of the links ab, ae, ba, be, direction 1 at
+    (m1, d1) and direction 2 at (m2, d2); ``links`` is
+    ``link_constants(scenario)``."""
+    ab, ae, ba, be = links
+    return (_link_log_term(ab, m1, d1, 1.0), _link_log_term(ae, m1, d1, -1.0),
+            _link_log_term(ba, m2, d2, 1.0), _link_log_term(be, m2, d2, -1.0))
 
 
 def log_direction_success(legit, eve, m, d):
@@ -177,8 +208,8 @@ def _check_point(scenario, m1, d_r1, d_r2):
 
 
 def lfp_value(scenario, m1, d_r1, d_r2):
-    """Scalar LFP at a reduced-space point (m2 = M - m1): the solver
-    fast path, -expm1 of the log round-trip success."""
+    """Scalar LFP at a reduced-space point (m2 = M - m1), checked:
+    -expm1 of the log round-trip success."""
     _check_point(scenario, m1, d_r1, d_r2)
     return -math.expm1(log_round_trip_success(scenario, m1, d_r1, d_r2))
 
@@ -278,28 +309,6 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
 # Reduced-space gradient
 # ----------------------------------------------------------------------
 
-def _link_log_derivatives(link, m, d):
-    """d(log eps)/d(m,d) and d(log(1-eps))/d(m,d) for one link, with
-    ``link`` its ``link_constants`` entry.
-
-    Built from the hazard ratios phi(w)/Q(+-w), which stay finite where
-    eps or its complement underflow.
-    """
-    w = _margin(link.log1p, link.v, m, d, math.sqrt)
-    sqrt_mv = math.sqrt(m * link.v)
-    dw_dm = (link.log1p + d * LN2 / m) / (2.0 * sqrt_mv)
-    dw_dd = -LN2 / sqrt_mv
-    # eps = Q(w): dlog(eps) = -phi/Q(w) * dw ; dlog(1-eps) = phi/Q(-w) * dw
-    r_eps = log_hazard_ratio(w)
-    r_comp = log_hazard_ratio(-w)
-    return {
-        "dlog_eps_dm": -r_eps * dw_dm,
-        "dlog_eps_dd": -r_eps * dw_dd,
-        "dlog_comp_dm": r_comp * dw_dm,
-        "dlog_comp_dd": r_comp * dw_dd,
-    }
-
-
 # Smallest margin at which scipy's ``log_ndtr`` returns 0.0 (found by
 # float bisection on scipy 1.17.1; ``log_ndtr`` is monotone around it).
 # Only ``_first_maximum_start`` uses it: a wrong value costs fallbacks
@@ -347,31 +356,25 @@ def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
                          d_r2: float):
     """Analytic gradient of the LFP in (m1, d_r1, d_r2), m2 = M - m1.
 
-    Composed through log derivatives of the four link factors:
-    grad lfp = -P * grad log P with P the round-trip success product.
+    Composed through the four ``_link_log_term`` factors:
+    grad lfp = -P * grad log P with P the round-trip success product,
+    exp of the factors' sum.
     Matches central finite differences to ~1e-6 relative at interior
     points of the feasible box.
     """
     if not (1.0 < m1 < scenario.M - 1):
         raise DomainError(f"m1 must lie in (1, M-1), got {m1!r}")
     _check_point(scenario, m1, d_r1, d_r2)
-    m2 = scenario.M - m1
-    d1 = scenario.d_m1 + d_r1
-    d2 = scenario.d_m2 + d_r2
-    c_ab, c_ae, c_ba, c_be = link_constants(scenario)
-    ab = _link_log_derivatives(c_ab, m1, d1)
-    ae = _link_log_derivatives(c_ae, m1, d1)
-    ba = _link_log_derivatives(c_ba, m2, d2)
-    be = _link_log_derivatives(c_be, m2, d2)
-    p = math.exp(log_round_trip_success(scenario, m1, d_r1, d_r2))
-    # log P = log(1-eps_ab) + log(eps_ae) + log(1-eps_ba) + log(eps_be);
+    ((l_ab, dm_ab, dd_ab), (l_ae, dm_ae, dd_ae),
+     (l_ba, dm_ba, dd_ba), (l_be, dm_be, dd_be)) = _link_log_terms(
+        link_constants(scenario), m1, scenario.M - m1,
+        scenario.d_m1 + d_r1, scenario.d_m2 + d_r2)
+    # summed per direction, as ``_log_success`` sums, for its bits
+    p = math.exp((l_ab + l_ae) + (l_ba + l_be))
     # backward links see m2 = M - m1, hence the sign flip on their
     # m-derivatives.
-    dlogp_dm1 = (ab["dlog_comp_dm"] + ae["dlog_eps_dm"]
-                 - ba["dlog_comp_dm"] - be["dlog_eps_dm"])
-    dlogp_dr1 = ab["dlog_comp_dd"] + ae["dlog_eps_dd"]
-    dlogp_dr2 = ba["dlog_comp_dd"] + be["dlog_eps_dd"]
-    return (-p * dlogp_dm1, -p * dlogp_dr1, -p * dlogp_dr2)
+    dlogp_dm1 = dm_ab + dm_ae - dm_ba - dm_be
+    return (-p * dlogp_dm1, -p * (dd_ab + dd_ae), -p * (dd_ba + dd_be))
 
 
 __all__ = [

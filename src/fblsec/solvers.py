@@ -20,8 +20,9 @@
   oracle's own per-direction tables (``_best_split``).
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
   minimized jointly through a majorize-minimize loop on the reciprocal
-  success product, safeguarded against any increase of the true
-  objective.
+  success product, built on the model's per-link log terms; the loop
+  refuses any step that would increase the true objective, and BCD's
+  redundancy step takes over where it stalls.
 
 BCD and MM differ only in their redundancy update and share the outer
 loop around it (``_descend``) and the integer finish.
@@ -43,11 +44,12 @@ import numpy as np
 # and ``log_round_trip_success`` are unused here, but
 # benchmarks/tracing.py instruments them at this import site, so the
 # names stay bound.
-from .fbl_core import DomainError, LN2, NumericalError, _margin, dispersion, rate_margin  # noqa: F401
+from .fbl_core import DomainError, NumericalError, dispersion, rate_margin  # noqa: F401
 from .lfp_model import (  # noqa: F401
     Allocation,
     LinkErrors,
     _first_maximum_start,
+    _link_log_terms,
     _log_success,
     _split_boxes,
     lfp,
@@ -89,7 +91,7 @@ class SolverConfig:
     ``surrogate_exponent=2`` reproduces the printed form of the
     reciprocal-mean bound, which does not actually upper-bound the
     product (see ``surrogate_g``); with the default 4 the bound holds
-    everywhere.  ``mm_safeguard`` is MM's guard and fallback (see
+    everywhere.  ``mm_safeguard`` switches MM's BCD fallback (see
     ``solve_mm``); ``integer_mode`` rounds BCD/MM's relaxed solution.
     ``full_budget_only`` restricts enumeration to m1 + m2 = M; disabling
     it is only useful for oracle cross-checks, since partial-budget
@@ -118,7 +120,8 @@ class SolverReport:
     (one direction at one blocklength and redundancy) and scalar round
     trips and m1-grid points in BCD/MM's descent; BCD/MM's integer
     finish adds its tables' link-pair evaluations, about five per
-    direction at each split it tries.
+    direction at each split it tries.  MM's surrogate evaluates four
+    per-link log terms per call and counts none of them.
     """
 
     status: str
@@ -614,78 +617,62 @@ def surrogate_g(errors: LinkErrors, exponent: int = 4) -> float:
     return mean ** exponent
 
 
-def _success_reciprocals(obj, m1, d_r1, d_r2):
-    """The four reciprocals (A, B, C, D) and the per-link d-derivative
-    of each, at a reduced-space point."""
-    scenario = obj.scenario
-    m2 = scenario.M - m1
-    d1 = scenario.d_m1 + d_r1
-    d2 = scenario.d_m2 + d_r2
-    ab, ae, ba, be = obj.links
-    out = []
-    for (log1p, v, _, _), m, d, legit in ((ab, m1, d1, True),
-                                          (ae, m1, d1, False),
-                                          (ba, m2, d2, True),
-                                          (be, m2, d2, False)):
-        w = _margin(log1p, v, m, d, math.sqrt)
-        eps = 0.5 * math.erfc(w / math.sqrt(2.0))
-        eps = min(max(eps, 1e-300), 1.0 - 1e-16)
-        deps = (math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
-                * LN2 / math.sqrt(m * v))
-        if legit:
-            val = 1.0 / (1.0 - eps)
-            dval = deps * val * val
-        else:
-            val = 1.0 / eps
-            dval = -deps * val * val
-        out.append((val, dval))
-    return out
-
-
 def _anchored_surrogate(terms, anchor, exponent):
     """Value and redundancy gradient of the anchored reciprocal-mean
     surrogate ((A/Ah + B/Bh + C/Ch + D/Dh) / 4) ** exponent at the point
-    whose ``_success_reciprocals`` are ``terms``.
+    whose ``_link_log_terms`` are ``terms``; ``anchor`` holds the four
+    log success factors at the anchor point.
 
-    Dividing each reciprocal by its value at the anchor point makes the
-    bound tight there (all four ratios equal one), which is what lets a
-    descent step on the surrogate certify descent of the true
-    reciprocal product; the unanchored ``surrogate_g`` is this same
-    expression at an equal-valued anchor.
+    Each reciprocal is exp(-l) of its link's log factor l, so its ratio
+    to the anchor's is exp(lh - l), with d-derivative -ratio * dl/dd.
+    Inside the box every factor is at least its threshold (to the box
+    edges' ~1e-12), so no ratio exceeds about 1/threshold and no clamp
+    is needed.  Dividing by the anchor makes the bound tight
+    there (all four ratios equal one), which is what lets a descent step
+    on the surrogate certify descent of the true reciprocal product; the
+    unanchored ``surrogate_g`` is this same expression at an
+    equal-valued anchor.
     """
-    (a, da), (b, db), (c, dc), (d, dd) = terms
-    ah, bh, ch, dh = anchor
-    mean = 0.25 * (a / ah + b / bh + c / ch + d / dh)
-    val = mean ** exponent
-    pref = exponent * mean ** (exponent - 1) * 0.25
-    g1 = pref * (da / ah + db / bh)
-    g2 = pref * (dc / ch + dd / dh)
-    return val, g1, g2
+    r = [math.exp(lh - l) for (l, _, _), lh in zip(terms, anchor)]
+    rd = [ri * dl_dd for ri, (_, _, dl_dd) in zip(r, terms)]
+    mean = 0.25 * (r[0] + r[1] + r[2] + r[3])
+    pref = -exponent * mean ** (exponent - 1) * 0.25
+    return mean ** exponent, pref * (rd[0] + rd[1]), pref * (rd[2] + rd[3])
 
 
-def _mm_dr_block(obj, m1, d_r1, d_r2, box, exponent):
-    """Joint redundancy update by majorize-minimize iterations.
+def _mm_step(obj, config, m1, d_r1, d_r2, box):
+    """MM's redundancy update: majorize-minimize iterations on the joint
+    redundancy pair, then, with ``mm_safeguard``, BCD's ``_bcd_step``
+    when they lowered the objective by no more than ``_stopped``'s
+    tolerance.
 
     Each pass anchors the surrogate at the current point and takes one
     backtracking projected-gradient step on it; because the surrogate
     touches the true reciprocal product at the anchor, any surrogate
-    decrease is a true decrease (exponent 4).  Steps that would increase
-    the true objective (possible with exponent 2) end the loop.
+    decrease is a true decrease (exponent 4).  A step that would
+    increase the true objective (possible with exponent 2) ends the
+    loop unaccepted, so the loop never raises the objective.
     """
     lo1, hi1, lo2, hi2 = box
+    sc = obj.scenario
+    exponent = config.surrogate_exponent
+
+    def terms_at(x1, x2):
+        return _link_log_terms(obj.links, m1, sc.M - m1,
+                               sc.d_m1 + x1, sc.d_m2 + x2)
+
     x1, x2 = d_r1, d_r2
-    f_cur = obj.nl(m1, x1, x2)
+    f_start = f_cur = obj.nl(m1, x1, x2)
     step = 1.0
     for _ in range(_MAX_INNER_ITERS):
-        terms = _success_reciprocals(obj, m1, x1, x2)
-        anchor = tuple(v for v, _ in terms)
+        terms = terms_at(x1, x2)
+        anchor = [l for l, _, _ in terms]
         hv, g1, g2 = _anchored_surrogate(terms, anchor, exponent)
         step = min(step * 2.0, 1e12)
         while True:
             n1 = min(max(x1 - step * g1, lo1), hi1)
             n2 = min(max(x2 - step * g2, lo2), hi2)
-            hn = _anchored_surrogate(_success_reciprocals(obj, m1, n1, n2),
-                                     anchor, exponent)[0]
+            hn = _anchored_surrogate(terms_at(n1, n2), anchor, exponent)[0]
             decrease = g1 * (x1 - n1) + g2 * (x2 - n2)
             if hn <= hv - 1e-4 * decrease or step < 1e-14:
                 break
@@ -698,23 +685,9 @@ def _mm_dr_block(obj, m1, d_r1, d_r2, box, exponent):
         x1, x2, f_cur = n1, n2, f_new
         if rel_gain < _REL_TOL or moved < _LINE_SEARCH_TOL:
             break
+    if config.mm_safeguard and _stopped(f_start, f_cur):
+        return _bcd_step(obj, config, m1, x1, x2, box)
     return x1, x2
-
-
-def _mm_step(obj, config, m1, d_r1, d_r2, box):
-    """MM's redundancy update: ``_mm_dr_block``, with ``mm_safeguard``
-    kept only if the LFP does not rise and followed by ``_bcd_step``
-    unless the LFP fell by more than ``_REL_TOL`` (+ ``_STOP_ATOL``)."""
-    f_before = obj.lfp(m1, d_r1, d_r2)
-    x1, x2 = _mm_dr_block(obj, m1, d_r1, d_r2, box, config.surrogate_exponent)
-    f_after = obj.lfp(m1, x1, x2)
-    if not config.mm_safeguard:
-        return x1, x2
-    if f_after <= f_before:
-        d_r1, d_r2 = x1, x2
-    if f_before - f_after <= _REL_TOL * abs(f_before) + _STOP_ATOL:
-        d_r1, d_r2 = _bcd_step(obj, config, m1, d_r1, d_r2, box)
-    return d_r1, d_r2
 
 
 def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
@@ -722,10 +695,10 @@ def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
     """Nested scheme: m1 block, then a joint redundancy block solved by
     majorize-minimize steps on the reciprocal success product.
 
-    With ``mm_safeguard`` (default) the redundancy block result is kept
-    only if it does not increase the true objective, and whenever the
-    block fails to make relative progress above ``_REL_TOL`` the
-    iteration falls back to BCD's coordinate-wise golden-section step
+    The MM iterations never increase the true objective (a step that
+    would is refused).  With ``mm_safeguard`` (default), whenever they
+    fail to make relative progress above ``_REL_TOL`` the iteration
+    falls back to BCD's coordinate-wise golden-section step
     (``_mm_step``) -- this covers both the exponent-2 surrogate (not a
     true upper bound) and the flat tail where surrogate steps stall.
     Stopping and integer rounding are ``_descend``'s, as for BCD.

@@ -14,6 +14,7 @@ from fblsec.bench_cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_OK,
+    _VALIDATE_CHUNK,
     apply_sweep_value,
     ibl_reference_lfp,
     main,
@@ -251,7 +252,8 @@ class TestSweep:
         # generated plot script exists and mentions the CSV
         script = out_csv.replace(".csv", "_plot.py")
         assert os.path.exists(script)
-        assert "sweep.csv" in open(script).read()
+        with open(script) as fh:
+            assert "sweep.csv" in fh.read()
 
     def test_byte_stable_rerun(self, capsys, tmp_path):
         path = write_scenario(tmp_path)
@@ -426,6 +428,20 @@ class TestValidate:
         _, out1, _ = run_main(capsys, args)
         _, out2, _ = run_main(capsys, args)
         assert json.loads(out1) == json.loads(out2)
+
+    def test_chunked_draws_match_one_draw(self, capsys, tmp_path, monkeypatch):
+        # 50000 trials fit in one chunk; 777-trial chunks (the last one
+        # short) must give the same JSON, bit for bit
+        assert _VALIDATE_CHUNK > 50000
+        path = write_scenario(tmp_path)
+        args = ["validate", "--scenario", path, "--m1", "20",
+                "--dr1", "26", "--dr2", "26", "--trials", "50000",
+                "--seed", "9"]
+        _, whole, _ = run_main(capsys, args)
+        monkeypatch.setattr("fblsec.bench_cli._VALIDATE_CHUNK", 777)
+        _, chunked, _ = run_main(capsys, args)
+        assert 0.0 < json.loads(whole)["empirical_lfp"] < 1.0
+        assert chunked == whole
 
     def test_extreme_margins_give_zero_failures(self, capsys, tmp_path):
         # enormous legitimate SNR, negligible eavesdropper SNR: the

@@ -19,7 +19,7 @@ from fblsec import (
     q_func,
     q_inv,
 )
-from fblsec.fbl_core import LN2, log_hazard_ratio, rate_margin
+from fblsec.fbl_core import LN2, _log_hazard, rate_margin
 from fblsec.lfp_model import link_constants, log_direction_success
 
 # mpmath oracle values (dps=60)
@@ -170,9 +170,10 @@ class TestDecodeErrorProb:
 
 
 def test_log_hazard_ratio_matches_direct_and_tail():
+    # phi(w)/Q(w) = phi(-w)/Phi(-w) = exp(_log_hazard(-w))
     for w in (-5.0, -1.0, 0.0, 2.0, 8.0):
         direct = (math.exp(-0.5 * w * w) / math.sqrt(2 * math.pi)) / q_func(w)
-        assert log_hazard_ratio(w) == pytest.approx(direct, rel=1e-12)
+        assert math.exp(_log_hazard(-w)) == pytest.approx(direct, rel=1e-12)
     # far tail: phi/Q ~ w + 1/w
     w = 60.0
-    assert log_hazard_ratio(w) == pytest.approx(w + 1.0 / w, rel=1e-3)
+    assert math.exp(_log_hazard(-w)) == pytest.approx(w + 1.0 / w, rel=1e-3)

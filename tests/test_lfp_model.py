@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import log_ndtr
 
 from fblsec import (
     Allocation,
@@ -20,8 +21,10 @@ from fblsec import (
     q_inv,
     redundancy_bounds,
 )
-from fblsec.fbl_core import _P_CEIL, _P_FLOOR, _margin, q_func, rate_margin
+from fblsec.fbl_core import LN2, _P_CEIL, _P_FLOOR, _margin, q_func, rate_margin
 from fblsec.lfp_model import (
+    _link_log_term,
+    _log_success,
     _split_boxes,
     link_constants,
     log_direction_success,
@@ -355,6 +358,80 @@ class TestScalarKernel:
                 # decode_error_prob is Q of the model kernel's margin
                 assert float(eps[i]).hex() == \
                     min(max(q_func(w), _P_FLOOR), _P_CEIL).hex()
+
+
+    @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
+    def test_link_errors_are_decode_error_prob(self, sc):
+        rng = np.random.default_rng(sc.M + 3)
+        c_max = math.log2(1.0 + max(sc.gamma_ab, sc.gamma_ae,
+                                    sc.gamma_ba, sc.gamma_be))
+        for i in range(100):
+            m1 = float(rng.uniform(1.0, sc.M - 1.0))
+            m2 = float(rng.uniform(1.0, sc.M - m1))
+            if i % 2:
+                m1, m2 = float(math.floor(m1)), float(math.floor(m2))
+            # redundancy past capacity too, so both clips are reached
+            d_r1, d_r2 = rng.uniform(0.0, 2.0 * c_max * np.array([m1, m2]))
+            errs = link_errors(sc, Allocation(m1=m1, m2=m2, d_r1=d_r1,
+                                              d_r2=d_r2))
+            d1, d2 = sc.d_m1 + d_r1, sc.d_m2 + d_r2
+            want = (decode_error_prob(sc.gamma_ab, m1, d1),
+                    decode_error_prob(sc.gamma_ae, m1, d1),
+                    decode_error_prob(sc.gamma_ba, m2, d2),
+                    decode_error_prob(sc.gamma_be, m2, d2))
+            assert [e.hex() for e in errs.as_tuple()] == \
+                [e.hex() for e in want], (m1, m2, d_r1, d_r2)
+
+    @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
+    def test_link_log_terms_sum_to_the_round_trip(self, sc):
+        links = link_constants(sc)
+        ab, ae, ba, be = links
+        for m1, a, b in kernel_points(sc, np.random.default_rng(sc.M + 4)):
+            m2, d1, d2 = sc.M - m1, sc.d_m1 + a, sc.d_m2 + b
+            l_ab = _link_log_term(ab, m1, d1, 1.0)[0]
+            l_ae = _link_log_term(ae, m1, d1, -1.0)[0]
+            l_ba = _link_log_term(ba, m2, d2, 1.0)[0]
+            l_be = _link_log_term(be, m2, d2, -1.0)[0]
+            assert ((l_ab + l_ae) + (l_ba + l_be)).hex() == \
+                _log_success(links, m1, m2, d1, d2).hex(), (m1, a, b)
+
+
+class TestLinkLogTerm:
+    """``_link_log_term``'s derivatives against central differences of
+    log_ndtr(+-margin), with log_ndtr's argument from -40 to 40."""
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("gamma", (0.3, 3.0, 100.0))
+    def test_derivatives_match_central_differences(self, gamma, sign):
+        sc = make_scenario(gamma_ab=gamma)
+        link = link_constants(sc)[0]
+
+        def log_factor(m, d):
+            return float(log_ndtr(sign * _margin(link.log1p, link.v, m, d,
+                                                 math.sqrt)))
+
+        reached = set()
+        for m in (50.0, 1000.0, 20000.0):
+            s = math.sqrt(m / link.v)
+            for x in np.linspace(-40.0, 40.0, 33):
+                # the total bits d that put log_ndtr's argument at x
+                d = (link.log1p - sign * x / s) * m / LN2
+                if d < 0.0:
+                    continue
+                reached.add(float(x))
+                l, dl_dm, dl_dd = _link_log_term(link, m, d, sign)
+                assert l == log_factor(m, d)
+                # steps that move the margin by 1e-5: dw/dd = -ln2*s/m,
+                # dw/dm = (ln(1+gamma) + d*ln2/m)*s/(2m)
+                h_d = 1e-5 * m / (LN2 * s)
+                h_m = 2e-5 * m / ((link.log1p + d * LN2 / m) * s)
+                fd_d = (log_factor(m, d + h_d)
+                        - log_factor(m, d - h_d)) / (2.0 * h_d)
+                fd_m = (log_factor(m + h_m, d)
+                        - log_factor(m - h_m, d)) / (2.0 * h_m)
+                assert dl_dd == pytest.approx(fd_d, rel=1e-6, abs=1e-290)
+                assert dl_dm == pytest.approx(fd_m, rel=1e-6, abs=1e-290)
+        assert min(reached) == -40.0 and max(reached) == 40.0
 
 
 class TestGradientReduced:

@@ -16,6 +16,7 @@ from fblsec import (
     SolverConfig,
     bcd_scalar_min,
     lfp,
+    lfp_gradient_reduced,
     lfp_value,
     link_errors,
     load_scenario,
@@ -27,12 +28,15 @@ from fblsec import (
 )
 from fblsec import solvers
 from fblsec.lfp_model import (
+    _link_log_terms,
     _split_boxes,
     link_constants,
     log_direction_success,
+    log_round_trip_success,
 )
 from fblsec.solvers import (
     _M1_GRID,
+    _anchored_surrogate,
     _bisect_first_maxima,
     _first_maxima,
     _integer_reconstruct,
@@ -41,7 +45,13 @@ from fblsec.solvers import (
     _Objective,
 )
 
-from conftest import REPO_ROOT, make_scenario, random_feasible_suite
+from conftest import (
+    REPO_ROOT,
+    draw_random_scenario,
+    make_scenario,
+    random_feasible_suite,
+    sample_interior_point,
+)
 from dense_oracle import dense_exhaustive, dense_split
 from iterative_golden import GOLDEN_PATH, golden_records
 
@@ -468,6 +478,29 @@ class TestMm:
         a = solve_mm(SMALL)
         b = solve_mm(SMALL)
         assert a.alloc == b.alloc and a.trace == b.trace
+
+    @pytest.mark.parametrize("exponent", (2, 4))
+    def test_surrogate_touches_the_objective_at_its_anchor(self, exponent):
+        # value exactly 1 and gradient (exponent/4) * d(-log P)/d(d_r),
+        # with d(-log P) = lfp_gradient_reduced / P and P = 1 - lfp
+        rng = np.random.default_rng(29)
+        tested = 0
+        while tested < 100:
+            sc = draw_random_scenario(rng)
+            pt = sample_interior_point(rng, sc)
+            if pt is None:
+                continue
+            m1, d_r1, d_r2 = pt
+            terms = _link_log_terms(link_constants(sc), m1, sc.M - m1,
+                                    sc.d_m1 + d_r1, sc.d_m2 + d_r2)
+            val, g1, g2 = _anchored_surrogate(
+                terms, [l for l, _, _ in terms], exponent)
+            assert val == 1.0
+            p = math.exp(log_round_trip_success(sc, m1, d_r1, d_r2))
+            grad = lfp_gradient_reduced(sc, m1, d_r1, d_r2)
+            assert g1 == pytest.approx(exponent / 4 * grad[1] / p, rel=1e-9)
+            assert g2 == pytest.approx(exponent / 4 * grad[2] / p, rel=1e-9)
+            tested += 1
 
 
 @pytest.fixture(scope="module")
