@@ -5,7 +5,6 @@ channels."""
 from .fbl_core import (
     DomainError,
     NumericalError,
-    capacity,
     decode_error_prob,
     dispersion,
     q_func,
@@ -44,7 +43,7 @@ __all__ = [
     "Allocation", "DegenerateChannelError", "DomainError", "FeasibleBox",
     "LinkErrors", "NumericalError", "Scenario",
     "SolverConfig", "SolverReport",
-    "bcd_scalar_min", "capacity", "db_to_linear", "decode_error_prob",
+    "bcd_scalar_min", "db_to_linear", "decode_error_prob",
     "dispersion", "lfp", "lfp_gradient_reduced", "lfp_value",
     "link_errors", "load_scenario", "q_func", "q_inv",
     "redundancy_bounds", "scenario_from_dict",

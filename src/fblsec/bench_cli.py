@@ -78,6 +78,8 @@ class SweepSpec:
             raise DomainError("sweep needs start < stop")
         if self.step <= 0:
             raise DomainError("sweep step must be > 0")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise DomainError(f"sweep --step {self.step!r} is too small")
 
     def values(self):
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9))

@@ -1,7 +1,7 @@
 """Scalar finite-blocklength primitives.
 
-Gaussian Q-function and its inverse, Shannon capacity, channel dispersion
-and the normal-approximation decoding-error probability.  All functions
+Gaussian Q-function and its inverse, channel dispersion and the
+normal-approximation decoding-error probability.  All functions
 accept floats or numpy arrays and are pure (no shared state), so they
 are safe to call from any number of threads.
 
@@ -16,17 +16,13 @@ form,
     w = (ln(1 + gamma) - d * ln2 / m) * sqrt(m / V(gamma)),
 
 which is algebraically identical to the usual base-2 expression
-sqrt(m/V) * (C - d/m) * ln2 but avoids mixed-base rounding.  The
-expression is written once (``_margin``) and takes ln(1+gamma) and V as
-inputs.  ``rate_margin`` computes them with numpy from gamma; the model's
-one link kernel, which every solver evaluates, reads the same two values
-from a per-scenario cache (``lfp_model.link_constants``).  Each step is
-a correctly rounded IEEE operation, so the margin has the same bits with
-``math.sqrt`` on floats as with ``np.sqrt`` on arrays; ln(1+gamma) must
-come from ``np.log1p``, which differs from ``math.log1p`` in the last
-bit on a few per cent of SNRs.  Tail values are computed through the
-complementary error function (and ``log_ndtr`` for log-domain work) so
-that arguments beyond |w| ~ 38 do not collapse to 0/1 prematurely.
+sqrt(m/V) * (C - d/m) * ln2 but avoids mixed-base rounding.  It is
+written once (``_margin``), as are V(gamma) and Qinv (``_dispersion``,
+``_q_inv``): the checked functions run these after their checks, and
+``rate_margin`` and the model's per-scenario link constants run them
+directly.  Tail values are computed through the complementary error
+function (and ``log_ndtr`` for log-domain work) so that arguments
+beyond |w| ~ 38 do not collapse to 0/1 prematurely.
 """
 
 from __future__ import annotations
@@ -117,15 +113,13 @@ def q_inv(p):
     _check_finite("p", p)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise DomainError(f"p must lie strictly in (0, 1), got {p!r}")
-    out = -ndtri(p)
+    out = _q_inv(p)
     return float(out) if out.ndim == 0 else out
 
 
-def capacity(gamma):
-    """Shannon capacity log2(1 + gamma) in bits per channel use."""
-    gamma = _check_snr(gamma)
-    out = np.log1p(gamma) / LN2
-    return float(out) if out.ndim == 0 else out
+def _q_inv(p):
+    """``q_inv`` unchecked: for inputs validated elsewhere (``Scenario``)."""
+    return -ndtri(p)
 
 
 def dispersion(gamma):
@@ -136,8 +130,13 @@ def dispersion(gamma):
     singular downstream.
     """
     gamma = _check_snr(gamma)
-    out = gamma * (2.0 + gamma) / np.square(1.0 + gamma)
+    out = _dispersion(gamma)
     return float(out) if out.ndim == 0 else out
+
+
+def _dispersion(gamma):
+    """``dispersion`` unchecked, with the same bits on floats and arrays."""
+    return gamma * (2.0 + gamma) / ((1.0 + gamma) * (1.0 + gamma))
 
 
 def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
@@ -148,7 +147,8 @@ def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
     computes from gamma.  The model's link kernel, its per-link log term
     (the gradient and the MM step) and ``link_errors`` call it on the
     constants ``lfp_model.link_constants`` caches, with ``math.sqrt`` on
-    floats or ``np.sqrt`` on arrays; all give the same bits.
+    floats or ``np.sqrt`` on arrays; all give the same bits as long as
+    ln(1+gamma) is ``np.log1p``'s (``math.log1p`` can differ in the last bit).
     """
     return (log1p_gamma - d * LN2 / m) * sqrt(m / v)
 
@@ -163,8 +163,7 @@ def rate_margin(gamma, m, d):
     finite (see the module docstring).  Out-of-domain input yields NaN
     or a meaningless number, not an error.
     """
-    v = gamma * (2.0 + gamma) / np.square(1.0 + gamma)
-    out = _margin(np.log1p(gamma), v, m, d)
+    out = _margin(np.log1p(gamma), _dispersion(gamma), m, d)
     return float(out) if out.ndim == 0 else out
 
 

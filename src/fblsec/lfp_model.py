@@ -43,15 +43,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import log_ndtr
 
-# ``decode_error_prob`` and ``rate_margin`` are unused here, but
-# benchmarks/tracing.py instruments them at this import site, so the
-# names stay bound.
+# ``decode_error_prob``, ``dispersion``, ``q_inv`` and ``rate_margin``
+# are unused here, but benchmarks/tracing.py instruments them at this
+# import site, so the names stay bound.
 from .fbl_core import (  # noqa: F401
     LN2,
     DomainError,
+    _dispersion,
     _error_prob,
     _log_hazard,
     _margin,
+    _q_inv,
     decode_error_prob,
     dispersion,
     q_inv,
@@ -238,16 +240,13 @@ class _Link(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def link_constants(scenario: Scenario):
-    """The constants (``_Link``) of the links ab, ae, ba, be, in that order.
-
-    Each is computed once, V and Qinv through the checked ``dispersion``
-    and ``q_inv``, and cached by the scenario's field values.  ``log1p``
-    and ``v`` are the ln(1+gamma) and V(gamma) that
-    ``fbl_core.rate_margin`` computes, so the link kernel built on them
-    returns its bits.
+    """The constants (``_Link``) of the links ab, ae, ba, be, in that
+    order, cached by the scenario's field values and unchecked
+    (``Scenario`` has validated them): ``log1p`` and ``v`` are
+    ``fbl_core.rate_margin``'s, so the link kernel returns its bits.
     """
-    return tuple(_Link(float(np.log1p(gamma)), dispersion(gamma),
-                       math.log1p(gamma), q_inv(eps))
+    return tuple(_Link(float(np.log1p(gamma)), float(_dispersion(gamma)),
+                       math.log1p(gamma), float(_q_inv(eps)))
                  for gamma, eps in ((scenario.gamma_ab, scenario.eps_ab_max),
                                     (scenario.gamma_ae, scenario.eps_e_max),
                                     (scenario.gamma_ba, scenario.eps_ba_max),

@@ -52,7 +52,6 @@ from .lfp_model import (  # noqa: F401
     _link_log_terms,
     _log_success,
     _split_boxes,
-    lfp,
     lfp_value,
     link_constants,
     log_direction_success,
@@ -117,11 +116,12 @@ class SolverReport:
     trace [(k, lfp_k)], objective-evaluation count and wall time.
 
     ``evaluations`` counts link-pair evaluations in the oracle's tables
-    (one direction at one blocklength and redundancy) and scalar round
-    trips and m1-grid points in BCD/MM's descent; BCD/MM's integer
-    finish adds its tables' link-pair evaluations, about five per
-    direction at each split it tries.  MM's surrogate evaluates four
-    per-link log terms per call and counts none of them.
+    (one direction at one blocklength and redundancy), with no final
+    re-evaluation of the winner, and the points BCD/MM's descent scores,
+    each once: scalar round trips, m1-grid points and MM trial points,
+    whose value is read from the four link terms of their surrogate
+    value; BCD/MM's integer finish adds its tables' link-pair
+    evaluations, about five per direction at each split it tries.
     """
 
     status: str
@@ -169,9 +169,11 @@ def bcd_scalar_min(objective, lo, hi, tol):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = objective(c), objective(d)
-    if math.isnan(fc) or math.isnan(fd):
-        raise NumericalError("objective returned NaN")
-    while (b - a) > tol:
+    while True:
+        if math.isnan(fc) or math.isnan(fd):
+            raise NumericalError("objective returned NaN")
+        if b - a <= tol:
+            return 0.5 * (a + b)
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -180,9 +182,6 @@ def bcd_scalar_min(objective, lo, hi, tol):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = objective(d)
-        if math.isnan(fc) or math.isnan(fd):
-            raise NumericalError("objective returned NaN")
-    return 0.5 * (a + b)
 
 
 # ----------------------------------------------------------------------
@@ -210,20 +209,13 @@ class _Objective:
         return _split_boxes(self.links, self.scenario, m1,
                             self.scenario.M - m1, sqrt, maximum)
 
-    def _log_p(self, m1, d_r1, d_r2):
-        """``log_round_trip_success`` on the solve's own constants,
+    def nl(self, m1, d_r1, d_r2):
+        """-``log_round_trip_success`` on the solve's own constants,
         unchecked: solver points are in the domain by construction."""
         self.evaluations += 1
         sc = self.scenario
-        return _log_success(self.links, m1, sc.M - m1,
-                            sc.d_m1 + d_r1, sc.d_m2 + d_r2)
-
-    def nl(self, m1, d_r1, d_r2):
-        return -self._log_p(m1, d_r1, d_r2)
-
-    def lfp(self, m1, d_r1, d_r2):
-        """``lfp_value``'s bits: -expm1 of the log success."""
-        return -math.expm1(self._log_p(m1, d_r1, d_r2))
+        return -_log_success(self.links, m1, sc.M - m1,
+                             sc.d_m1 + d_r1, sc.d_m2 + d_r2)
 
 
 def _rel_pos(x, lo, hi):
@@ -266,16 +258,17 @@ def _m1_profile_grid(obj, m1, t1, t2):
     return vals
 
 
-def _m1_block(obj, m1, d_r1, d_r2):
-    """One blocklength-split update.
+def _m1_block(obj, m1, d_r1, d_r2, f):
+    """One blocklength-split update of (m1, d_r1, d_r2), objective ``f``.
 
     A plain fixed-redundancy line search cannot leave the thin diagonal
     strip that the thresholds carve out when the legitimate and
     eavesdropper capacities are close, so candidates are evaluated with
     the redundancy pair held at its current box-relative position; a
     coarse bracket on [1, M-1], evaluated in one vector call, isolates
-    the best basin before the golden-section refinement.  The move is accepted only if it improves
-    the incumbent.
+    the best basin before the golden-section refinement.  The move is
+    kept only if it does not worsen the objective; returns (m1, d_r1,
+    d_r2, objective).
     """
     lo1, hi1, lo2, hi2, _ = obj.box(m1)
     t1 = _rel_pos(d_r1, lo1, hi1)
@@ -284,24 +277,23 @@ def _m1_block(obj, m1, d_r1, d_r2):
     vals = _m1_profile_grid(obj, xs, t1, t2)
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
-        return m1, d_r1, d_r2
+        return m1, d_r1, d_r2, f
     a = xs[max(0, i - 1)]
     b = xs[min(_M1_GRID, i + 1)]
     cand = bcd_scalar_min(lambda x: _m1_profile(obj, x, t1, t2)[0], a, b,
                           _LINE_SEARCH_TOL)
     v_new, dr1_new, dr2_new = _m1_profile(obj, cand, t1, t2)
-    if v_new <= obj.nl(m1, d_r1, d_r2):
-        return cand, dr1_new, dr2_new
-    return m1, d_r1, d_r2
+    if v_new <= f:
+        return cand, dr1_new, dr2_new, v_new
+    return m1, d_r1, d_r2, f
 
 
-def _coord_min(obj_1d, x_cur, lo, hi):
-    """Golden-section step in one coordinate, kept only if it improves."""
-    if hi <= lo:
-        x = lo
-    else:
-        x = bcd_scalar_min(obj_1d, lo, hi, _LINE_SEARCH_TOL)
-    return x if obj_1d(x) <= obj_1d(x_cur) else x_cur
+def _coord_min(obj_1d, x_cur, f_cur, lo, hi):
+    """Golden-section step in one coordinate from ``x_cur`` with value
+    ``f_cur``, kept only if it does not worsen it: (x, its value)."""
+    x = lo if hi <= lo else bcd_scalar_min(obj_1d, lo, hi, _LINE_SEARCH_TOL)
+    f = f_cur if x == x_cur else obj_1d(x)
+    return (x, f) if f <= f_cur else (x_cur, f_cur)
 
 
 def _check_init(scenario, init):
@@ -316,14 +308,15 @@ def _check_init(scenario, init):
 def _initial_point(obj, init):
     """Start at the given allocation, else at the mid-budget split with
     mid-box redundancy; on an infeasible start, retry on a 16-point
-    split grid before giving up."""
+    split grid before giving up: (m1, d_r1, d_r2, objective) or None."""
     scenario = obj.scenario
     if init is not None:
         lo1, hi1, lo2, hi2, feasible = obj.box(init.m1)
         if feasible:
             d_r1 = min(max(init.d_r1, lo1), hi1)
             d_r2 = min(max(init.d_r2, lo2), hi2)
-            return float(init.m1), d_r1, d_r2
+            return (float(init.m1), d_r1, d_r2,
+                    obj.nl(float(init.m1), d_r1, d_r2))
     candidates = [float(round(scenario.M / 2))]
     candidates += list(np.linspace(1.0, scenario.M - 1.0, 16))
     best = None
@@ -331,14 +324,11 @@ def _initial_point(obj, init):
         lo1, hi1, lo2, hi2, feasible = obj.box(m1)
         if not feasible:
             continue
-        d_r1 = 0.5 * (lo1 + hi1)
-        d_r2 = 0.5 * (lo2 + hi2)
-        val = obj.nl(m1, d_r1, d_r2)
-        if best is None or val < best[0]:
-            best = (val, m1, d_r1, d_r2)
-    if best is None:
-        return None
-    return best[1], best[2], best[3]
+        point = (m1, 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2))
+        val = obj.nl(*point)
+        if best is None or val < best[3]:
+            best = (*point, val)
+    return best
 
 
 def _stopped(prev, cur):
@@ -351,8 +341,8 @@ def _integer_reconstruct(obj, m1, init):
     (``_best_split``, as the oracle computes it).  An integral
     full-budget ``init`` adds its own split, so seeding with a known
     allocation can never yield something worse.  If none of these
-    splits has an integer box, the result is the oracle's over every
-    split; None when no split has one at all.
+    splits has an integer box, the oracle's over every split is taken.
+    Returns ``_best_split``'s (allocation, log success), or None.
     """
     M = obj.scenario.M
     splits = {math.floor(m1), math.ceil(m1)}
@@ -375,14 +365,15 @@ def _descend(scenario, config, init, redundancy_step):
 
     From ``_initial_point``, each cycle runs the m1 block, refreshes the
     box at the new split, updates the redundancy pair by
-    ``redundancy_step(obj, config, m1, d_r1, d_r2, (lo1, hi1, lo2,
-    hi2))`` and records the LFP.  It stops when a cycle changes the LFP
-    by at most ``_REL_TOL`` relative (with a ``_STOP_ATOL`` floor for
-    LFPs below double-precision resolution) or after
-    ``_MAX_OUTER_ITERS`` cycles.  In integer mode ``_integer_reconstruct``
-    finishes exactly at the floor and ceil splits of the relaxed m1 (and
-    at an integral full-budget ``init``'s split): each split gets its
-    best integer redundancy pair from the oracle's per-direction tables.
+    ``redundancy_step(obj, config, m1, d_r1, d_r2, f, (lo1, hi1, lo2,
+    hi2))`` and records the LFP -expm1(-f) (``lfp_value``'s bits); the
+    incumbent's objective value f is carried, never re-evaluated.  It
+    stops when a cycle changes the LFP by at most ``_REL_TOL`` relative
+    (with a ``_STOP_ATOL`` floor for LFPs below double-precision
+    resolution) or after ``_MAX_OUTER_ITERS`` cycles.  In integer mode
+    ``_integer_reconstruct`` finishes exactly at the floor and ceil
+    splits of the relaxed m1 (and at an integral full-budget ``init``'s
+    split), with the oracle's per-direction tables.
     """
     config = config or SolverConfig()
     _check_init(scenario, init)
@@ -391,27 +382,25 @@ def _descend(scenario, config, init, redundancy_step):
     start = _initial_point(obj, init)
     if start is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, [])
-    m1, d_r1, d_r2 = start
-    trace = [(0, obj.lfp(m1, d_r1, d_r2))]
+    m1, d_r1, d_r2, f = start
+    trace = [(0, -math.expm1(-f))]
     status = STATUS_MAX_ITERS
     for k in range(1, _MAX_OUTER_ITERS + 1):
-        m1, d_r1, d_r2 = _m1_block(obj, m1, d_r1, d_r2)
+        m1, d_r1, d_r2, f = _m1_block(obj, m1, d_r1, d_r2, f)
         box = obj.box(m1)[:4]
-        d_r1, d_r2 = redundancy_step(obj, config, m1, d_r1, d_r2, box)
-        trace.append((k, obj.lfp(m1, d_r1, d_r2)))
+        d_r1, d_r2, f = redundancy_step(obj, config, m1, d_r1, d_r2, f, box)
+        trace.append((k, -math.expm1(-f)))
         if _stopped(trace[-2][1], trace[-1][1]):
             status = STATUS_CONVERGED
             break
     if not config.integer_mode:
         alloc = Allocation(m1=m1, m2=scenario.M - m1, d_r1=d_r1, d_r2=d_r2)
-        return _report(obj, t_start, status, trace, alloc,
-                       obj.lfp(m1, d_r1, d_r2))
-    alloc = _integer_reconstruct(obj, m1, init)
-    if alloc is None:
+        return _report(obj, t_start, status, trace, alloc, trace[-1][1])
+    best = _integer_reconstruct(obj, m1, init)
+    if best is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, trace)
-    return _report(obj, t_start, status, trace, alloc,
-                   obj.lfp(float(alloc.m1), float(alloc.d_r1),
-                           float(alloc.d_r2)))
+    alloc, log_p = best
+    return _report(obj, t_start, status, trace, alloc, -math.expm1(log_p))
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +496,8 @@ def _best_split(obj, splits):
     """The best full-budget integer allocation over the ascending float
     array ``splits`` of m1 values, each with its exact best redundancy
     pair; the first split on ties, so the smallest (m1, d_r1, d_r2).
-    None when no split has a non-empty integer box in both directions.
+    Returns it with its table log success; None when no split has a
+    non-empty integer box in both directions.
     """
     M = obj.scenario.M
     (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, splits, M - splits)
@@ -516,7 +506,8 @@ def _best_split(obj, splits):
         return None
     i = ok[np.argmin(-(s1[ok] + s2[ok]))]
     m1 = int(splits[i])
-    return Allocation(m1=m1, m2=M - m1, d_r1=int(d1[i]), d_r2=int(d2[i]))
+    return (Allocation(m1=m1, m2=M - m1, d_r1=int(d1[i]), d_r2=int(d2[i])),
+            float(s1[i] + s2[i]))
 
 
 def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
@@ -527,7 +518,8 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     over the integer redundancy box by ``_first_maxima``; the incumbent
     is replaced only on strict improvement, so ties resolve to the
     lexicographically smallest (m1, d_r1, d_r2) and, at equal splits,
-    to the fullest budget.
+    to the fullest budget.  The LFP is -expm1 of the winner's table log
+    success, ``lfp``'s bits.
     """
     config = config or SolverConfig()
     if not config.integer_mode:
@@ -537,14 +529,14 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     M = scenario.M
 
     if config.full_budget_only:
-        alloc = _best_split(obj, np.arange(1.0, M))
+        best = _best_split(obj, np.arange(1.0, M))
     else:
         # both directions over every blocklength 1..M-1
         m = np.arange(1.0, M)
         (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, m, m)
         dir1 = list(zip(ok1.tolist(), s1.tolist(), d1.tolist()))
         dir2 = list(zip(ok2.tolist(), s2.tolist(), d2.tolist()))
-        best_key = alloc = None
+        best_key = best = None
         for m1 in range(1, M):
             ok, sv1, dr1 = dir1[m1 - 1]
             if not ok:
@@ -556,11 +548,12 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
                 key = (-(sv1 + sv2), m1, dr1, dr2)
                 if best_key is None or key < best_key:
                     best_key = key
-                    alloc = Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2)
-    if alloc is None:
+                    best = (Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2),
+                            sv1 + sv2)
+    if best is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, [])
-    obj.evaluations += 1
-    final = lfp(scenario, alloc)
+    alloc, log_p = best
+    final = -math.expm1(log_p)
     return _report(obj, t_start, STATUS_CONVERGED, [(0, final)], alloc, final)
 
 
@@ -568,13 +561,14 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
 # block coordinate descent
 # ----------------------------------------------------------------------
 
-def _bcd_step(obj, config, m1, d_r1, d_r2, box):
-    """BCD's redundancy update: one golden-section step in d_r1, then
-    one in d_r2, each kept only if it does not worsen the objective."""
+def _bcd_step(obj, config, m1, d_r1, d_r2, f, box):
+    """BCD's redundancy update of (d_r1, d_r2) with objective ``f``: one
+    golden-section step in d_r1, then one in d_r2, each kept only if it
+    does not worsen the objective; returns (d_r1, d_r2, objective)."""
     lo1, hi1, lo2, hi2 = box
-    d_r1 = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1, lo1, hi1)
-    d_r2 = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2, lo2, hi2)
-    return d_r1, d_r2
+    d_r1, f = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1, f, lo1, hi1)
+    d_r2, f = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2, f, lo2, hi2)
+    return d_r1, d_r2, f
 
 
 def solve_bcd(scenario: Scenario, config: SolverConfig | None = None,
@@ -640,18 +634,19 @@ def _anchored_surrogate(terms, anchor, exponent):
     return mean ** exponent, pref * (rd[0] + rd[1]), pref * (rd[2] + rd[3])
 
 
-def _mm_step(obj, config, m1, d_r1, d_r2, box):
-    """MM's redundancy update: majorize-minimize iterations on the joint
-    redundancy pair, then, with ``mm_safeguard``, BCD's ``_bcd_step``
-    when they lowered the objective by no more than ``_stopped``'s
-    tolerance.
+def _mm_step(obj, config, m1, d_r1, d_r2, f, box):
+    """MM's redundancy update, as ``_bcd_step``'s: majorize-minimize
+    iterations on the joint pair, then, with ``mm_safeguard``,
+    ``_bcd_step`` if ``_stopped`` holds across them.
 
     Each pass anchors the surrogate at the current point and takes one
     backtracking projected-gradient step on it; because the surrogate
     touches the true reciprocal product at the anchor, any surrogate
-    decrease is a true decrease (exponent 4).  A step that would
-    increase the true objective (possible with exponent 2) ends the
-    loop unaccepted, so the loop never raises the objective.
+    decrease is a true decrease (exponent 4).  A trial point's objective
+    is the per-direction sum of its link terms (``_log_success``'s
+    bits), and an accepted point's terms anchor the next pass.  A step
+    that would increase the true objective (possible with exponent 2)
+    ends the loop unaccepted, so the loop never raises the objective.
     """
     lo1, hi1, lo2, hi2 = box
     sc = obj.scenario
@@ -661,33 +656,38 @@ def _mm_step(obj, config, m1, d_r1, d_r2, box):
         return _link_log_terms(obj.links, m1, sc.M - m1,
                                sc.d_m1 + x1, sc.d_m2 + x2)
 
-    x1, x2 = d_r1, d_r2
-    f_start = f_cur = obj.nl(m1, x1, x2)
+    x1, x2, f_cur = d_r1, d_r2, f
+    terms = terms_at(x1, x2)
     step = 1.0
     for _ in range(_MAX_INNER_ITERS):
-        terms = terms_at(x1, x2)
         anchor = [l for l, _, _ in terms]
         hv, g1, g2 = _anchored_surrogate(terms, anchor, exponent)
         step = min(step * 2.0, 1e12)
         while True:
             n1 = min(max(x1 - step * g1, lo1), hi1)
             n2 = min(max(x2 - step * g2, lo2), hi2)
-            hn = _anchored_surrogate(terms_at(n1, n2), anchor, exponent)[0]
+            moved = abs(n1 - x1) + abs(n2 - x2)
+            if not moved:
+                break
+            trial = terms_at(n1, n2)
+            hn = _anchored_surrogate(trial, anchor, exponent)[0]
             decrease = g1 * (x1 - n1) + g2 * (x2 - n2)
             if hn <= hv - 1e-4 * decrease or step < 1e-14:
                 break
             step *= 0.5
-        f_new = obj.nl(m1, n1, n2)
+        if not moved:
+            break  # the projected step stays at the anchor
+        obj.evaluations += 1
+        f_new = -((trial[0][0] + trial[1][0]) + (trial[2][0] + trial[3][0]))
         if f_new > f_cur:
             break
-        moved = abs(n1 - x1) + abs(n2 - x2)
         rel_gain = abs(f_cur - f_new) / max(abs(f_cur), 1e-300)
-        x1, x2, f_cur = n1, n2, f_new
+        x1, x2, f_cur, terms = n1, n2, f_new, trial
         if rel_gain < _REL_TOL or moved < _LINE_SEARCH_TOL:
             break
-    if config.mm_safeguard and _stopped(f_start, f_cur):
-        return _bcd_step(obj, config, m1, x1, x2, box)
-    return x1, x2
+    if config.mm_safeguard and _stopped(f, f_cur):
+        return _bcd_step(obj, config, m1, x1, x2, f_cur, box)
+    return x1, x2, f_cur
 
 
 def solve_mm(scenario: Scenario, config: SolverConfig | None = None,

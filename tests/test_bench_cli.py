@@ -301,6 +301,21 @@ class TestSweep:
             "--methods", "bcd", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("vary,start,stop,step", [
+        ("M", "40", "41", "1e-320"), ("gamma_ab_db", "3", "4", "5e-324")])
+    def test_underflowing_step_exits_1(self, capsys, tmp_path, vary, start,
+                                       stop, step):
+        # the grid's point count overflows to inf: this was a traceback
+        path = write_scenario(tmp_path)
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_main(capsys, [
+            "sweep", "--scenario", path, "--vary", vary, "--from", start,
+            "--to", stop, "--step", step, "--methods", "bcd",
+            "--out", str(out_csv)])
+        assert code == EXIT_INPUT
+        assert "--step" in err
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("methods", ["bcd,bcd", "mm,newton", ""])
     def test_bad_methods_exits_1(self, capsys, tmp_path, methods):
         # bcd,bcd solved and wrote every grid point twice

@@ -11,7 +11,6 @@ from scipy.special import log_ndtr
 from fblsec import (
     Allocation,
     DomainError,
-    capacity,
     decode_error_prob,
     dispersion,
     lfp,
@@ -163,8 +162,10 @@ class TestRedundancyBounds:
         # d_min = m*C(gamma_e) - d_m
         sc = make_scenario(d_m1=20, d_m2=20, M=200)
         box = redundancy_bounds(sc, 100.0, 100.0)
-        assert box.d_r1_max == pytest.approx(100 * capacity(3.0) - 20, abs=1e-9)
-        assert box.d_r1_min == pytest.approx(100 * capacity(1.0) - 20, abs=1e-9)
+        assert box.d_r1_max == pytest.approx(100 * math.log2(1 + 3.0) - 20,
+                                             abs=1e-9)
+        assert box.d_r1_min == pytest.approx(100 * math.log2(1 + 1.0) - 20,
+                                             abs=1e-9)
         assert box.d_r1_max == pytest.approx(180.0, abs=1e-9)
         assert box.d_r1_min == pytest.approx(80.0, abs=1e-9)
         assert box.feasible

@@ -612,8 +612,10 @@ class TestIntegerFinish:
         sc = TestNearDegenerateLinks.SC
         for m1 in (2, 3):
             assert dense_split(sc, m1) == (None, None)
-        alloc = _integer_reconstruct(_Objective(sc), 2.5, None)
-        assert alloc == solve_exhaustive(sc).alloc
+        alloc, log_p = _integer_reconstruct(_Objective(sc), 2.5, None)
+        oracle = solve_exhaustive(sc)
+        assert alloc == oracle.alloc
+        assert -math.expm1(log_p) == oracle.lfp_final
 
 
 @pytest.fixture(scope="module")
@@ -685,6 +687,57 @@ class TestRunControl:
     def test_surrogate_exponent_checked(self):
         with pytest.raises(DomainError):
             SolverConfig(surrogate_exponent=3)
+
+
+class TestEvaluatedOnce:
+    """BCD and MM carry the incumbent's objective value instead of
+    scoring it again, and MM scores a trial point from the link terms
+    its surrogate was built on, which anchor the next pass."""
+
+    SCENARIOS = random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
+
+    @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
+    def test_no_point_scored_twice_in_a_cycle(self, solve, monkeypatch):
+        cycles = []  # the points scored in each cycle, start first
+        nl, m1_block = _Objective.nl, solvers._m1_block
+
+        def recorded_nl(obj, m1, d_r1, d_r2):
+            cycles[-1].append((m1, d_r1, d_r2))
+            return nl(obj, m1, d_r1, d_r2)
+
+        def new_cycle(*args):
+            cycles.append([])
+            return m1_block(*args)
+
+        monkeypatch.setattr(_Objective, "nl", recorded_nl)
+        monkeypatch.setattr(solvers, "_m1_block", new_cycle)
+        for sc in self.SCENARIOS:
+            cycles[:] = [[]]
+            solve(sc)
+            assert len(cycles) > 2
+            for points in cycles:
+                assert len(set(points)) == len(points), sc
+
+    def test_no_link_terms_built_twice_in_an_mm_step(self, monkeypatch):
+        steps = []  # the points of each MM step's link terms
+        terms, mm_step = solvers._link_log_terms, solvers._mm_step
+
+        def recorded_terms(links, m1, m2, d1, d2):
+            steps[-1].append((m1, d1, d2))
+            return terms(links, m1, m2, d1, d2)
+
+        def new_step(*args):
+            steps.append([])
+            return mm_step(*args)
+
+        monkeypatch.setattr(solvers, "_link_log_terms", recorded_terms)
+        monkeypatch.setattr(solvers, "_mm_step", new_step)
+        for sc in self.SCENARIOS:
+            steps.clear()
+            solve_mm(sc)
+            assert any(len(points) > 2 for points in steps)
+            for points in steps:
+                assert len(set(points)) == len(points), sc
 
 
 class TestInitEntryCheck:
