@@ -320,11 +320,9 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.trials < 1000:
-        sys.stderr.write("error: --trials must be >= 1000\n")
-        return EXIT_INPUT
+        raise DomainError("--trials must be >= 1000")
     if not 1 <= args.m1 <= scenario.M - 1:
-        sys.stderr.write(f"error: --m1 must lie in [1, {scenario.M - 1}]\n")
-        return EXIT_INPUT
+        raise DomainError(f"--m1 must lie in [1, {scenario.M - 1}]")
     alloc = Allocation(m1=args.m1, m2=scenario.M - args.m1,
                        d_r1=args.dr1, d_r2=args.dr2)
     errors = link_errors(scenario, alloc)
@@ -436,9 +434,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: {args.scenario}: line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}\n")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (DomainError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

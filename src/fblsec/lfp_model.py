@@ -80,11 +80,6 @@ class Allocation:
         if not (0 <= self.d_r1 < math.inf and 0 <= self.d_r2 < math.inf):
             raise DomainError(f"redundancy must be finite and >= 0, got {self}")
 
-    @property
-    def is_integral(self):
-        return all(float(v).is_integer()
-                   for v in (self.m1, self.m2, self.d_r1, self.d_r2))
-
 
 @dataclass(frozen=True)
 class LinkErrors:

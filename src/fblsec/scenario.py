@@ -56,8 +56,8 @@ class Scenario:
     the legitimate error probabilities (reliability); ``eps_e_max``
     lower-bounds both eavesdropper error probabilities (leakage).  A
     direction whose eavesdropper SNR reaches the legitimate SNR is
-    accepted but flagged in ``degenerate_directions`` -- the objective
-    stays well defined, only the secrecy framing degenerates.
+    accepted -- the objective stays well defined, only the secrecy
+    framing degenerates.
     """
 
     gamma_ab: float
@@ -91,14 +91,6 @@ class Scenario:
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "d_m1", int(self.d_m1))
         object.__setattr__(self, "d_m2", int(self.d_m2))
-
-    @property
-    def degenerate_directions(self):
-        """The directions, of ("forward", "backward"), whose
-        eavesdropper SNR reaches the legitimate SNR."""
-        return tuple(name for name, legit, eve in (
-            ("forward", self.gamma_ab, self.gamma_ae),
-            ("backward", self.gamma_ba, self.gamma_be)) if legit <= eve)
 
 
 def _link_snr(geom, gain, what):

@@ -29,7 +29,7 @@ loop around it (``_descend``) and the integer finish.
 
 Every accepted step is checked against the incumbent, so traces are
 nonincreasing by construction.  All solvers are deterministic functions
-of (scenario, config, init).
+of (scenario, config).
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ class SolverConfig:
     it is only useful for oracle cross-checks, since partial-budget
     optima are never better unless the full-budget boxes are empty
     (eavesdroppers above their legitimate receivers).  Run control is
-    fixed: stop at a relative LFP change of 1e-8 per cycle or after 100
-    cycles, at most 200 MM steps, step tolerance 1e-6.
+    fixed: stop when a cycle changes the LFP by at most 1e-8 relative
+    plus 1e-12 absolute, or after 100 cycles; at most 200 MM steps,
+    step tolerance 1e-6.
     """
 
     surrogate_exponent: int = 4
@@ -241,21 +242,28 @@ def _m1_profile(obj, m1, t1, t2):
     return obj.nl(m1, a, b), a, b
 
 
-def _m1_profile_grid(obj, m1, t1, t2):
-    """``_m1_profile`` values at every split of the array ``m1``, in
-    one vector evaluation with the same bits per point; each feasible
-    point counts as one evaluation."""
+def _nl_grid(obj, m1, d_r1, d_r2, feasible):
+    """``_Objective.nl`` at every split of the array ``m1`` with the
+    redundancy arrays (d_r1, d_r2), in one vector evaluation with the
+    same bits per point; +inf where ``feasible`` is false.  Each
+    feasible point counts as one evaluation."""
     scenario = obj.scenario
     ab, ae, ba, be = obj.links
-    feasible, a, b = _carried(obj, m1, t1, t2, np.sqrt, np.maximum)
     m = m1[feasible]
-    s1 = log_direction_success(ab, ae, m, scenario.d_m1 + a[feasible])
+    s1 = log_direction_success(ab, ae, m, scenario.d_m1 + d_r1[feasible])
     s2 = log_direction_success(ba, be, scenario.M - m,
-                               scenario.d_m2 + b[feasible])
+                               scenario.d_m2 + d_r2[feasible])
     obj.evaluations += m.size
     vals = np.full(m1.size, math.inf)
     vals[feasible] = -(s1 + s2)
     return vals
+
+
+def _m1_profile_grid(obj, m1, t1, t2):
+    """``_m1_profile`` values at every split of the array ``m1``, in
+    one ``_nl_grid`` call."""
+    feasible, a, b = _carried(obj, m1, t1, t2, np.sqrt, np.maximum)
+    return _nl_grid(obj, m1, a, b, feasible)
 
 
 def _m1_block(obj, m1, d_r1, d_r2, f):
@@ -296,60 +304,36 @@ def _coord_min(obj_1d, x_cur, f_cur, lo, hi):
     return (x, f) if f <= f_cur else (x_cur, f_cur)
 
 
-def _check_init(scenario, init):
-    """A start must leave the backward direction at least one channel
-    use: 1 <= init.m1 <= M - 1 (``Allocation`` guarantees the lower
-    end)."""
-    if init is not None and not init.m1 <= scenario.M - 1:
-        raise DomainError(f"init.m1 must be <= M - 1 = {scenario.M - 1}, "
-                          f"got {init.m1!r}")
-
-
-def _initial_point(obj, init):
-    """Start at the given allocation, else at the mid-budget split with
-    mid-box redundancy; on an infeasible start, retry on a 16-point
-    split grid before giving up: (m1, d_r1, d_r2, objective) or None."""
-    scenario = obj.scenario
-    if init is not None:
-        lo1, hi1, lo2, hi2, feasible = obj.box(init.m1)
-        if feasible:
-            d_r1 = min(max(init.d_r1, lo1), hi1)
-            d_r2 = min(max(init.d_r2, lo2), hi2)
-            return (float(init.m1), d_r1, d_r2,
-                    obj.nl(float(init.m1), d_r1, d_r2))
-    candidates = [float(round(scenario.M / 2))]
-    candidates += list(np.linspace(1.0, scenario.M - 1.0, 16))
-    best = None
-    for m1 in candidates:
-        lo1, hi1, lo2, hi2, feasible = obj.box(m1)
-        if not feasible:
-            continue
-        point = (m1, 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2))
-        val = obj.nl(*point)
-        if best is None or val < best[3]:
-            best = (*point, val)
-    return best
+def _initial_point(obj):
+    """Start at the best of 17 splits, the mid-budget split and a
+    16-point grid on [1, M-1], each with mid-box redundancy, scored in
+    one ``_nl_grid`` call (the first on ties): (m1, d_r1, d_r2,
+    objective), or None if no split is feasible."""
+    M = obj.scenario.M
+    xs = np.concatenate(([float(round(M / 2))], np.linspace(1.0, M - 1.0, 16)))
+    lo1, hi1, lo2, hi2, feasible = obj.box(xs, np.sqrt, np.maximum)
+    d_r1, d_r2 = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
+    vals = _nl_grid(obj, xs, d_r1, d_r2, feasible)
+    i = int(np.argmin(vals))
+    if not feasible[i]:
+        return None
+    return float(xs[i]), float(d_r1[i]), float(d_r2[i]), float(vals[i])
 
 
 def _stopped(prev, cur):
     return abs(prev - cur) <= _REL_TOL * abs(prev) + _STOP_ATOL
 
 
-def _integer_reconstruct(obj, m1, init):
+def _integer_reconstruct(obj, m1):
     """Round a relaxed split m1 to the best integer allocation at
     floor(m1) or ceil(m1), each with its exact best redundancy pair
-    (``_best_split``, as the oracle computes it).  An integral
-    full-budget ``init`` adds its own split, so seeding with a known
-    allocation can never yield something worse.  If none of these
-    splits has an integer box, the oracle's over every split is taken.
-    Returns ``_best_split``'s (allocation, log success), or None.
+    (``_best_split``, as the oracle computes it).  If neither split has
+    an integer box, the oracle's over every split is taken.  Returns
+    ``_best_split``'s (allocation, log success), or None.
     """
-    M = obj.scenario.M
-    splits = {math.floor(m1), math.ceil(m1)}
-    if init is not None and init.is_integral and init.m1 + init.m2 == M:
-        splits.add(int(init.m1))
-    return (_best_split(obj, np.array(sorted(splits), dtype=float))
-            or _best_split(obj, np.arange(1.0, M)))
+    splits = sorted({math.floor(m1), math.ceil(m1)})
+    return (_best_split(obj, np.array(splits, dtype=float))
+            or _best_split(obj, np.arange(1.0, obj.scenario.M)))
 
 
 def _report(obj, t_start, status, trace, alloc=None, final=None):
@@ -360,7 +344,7 @@ def _report(obj, t_start, status, trace, alloc=None, final=None):
                         wall_time=time.perf_counter() - t_start)
 
 
-def _descend(scenario, config, init, redundancy_step):
+def _descend(scenario, config, redundancy_step):
     """The outer alternation of BCD and MM.
 
     From ``_initial_point``, each cycle runs the m1 block, refreshes the
@@ -372,14 +356,12 @@ def _descend(scenario, config, init, redundancy_step):
     (with a ``_STOP_ATOL`` floor for LFPs below double-precision
     resolution) or after ``_MAX_OUTER_ITERS`` cycles.  In integer mode
     ``_integer_reconstruct`` finishes exactly at the floor and ceil
-    splits of the relaxed m1 (and at an integral full-budget ``init``'s
-    split), with the oracle's per-direction tables.
+    splits of the relaxed m1, with the oracle's per-direction tables.
     """
     config = config or SolverConfig()
-    _check_init(scenario, init)
     t_start = time.perf_counter()
     obj = _Objective(scenario)
-    start = _initial_point(obj, init)
+    start = _initial_point(obj)
     if start is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, [])
     m1, d_r1, d_r2, f = start
@@ -396,7 +378,7 @@ def _descend(scenario, config, init, redundancy_step):
     if not config.integer_mode:
         alloc = Allocation(m1=m1, m2=scenario.M - m1, d_r1=d_r1, d_r2=d_r2)
         return _report(obj, t_start, status, trace, alloc, trace[-1][1])
-    best = _integer_reconstruct(obj, m1, init)
+    best = _integer_reconstruct(obj, m1)
     if best is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, trace)
     alloc, log_p = best
@@ -513,13 +495,16 @@ def _best_split(obj, splits):
 def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     """Global integer optimum by enumeration.
 
-    For every split m1 (and, with ``full_budget_only=False``, every
-    m2 <= M - m1, largest first) the per-direction success is maximized
-    over the integer redundancy box by ``_first_maxima``; the incumbent
-    is replaced only on strict improvement, so ties resolve to the
-    lexicographically smallest (m1, d_r1, d_r2) and, at equal splits,
-    to the fullest budget.  The LFP is -expm1 of the winner's table log
-    success, ``lfp``'s bits.
+    Each direction's success is maximized over its integer redundancy
+    box at every blocklength by ``_first_maxima``.  At full budget
+    ``_best_split`` combines them over the splits m1 + m2 = M.  With
+    ``full_budget_only=False`` each split m1 is one vector row over
+    every m2 <= M - m1: among the row's entries equal to its largest
+    sum the smallest d_r2 wins, then the largest m2, and a later split
+    replaces the incumbent only on a strictly larger sum.  Either way
+    ties resolve to the lexicographically smallest (m1, d_r1, d_r2)
+    and, at equal splits, to the fullest budget.  The LFP is -expm1 of
+    the winner's table log success, ``lfp``'s bits.
     """
     config = config or SolverConfig()
     if not config.integer_mode:
@@ -531,25 +516,21 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     if config.full_budget_only:
         best = _best_split(obj, np.arange(1.0, M))
     else:
-        # both directions over every blocklength 1..M-1
+        # both directions over every blocklength 1..M-1; row i pairs
+        # m1 = i + 1 with m2 = 1..M-1-i, -inf where a box is empty
         m = np.arange(1.0, M)
-        (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, m, m)
-        dir1 = list(zip(ok1.tolist(), s1.tolist(), d1.tolist()))
-        dir2 = list(zip(ok2.tolist(), s2.tolist(), d2.tolist()))
-        best_key = best = None
-        for m1 in range(1, M):
-            ok, sv1, dr1 = dir1[m1 - 1]
-            if not ok:
+        (ok1, s1, d1), (_, s2, d2) = _direction_tables(obj, m, m)
+        best, best_sum = None, -math.inf
+        for i in np.flatnonzero(ok1).tolist():
+            row = s1[i] + s2[:M - 1 - i]
+            top = row.max()
+            if not top > best_sum:
                 continue
-            for m2 in range(M - m1, 0, -1):
-                ok, sv2, dr2 = dir2[m2 - 1]
-                if not ok:
-                    continue
-                key = (-(sv1 + sv2), m1, dr1, dr2)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (Allocation(m1=m1, m2=m2, d_r1=dr1, d_r2=dr2),
-                            sv1 + sv2)
+            ties = np.flatnonzero(row == top)
+            j = int(ties[d2[ties] == d2[ties].min()][-1])
+            best_sum = top
+            best = (Allocation(m1=i + 1, m2=j + 1, d_r1=int(d1[i]),
+                               d_r2=int(d2[j])), float(top))
     if best is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, [])
     alloc, log_p = best
@@ -571,8 +552,7 @@ def _bcd_step(obj, config, m1, d_r1, d_r2, f, box):
     return d_r1, d_r2, f
 
 
-def solve_bcd(scenario: Scenario, config: SolverConfig | None = None,
-              init: Allocation | None = None):
+def solve_bcd(scenario: Scenario, config: SolverConfig | None = None):
     """Cyclic descent m1 -> d_r1 -> d_r2 on the relaxed problem.
 
     Each redundancy coordinate is minimized by golden-section search
@@ -580,7 +560,7 @@ def solve_bcd(scenario: Scenario, config: SolverConfig | None = None,
     kept only when it does not worsen the objective, so the trace is
     nonincreasing.  Stopping and integer rounding are ``_descend``'s.
     """
-    return _descend(scenario, config, init, _bcd_step)
+    return _descend(scenario, config, _bcd_step)
 
 
 # ----------------------------------------------------------------------
@@ -690,8 +670,7 @@ def _mm_step(obj, config, m1, d_r1, d_r2, f, box):
     return x1, x2, f_cur
 
 
-def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
-             init: Allocation | None = None):
+def solve_mm(scenario: Scenario, config: SolverConfig | None = None):
     """Nested scheme: m1 block, then a joint redundancy block solved by
     majorize-minimize steps on the reciprocal success product.
 
@@ -703,7 +682,7 @@ def solve_mm(scenario: Scenario, config: SolverConfig | None = None,
     true upper bound) and the flat tail where surrogate steps stall.
     Stopping and integer rounding are ``_descend``'s, as for BCD.
     """
-    return _descend(scenario, config, init, _mm_step)
+    return _descend(scenario, config, _mm_step)
 
 
 __all__ = [

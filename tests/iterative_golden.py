@@ -2,14 +2,13 @@
 
 ``tests/data/iterative_golden.json`` pins every solve bit for bit
 (status, allocation, ``lfp_final``, trace and evaluation count): BCD
-and MM in every mode, relaxed included, BCD and MM restarted from the
-oracle's allocation, and the exhaustive oracle at full budget and, up
-to ``PARTIAL_BUDGET_MAX_M``, at partial budget.  A change to the
-evaluation path or the solver scaffolding that moves any last bit shows
-up.  ``tests/data/sweep_default_M200-1000.csv`` is the CLI sweep of
-``SWEEP_ARGV`` over the default operating point, compared on every
-column but ``wall_time``.  Regenerate both only for an intended change
-of results:
+and MM in every mode, relaxed included, and the exhaustive oracle at
+full budget and, up to ``PARTIAL_BUDGET_MAX_M``, at partial budget.
+A change to the evaluation path or the solver scaffolding that moves
+any last bit shows up.  ``tests/data/sweep_default_M200-1000.csv`` is
+the CLI sweep of ``SWEEP_ARGV`` over the default operating point,
+compared on every column but ``wall_time``.  Regenerate both only for
+an intended change of results:
 
     PYTHONPATH=src python3 tests/iterative_golden.py
 """
@@ -51,10 +50,6 @@ MODES = (
     ("mm_relaxed", solve_mm, SolverConfig(integer_mode=False)),
     ("mm_exponent2", solve_mm, SolverConfig(surrogate_exponent=2)),
 )
-# Restarts from the oracle's (integral, full-budget) allocation: the
-# entry check, the clamp of the start into its box and the integral
-# start's split as a rounding candidate.
-RESTART_MODES = (("bcd_restart", solve_bcd), ("mm_restart", solve_mm))
 # The partial-budget oracle is O(M^2) in its split pairs.
 PARTIAL_BUDGET_MAX_M = 200
 
@@ -94,10 +89,7 @@ def instance_records(sc):
     """{mode: record} of one instance."""
     records = {mode: report_record(solve(sc, config))
                for mode, solve, config in MODES}
-    oracle = solve_exhaustive(sc)
-    for mode, solve in RESTART_MODES:
-        records[mode] = report_record(solve(sc, init=oracle.alloc))
-    records["exhaustive"] = report_record(oracle)
+    records["exhaustive"] = report_record(solve_exhaustive(sc))
     if sc.M <= PARTIAL_BUDGET_MAX_M:
         records["exhaustive_partial"] = report_record(
             solve_exhaustive(sc, SolverConfig(full_budget_only=False)))

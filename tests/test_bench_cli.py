@@ -474,9 +474,20 @@ class TestValidate:
         assert res["empirical_lfp"] == 0.0
         assert res["within_band"]
 
+    @pytest.mark.parametrize("m1", ["0", "40"])
+    def test_split_outside_budget_exits_1(self, capsys, tmp_path, m1):
+        path = write_scenario(tmp_path)
+        code, out, err = run_main(capsys, [
+            "validate", "--scenario", path, "--m1", m1,
+            "--dr1", "26", "--dr2", "26", "--trials", "1000", "--seed", "1"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: --m1 must lie in [1, 39]\n"
+
     def test_too_few_trials_exits_1(self, capsys, tmp_path):
         path = write_scenario(tmp_path)
-        code, _, _ = run_main(capsys, [
+        code, _, err = run_main(capsys, [
             "validate", "--scenario", path, "--m1", "20",
             "--dr1", "26", "--dr2", "26", "--trials", "100", "--seed", "1"])
         assert code == EXIT_INPUT
+        assert err == "error: --trials must be >= 1000\n"
