@@ -310,34 +310,59 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
 _LOG_NDTR_ZERO = 37.67712072049519
 
 
+def _balanced_start(legit, eve, m, sqrt):
+    """The geometry of a direction's hazard balance at blocklength m.
+
+    Both margins are linear in the total bits D: w = alpha - c*D.
+    Returns (D_bal, c_b, c_e, alpha_e), D_bal the balanced-margin point
+    w_b = -w_e.  ``m`` is a float with ``math.sqrt``, or an array with
+    ``np.sqrt``; both give the same bits per element.  Unchecked.
+    """
+    s_b, s_e = sqrt(m / legit.v), sqrt(m / eve.v)
+    c_b, c_e = LN2 / m * s_b, LN2 / m * s_e
+    alpha_e = eve.log1p * s_e
+    return (legit.log1p * s_b + alpha_e) / (c_b + c_e), c_b, c_e, alpha_e
+
+
+def _hazard_balance(legit, eve, m, D, c_b, c_e, sqrt, exp):
+    """The log hazard balance r(D) = log(c_e*h(-w_e)) - log(c_b*h(w_b)),
+    h = phi/Phi, of a direction at blocklength m and total bits D, and
+    its slope dr/dD: (r, dr/dD, w_b, w_e).
+
+    r has the sign of g'(D), g the direction's log success, and falls
+    strictly in D (x + h(x) > 0), so its root is g's maximizer.  (c_b,
+    c_e) are ``_balanced_start``'s.  ``math.sqrt`` and ``math.exp`` on
+    floats, ``np.sqrt`` and ``np.exp`` on arrays.  Costs one link-pair
+    evaluation.  Unchecked.
+    """
+    w_b = _margin(legit.log1p, legit.v, m, D, sqrt)
+    w_e = _margin(eve.log1p, eve.v, m, D, sqrt)
+    lh_b, lh_e = _log_hazard(w_b), _log_hazard(-w_e)
+    # log(c_e / c_b) = log(V_b / V_e) / 2; d(log h)/dx = -(x + h(x))
+    r = 0.5 * math.log(legit.v / eve.v) + lh_e - lh_b
+    slope = -(c_e * (exp(lh_e) - w_e) + c_b * (w_b + exp(lh_b)))
+    return r, slope, w_b, w_e
+
+
 def _first_maximum_start(legit, eve, d_m, m, lo, hi):
     """An estimate of where a direction's log success g first peaks in
     the redundancy, at every blocklength of the array ``m`` with box
     [lo, hi], in redundancy units.
 
-    Both margins are linear in the total bits D: w = alpha - c*D.  The
-    start is the balanced-margin point w_b = -w_e, clipped to the box.
-    Where g is exactly 0.0 there (both margins at least
+    The start is ``_balanced_start``'s balanced-margin point, clipped to
+    the box.  Where g is exactly 0.0 there (both margins at least
     ``_LOG_NDTR_ZERO``), g's first maximum is the first D at which the
     eavesdropper's log_ndtr(-w_e) reaches 0.0, and the estimate is
     ceil((_LOG_NDTR_ZERO + alpha_e) / c_e).  Elsewhere it is one Newton
-    step from the start on the log hazard balance
-    r(D) = log(c_e*h(-w_e)) - log(c_b*h(w_b)), h = phi/Phi, whose root
-    is g'(D) = 0; where that step is not finite the estimate is the
-    start.  Nothing here is checked.  Costs one link-pair evaluation
-    per blocklength.
+    step from the start on ``_hazard_balance``, whose root is
+    g'(D) = 0; where that step is not finite the estimate is the start.
+    Nothing here is checked.  Costs one link-pair evaluation per
+    blocklength.
     """
-    s_b, s_e = np.sqrt(m / legit.v), np.sqrt(m / eve.v)
-    c_b, c_e = LN2 / m * s_b, LN2 / m * s_e
-    alpha_e = eve.log1p * s_e
-    start = np.clip((legit.log1p * s_b + alpha_e) / (c_b + c_e),
-                    d_m + lo, d_m + hi)
-    w_b = _margin(legit.log1p, legit.v, m, start, np.sqrt)
-    w_e = _margin(eve.log1p, eve.v, m, start, np.sqrt)
-    lh_b, lh_e = _log_hazard(w_b), _log_hazard(-w_e)
-    # log(c_e / c_b) = log(V_b / V_e) / 2; d(log h)/dx = -(x + h(x))
-    r = 0.5 * math.log(legit.v / eve.v) + lh_e - lh_b
-    slope = -(c_e * (np.exp(lh_e) - w_e) + c_b * (w_b + np.exp(lh_b)))
+    balanced, c_b, c_e, alpha_e = _balanced_start(legit, eve, m, np.sqrt)
+    start = np.clip(balanced, d_m + lo, d_m + hi)
+    r, slope, w_b, w_e = _hazard_balance(legit, eve, m, start, c_b, c_e,
+                                         np.sqrt, np.exp)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = start - r / slope
     newton = np.where(np.isfinite(newton), newton, start)

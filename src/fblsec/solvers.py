@@ -13,11 +13,14 @@
   evaluations per blocklength and direction, O(M) in all, instead of the
   O(M * range) dense scan, with the same first-maximum tie rule.
 * ``solve_bcd`` -- block coordinate descent on the relaxed problem:
-  an m1 block followed by golden-section minimization in d_r1 and d_r2,
-  with threshold bounds refreshed after every m1 update.  In integer
-  mode an exact per-split finish follows: the floor and ceil splits of
-  the relaxed m1, each with its best integer redundancy pair from the
-  oracle's own per-direction tables (``_best_split``).
+  an m1 block followed by the exact relaxed optimum of d_r1, then of
+  d_r2, in their threshold boxes refreshed after every m1 update (at a
+  fixed split each direction's log success is concave in its
+  redundancy, so each is a safeguarded Newton solve on the hazard
+  balance).  In integer mode an exact per-split finish follows: the
+  splits floor(m1) - 1 ... ceil(m1) + 1 around the relaxed m1, each
+  with its best integer redundancy pair from the oracle's own
+  per-direction tables (``_best_split``).
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
   minimized jointly through a majorize-minimize loop on the reciprocal
   success product, built on the model's per-link log terms; the loop
@@ -48,7 +51,9 @@ from .fbl_core import DomainError, NumericalError, dispersion, rate_margin  # no
 from .lfp_model import (  # noqa: F401
     Allocation,
     LinkErrors,
+    _balanced_start,
     _first_maximum_start,
+    _hazard_balance,
     _link_log_terms,
     _log_success,
     _split_boxes,
@@ -66,11 +71,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # split profile.
 _M1_GRID = 32
 # Run control of BCD and MM: relative stopping tolerance (outer cycle
-# and MM step), outer and MM-step caps, golden-section/MM step tolerance.
+# and MM step), outer and MM-step caps, m1 golden-section/MM step
+# tolerance.
 _REL_TOL = 1e-8
 _MAX_OUTER_ITERS = 100
 _MAX_INNER_ITERS = 200
 _LINE_SEARCH_TOL = 1e-6
+# The redundancy block's Newton step tolerance, relative to
+# max(1, |D|), and a cap on its steps; bisection alone reaches the cap
+# only on a box wider than 1e21 bits.
+_BLOCK_TOL = 1e-9
+_MAX_BLOCK_ITERS = 100
 # Absolute floor added to the relative stopping test; below this the
 # double-precision evaluation itself is noise.
 _STOP_ATOL = 1e-12
@@ -98,7 +109,8 @@ class SolverConfig:
     (eavesdroppers above their legitimate receivers).  Run control is
     fixed: stop when a cycle changes the LFP by at most 1e-8 relative
     plus 1e-12 absolute, or after 100 cycles; at most 200 MM steps,
-    step tolerance 1e-6.
+    MM and m1-block step tolerance 1e-6; redundancy-block Newton step
+    tolerance 1e-9 relative.
     """
 
     surrogate_exponent: int = 4
@@ -121,8 +133,11 @@ class SolverReport:
     re-evaluation of the winner, and the points BCD/MM's descent scores,
     each once: scalar round trips, m1-grid points and MM trial points,
     whose value is read from the four link terms of their surrogate
-    value; BCD/MM's integer finish adds its tables' link-pair
-    evaluations, about five per direction at each split it tries.
+    value.  Each hazard-balance evaluation of BCD's redundancy block
+    (also MM's fallback) counts as one link-pair evaluation, about five
+    per direction and block; BCD/MM's integer finish adds its tables'
+    link-pair evaluations, about five per direction at each split it
+    tries.
     """
 
     status: str
@@ -296,14 +311,6 @@ def _m1_block(obj, m1, d_r1, d_r2, f):
     return m1, d_r1, d_r2, f
 
 
-def _coord_min(obj_1d, x_cur, f_cur, lo, hi):
-    """Golden-section step in one coordinate from ``x_cur`` with value
-    ``f_cur``, kept only if it does not worsen it: (x, its value)."""
-    x = lo if hi <= lo else bcd_scalar_min(obj_1d, lo, hi, _LINE_SEARCH_TOL)
-    f = f_cur if x == x_cur else obj_1d(x)
-    return (x, f) if f <= f_cur else (x_cur, f_cur)
-
-
 def _initial_point(obj):
     """Start at the best of 17 splits, the mid-budget split and a
     16-point grid on [1, M-1], each with mid-box redundancy, scored in
@@ -325,14 +332,17 @@ def _stopped(prev, cur):
 
 
 def _integer_reconstruct(obj, m1):
-    """Round a relaxed split m1 to the best integer allocation at
-    floor(m1) or ceil(m1), each with its exact best redundancy pair
-    (``_best_split``, as the oracle computes it).  If neither split has
-    an integer box, the oracle's over every split is taken.  Returns
-    ``_best_split``'s (allocation, log success), or None.
+    """Round a relaxed split m1 to the best integer allocation over the
+    splits floor(m1) - 1 ... ceil(m1) + 1 in [1, M - 1], each with its
+    exact best redundancy pair (``_best_split``, as the oracle computes
+    it).  If no split of that window has an integer box, the oracle's
+    over every split is taken.  Returns ``_best_split``'s (allocation,
+    log success), or None.
     """
-    splits = sorted({math.floor(m1), math.ceil(m1)})
-    return (_best_split(obj, np.array(splits, dtype=float))
+    splits = np.arange(max(1, math.floor(m1) - 1),
+                       min(obj.scenario.M - 1, math.ceil(m1) + 1) + 1,
+                       dtype=float)
+    return (_best_split(obj, splits)
             or _best_split(obj, np.arange(1.0, obj.scenario.M)))
 
 
@@ -355,8 +365,9 @@ def _descend(scenario, config, redundancy_step):
     stops when a cycle changes the LFP by at most ``_REL_TOL`` relative
     (with a ``_STOP_ATOL`` floor for LFPs below double-precision
     resolution) or after ``_MAX_OUTER_ITERS`` cycles.  In integer mode
-    ``_integer_reconstruct`` finishes exactly at the floor and ceil
-    splits of the relaxed m1, with the oracle's per-direction tables.
+    ``_integer_reconstruct`` finishes exactly at the splits within one
+    of floor/ceil of the relaxed m1, with the oracle's per-direction
+    tables.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
@@ -542,23 +553,81 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
 # block coordinate descent
 # ----------------------------------------------------------------------
 
+def _best_redundancy(obj, legit, eve, d_m, m, lo, hi):
+    """A direction's best relaxed redundancy at blocklength m over its
+    box [lo, hi]; ``legit`` and ``eve`` are its ``link_constants``
+    entries and ``d_m`` its message bits.
+
+    The direction's log success is concave in the total bits D, and
+    ``_hazard_balance``'s r(D) has the sign of its slope and falls in D.
+    So the answer is lo where r(d_m + lo) <= 0, hi where
+    r(d_m + hi) >= 0, and otherwise r's root: Newton from the clipped
+    balanced-margin point, bisecting the sign bracket whenever a step
+    would leave it (rtsafe), until a step is at most ``_BLOCK_TOL`` *
+    max(1, |D|).  Each r evaluation counts as one link-pair evaluation.
+    """
+    if hi <= lo:
+        return lo
+    balanced, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
+
+    def balance(D):
+        obj.evaluations += 1
+        return _hazard_balance(legit, eve, m, D, c_b, c_e,
+                               math.sqrt, math.exp)[:2]
+
+    a, b = d_m + lo, d_m + hi
+    if balance(a)[0] <= 0.0:
+        return lo
+    if balance(b)[0] >= 0.0:
+        return hi
+    x = min(max(balanced, a), b)
+    for _ in range(_MAX_BLOCK_ITERS):
+        r, slope = balance(x)
+        if r > 0.0:
+            a = x
+        elif r < 0.0:
+            b = x
+        else:
+            break
+        step = x - r / slope
+        if not a <= step <= b:  # NaN included
+            step = 0.5 * (a + b)
+        done = abs(step - x) <= _BLOCK_TOL * max(1.0, abs(step))
+        x = step
+        if done:
+            break
+    return min(max(x - d_m, lo), hi)
+
+
 def _bcd_step(obj, config, m1, d_r1, d_r2, f, box):
-    """BCD's redundancy update of (d_r1, d_r2) with objective ``f``: one
-    golden-section step in d_r1, then one in d_r2, each kept only if it
-    does not worsen the objective; returns (d_r1, d_r2, objective)."""
+    """BCD's redundancy update of (d_r1, d_r2) with objective ``f``: the
+    exact relaxed d_r1 at blocklength m1 (``_best_redundancy``), then
+    d_r2 at M - m1, each kept only if it does not worsen the objective;
+    returns (d_r1, d_r2, objective)."""
     lo1, hi1, lo2, hi2 = box
-    d_r1, f = _coord_min(lambda x: obj.nl(m1, x, d_r2), d_r1, f, lo1, hi1)
-    d_r2, f = _coord_min(lambda x: obj.nl(m1, d_r1, x), d_r2, f, lo2, hi2)
+    sc = obj.scenario
+    ab, ae, ba, be = obj.links
+    x = _best_redundancy(obj, ab, ae, sc.d_m1, m1, lo1, hi1)
+    if x != d_r1:
+        f_x = obj.nl(m1, x, d_r2)
+        if f_x <= f:
+            d_r1, f = x, f_x
+    x = _best_redundancy(obj, ba, be, sc.d_m2, sc.M - m1, lo2, hi2)
+    if x != d_r2:
+        f_x = obj.nl(m1, d_r1, x)
+        if f_x <= f:
+            d_r2, f = x, f_x
     return d_r1, d_r2, f
 
 
 def solve_bcd(scenario: Scenario, config: SolverConfig | None = None):
     """Cyclic descent m1 -> d_r1 -> d_r2 on the relaxed problem.
 
-    Each redundancy coordinate is minimized by golden-section search
-    over its refreshed threshold box (``_bcd_step``); every update is
-    kept only when it does not worsen the objective, so the trace is
-    nonincreasing.  Stopping and integer rounding are ``_descend``'s.
+    Each redundancy coordinate is set to its exact relaxed optimum over
+    its refreshed threshold box (``_bcd_step``, ``_best_redundancy``);
+    every update is kept only when it does not worsen the objective, so
+    the trace is nonincreasing.  Stopping and integer rounding are
+    ``_descend``'s.
     """
     return _descend(scenario, config, _bcd_step)
 
@@ -617,7 +686,8 @@ def _anchored_surrogate(terms, anchor, exponent):
 def _mm_step(obj, config, m1, d_r1, d_r2, f, box):
     """MM's redundancy update, as ``_bcd_step``'s: majorize-minimize
     iterations on the joint pair, then, with ``mm_safeguard``,
-    ``_bcd_step`` if ``_stopped`` holds across them.
+    ``_bcd_step`` (each direction's exact relaxed optimum in turn) if
+    ``_stopped`` holds across them.
 
     Each pass anchors the surrogate at the current point and takes one
     backtracking projected-gradient step on it; because the surrogate
@@ -677,7 +747,7 @@ def solve_mm(scenario: Scenario, config: SolverConfig | None = None):
     The MM iterations never increase the true objective (a step that
     would is refused).  With ``mm_safeguard`` (default), whenever they
     fail to make relative progress above ``_REL_TOL`` the iteration
-    falls back to BCD's coordinate-wise golden-section step
+    falls back to BCD's exact coordinate-wise redundancy step
     (``_mm_step``) -- this covers both the exponent-2 surrogate (not a
     true upper bound) and the flat tail where surrogate steps stall.
     Stopping and integer rounding are ``_descend``'s, as for BCD.

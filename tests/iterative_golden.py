@@ -7,12 +7,14 @@ full budget and, up to ``PARTIAL_BUDGET_MAX_M``, at partial budget.
 A change to the evaluation path or the solver scaffolding that moves
 any last bit shows up.  ``tests/data/sweep_default_M200-1000.csv`` is
 the CLI sweep of ``SWEEP_ARGV`` over the default operating point,
-compared on every column but ``wall_time``.  Regenerate both only for
+compared on every column but ``wall_time``; the writer keeps the
+committed CSV when only that column differs.  Regenerate both only for
 an intended change of results:
 
     PYTHONPATH=src python3 tests/iterative_golden.py
 """
 
+import csv
 import json
 import shutil
 import tempfile
@@ -101,19 +103,42 @@ def golden_records():
     return {name: instance_records(sc) for name, sc in instances()}
 
 
+def strip_wall_time(path):
+    """CSV text with the wall_time column blanked (it is the one
+    legitimately run-dependent field)."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        idx = header.index("wall_time")
+        rows.append(header)
+        for row in reader:
+            row[idx] = ""
+            rows.append(row)
+    return "\n".join(",".join(r) for r in rows)
+
+
 def write_golden_sweep():
     """Run the golden sweep and copy its CSV, not the plot script the
-    sweep writes beside it, to ``SWEEP_GOLDEN_PATH``."""
+    sweep writes beside it, to ``SWEEP_GOLDEN_PATH``, unless the
+    committed CSV matches it on every column but ``wall_time``.
+    Returns whether the file was written."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / SWEEP_GOLDEN_PATH.name
         if main(SWEEP_ARGV + ["--out", str(out)]) != 0:
             raise SystemExit("golden sweep failed")
+        if (SWEEP_GOLDEN_PATH.exists() and strip_wall_time(out)
+                == strip_wall_time(SWEEP_GOLDEN_PATH)):
+            return False
         shutil.copyfile(out, SWEEP_GOLDEN_PATH)
+        return True
 
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(golden_records(), indent=1) + "\n",
                            encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
-    write_golden_sweep()
-    print(f"wrote {SWEEP_GOLDEN_PATH}")
+    if write_golden_sweep():
+        print(f"wrote {SWEEP_GOLDEN_PATH}")
+    else:
+        print(f"kept {SWEEP_GOLDEN_PATH}: only wall_time differs")

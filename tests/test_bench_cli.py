@@ -20,7 +20,7 @@ from fblsec.bench_cli import (
     main,
 )
 from conftest import make_scenario
-from iterative_golden import SWEEP_ARGV, SWEEP_GOLDEN_PATH
+from iterative_golden import SWEEP_ARGV, SWEEP_GOLDEN_PATH, strip_wall_time
 
 
 def write_scenario(tmp_path, name="sc.json", drop=(), **overrides):
@@ -47,21 +47,6 @@ def run_main(capsys, argv):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def strip_wall_time(path):
-    """CSV text with the wall_time column blanked (it is the one
-    legitimately run-dependent field)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        idx = header.index("wall_time")
-        rows.append(header)
-        for row in reader:
-            row[idx] = ""
-            rows.append(row)
-    return "\n".join(",".join(r) for r in rows)
 
 
 class TestSolve:

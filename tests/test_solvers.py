@@ -27,6 +27,8 @@ from fblsec import (
 )
 from fblsec import solvers
 from fblsec.lfp_model import (
+    _balanced_start,
+    _hazard_balance,
     _link_log_terms,
     _split_boxes,
     link_constants,
@@ -36,6 +38,7 @@ from fblsec.lfp_model import (
 from fblsec.solvers import (
     _M1_GRID,
     _anchored_surrogate,
+    _best_redundancy,
     _bisect_first_maxima,
     _first_maxima,
     _initial_point,
@@ -47,6 +50,7 @@ from fblsec.solvers import (
 
 from conftest import (
     REPO_ROOT,
+    SCENARIO_DIR,
     draw_random_scenario,
     make_scenario,
     random_feasible_suite,
@@ -589,8 +593,9 @@ def finish_suite():
 class TestIntegerFinish:
     """BCD/MM's integer finish against the dense scan: the redundancy
     pair at the chosen split is that split's first maximum, and the LFP
-    is at least as good as the best floor/ceil split of the relaxed m1
-    and never below the oracle's."""
+    is at least as good as the best split of the window floor(m1) - 1
+    ... ceil(m1) + 1 around the relaxed m1 and never below the
+    oracle's."""
 
     def test_first_maximum_at_the_chosen_split(self, finish_suite):
         for sc, _, _, report in finish_suite:
@@ -601,20 +606,109 @@ class TestIntegerFinish:
     def test_best_rounded_split_never_below_the_oracle(self, finish_suite):
         for sc, oracle, relaxed, report in finish_suite:
             m1 = relaxed.alloc.m1
-            values = [dense_split(sc, s)[1]
-                      for s in (math.floor(m1), math.ceil(m1))]
+            window = range(max(1, math.floor(m1) - 1),
+                           min(sc.M - 1, math.ceil(m1) + 1) + 1)
+            values = [dense_split(sc, s)[1] for s in window]
             assert report.lfp_final <= min(v for v in values if v is not None)
             assert report.lfp_final >= oracle.lfp_final
 
     def test_no_integer_box_at_either_split_gives_the_oracle(self):
-        # splits 1, 2 and 3 have no integer box in the forward direction
+        # the window of m1 = 2.0 is splits 1, 2 and 3, none of which has
+        # an integer box in the forward direction
         sc = TestNearDegenerateLinks.SC
-        for m1 in (2, 3):
+        for m1 in (1, 2, 3):
             assert dense_split(sc, m1) == (None, None)
-        alloc, log_p = _integer_reconstruct(_Objective(sc), 2.5)
+        alloc, log_p = _integer_reconstruct(_Objective(sc), 2.0)
         oracle = solve_exhaustive(sc)
         assert alloc == oracle.alloc
         assert -math.expm1(log_p) == oracle.lfp_final
+
+
+class TestRedundancyBlock:
+    """The exact relaxed redundancy block (``_best_redundancy``) on the
+    solver suite and the acceptance batch, each direction at several
+    splits: no point of a dense grid over the box beats its answer, its
+    hazard balance vanishes at an interior answer, and a box on one side
+    of the balance's root gives that side's edge."""
+
+    SCENARIOS = (random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
+                 + random_feasible_suite(20, seed=20240801))
+
+    @staticmethod
+    def blocks(sc):
+        """(obj, legit, eve, d_m, m, lo, hi) of both directions at five
+        splits with a non-empty box."""
+        obj = _Objective(sc)
+        ab, ae, ba, be = obj.links
+        for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
+            m1 = 1.0 + frac * (sc.M - 2)
+            lo1, hi1, lo2, hi2, _ = obj.box(m1)
+            for block in ((ab, ae, sc.d_m1, m1, lo1, hi1),
+                          (ba, be, sc.d_m2, sc.M - m1, lo2, hi2)):
+                if block[-1] > block[-2]:
+                    yield (obj,) + block
+
+    @staticmethod
+    def balance(legit, eve, d_m, m, d):
+        _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
+        return _hazard_balance(legit, eve, m, d_m + d, c_b, c_e,
+                               math.sqrt, math.exp)[0]
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_no_grid_point_is_better(self, sc):
+        for obj, legit, eve, d_m, m, lo, hi in self.blocks(sc):
+            d = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+            assert lo <= d <= hi
+            grid = log_direction_success(legit, eve, m,
+                                         d_m + np.linspace(lo, hi, 2001))
+            g = float(log_direction_success(legit, eve, m, d_m + d))
+            assert g >= grid.max() - 1e-12 * abs(grid.max())
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_balance_vanishes_at_an_interior_answer(self, sc):
+        interior = 0
+        for obj, legit, eve, d_m, m, lo, hi in self.blocks(sc):
+            d = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+            if lo < d < hi:
+                interior += 1
+                assert abs(self.balance(legit, eve, d_m, m, d)) <= 1e-12
+        assert interior
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_box_on_one_side_of_the_root_gives_its_edge(self, sc):
+        for obj, legit, eve, d_m, m, lo, hi in self.blocks(sc):
+            d = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+            # above the root r < 0 throughout, so g falls from the low edge
+            above = (d + 1.0, d + 5.0)
+            assert self.balance(legit, eve, d_m, m, above[1]) < 0.0
+            assert (_best_redundancy(obj, legit, eve, d_m, m, *above)
+                    == above[0])
+            below = (max(0.0, d - 5.0), d - 1.0)
+            if below[1] > below[0]:
+                assert self.balance(legit, eve, d_m, m, below[0]) > 0.0
+                assert (_best_redundancy(obj, legit, eve, d_m, m, *below)
+                        == below[1])
+
+    def test_empty_or_point_box_gives_its_low_edge(self):
+        obj = _Objective(SMALL)
+        ab, ae = obj.links[:2]
+        for lo, hi in ((3.0, 3.0), (4.0, 2.0)):
+            before = obj.evaluations
+            assert _best_redundancy(obj, ab, ae, SMALL.d_m1, 20.0,
+                                    lo, hi) == lo
+            assert obj.evaluations == before
+
+    def test_mirrored_tie_takes_the_oracles_allocation(self):
+        # at M = 700 the default point's splits 349 and 351 tie to the
+        # last bit; the oracle takes the smaller, and so must BCD and MM
+        sc = dataclasses.replace(
+            load_scenario(SCENARIO_DIR / "roundtrip_default.json"), M=700)
+        oracle = solve_exhaustive(sc)
+        assert (oracle.alloc.m1, oracle.alloc.m2) == (349, 351)
+        for solve in (solve_bcd, solve_mm):
+            report = solve(sc)
+            assert report.alloc == oracle.alloc
+            assert report.lfp_final == oracle.lfp_final
 
 
 @pytest.fixture(scope="module")
