@@ -202,7 +202,10 @@ def _error_prob(w):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_hazard(x):
+def _log_hazard(x, log_cdf=None):
     """log(phi(x) / Phi(x)), the log of d(log_ndtr)/dx; finite where
-    phi(x) itself underflows."""
-    return -0.5 * x * x - _LOG_SQRT_2PI - log_ndtr(x)
+    phi(x) itself underflows.  ``log_cdf`` is log_ndtr(x) where the
+    caller already has it."""
+    if log_cdf is None:
+        log_cdf = log_ndtr(x)
+    return -0.5 * x * x - _LOG_SQRT_2PI - log_cdf

@@ -155,9 +155,10 @@ def _link_log_term(link, m, d, sign):
     """
     x = sign * _margin(link.log1p, link.v, m, d, math.sqrt)
     sqrt_mv = math.sqrt(m * link.v)
-    dl_dw = sign * math.exp(_log_hazard(x))
+    l = log_ndtr(x)
+    dl_dw = sign * math.exp(_log_hazard(x, l))
     # dw/dm = (ln(1+gamma) + d*ln2/m) / (2*sqrt(m*V)), dw/dd = -ln2/sqrt(m*V)
-    return (float(log_ndtr(x)),
+    return (float(l),
             dl_dw * (link.log1p + d * LN2 / m) / (2.0 * sqrt_mv),
             -dl_dw * LN2 / sqrt_mv)
 
@@ -269,6 +270,21 @@ def _direction_bounds(legit, eve, d_m, m, sqrt=math.sqrt, maximum=max):
     d_max = (m * legit.box_log1p - sqrt(m * legit.v) * legit.q) / LN2 - d_m
     d_min = (m * eve.box_log1p - sqrt(m * eve.v) * eve.q) / LN2 - d_m
     return maximum(0.0, d_min), d_max
+
+
+def _direction_bound_slopes(legit, eve, m, lo):
+    """d/dm of ``_direction_bounds``' (d_min, d_max) at a scalar
+    blocklength m whose clamped lower bound is ``lo``.
+
+    Each edge (m * ln(1+gamma) - sqrt(m * V) * Qinv) / ln2 - d_m has
+    slope (ln(1+gamma) - Qinv * sqrt(V / m) / 2) / ln2, on the
+    legitimate link for d_max and on the eavesdropper for d_min; a
+    lower bound clamped at 0 (``lo`` <= 0) has slope 0.  Unchecked.
+    """
+    slope_hi = (legit.box_log1p - 0.5 * legit.q * math.sqrt(legit.v / m)) / LN2
+    if lo <= 0.0:
+        return 0.0, slope_hi
+    return (eve.box_log1p - 0.5 * eve.q * math.sqrt(eve.v / m)) / LN2, slope_hi
 
 
 def _split_boxes(links, scenario, m1, m2, sqrt=math.sqrt, maximum=max):

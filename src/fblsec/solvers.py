@@ -17,8 +17,13 @@
   d_r2, in their threshold boxes refreshed after every m1 update (at a
   fixed split each direction's log success is concave in its
   redundancy, so each is a safeguarded Newton solve on the hazard
-  balance).  In integer mode an exact per-split finish follows: the
-  splits floor(m1) - 1 ... ceil(m1) + 1 around the relaxed m1, each
+  balance).  The m1 block moves the split along the profile that
+  carries the redundancy pair at its box-relative position: a coarse
+  grid finds the best basin, and the root of the profile's closed-form
+  slope in its grid bracket refines it.  Both blocks share one
+  bracketed root finder (``_bracketed_root``).  In integer mode an
+  exact per-split finish follows: the splits floor(m1) - 1 ...
+  ceil(m1) + 1 around the relaxed m1, each
   with its best integer redundancy pair from the oracle's own
   per-direction tables (``_best_split``).
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
@@ -52,6 +57,7 @@ from .lfp_model import (  # noqa: F401
     Allocation,
     LinkErrors,
     _balanced_start,
+    _direction_bound_slopes,
     _first_maximum_start,
     _hazard_balance,
     _link_log_terms,
@@ -71,15 +77,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # split profile.
 _M1_GRID = 32
 # Run control of BCD and MM: relative stopping tolerance (outer cycle
-# and MM step), outer and MM-step caps, m1 golden-section/MM step
-# tolerance.
+# and MM step), outer and MM-step caps, and the absolute tolerance in
+# m1 of the m1 block's root and feasibility-edge searches, which is
+# also the smallest move that lets the MM loop go on.
 _REL_TOL = 1e-8
 _MAX_OUTER_ITERS = 100
 _MAX_INNER_ITERS = 200
 _LINE_SEARCH_TOL = 1e-6
 # The redundancy block's Newton step tolerance, relative to
-# max(1, |D|), and a cap on its steps; bisection alone reaches the cap
-# only on a box wider than 1e21 bits.
+# max(1, |D|), and a cap on the steps of every bracketed search;
+# bisection alone reaches the cap only on a bracket wider than 1e21
+# times its tolerance.
 _BLOCK_TOL = 1e-9
 _MAX_BLOCK_ITERS = 100
 # Absolute floor added to the relative stopping test; below this the
@@ -109,8 +117,8 @@ class SolverConfig:
     (eavesdroppers above their legitimate receivers).  Run control is
     fixed: stop when a cycle changes the LFP by at most 1e-8 relative
     plus 1e-12 absolute, or after 100 cycles; at most 200 MM steps,
-    MM and m1-block step tolerance 1e-6; redundancy-block Newton step
-    tolerance 1e-9 relative.
+    MM step tolerance 1e-6; the m1 block's root of the profile slope to
+    1e-6 in m1; redundancy-block Newton step tolerance 1e-9 relative.
     """
 
     surrogate_exponent: int = 4
@@ -131,13 +139,14 @@ class SolverReport:
     ``evaluations`` counts link-pair evaluations in the oracle's tables
     (one direction at one blocklength and redundancy), with no final
     re-evaluation of the winner, and the points BCD/MM's descent scores,
-    each once: scalar round trips, m1-grid points and MM trial points,
-    whose value is read from the four link terms of their surrogate
-    value.  Each hazard-balance evaluation of BCD's redundancy block
-    (also MM's fallback) counts as one link-pair evaluation, about five
-    per direction and block; BCD/MM's integer finish adds its tables'
-    link-pair evaluations, about five per direction at each split it
-    tries.
+    each once: scalar round trips, m1-grid points, the m1 block's
+    profile points (a value and its slope from one set of four link
+    terms count as one) and MM trial points, whose value is read from
+    the four link terms of their surrogate value.  Each hazard-balance
+    evaluation of BCD's redundancy block (also MM's fallback) counts as
+    one link-pair evaluation, about five per direction and block;
+    BCD/MM's integer finish adds its tables' link-pair evaluations,
+    about five per direction at each split it tries.
     """
 
     status: str
@@ -171,6 +180,11 @@ class SolverReport:
 
 def bcd_scalar_min(objective, lo, hi, tol):
     """Golden-section search for the minimizer of a unimodal objective.
+
+    No solver calls it: BCD/MM's blocks find roots of their slopes
+    instead (``_bracketed_root``).  It stays public and bound because
+    the benchmark's tracer instruments it by name; it goes when the
+    tracer's name list is trimmed.
 
     Returns x with |x - argmin| <= tol.  +inf is a value like any other,
     worse than every finite one (``_m1_profile`` returns it at splits
@@ -240,21 +254,79 @@ def _rel_pos(x, lo, hi):
     return (x - lo) / (hi - lo)
 
 
-def _carried(obj, m1, t1, t2, sqrt=math.sqrt, maximum=max):
-    """Feasibility of split m1 and the redundancy pair at the
-    box-relative positions (t1, t2) of its box; for a float m1, or an
-    array with ``np.sqrt`` and ``np.maximum``."""
-    lo1, hi1, lo2, hi2, feasible = obj.box(m1, sqrt, maximum)
-    return feasible, lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2)
+def _bracketed_root(fn, a, fa, b, fb, x=None, atol=0.0, rtol=0.0):
+    """A root of ``fn`` in the bracket [a, b] of a function that falls
+    through zero there: fa = fn(a) > 0 > fb = fn(b).
+
+    ``fn(x)`` returns (value, slope), the slope None where it is not
+    known.  From the start x (by default the false-position point of
+    the ends), each value narrows the bracket to its sign change, and
+    the next point is the Newton step where the slope is known, else the
+    Illinois false-position step on the bracket ends (an end kept twice
+    in a row has its value halved); a step that would leave the bracket
+    is replaced by its midpoint (rtsafe).  Stops at a zero or NaN value,
+    after a step of at most max(atol, rtol * |step|) or after
+    ``_MAX_BLOCK_ITERS`` values, and returns the last point reached.
+    """
+    if x is None:
+        x = (a * fb - b * fa) / (fb - fa)
+    kept = 0  # +1: the last value moved a, -1: it moved b
+    for _ in range(_MAX_BLOCK_ITERS):
+        r, slope = fn(x)
+        if r > 0.0:
+            if kept > 0:
+                fb *= 0.5
+            a, fa, kept = x, r, 1
+        elif r < 0.0:
+            if kept < 0:
+                fa *= 0.5
+            b, fb, kept = x, r, -1
+        else:
+            break
+        if slope is None:
+            step = (a * fb - b * fa) / (fb - fa)
+        else:
+            step = x - r / slope
+        if not a <= step <= b:  # NaN included
+            step = 0.5 * (a + b)
+        done = abs(step - x) <= max(atol, rtol * abs(step))
+        x = step
+        if done:
+            break
+    return x
 
 
 def _m1_profile(obj, m1, t1, t2):
-    """Objective along the split with redundancy carried at fixed
-    box-relative positions; +inf where the box is empty."""
-    feasible, a, b = _carried(obj, m1, t1, t2)
+    """The carried profile p at split m1 and its slope: the objective
+    with the redundancy pair at the box-relative positions (t1, t2) of
+    split m1's box.
+
+    Returns (p, dp/dm1, d_r1, d_r2), or (+inf, NaN, None, None) where
+    the box is empty.  p and its slope come from the same four
+    ``_link_log_terms``, p with ``_Objective.nl``'s bits, and count as
+    one evaluation.  The slope adds the links' dl/dm to their dl/dd
+    times the carried pair's slope, which the box edges give
+    (``_direction_bound_slopes``); m2 = M - m1 turns direction 2's
+    signs.
+    """
+    sc = obj.scenario
+    m2 = sc.M - m1
+    lo1, hi1, lo2, hi2, feasible = obj.box(m1)
     if not feasible:
-        return math.inf, None, None
-    return obj.nl(m1, a, b), a, b
+        return math.inf, math.nan, None, None
+    d_r1, d_r2 = lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2)
+    obj.evaluations += 1
+    ab, ae, ba, be = obj.links
+    ((l_ab, dm_ab, dd_ab), (l_ae, dm_ae, dd_ae),
+     (l_ba, dm_ba, dd_ba), (l_be, dm_be, dd_be)) = _link_log_terms(
+        obj.links, m1, m2, sc.d_m1 + d_r1, sc.d_m2 + d_r2)
+    slo1, shi1 = _direction_bound_slopes(ab, ae, m1, lo1)
+    slo2, shi2 = _direction_bound_slopes(ba, be, m2, lo2)
+    carry1 = slo1 + t1 * (shi1 - slo1)  # d(d_r1)/dm1
+    carry2 = slo2 + t2 * (shi2 - slo2)  # d(d_r2)/dm2 = -d(d_r2)/dm1
+    slope = -((dm_ab + dm_ae) + (dd_ab + dd_ae) * carry1
+              - (dm_ba + dm_be) - (dd_ba + dd_be) * carry2)
+    return -((l_ab + l_ae) + (l_ba + l_be)), slope, d_r1, d_r2
 
 
 def _nl_grid(obj, m1, d_r1, d_r2, feasible):
@@ -275,10 +347,26 @@ def _nl_grid(obj, m1, d_r1, d_r2, feasible):
 
 
 def _m1_profile_grid(obj, m1, t1, t2):
-    """``_m1_profile`` values at every split of the array ``m1``, in
+    """``_m1_profile``'s values at every split of the array ``m1``, in
     one ``_nl_grid`` call."""
-    feasible, a, b = _carried(obj, m1, t1, t2, np.sqrt, np.maximum)
-    return _nl_grid(obj, m1, a, b, feasible)
+    lo1, hi1, lo2, hi2, feasible = obj.box(m1, np.sqrt, np.maximum)
+    return _nl_grid(obj, m1, lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2),
+                    feasible)
+
+
+def _feasibility_edge(obj, x, y):
+    """The feasible end of a bisection between the feasible split x and
+    the infeasible split y, to ``_LINE_SEARCH_TOL``: box checks only,
+    no link evaluations."""
+    for _ in range(_MAX_BLOCK_ITERS):
+        if abs(y - x) <= _LINE_SEARCH_TOL:
+            break
+        mid = 0.5 * (x + y)
+        if obj.box(mid)[4]:
+            x = mid
+        else:
+            y = mid
+    return x
 
 
 def _m1_block(obj, m1, d_r1, d_r2, f):
@@ -287,11 +375,21 @@ def _m1_block(obj, m1, d_r1, d_r2, f):
     A plain fixed-redundancy line search cannot leave the thin diagonal
     strip that the thresholds carve out when the legitimate and
     eavesdropper capacities are close, so candidates are evaluated with
-    the redundancy pair held at its current box-relative position; a
-    coarse bracket on [1, M-1], evaluated in one vector call, isolates
-    the best basin before the golden-section refinement.  The move is
-    kept only if it does not worsen the objective; returns (m1, d_r1,
-    d_r2, objective).
+    the redundancy pair held at its current box-relative position
+    (``_m1_profile``).  A coarse grid on [1, M-1], evaluated in one
+    vector call, isolates the best basin.  The profile's slope at the
+    grid's best split x points to a neighbour y; where y's box is empty,
+    y becomes ``_feasibility_edge``'s split between x and y.  Where the
+    slope changes sign between x and y, ``_bracketed_root`` closes in on
+    its root with Illinois steps to ``_LINE_SEARCH_TOL``.
+
+    The answer is the best split the block scored, the latest on ties:
+    the root finder's points close in on the root, so the latest of
+    equal values lies nearest it; without a sign change it is the
+    better of x and y.  Its value and carried pair are those of its own
+    profile point, so no split is scored twice.  The move is kept only
+    if it does not worsen the objective; returns (m1, d_r1, d_r2,
+    objective).
     """
     lo1, hi1, lo2, hi2, _ = obj.box(m1)
     t1 = _rel_pos(d_r1, lo1, hi1)
@@ -301,13 +399,30 @@ def _m1_block(obj, m1, d_r1, d_r2, f):
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         return m1, d_r1, d_r2, f
-    a = xs[max(0, i - 1)]
-    b = xs[min(_M1_GRID, i + 1)]
-    cand = bcd_scalar_min(lambda x: _m1_profile(obj, x, t1, t2)[0], a, b,
-                          _LINE_SEARCH_TOL)
-    v_new, dr1_new, dr2_new = _m1_profile(obj, cand, t1, t2)
-    if v_new <= f:
-        return cand, dr1_new, dr2_new, v_new
+    points = {}
+
+    def profile(z):
+        if z not in points:
+            points[z] = _m1_profile(obj, z, t1, t2)
+        return points[z]
+
+    x = float(xs[i])
+    s_x = profile(x)[1]
+    j = i + 1 if s_x < 0.0 else i - 1 if s_x > 0.0 else i  # 0, NaN: stay
+    if j != i and 0 <= j <= _M1_GRID:
+        y = float(xs[j])
+        if not obj.box(y)[4]:
+            y = _feasibility_edge(obj, x, y)
+        s_y = profile(y)[1]
+        if s_x * s_y < 0.0:
+            # the root finder's function falls through zero: -slope
+            a, fa, b, fb = (x, -s_x, y, -s_y) if x < y else (y, -s_y, x, -s_x)
+            _bracketed_root(lambda z: (-profile(z)[1], None), a, fa, b, fb,
+                            atol=_LINE_SEARCH_TOL)
+    x = min(reversed(points), key=lambda z: points[z][0])
+    value, _, d_r1_new, d_r2_new = points[x]
+    if value <= f:
+        return x, d_r1_new, d_r2_new, value
     return m1, d_r1, d_r2, f
 
 
@@ -576,26 +691,14 @@ def _best_redundancy(obj, legit, eve, d_m, m, lo, hi):
                                math.sqrt, math.exp)[:2]
 
     a, b = d_m + lo, d_m + hi
-    if balance(a)[0] <= 0.0:
+    fa = balance(a)[0]
+    if fa <= 0.0:
         return lo
-    if balance(b)[0] >= 0.0:
+    fb = balance(b)[0]
+    if fb >= 0.0:
         return hi
-    x = min(max(balanced, a), b)
-    for _ in range(_MAX_BLOCK_ITERS):
-        r, slope = balance(x)
-        if r > 0.0:
-            a = x
-        elif r < 0.0:
-            b = x
-        else:
-            break
-        step = x - r / slope
-        if not a <= step <= b:  # NaN included
-            step = 0.5 * (a + b)
-        done = abs(step - x) <= _BLOCK_TOL * max(1.0, abs(step))
-        x = step
-        if done:
-            break
+    x = _bracketed_root(balance, a, fa, b, fb, min(max(balanced, a), b),
+                        atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
     return min(max(x - d_m, lo), hi)
 
 

@@ -36,6 +36,7 @@ from fblsec.lfp_model import (
     log_round_trip_success,
 )
 from fblsec.solvers import (
+    _LINE_SEARCH_TOL,
     _M1_GRID,
     _anchored_surrogate,
     _best_redundancy,
@@ -43,9 +44,11 @@ from fblsec.solvers import (
     _first_maxima,
     _initial_point,
     _integer_reconstruct,
+    _m1_block,
     _m1_profile,
     _m1_profile_grid,
     _Objective,
+    _rel_pos,
 )
 
 from conftest import (
@@ -97,6 +100,9 @@ SMALL = make_scenario(d_m1=2, d_m2=2, M=40)
 
 
 class TestBcdScalarMin:
+    """The golden section stays public (the benchmark tracer looks it
+    up by name) although no solver calls it."""
+
     def test_quadratic(self):
         x = bcd_scalar_min(lambda x: (x - 3.0) ** 2, 0.0, 10.0, 1e-6)
         assert x == pytest.approx(3.0, abs=1e-6)
@@ -689,6 +695,54 @@ class TestRedundancyBlock:
                 assert (_best_redundancy(obj, legit, eve, d_m, m, *below)
                         == below[1])
 
+    # (scenario, direction, split fraction) with the threshold box and
+    # its two parts split at 30 %: 54 blocks with interior and edge
+    # answers; the outputs of the loop the shared root finder replaced
+    PINNED_SCENARIOS = (
+        SMALL, make_scenario(gamma_ba=8.0, gamma_be=0.3, M=1000),
+        make_scenario(gamma_ab=1.1724898685987892, gamma_ae=0.9793948492744282,
+                      gamma_ba=6.089165608101732, gamma_be=0.2099366309057787,
+                      d_m1=4, d_m2=4, M=197))
+    PINNED = (
+        '0x1.5a3678db6932ep+3', '0x1.25c28f5c28f5dp+3', '0x1.5a3678db6932ep+3',
+        '0x1.6353898affad5p+5', '0x1.368f5c28f5c29p+5', '0x1.6353898affad5p+5',
+        '0x1.ba05b2ec751bfp+4', '0x1.8000000000000p+4', '0x1.ba05b2ec751bfp+4',
+        '0x1.ba05b2ec751bfp+4', '0x1.8000000000000p+4', '0x1.ba05b2ec751bfp+4',
+        '0x1.368f9b3b61f0ap+5', '0x1.0f0a3d70a3d70p+5', '0x1.368f9b3b61f0ap+5',
+        '0x1.06cfa6bb51c44p+4', '0x1.c3d70a3d70a3fp+3', '0x1.06cfa6bb51c44p+4',
+        '0x1.1381532efc528p+8', '0x1.e18f5c28f5c2ap+7', '0x1.1381532efc528p+8',
+        '0x1.210317750d8a0p+10', '0x1.dc026ce33a90ap+9', '0x1.210317750d8a0p+10',
+        '0x1.66219fed93b42p+9', '0x1.3afffffffffffp+9', '0x1.66219fed93b42p+9',
+        '0x1.65d4814cb18dfp+9', '0x1.25fbe178cbec9p+9', '0x1.65d4814cb18dfp+9',
+        '0x1.f90cee9f202d2p+9', '0x1.bcbd70a3d70a3p+9', '0x1.f90cee9f202d2p+9',
+        '0x1.a611700ebdf8bp+8', '0x1.59445e63aefe7p+8', '0x1.a611700ebdf8bp+8',
+        '0x1.315eaed344db9p+5', '0x1.281c614715985p+5', '0x1.315eaed344db9p+5',
+        '0x1.712d4136fe5a4p+7', '0x1.3e9a5b1fad09ep+7', '0x1.712d4136fe5a4p+7',
+        '0x1.8ee338b69817ep+6', '0x1.83fc8af91f639p+6', '0x1.8ee338b69817ep+6',
+        '0x1.c9a7b0159ddb0p+6', '0x1.89d05b830eef1p+6', '0x1.c9a7b0159ddb0p+6',
+        '0x1.197c6b5289827p+7', '0x1.11f86399168eep+7', '0x1.197c6b5289827p+7',
+        '0x1.0e85bdeeaabd5p+6', '0x1.cf1ae8b5b9ad4p+5', '0x1.0e85bdeeaabd5p+6',
+    )
+
+    def test_pinned_outputs(self):
+        out, evaluations = [], 0
+        for sc in self.PINNED_SCENARIOS:
+            obj = _Objective(sc)
+            ab, ae, ba, be = obj.links
+            for frac in (0.2, 0.5, 0.7):
+                m1 = 1.0 + frac * (sc.M - 2)
+                lo1, hi1, lo2, hi2, _ = obj.box(m1)
+                for legit, eve, d_m, m, lo, hi in (
+                        (ab, ae, sc.d_m1, m1, lo1, hi1),
+                        (ba, be, sc.d_m2, sc.M - m1, lo2, hi2)):
+                    cut = lo + 0.3 * (hi - lo)
+                    for a, b in ((lo, hi), (lo, cut), (cut, hi)):
+                        out.append(_best_redundancy(obj, legit, eve, d_m, m,
+                                                    a, b))
+            evaluations += obj.evaluations
+        assert hex_list(out) == list(self.PINNED)
+        assert evaluations == 216
+
     def test_empty_or_point_box_gives_its_low_edge(self):
         obj = _Objective(SMALL)
         ab, ae = obj.links[:2]
@@ -785,44 +839,62 @@ class TestRunControl:
 
 class TestEvaluatedOnce:
     """BCD and MM carry the incumbent's objective value instead of
-    scoring it again, and MM scores a trial point from the link terms
-    its surrogate was built on, which anchor the next pass."""
+    scoring it again, the m1 block takes its answer's value from that
+    split's own profile point, and MM scores a trial point from the link
+    terms its surrogate was built on, which anchor the next pass."""
 
     SCENARIOS = random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
 
     @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
     def test_no_point_scored_twice_in_a_cycle(self, solve, monkeypatch):
+        # the scalar scorings: round trips and the m1 block's profile
+        # points (the block's one grid call is a vector evaluation)
         cycles = []  # the points scored in each cycle, start first
         nl, m1_block = _Objective.nl, solvers._m1_block
+        m1_profile = solvers._m1_profile
 
         def recorded_nl(obj, m1, d_r1, d_r2):
             cycles[-1].append((m1, d_r1, d_r2))
             return nl(obj, m1, d_r1, d_r2)
+
+        def recorded_profile(obj, m1, t1, t2):
+            out = m1_profile(obj, m1, t1, t2)
+            if out[2] is not None:  # a feasible split, scored
+                cycles[-1].append((m1, out[2], out[3]))
+            return out
 
         def new_cycle(*args):
             cycles.append([])
             return m1_block(*args)
 
         monkeypatch.setattr(_Objective, "nl", recorded_nl)
+        monkeypatch.setattr(solvers, "_m1_profile", recorded_profile)
         monkeypatch.setattr(solvers, "_m1_block", new_cycle)
         for sc in self.SCENARIOS:
             cycles[:] = [[]]
             solve(sc)
             assert len(cycles) > 2
+            assert any(len(points) > 2 for points in cycles[1:])
             for points in cycles:
                 assert len(set(points)) == len(points), sc
 
     def test_no_link_terms_built_twice_in_an_mm_step(self, monkeypatch):
         steps = []  # the points of each MM step's link terms
         terms, mm_step = solvers._link_log_terms, solvers._mm_step
+        in_step = []
 
         def recorded_terms(links, m1, m2, d1, d2):
-            steps[-1].append((m1, d1, d2))
+            if in_step:  # the m1 block's profile points are not a step's
+                steps[-1].append((m1, d1, d2))
             return terms(links, m1, m2, d1, d2)
 
         def new_step(*args):
             steps.append([])
-            return mm_step(*args)
+            in_step.append(True)
+            try:
+                return mm_step(*args)
+            finally:
+                in_step.pop()
 
         monkeypatch.setattr(solvers, "_link_log_terms", recorded_terms)
         monkeypatch.setattr(solvers, "_mm_step", new_step)
@@ -887,6 +959,100 @@ class TestM1BracketGrid:
         xs = np.arange(1.0, float(obj.scenario.M))
         grid = _m1_profile_grid(obj, xs, 0.5, 0.5)
         assert np.isinf(grid).any() and np.isfinite(grid).any()
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_block_ends_at_a_slope_sign_change_or_an_edge(self, sc):
+        # from each incumbent the block meets in a BCD and an MM solve
+        incumbents = []
+        block = solvers._m1_block
+
+        def recorded(obj, m1, d_r1, d_r2, f):
+            incumbents.append((m1, d_r1, d_r2))
+            return block(obj, m1, d_r1, d_r2, f)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_m1_block", recorded)
+            solve_bcd(sc)
+            solve_mm(sc)
+        assert incumbents
+        tol = _LINE_SEARCH_TOL
+        grid_edges = (1.0, float(sc.M - 1))
+        for m1, d_r1, d_r2 in incumbents:
+            obj = _Objective(sc)
+            lo1, hi1, lo2, hi2, _ = obj.box(m1)
+            t1, t2 = _rel_pos(d_r1, lo1, hi1), _rel_pos(d_r2, lo2, hi2)
+            # f = +inf: the block's answer is kept whatever its value
+            x, a, b, value = _m1_block(obj, m1, d_r1, d_r2, math.inf)
+            point = _m1_profile(_Objective(sc), x, t1, t2)
+            assert (value, a, b) == (point[0], point[2], point[3])
+            if x in grid_edges:
+                continue
+            if not (obj.box(x - tol)[4] and obj.box(x + tol)[4]):
+                continue  # a feasibility edge
+            below = _m1_profile(obj, x - tol, t1, t2)[1]
+            above = _m1_profile(obj, x + tol, t1, t2)[1]
+            assert below <= 0.0 <= above, (m1, x, below, above)
+
+
+class TestM1ProfileSlope:
+    """``_m1_profile``'s slope against central differences of its own
+    value, at feasible splits away from the lower edges' clamp at 0 (a
+    kink), and its value against ``_Objective.nl`` at the carried pair,
+    bit for bit.  A threshold of 1/2 makes its link's Qinv 0, so the
+    second scenario's thresholds are not 1/2."""
+
+    SCENARIOS = (
+        make_scenario(M=1000),
+        make_scenario(gamma_ab=4.0, gamma_ae=0.5, gamma_ba=2.5, gamma_be=0.3,
+                      d_m1=8, d_m2=12, M=400, eps_ab_max=0.1, eps_ba_max=0.2,
+                      eps_e_max=0.3),
+        TestNearDegenerateLinks.SC,
+    )
+    POSITIONS = ((0.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.8, 0.1))
+
+    @staticmethod
+    def clamps(obj, x):
+        lo1, _, lo2, _, _ = obj.box(x)
+        return lo1 <= 0.0, lo2 <= 0.0
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_slope_matches_central_differences(self, sc):
+        obj = _Objective(sc)
+        splits = np.concatenate((np.linspace(2.0, sc.M - 2.0, 41),
+                                 [3.5, 7.0, 12.0, sc.M - 7.0, sc.M - 3.5]))
+        seen = set()
+        for x in splits:
+            h = 1e-5 * min(x, sc.M - x)
+            if not all(obj.box(z)[4] for z in (x - h, x, x + h)):
+                continue
+            if self.clamps(obj, x - h) != self.clamps(obj, x + h):
+                continue  # the clamp's kink lies within the difference
+            seen.add(self.clamps(obj, x))
+            for t1, t2 in self.POSITIONS:
+                value, slope, _, _ = _m1_profile(obj, x, t1, t2)
+                central = (_m1_profile(obj, x + h, t1, t2)[0]
+                           - _m1_profile(obj, x - h, t1, t2)[0]) / (2.0 * h)
+                # the floor is the difference's rounding, ~ulp(value) / h
+                assert abs(central - slope) <= (1e-5 * abs(slope)
+                                                + 1e-10 * abs(value)), \
+                    (x, t1, t2, slope, central)
+        # clamped and unclamped lower edges both met
+        assert {c for pair in seen for c in pair} == {False, True}, seen
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_value_and_pair_are_the_objectives(self, sc):
+        obj = _Objective(sc)
+        for x in np.linspace(1.0, sc.M - 1.0, 97):
+            for t1, t2 in self.POSITIONS:
+                value, slope, d_r1, d_r2 = _m1_profile(obj, x, t1, t2)
+                lo1, hi1, lo2, hi2, feasible = obj.box(x)
+                if not feasible:
+                    assert (value, d_r1, d_r2) == (math.inf, None, None)
+                    assert math.isnan(slope)
+                    continue
+                assert (d_r1, d_r2) == (lo1 + t1 * (hi1 - lo1),
+                                        lo2 + t2 * (hi2 - lo2))
+                assert value.hex() == obj.nl(x, d_r1, d_r2).hex()
 
 
 class TestIterativeGolden:
