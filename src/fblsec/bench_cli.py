@@ -134,11 +134,8 @@ def ibl_reference_lfp(scenario: Scenario) -> float:
 
 
 def _config_from_args(args) -> SolverConfig:
-    kwargs = {}
-    if args.exponent is not None:
-        kwargs["surrogate_exponent"] = args.exponent
     return SolverConfig(mm_safeguard=not args.no_safeguard,
-                        integer_mode=not args.relaxed, **kwargs)
+                        integer_mode=not args.relaxed)
 
 
 def _parse_methods(text, allowed, note=""):
@@ -378,8 +375,6 @@ def _build_parser():
 
     def add_common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--exponent", type=int, choices=(2, 4), default=None,
-                       help="surrogate exponent (default 4)")
         p.add_argument("--no-safeguard", action="store_true",
                        help="disable mm's fallback to a bcd redundancy step "
                             "where its steps stall")

@@ -144,11 +144,11 @@ def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
     ln(1+gamma) and V(gamma): the one margin expression.
 
     ``rate_margin`` calls it with ``np.sqrt`` on the two values it
-    computes from gamma.  The model's link kernel, its per-link log term
-    (the gradient and the MM step) and ``link_errors`` call it on the
-    constants ``lfp_model.link_constants`` caches, with ``math.sqrt`` on
-    floats or ``np.sqrt`` on arrays; all give the same bits as long as
-    ln(1+gamma) is ``np.log1p``'s (``math.log1p`` can differ in the last bit).
+    computes from gamma.  The model's link kernel, per-link log term,
+    hazard balance and ``link_errors`` call it on the constants
+    ``lfp_model.link_constants`` caches, with ``math.sqrt`` on floats or
+    ``np.sqrt`` on arrays; all give the same bits as long as ln(1+gamma)
+    is ``np.log1p``'s (``math.log1p`` can differ in the last bit).
     """
     return (log1p_gamma - d * LN2 / m) * sqrt(m / v)
 

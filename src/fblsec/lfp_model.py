@@ -342,22 +342,24 @@ def _balanced_start(legit, eve, m, sqrt):
 
 def _hazard_balance(legit, eve, m, D, c_b, c_e, sqrt, exp):
     """The log hazard balance r(D) = log(c_e*h(-w_e)) - log(c_b*h(w_b)),
-    h = phi/Phi, of a direction at blocklength m and total bits D, and
-    its slope dr/dD: (r, dr/dD, w_b, w_e).
+    h = phi/Phi, of a direction at blocklength m and total bits D: (r,
+    dr/dD, w_b, w_e, l_b, l_e), with the log factors l_b = log_ndtr(w_b)
+    and l_e = log_ndtr(-w_e) (``_link_log_term``'s bits).
 
-    r has the sign of g'(D), g the direction's log success, and falls
-    strictly in D (x + h(x) > 0), so its root is g's maximizer.  (c_b,
-    c_e) are ``_balanced_start``'s.  ``math.sqrt`` and ``math.exp`` on
-    floats, ``np.sqrt`` and ``np.exp`` on arrays.  Costs one link-pair
+    r has the sign of g'(D), g = l_b + l_e, and falls strictly in D
+    (x + h(x) > 0), so its root is g's maximizer.  (c_b, c_e) are
+    ``_balanced_start``'s.  ``math.sqrt`` and ``math.exp`` on floats,
+    ``np.sqrt`` and ``np.exp`` on arrays.  Costs one link-pair
     evaluation.  Unchecked.
     """
     w_b = _margin(legit.log1p, legit.v, m, D, sqrt)
     w_e = _margin(eve.log1p, eve.v, m, D, sqrt)
-    lh_b, lh_e = _log_hazard(w_b), _log_hazard(-w_e)
+    l_b, l_e = log_ndtr(w_b), log_ndtr(-w_e)
+    lh_b, lh_e = _log_hazard(w_b, l_b), _log_hazard(-w_e, l_e)
     # log(c_e / c_b) = log(V_b / V_e) / 2; d(log h)/dx = -(x + h(x))
     r = 0.5 * math.log(legit.v / eve.v) + lh_e - lh_b
     slope = -(c_e * (exp(lh_e) - w_e) + c_b * (w_b + exp(lh_b)))
-    return r, slope, w_b, w_e
+    return r, slope, w_b, w_e, l_b, l_e
 
 
 def _first_maximum_start(legit, eve, d_m, m, lo, hi):
@@ -377,8 +379,8 @@ def _first_maximum_start(legit, eve, d_m, m, lo, hi):
     """
     balanced, c_b, c_e, alpha_e = _balanced_start(legit, eve, m, np.sqrt)
     start = np.clip(balanced, d_m + lo, d_m + hi)
-    r, slope, w_b, w_e = _hazard_balance(legit, eve, m, start, c_b, c_e,
-                                         np.sqrt, np.exp)
+    r, slope, w_b, w_e, _, _ = _hazard_balance(legit, eve, m, start, c_b,
+                                               c_e, np.sqrt, np.exp)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = start - r / slope
     newton = np.where(np.isfinite(newton), newton, start)

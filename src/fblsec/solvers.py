@@ -20,17 +20,19 @@
   balance).  The m1 block moves the split along the profile that
   carries the redundancy pair at its box-relative position: a coarse
   grid finds the best basin, and the root of the profile's closed-form
-  slope in its grid bracket refines it.  Both blocks share one
-  bracketed root finder (``_bracketed_root``).  In integer mode an
-  exact per-split finish follows: the splits floor(m1) - 1 ...
-  ceil(m1) + 1 around the relaxed m1, each
-  with its best integer redundancy pair from the oracle's own
-  per-direction tables (``_best_split``).
+  slope in its grid bracket refines it.  Both blocks and MM's step
+  share one bracketed root finder (``_bracketed_root``).  In integer
+  mode an exact per-split finish follows: the splits floor(m1) - 1 ...
+  ceil(m1) + 1 around the relaxed m1, each with its best integer
+  redundancy pair from the oracle's own per-direction tables
+  (``_best_split``).
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
-  minimized jointly through a majorize-minimize loop on the reciprocal
-  success product, built on the model's per-link log terms; the loop
-  refuses any step that would increase the true objective, and BCD's
-  redundancy step takes over where it stalls.
+  minimized jointly by majorize-minimize passes on the reciprocal
+  success product, each the exact minimizer of the power-mean surrogate
+  at the incumbent: per direction, the root of the hazard balance
+  shifted by the anchor's log factors.  A pass that would increase the
+  true objective is refused; BCD's redundancy step takes over where the
+  passes stall.
 
 BCD and MM differ only in their redundancy update and share the outer
 loop around it (``_descend``) and the integer finish.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,17 +80,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # split profile.
 _M1_GRID = 32
 # Run control of BCD and MM: relative stopping tolerance (outer cycle
-# and MM step), outer and MM-step caps, and the absolute tolerance in
+# and MM pass), outer and MM-pass caps, and the absolute tolerance in
 # m1 of the m1 block's root and feasibility-edge searches, which is
-# also the smallest move that lets the MM loop go on.
+# also the smallest move that lets the MM passes go on.
 _REL_TOL = 1e-8
 _MAX_OUTER_ITERS = 100
 _MAX_INNER_ITERS = 200
 _LINE_SEARCH_TOL = 1e-6
-# The redundancy block's Newton step tolerance, relative to
-# max(1, |D|), and a cap on the steps of every bracketed search;
-# bisection alone reaches the cap only on a bracket wider than 1e21
-# times its tolerance.
+# The Newton step tolerance of the redundancy block and MM's step,
+# relative to max(1, |x|), and a cap on the steps of every bracketed
+# search; bisection alone reaches the cap only on a bracket wider than
+# 1e21 times its tolerance.
 _BLOCK_TOL = 1e-9
 _MAX_BLOCK_ITERS = 100
 # Absolute floor added to the relative stopping test; below this the
@@ -106,29 +109,21 @@ STATUS_INFEASIBLE = "infeasible"
 class SolverConfig:
     """Problem and method choices shared by the three solvers.
 
-    ``surrogate_exponent=2`` reproduces the printed form of the
-    reciprocal-mean bound, which does not actually upper-bound the
-    product (see ``surrogate_g``); with the default 4 the bound holds
-    everywhere.  ``mm_safeguard`` switches MM's BCD fallback (see
-    ``solve_mm``); ``integer_mode`` rounds BCD/MM's relaxed solution.
+    ``mm_safeguard`` switches MM's BCD fallback (see ``solve_mm``);
+    ``integer_mode`` rounds BCD/MM's relaxed solution.
     ``full_budget_only`` restricts enumeration to m1 + m2 = M; disabling
     it is only useful for oracle cross-checks, since partial-budget
     optima are never better unless the full-budget boxes are empty
     (eavesdroppers above their legitimate receivers).  Run control is
     fixed: stop when a cycle changes the LFP by at most 1e-8 relative
-    plus 1e-12 absolute, or after 100 cycles; at most 200 MM steps,
-    MM step tolerance 1e-6; the m1 block's root of the profile slope to
-    1e-6 in m1; redundancy-block Newton step tolerance 1e-9 relative.
+    plus 1e-12 absolute, or after 100 cycles; at most 200 MM passes,
+    stopping below a 1e-8 relative gain or a 1e-6 move; the m1 block's
+    root to 1e-6 in m1; Newton steps to 1e-9 relative.
     """
 
-    surrogate_exponent: int = 4
     mm_safeguard: bool = True
     integer_mode: bool = True
     full_budget_only: bool = True
-
-    def __post_init__(self):
-        if self.surrogate_exponent not in (2, 4):
-            raise DomainError("surrogate_exponent must be 2 or 4")
 
 
 @dataclass
@@ -139,14 +134,13 @@ class SolverReport:
     ``evaluations`` counts link-pair evaluations in the oracle's tables
     (one direction at one blocklength and redundancy), with no final
     re-evaluation of the winner, and the points BCD/MM's descent scores,
-    each once: scalar round trips, m1-grid points, the m1 block's
+    each once: scalar round trips, m1-grid points and the m1 block's
     profile points (a value and its slope from one set of four link
-    terms count as one) and MM trial points, whose value is read from
-    the four link terms of their surrogate value.  Each hazard-balance
-    evaluation of BCD's redundancy block (also MM's fallback) counts as
-    one link-pair evaluation, about five per direction and block;
-    BCD/MM's integer finish adds its tables' link-pair evaluations,
-    about five per direction at each split it tries.
+    terms count as one).  Each hazard-balance evaluation of BCD's
+    redundancy block (also MM's fallback) and of MM's step (which also
+    scores MM's points) counts as one link-pair evaluation, about five
+    per direction and block; BCD/MM's integer finish adds its tables'
+    link-pair evaluations, about five per direction at each split.
     """
 
     status: str
@@ -187,9 +181,9 @@ def bcd_scalar_min(objective, lo, hi, tol):
     tracer's name list is trimmed.
 
     Returns x with |x - argmin| <= tol.  +inf is a value like any other,
-    worse than every finite one (``_m1_profile`` returns it at splits
-    with an empty box); NaN aborts with :class:`NumericalError`.  On an
-    interval collapsed to a point the point itself is returned.
+    worse than every finite one; NaN aborts with
+    :class:`NumericalError`.  On an interval collapsed to a point the
+    point itself is returned.
     """
     if lo > hi:
         raise DomainError(f"empty interval [{lo}, {hi}]")
@@ -230,6 +224,13 @@ class _Objective:
         self.scenario = scenario
         self.links = link_constants(scenario)
         self.evaluations = 0
+
+    @cached_property
+    def m1_grid(self):
+        """The m1 block's ``_M1_GRID`` + 1 splits on [1, M-1] and their
+        ``box`` arrays, built once per solve."""
+        xs = np.linspace(1.0, float(self.scenario.M - 1), _M1_GRID + 1)
+        return xs, self.box(xs, np.sqrt, np.maximum)
 
     def box(self, m1, sqrt=math.sqrt, maximum=max):
         """Redundancy boxes of split m1 (m2 = M - m1) and their
@@ -346,10 +347,10 @@ def _nl_grid(obj, m1, d_r1, d_r2, feasible):
     return vals
 
 
-def _m1_profile_grid(obj, m1, t1, t2):
-    """``_m1_profile``'s values at every split of the array ``m1``, in
-    one ``_nl_grid`` call."""
-    lo1, hi1, lo2, hi2, feasible = obj.box(m1, np.sqrt, np.maximum)
+def _m1_profile_grid(obj, m1, box, t1, t2):
+    """``_m1_profile``'s values at every split of the array ``m1``, whose
+    ``_Objective.box`` arrays are ``box``, in one ``_nl_grid`` call."""
+    lo1, hi1, lo2, hi2, feasible = box
     return _nl_grid(obj, m1, lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2),
                     feasible)
 
@@ -376,12 +377,13 @@ def _m1_block(obj, m1, d_r1, d_r2, f):
     strip that the thresholds carve out when the legitimate and
     eavesdropper capacities are close, so candidates are evaluated with
     the redundancy pair held at its current box-relative position
-    (``_m1_profile``).  A coarse grid on [1, M-1], evaluated in one
-    vector call, isolates the best basin.  The profile's slope at the
-    grid's best split x points to a neighbour y; where y's box is empty,
-    y becomes ``_feasibility_edge``'s split between x and y.  Where the
-    slope changes sign between x and y, ``_bracketed_root`` closes in on
-    its root with Illinois steps to ``_LINE_SEARCH_TOL``.
+    (``_m1_profile``).  A coarse grid on [1, M-1]
+    (``_Objective.m1_grid``), evaluated in one vector call, isolates the
+    best basin.  The profile's slope at the grid's best split x points
+    to a neighbour y; where y's box is empty, y becomes
+    ``_feasibility_edge``'s split between x and y.  Where the slope
+    changes sign between x and y, ``_bracketed_root`` closes in on its
+    root with Illinois steps to ``_LINE_SEARCH_TOL``.
 
     The answer is the best split the block scored, the latest on ties:
     the root finder's points close in on the root, so the latest of
@@ -394,8 +396,8 @@ def _m1_block(obj, m1, d_r1, d_r2, f):
     lo1, hi1, lo2, hi2, _ = obj.box(m1)
     t1 = _rel_pos(d_r1, lo1, hi1)
     t2 = _rel_pos(d_r2, lo2, hi2)
-    xs = np.linspace(1.0, float(obj.scenario.M - 1), _M1_GRID + 1)
-    vals = _m1_profile_grid(obj, xs, t1, t2)
+    xs, grid_box = obj.m1_grid
+    vals = _m1_profile_grid(obj, xs, grid_box, t1, t2)
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         return m1, d_r1, d_r2, f
@@ -411,7 +413,7 @@ def _m1_block(obj, m1, d_r1, d_r2, f):
     j = i + 1 if s_x < 0.0 else i - 1 if s_x > 0.0 else i  # 0, NaN: stay
     if j != i and 0 <= j <= _M1_GRID:
         y = float(xs[j])
-        if not obj.box(y)[4]:
+        if not grid_box[4][j]:
             y = _feasibility_edge(obj, x, y)
         s_y = profile(y)[1]
         if s_x * s_y < 0.0:
@@ -747,10 +749,9 @@ def surrogate_g(errors: LinkErrors, exponent: int = 4) -> float:
     With exponent 4 this upper-bounds the reciprocal success product
     f = 1/((1-eps_ab)*eps_ae*(1-eps_ba)*eps_be) everywhere on (0,1)^4
     (arithmetic mean >= geometric mean, raised to the fourth power).
-    With exponent 2 the bound fails -- at all eps = 1/2 the four
-    reciprocals equal 2, giving g = 4 < f = 16 -- so 2 is offered only
-    for comparison against the squared form and relies on the solver
-    safeguard for monotonicity.
+    With exponent 2, the printed form, the bound fails (at all eps = 1/2,
+    g = 4 < f = 16).  MM's step minimizes the anchored mean, whose
+    minimizer does not depend on the exponent (``_mm_step``).
     """
     if exponent not in (2, 4):
         raise DomainError("exponent must be 2 or 4")
@@ -763,79 +764,85 @@ def surrogate_g(errors: LinkErrors, exponent: int = 4) -> float:
     return mean ** exponent
 
 
-def _anchored_surrogate(terms, anchor, exponent):
-    """Value and redundancy gradient of the anchored reciprocal-mean
-    surrogate ((A/Ah + B/Bh + C/Ch + D/Dh) / 4) ** exponent at the point
-    whose ``_link_log_terms`` are ``terms``; ``anchor`` holds the four
-    log success factors at the anchor point.
+def _direction_balance(obj, legit, eve, d_m, m):
+    """One direction's ``_hazard_balance`` at blocklength m by redundancy
+    d, each d evaluated once (one link-pair evaluation): (r, F',
+    l_b - l_e, l_b + l_e).  F' is the slope of ``_surrogate_min``'s F,
+    dr/dD + d(l_b - l_e)/dD, where d(l_b - l_e)/dD = -(c_b h(w_b) +
+    c_e h(-w_e)) = slope + c_b w_b - c_e w_e by the balance's slope."""
+    _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
+    seen = {}
 
-    Each reciprocal is exp(-l) of its link's log factor l, so its ratio
-    to the anchor's is exp(lh - l), with d-derivative -ratio * dl/dd.
-    Inside the box every factor is at least its threshold (to the box
-    edges' ~1e-12), so no ratio exceeds about 1/threshold and no clamp
-    is needed.  Dividing by the anchor makes the bound tight
-    there (all four ratios equal one), which is what lets a descent step
-    on the surrogate certify descent of the true reciprocal product; the
-    unanchored ``surrogate_g`` is this same expression at an
-    equal-valued anchor.
+    def at(d):
+        if d not in seen:
+            obj.evaluations += 1
+            r, slope, w_b, w_e, l_b, l_e = _hazard_balance(
+                legit, eve, m, d_m + d, c_b, c_e, math.sqrt, math.exp)
+            seen[d] = (float(r), 2.0 * slope + c_b * w_b - c_e * w_e,
+                       float(l_b - l_e), float(l_b + l_e))
+        return seen[d]
+    return at
+
+
+def _surrogate_min(at, x, lo, hi):
+    """The redundancy in [lo, hi] that minimizes one direction's part
+    r_b + r_e of the surrogate anchored at x, r_i = exp(l̂_i - l_i);
+    ``at`` is the direction's ``_direction_balance``.
+
+    The part's slope has the sign of -F, F(d) = r(d) - δ(d), with r the
+    hazard balance and δ(d) = (l̂_b - l̂_e) - (l_b(d) - l_e(d)).  F falls
+    strictly and F(x) = r(x), so the answer is x where the Newton step
+    from x rounds to x, else the box edge that r(x)'s sign points to
+    where F has not changed sign there, else F's root between x and that
+    edge (``_bracketed_root`` from x).
     """
-    r = [math.exp(lh - l) for (l, _, _), lh in zip(terms, anchor)]
-    rd = [ri * dl_dd for ri, (_, _, dl_dd) in zip(r, terms)]
-    mean = 0.25 * (r[0] + r[1] + r[2] + r[3])
-    pref = -exponent * mean ** (exponent - 1) * 0.25
-    return mean ** exponent, pref * (rd[0] + rd[1]), pref * (rd[2] + rd[3])
+    r, slope, gap, _ = at(x)
+
+    def shifted(d):
+        r_d, slope_d, gap_d, _ = at(d)
+        return r_d - (gap - gap_d), slope_d
+
+    if x - r / slope == x:
+        return x
+    edge = hi if r > 0.0 else lo
+    f_edge = shifted(edge)[0]
+    if f_edge == 0.0 or (f_edge > 0.0) == (r > 0.0):
+        return edge
+    a, fa, b, fb = (x, r, edge, f_edge) if r > 0.0 else (edge, f_edge, x, r)
+    return _bracketed_root(shifted, a, fa, b, fb, x,
+                           atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
 
 
 def _mm_step(obj, config, m1, d_r1, d_r2, f, box):
     """MM's redundancy update, as ``_bcd_step``'s: majorize-minimize
-    iterations on the joint pair, then, with ``mm_safeguard``,
-    ``_bcd_step`` (each direction's exact relaxed optimum in turn) if
-    ``_stopped`` holds across them.
+    passes on the joint pair, then, with ``mm_safeguard``, ``_bcd_step``
+    if ``_stopped`` holds across them.
 
-    Each pass anchors the surrogate at the current point and takes one
-    backtracking projected-gradient step on it; because the surrogate
-    touches the true reciprocal product at the anchor, any surrogate
-    decrease is a true decrease (exponent 4).  A trial point's objective
-    is the per-direction sum of its link terms (``_log_success``'s
-    bits), and an accepted point's terms anchor the next pass.  A step
-    that would increase the true objective (possible with exponent 2)
-    ends the loop unaccepted, so the loop never raises the objective.
+    A pass moves to the exact minimizer of the surrogate
+    ((r_ab + r_ae + r_ba + r_be) / 4)^4 anchored at the current point,
+    which separates by direction and does not depend on the exponent:
+    one ``_surrogate_min`` per direction.  The surrogate touches the
+    reciprocal success product at its anchor and bounds it; the new
+    point, scored from the two balances that anchor the next pass, is
+    kept only if it is not worse (rounding).
     """
     lo1, hi1, lo2, hi2 = box
     sc = obj.scenario
-    exponent = config.surrogate_exponent
-
-    def terms_at(x1, x2):
-        return _link_log_terms(obj.links, m1, sc.M - m1,
-                               sc.d_m1 + x1, sc.d_m2 + x2)
-
+    ab, ae, ba, be = obj.links
+    at1 = _direction_balance(obj, ab, ae, sc.d_m1, m1)
+    at2 = _direction_balance(obj, ba, be, sc.d_m2, sc.M - m1)
     x1, x2, f_cur = d_r1, d_r2, f
-    terms = terms_at(x1, x2)
-    step = 1.0
     for _ in range(_MAX_INNER_ITERS):
-        anchor = [l for l, _, _ in terms]
-        hv, g1, g2 = _anchored_surrogate(terms, anchor, exponent)
-        step = min(step * 2.0, 1e12)
-        while True:
-            n1 = min(max(x1 - step * g1, lo1), hi1)
-            n2 = min(max(x2 - step * g2, lo2), hi2)
-            moved = abs(n1 - x1) + abs(n2 - x2)
-            if not moved:
-                break
-            trial = terms_at(n1, n2)
-            hn = _anchored_surrogate(trial, anchor, exponent)[0]
-            decrease = g1 * (x1 - n1) + g2 * (x2 - n2)
-            if hn <= hv - 1e-4 * decrease or step < 1e-14:
-                break
-            step *= 0.5
+        n1 = _surrogate_min(at1, x1, lo1, hi1)
+        n2 = _surrogate_min(at2, x2, lo2, hi2)
+        moved = abs(n1 - x1) + abs(n2 - x2)
         if not moved:
-            break  # the projected step stays at the anchor
-        obj.evaluations += 1
-        f_new = -((trial[0][0] + trial[1][0]) + (trial[2][0] + trial[3][0]))
+            break
+        f_new = -(at1(n1)[3] + at2(n2)[3])
         if f_new > f_cur:
             break
         rel_gain = abs(f_cur - f_new) / max(abs(f_cur), 1e-300)
-        x1, x2, f_cur, terms = n1, n2, f_new, trial
+        x1, x2, f_cur = n1, n2, f_new
         if rel_gain < _REL_TOL or moved < _LINE_SEARCH_TOL:
             break
     if config.mm_safeguard and _stopped(f, f_cur):
@@ -845,15 +852,11 @@ def _mm_step(obj, config, m1, d_r1, d_r2, f, box):
 
 def solve_mm(scenario: Scenario, config: SolverConfig | None = None):
     """Nested scheme: m1 block, then a joint redundancy block solved by
-    majorize-minimize steps on the reciprocal success product.
-
-    The MM iterations never increase the true objective (a step that
-    would is refused).  With ``mm_safeguard`` (default), whenever they
-    fail to make relative progress above ``_REL_TOL`` the iteration
-    falls back to BCD's exact coordinate-wise redundancy step
-    (``_mm_step``) -- this covers both the exponent-2 surrogate (not a
-    true upper bound) and the flat tail where surrogate steps stall.
-    Stopping and integer rounding are ``_descend``'s, as for BCD.
+    exact majorize-minimize passes on the reciprocal success product
+    (``_mm_step``), which never increase the true objective.  With
+    ``mm_safeguard`` (default), where they fail to make relative
+    progress above ``_REL_TOL``, BCD's exact coordinate-wise redundancy
+    step follows.  Stopping and integer rounding are ``_descend``'s.
     """
     return _descend(scenario, config, _mm_step)
 

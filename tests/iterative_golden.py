@@ -50,7 +50,6 @@ MODES = (
     ("bcd_relaxed", solve_bcd, SolverConfig(integer_mode=False)),
     ("mm", solve_mm, SolverConfig()),
     ("mm_relaxed", solve_mm, SolverConfig(integer_mode=False)),
-    ("mm_exponent2", solve_mm, SolverConfig(surrogate_exponent=2)),
 )
 # The partial-budget oracle is O(M^2) in its split pairs.
 PARTIAL_BUDGET_MAX_M = 200

@@ -157,6 +157,18 @@ class TestSolve:
             "solve", "--scenario", path, "--method", "simplex"])
         assert code == EXIT_INPUT
 
+    def test_exponent_flag_is_gone(self, capsys, tmp_path):
+        # MM's step does not depend on the surrogate's exponent, so the
+        # flag that chose it is a usage error
+        path = write_scenario(tmp_path)
+        code, out, err = run_main(capsys, [
+            "solve", "--scenario", path, "--method", "mm", "--exponent", "4"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("usage: fblsec")
+        assert "unrecognized arguments: --exponent 4" in err
+        assert "Traceback" not in err
+
     def test_module_entry_point(self, tmp_path):
         path = write_scenario(tmp_path)
         proc = subprocess.run(

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from fblsec import (
     DomainError,
@@ -15,7 +16,6 @@ from fblsec import (
     SolverConfig,
     bcd_scalar_min,
     lfp,
-    lfp_gradient_reduced,
     lfp_value,
     link_errors,
     load_scenario,
@@ -29,18 +29,17 @@ from fblsec import solvers
 from fblsec.lfp_model import (
     _balanced_start,
     _hazard_balance,
-    _link_log_terms,
+    _link_log_term,
     _split_boxes,
     link_constants,
     log_direction_success,
-    log_round_trip_success,
 )
 from fblsec.solvers import (
     _LINE_SEARCH_TOL,
     _M1_GRID,
-    _anchored_surrogate,
     _best_redundancy,
     _bisect_first_maxima,
+    _direction_balance,
     _first_maxima,
     _initial_point,
     _integer_reconstruct,
@@ -49,6 +48,7 @@ from fblsec.solvers import (
     _m1_profile_grid,
     _Objective,
     _rel_pos,
+    _surrogate_min,
 )
 
 from conftest import (
@@ -461,19 +461,6 @@ class TestMm:
         vals = [v for _, v in report.trace]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_exponent_two_with_safeguard_still_descends(self):
-        report = solve_mm(SMALL, SolverConfig(surrogate_exponent=2))
-        vals = [v for _, v in report.trace]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_exponent_two_safeguard_preserves_quality(self):
-        # the squared mean is not an upper bound on the reciprocal
-        # product, so only the safeguard's fallback keeps this variant
-        # on track; it must still land near the enumeration optimum
-        ex = solve_exhaustive(SMALL)
-        report = solve_mm(SMALL, SolverConfig(surrogate_exponent=2))
-        assert report.lfp_final - ex.lfp_final <= 2e-3
-
     def test_no_safeguard_runs(self):
         report = solve_mm(SMALL, SolverConfig(mm_safeguard=False))
         assert report.status in ("converged", "max_iters")
@@ -488,28 +475,119 @@ class TestMm:
         b = solve_mm(SMALL)
         assert a.alloc == b.alloc and a.trace == b.trace
 
-    @pytest.mark.parametrize("exponent", (2, 4))
-    def test_surrogate_touches_the_objective_at_its_anchor(self, exponent):
-        # value exactly 1 and gradient (exponent/4) * d(-log P)/d(d_r),
-        # with d(-log P) = lfp_gradient_reduced / P and P = 1 - lfp
-        rng = np.random.default_rng(29)
-        tested = 0
-        while tested < 100:
-            sc = draw_random_scenario(rng)
-            pt = sample_interior_point(rng, sc)
-            if pt is None:
-                continue
-            m1, d_r1, d_r2 = pt
-            terms = _link_log_terms(link_constants(sc), m1, sc.M - m1,
-                                    sc.d_m1 + d_r1, sc.d_m2 + d_r2)
-            val, g1, g2 = _anchored_surrogate(
-                terms, [l for l, _, _ in terms], exponent)
-            assert val == 1.0
-            p = math.exp(log_round_trip_success(sc, m1, d_r1, d_r2))
-            grad = lfp_gradient_reduced(sc, m1, d_r1, d_r2)
-            assert g1 == pytest.approx(exponent / 4 * grad[1] / p, rel=1e-9)
-            assert g2 == pytest.approx(exponent / 4 * grad[2] / p, rel=1e-9)
-            tested += 1
+
+def interior_anchors(count, seed=29):
+    """``count`` seeded (scenario, m1, d_r1, d_r2) interior points."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        sc = draw_random_scenario(rng)
+        pt = sample_interior_point(rng, sc)
+        if pt is not None:
+            out.append((sc, *pt))
+    return out
+
+
+def direction_steps(sc, m1, d_r1, d_r2):
+    """(legit, eve, d_m, m, lo, hi, x, at) of both directions of MM's
+    step anchored at (d_r1, d_r2) on split m1."""
+    obj = _Objective(sc)
+    ab, ae, ba, be = obj.links
+    lo1, hi1, lo2, hi2, _ = obj.box(m1)
+    for legit, eve, d_m, m, lo, hi, x in (
+            (ab, ae, sc.d_m1, m1, lo1, hi1, d_r1),
+            (ba, be, sc.d_m2, sc.M - m1, lo2, hi2, d_r2)):
+        yield (legit, eve, d_m, m, lo, hi, x,
+               _direction_balance(obj, legit, eve, d_m, m))
+
+
+class TestMmStep:
+    """MM's majorize step: per direction, the exact minimizer of its part
+    r_b + r_e of the surrogate anchored at the incumbent, found as the
+    root of the shifted hazard balance F."""
+
+    ANCHORS = interior_anchors(100)
+
+    @staticmethod
+    def surrogate_part(legit, eve, d_m, m, x):
+        """r_b + r_e anchored at x, less its constant exp(l̂_b) + exp(l̂_e),
+        as a function of d, from the links' ``_link_log_term`` factors.
+
+        r_i = exp(l̂_i - l_i) is exp(l̂_i) + exp(l̂_i) * expm1(-l_i); near
+        success 1 the factors are tiny, r_i rounds to 1 and the plain
+        sum is flat over a wide range of d, while each term
+        exp(l̂_i) * expm1(-l_i) keeps its relative precision."""
+        def log_factors(d):
+            return (_link_log_term(legit, m, d_m + d, 1.0)[0],
+                    _link_log_term(eve, m, d_m + d, -1.0)[0])
+
+        lb_hat, le_hat = log_factors(x)
+
+        def part(d):
+            l_b, l_e = log_factors(d)
+            return (math.exp(lb_hat) * math.expm1(-l_b)
+                    + math.exp(le_hat) * math.expm1(-l_e))
+        return part
+
+    def test_root_minimizes_the_surrogate_part(self):
+        moved = 0
+        for sc, m1, d_r1, d_r2 in self.ANCHORS:
+            for legit, eve, d_m, m, lo, hi, x, at in direction_steps(
+                    sc, m1, d_r1, d_r2):
+                step = _surrogate_min(at, x, lo, hi)
+                assert lo <= step <= hi
+                part = self.surrogate_part(legit, eve, d_m, m, x)
+                ref = minimize_scalar(part, bounds=(lo, hi), method="bounded",
+                                      options={"xatol": 1e-10}).x
+                assert abs(step - ref) <= 1e-6 * (d_m + ref), (sc, m, x)
+                assert part(step) <= part(x)
+                moved += step != x
+        assert moved > 100
+
+    def test_best_redundancy_is_a_fixed_point(self):
+        edges = 0
+        for sc, m1, d_r1, d_r2 in self.ANCHORS:
+            obj = _Objective(sc)
+            for legit, eve, d_m, m, lo, hi, _, at in direction_steps(
+                    sc, m1, d_r1, d_r2):
+                best = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+                step = _surrogate_min(at, best, lo, hi)
+                if best in (lo, hi):
+                    edges += 1
+                    assert step == best
+                else:
+                    assert abs(step - best) <= 1e-9 * max(1.0, d_m + best)
+        assert 0 < edges < 200
+
+    def test_shifted_balance_is_the_balance_at_its_anchor(self, monkeypatch):
+        # the root finder's F at the anchor is the hazard balance, bit
+        # for bit; F falls, and its bracket ends have opposite signs
+        brackets = []
+        root = solvers._bracketed_root
+
+        def recorded(fn, a, fa, b, fb, x, **kwargs):
+            brackets.append((fn, a, fa, b, fb, x))
+            return root(fn, a, fa, b, fb, x, **kwargs)
+
+        monkeypatch.setattr(solvers, "_bracketed_root", recorded)
+        checked = 0
+        for sc, m1, d_r1, d_r2 in self.ANCHORS:
+            for legit, eve, d_m, m, lo, hi, x, at in direction_steps(
+                    sc, m1, d_r1, d_r2):
+                brackets.clear()
+                _surrogate_min(at, x, lo, hi)
+                if not brackets:
+                    continue  # the answer is a box edge
+                checked += 1
+                fn, a, fa, b, fb, start = brackets[0]
+                _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
+                r = _hazard_balance(legit, eve, m, d_m + x, c_b, c_e,
+                                    math.sqrt, math.exp)[0]
+                assert start == x and x in (a, b)
+                assert fn(x)[0].hex() == float(r).hex()
+                assert fa > 0.0 > fb
+                assert fn(a)[1] < 0.0 and fn(b)[1] < 0.0
+        assert checked > 100
 
 
 @pytest.fixture(scope="module")
@@ -815,7 +893,7 @@ class TestReportSurface:
 
 
 class TestRunControl:
-    """The fixed outer-iteration cap and the one settable value check."""
+    """The fixed outer-iteration cap."""
 
     @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
     def test_outer_cap_stops_with_max_iters(self, solve, monkeypatch,
@@ -832,16 +910,12 @@ class TestRunControl:
         assert all(float(v).is_integer() for v in (a.m1, a.m2, a.d_r1, a.d_r2))
         assert report.lfp_final == lfp(sc, report.alloc)
 
-    def test_surrogate_exponent_checked(self):
-        with pytest.raises(DomainError):
-            SolverConfig(surrogate_exponent=3)
-
 
 class TestEvaluatedOnce:
     """BCD and MM carry the incumbent's objective value instead of
     scoring it again, the m1 block takes its answer's value from that
-    split's own profile point, and MM scores a trial point from the link
-    terms its surrogate was built on, which anchor the next pass."""
+    split's own profile point, and MM scores a new point from the
+    hazard-balance evaluations that anchor its next pass."""
 
     SCENARIOS = random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
 
@@ -879,29 +953,43 @@ class TestEvaluatedOnce:
                 assert len(set(points)) == len(points), sc
 
     def test_no_link_terms_built_twice_in_an_mm_step(self, monkeypatch):
-        steps = []  # the points of each MM step's link terms
-        terms, mm_step = solvers._link_log_terms, solvers._mm_step
-        in_step = []
+        # the link pairs each MM step's passes evaluate: its hazard
+        # balances (the BCD fallback's are not the passes') and no
+        # four-link terms
+        steps = []  # (legit, m, D) of each step's balances
+        balance, mm_step = solvers._hazard_balance, solvers._mm_step
+        bcd_step, terms = solvers._bcd_step, solvers._link_log_terms
+        in_passes = []
 
-        def recorded_terms(links, m1, m2, d1, d2):
-            if in_step:  # the m1 block's profile points are not a step's
-                steps[-1].append((m1, d1, d2))
-            return terms(links, m1, m2, d1, d2)
+        def recorded_balance(legit, eve, m, D, *args):
+            if in_passes:
+                steps[-1].append((legit, m, D))
+            return balance(legit, eve, m, D, *args)
+
+        def recorded_terms(*args):
+            assert not in_passes
+            return terms(*args)
 
         def new_step(*args):
             steps.append([])
-            in_step.append(True)
+            in_passes.append(True)
             try:
                 return mm_step(*args)
             finally:
-                in_step.pop()
+                in_passes.clear()
 
+        def fallback(*args):
+            in_passes.clear()
+            return bcd_step(*args)
+
+        monkeypatch.setattr(solvers, "_hazard_balance", recorded_balance)
         monkeypatch.setattr(solvers, "_link_log_terms", recorded_terms)
         monkeypatch.setattr(solvers, "_mm_step", new_step)
+        monkeypatch.setattr(solvers, "_bcd_step", fallback)
         for sc in self.SCENARIOS:
             steps.clear()
             solve_mm(sc)
-            assert any(len(points) > 2 for points in steps)
+            assert any(len(points) > 6 for points in steps)
             for points in steps:
                 assert len(set(points)) == len(points), sc
 
@@ -922,7 +1010,8 @@ class TestM1BracketGrid:
         for xs in grids:
             for t1, t2 in ((0.0, 0.0), (1.0, 1.0), (0.25, 0.75), (0.5, 0.5)):
                 before = obj.evaluations
-                grid = _m1_profile_grid(obj, xs, t1, t2)
+                grid = _m1_profile_grid(
+                    obj, xs, obj.box(xs, np.sqrt, np.maximum), t1, t2)
                 grid_count = obj.evaluations - before
                 scalar = [_m1_profile(obj, x, t1, t2)[0] for x in xs]
                 scalar_count = obj.evaluations - before - grid_count
@@ -957,7 +1046,8 @@ class TestM1BracketGrid:
         # the near-degenerate forward direction is empty at short blocks
         obj = _Objective(TestNearDegenerateLinks.SC)
         xs = np.arange(1.0, float(obj.scenario.M))
-        grid = _m1_profile_grid(obj, xs, 0.5, 0.5)
+        grid = _m1_profile_grid(obj, xs, obj.box(xs, np.sqrt, np.maximum),
+                                0.5, 0.5)
         assert np.isinf(grid).any() and np.isfinite(grid).any()
 
     @pytest.mark.parametrize("sc", SCENARIOS)
@@ -1056,10 +1146,10 @@ class TestM1ProfileSlope:
 
 
 class TestIterativeGolden:
-    """BCD (default, relaxed) and MM (default, relaxed, exponent 2) on
-    the solver suite, both scenario files and eight acceptance draws,
-    against tests/data/iterative_golden.json: status, allocation,
-    lfp_final, trace and evaluation count, exactly."""
+    """BCD and MM (default, relaxed) on the solver suite, both scenario
+    files and eight acceptance draws, against
+    tests/data/iterative_golden.json: status, allocation, lfp_final,
+    trace and evaluation count, exactly."""
 
     def test_reports_match_golden_file(self):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
