@@ -133,11 +133,6 @@ def ibl_reference_lfp(scenario: Scenario) -> float:
     return 0.0 if (forward and backward) else 1.0
 
 
-def _config_from_args(args) -> SolverConfig:
-    return SolverConfig(mm_safeguard=not args.no_safeguard,
-                        integer_mode=not args.relaxed)
-
-
 def _parse_methods(text, allowed, note=""):
     """The comma-separated method names of a ``--methods`` flag: at least
     one, each in ``allowed`` and none twice."""
@@ -149,20 +144,16 @@ def _parse_methods(text, allowed, note=""):
     return methods
 
 
-def _run_method(method, scenario, config):
-    if method == "exhaustive" and not config.integer_mode:
-        config = replace(config, integer_mode=True)
-    return _METHODS[method](scenario, config)
-
-
 # ----------------------------------------------------------------------
 # solve
 # ----------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
-    config = _config_from_args(args)
-    report = _run_method(args.method, scenario, config)
+    # the oracle solves the integer problem whatever --relaxed says
+    config = SolverConfig(integer_mode=not args.relaxed
+                          or args.method == "exhaustive")
+    report = _METHODS[args.method](scenario, config)
     json.dump(report.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_INFEASIBLE if report.status == STATUS_INFEASIBLE else EXIT_OK
@@ -176,11 +167,8 @@ def cmd_converge(args) -> int:
     methods = _parse_methods(args.methods, ("bcd", "mm"),
                              "; the exhaustive series is always written")
     scenario = load_scenario(args.scenario)
-    config = _config_from_args(args)
-    reports = {}
-    for m in methods:
-        reports[m] = _run_method(m, scenario, config)
-    bench = _run_method("exhaustive", scenario, config)
+    reports = {m: _METHODS[m](scenario) for m in methods}
+    bench = _METHODS["exhaustive"](scenario)
     if bench.status == STATUS_INFEASIBLE or any(
             r.status == STATUS_INFEASIBLE for r in reports.values()):
         sys.stderr.write("error: scenario infeasible\n")
@@ -201,7 +189,7 @@ def cmd_converge(args) -> int:
 # sweep
 # ----------------------------------------------------------------------
 
-def _sweep_point(scenario, vary, value, methods, config):
+def _sweep_point(scenario, vary, value, methods):
     """The CSV rows of one grid point, one per method."""
     try:
         point = apply_sweep_value(scenario, vary, value)
@@ -213,7 +201,7 @@ def _sweep_point(scenario, vary, value, methods, config):
                 for method in methods]
     rows = []
     for method in methods:
-        report = _run_method(method, point, config)
+        report = _METHODS[method](point)
         row = {"vary": vary, "value": value, "method": method,
                "status": report.status,
                "lfp_ibl": ibl_reference_lfp(point)}
@@ -298,13 +286,11 @@ def _write_plot_script(csv_path, vary):
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
-    config = _config_from_args(args)
     methods = _parse_methods(args.methods, tuple(_METHODS))
     spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop,
                      step=args.step)
     rows = [row for value in spec.values()
-            for row in _sweep_point(scenario, spec.vary, value, methods,
-                                    config)]
+            for row in _sweep_point(scenario, spec.vary, value, methods)]
     _write_rows(args.out, rows)
     _write_plot_script(args.out, spec.vary)
     return EXIT_OK
@@ -375,9 +361,6 @@ def _build_parser():
 
     def add_common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--no-safeguard", action="store_true",
-                       help="disable mm's fallback to a bcd redundancy step "
-                            "where its steps stall")
 
     p_solve = sub.add_parser("solve", help="solve one scenario")
     add_common(p_solve)
@@ -392,7 +375,7 @@ def _build_parser():
                         help="comma-separated iterative methods (bcd, mm); "
                              "the exhaustive series is always written")
     p_conv.add_argument("--out", required=True, help="output CSV path")
-    p_conv.set_defaults(func=cmd_converge, relaxed=False)
+    p_conv.set_defaults(func=cmd_converge)
 
     p_sweep = sub.add_parser("sweep", help="sweep one field over a grid")
     add_common(p_sweep)
@@ -403,11 +386,11 @@ def _build_parser():
     p_sweep.add_argument("--methods", required=True,
                          help="comma-separated subset of exhaustive,bcd,mm")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.set_defaults(func=cmd_sweep, relaxed=False)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate",
                            help="Monte-Carlo check of the analytic LFP")
-    p_val.add_argument("--scenario", required=True)
+    add_common(p_val)
     p_val.add_argument("--m1", type=int, required=True)
     p_val.add_argument("--dr1", type=int, required=True)
     p_val.add_argument("--dr2", type=int, required=True)

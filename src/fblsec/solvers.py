@@ -31,8 +31,7 @@
   success product, each the exact minimizer of the power-mean surrogate
   at the incumbent: per direction, the root of the hazard balance
   shifted by the anchor's log factors.  A pass that would increase the
-  true objective is refused; BCD's redundancy step takes over where the
-  passes stall.
+  true objective is refused.
 
 BCD and MM differ only in their redundancy update and share the outer
 loop around it (``_descend``) and the integer finish.
@@ -109,7 +108,6 @@ STATUS_INFEASIBLE = "infeasible"
 class SolverConfig:
     """Problem and method choices shared by the three solvers.
 
-    ``mm_safeguard`` switches MM's BCD fallback (see ``solve_mm``);
     ``integer_mode`` rounds BCD/MM's relaxed solution.
     ``full_budget_only`` restricts enumeration to m1 + m2 = M; disabling
     it is only useful for oracle cross-checks, since partial-budget
@@ -121,7 +119,6 @@ class SolverConfig:
     root to 1e-6 in m1; Newton steps to 1e-9 relative.
     """
 
-    mm_safeguard: bool = True
     integer_mode: bool = True
     full_budget_only: bool = True
 
@@ -137,10 +134,10 @@ class SolverReport:
     each once: scalar round trips, m1-grid points and the m1 block's
     profile points (a value and its slope from one set of four link
     terms count as one).  Each hazard-balance evaluation of BCD's
-    redundancy block (also MM's fallback) and of MM's step (which also
-    scores MM's points) counts as one link-pair evaluation, about five
-    per direction and block; BCD/MM's integer finish adds its tables'
-    link-pair evaluations, about five per direction at each split.
+    redundancy block and of MM's step (which also scores MM's points)
+    counts as one link-pair evaluation, about five per direction and
+    block; BCD/MM's integer finish adds its tables' link-pair
+    evaluations, about five per direction at each split.
     """
 
     status: str
@@ -476,8 +473,8 @@ def _descend(scenario, config, redundancy_step):
 
     From ``_initial_point``, each cycle runs the m1 block, refreshes the
     box at the new split, updates the redundancy pair by
-    ``redundancy_step(obj, config, m1, d_r1, d_r2, f, (lo1, hi1, lo2,
-    hi2))`` and records the LFP -expm1(-f) (``lfp_value``'s bits); the
+    ``redundancy_step(obj, m1, d_r1, d_r2, f, (lo1, hi1, lo2, hi2))``
+    and records the LFP -expm1(-f) (``lfp_value``'s bits); the
     incumbent's objective value f is carried, never re-evaluated.  It
     stops when a cycle changes the LFP by at most ``_REL_TOL`` relative
     (with a ``_STOP_ATOL`` floor for LFPs below double-precision
@@ -498,7 +495,7 @@ def _descend(scenario, config, redundancy_step):
     for k in range(1, _MAX_OUTER_ITERS + 1):
         m1, d_r1, d_r2, f = _m1_block(obj, m1, d_r1, d_r2, f)
         box = obj.box(m1)[:4]
-        d_r1, d_r2, f = redundancy_step(obj, config, m1, d_r1, d_r2, f, box)
+        d_r1, d_r2, f = redundancy_step(obj, m1, d_r1, d_r2, f, box)
         trace.append((k, -math.expm1(-f)))
         if _stopped(trace[-2][1], trace[-1][1]):
             status = STATUS_CONVERGED
@@ -704,7 +701,7 @@ def _best_redundancy(obj, legit, eve, d_m, m, lo, hi):
     return min(max(x - d_m, lo), hi)
 
 
-def _bcd_step(obj, config, m1, d_r1, d_r2, f, box):
+def _bcd_step(obj, m1, d_r1, d_r2, f, box):
     """BCD's redundancy update of (d_r1, d_r2) with objective ``f``: the
     exact relaxed d_r1 at blocklength m1 (``_best_redundancy``), then
     d_r2 at M - m1, each kept only if it does not worsen the objective;
@@ -813,10 +810,9 @@ def _surrogate_min(at, x, lo, hi):
                            atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
 
 
-def _mm_step(obj, config, m1, d_r1, d_r2, f, box):
+def _mm_step(obj, m1, d_r1, d_r2, f, box):
     """MM's redundancy update, as ``_bcd_step``'s: majorize-minimize
-    passes on the joint pair, then, with ``mm_safeguard``, ``_bcd_step``
-    if ``_stopped`` holds across them.
+    passes on the joint pair.
 
     A pass moves to the exact minimizer of the surrogate
     ((r_ab + r_ae + r_ba + r_be) / 4)^4 anchored at the current point,
@@ -845,18 +841,15 @@ def _mm_step(obj, config, m1, d_r1, d_r2, f, box):
         x1, x2, f_cur = n1, n2, f_new
         if rel_gain < _REL_TOL or moved < _LINE_SEARCH_TOL:
             break
-    if config.mm_safeguard and _stopped(f, f_cur):
-        return _bcd_step(obj, config, m1, x1, x2, f_cur, box)
     return x1, x2, f_cur
 
 
 def solve_mm(scenario: Scenario, config: SolverConfig | None = None):
     """Nested scheme: m1 block, then a joint redundancy block solved by
     exact majorize-minimize passes on the reciprocal success product
-    (``_mm_step``), which never increase the true objective.  With
-    ``mm_safeguard`` (default), where they fail to make relative
-    progress above ``_REL_TOL``, BCD's exact coordinate-wise redundancy
-    step follows.  Stopping and integer rounding are ``_descend``'s.
+    (``_mm_step``), which never increase the true objective.  Their
+    fixed point is BCD's exact redundancy optimum (``_best_redundancy``).
+    Stopping and integer rounding are ``_descend``'s.
     """
     return _descend(scenario, config, _mm_step)
 

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: exit codes, report JSON, CSV artifacts,
-determinism and the Monte-Carlo validator."""
+determinism, the Monte-Carlo validator and the README's examples."""
 
 import concurrent.futures
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -19,7 +21,7 @@ from fblsec.bench_cli import (
     ibl_reference_lfp,
     main,
 )
-from conftest import make_scenario
+from conftest import REPO_ROOT, make_scenario
 from iterative_golden import SWEEP_ARGV, SWEEP_GOLDEN_PATH, strip_wall_time
 
 
@@ -78,6 +80,17 @@ class TestSolve:
         alloc = json.loads(out)["alloc"]
         assert not float(alloc["d_r1"]).is_integer() or \
             not float(alloc["m1"]).is_integer()
+
+    def test_relaxed_flag_leaves_the_oracle_integer(self, capsys, tmp_path):
+        path = write_scenario(tmp_path)
+        reports = []
+        for extra in ([], ["--relaxed"]):
+            code, out, _ = run_main(capsys, [
+                "solve", "--scenario", path, "--method", "exhaustive", *extra])
+            assert code == EXIT_OK
+            reports.append(json.loads(out))
+        assert reports[0]["alloc"] == reports[1]["alloc"]
+        assert reports[0]["lfp_final"] == reports[1]["lfp_final"]
 
     def test_infeasible_exits_2(self, capsys, tmp_path):
         # eavesdropper above the legitimate receiver on the forward link
@@ -167,6 +180,17 @@ class TestSolve:
         assert out == ""
         assert err.startswith("usage: fblsec")
         assert "unrecognized arguments: --exponent 4" in err
+        assert "Traceback" not in err
+
+    def test_no_safeguard_flag_is_gone(self, capsys, tmp_path):
+        # MM has no fallback left to disable
+        path = write_scenario(tmp_path)
+        code, out, err = run_main(capsys, [
+            "solve", "--scenario", path, "--method", "mm", "--no-safeguard"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("usage: fblsec")
+        assert "unrecognized arguments: --no-safeguard" in err
         assert "Traceback" not in err
 
     def test_module_entry_point(self, tmp_path):
@@ -488,3 +512,35 @@ class TestValidate:
             "--dr1", "26", "--dr2", "26", "--trials", "100", "--seed", "1"])
         assert code == EXIT_INPUT
         assert err == "error: --trials must be >= 1000\n"
+
+
+def readme_commands():
+    """The ``fblsec`` commands of the README's ``sh`` blocks, each with
+    its backslash continuations joined, as argument lists."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["fblsec"]:
+                commands.append(argv[1:])
+    return commands
+
+
+class TestReadme:
+    def test_examples_found(self):
+        assert {argv[0] for argv in readme_commands()} == {
+            "solve", "converge", "sweep", "validate"}
+
+    @pytest.mark.parametrize("argv", readme_commands(),
+                             ids=lambda argv: argv[0])
+    def test_cli_example_runs(self, argv, capsys, tmp_path, monkeypatch):
+        # from the repo root, so the scenario paths resolve; outputs go
+        # to tmp_path
+        monkeypatch.chdir(REPO_ROOT)
+        argv = list(argv)
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, _, err = run_main(capsys, argv)
+        assert code == EXIT_OK, err

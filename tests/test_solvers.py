@@ -1,5 +1,5 @@
 """Solver correctness: enumeration against an independent brute force,
-descent contracts, safeguard behavior, rounding and determinism."""
+descent contracts, MM's majorize step, rounding and determinism."""
 
 import dataclasses
 import json
@@ -461,10 +461,18 @@ class TestMm:
         vals = [v for _, v in report.trace]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_no_safeguard_runs(self):
-        report = solve_mm(SMALL, SolverConfig(mm_safeguard=False))
-        assert report.status in ("converged", "max_iters")
-        assert report.lfp_final is not None
+    def test_safeguard_field_is_gone(self):
+        # MM is its majorize-minimize passes alone: no fallback to switch
+        with pytest.raises(TypeError):
+            SolverConfig(mm_safeguard=False)
+
+    def test_never_enters_bcd_step(self, monkeypatch):
+        def bcd_step(*args):
+            raise AssertionError("MM entered BCD's redundancy step")
+
+        monkeypatch.setattr(solvers, "_bcd_step", bcd_step)
+        for sc in [SMALL] + TestEvaluatedOnce.SCENARIOS:
+            assert solve_mm(sc).status == "converged"
 
     def test_budget_saturated(self):
         report = solve_mm(SMALL)
@@ -953,12 +961,11 @@ class TestEvaluatedOnce:
                 assert len(set(points)) == len(points), sc
 
     def test_no_link_terms_built_twice_in_an_mm_step(self, monkeypatch):
-        # the link pairs each MM step's passes evaluate: its hazard
-        # balances (the BCD fallback's are not the passes') and no
-        # four-link terms
+        # the link pairs each MM step evaluates: its hazard balances and
+        # no four-link terms
         steps = []  # (legit, m, D) of each step's balances
         balance, mm_step = solvers._hazard_balance, solvers._mm_step
-        bcd_step, terms = solvers._bcd_step, solvers._link_log_terms
+        terms = solvers._link_log_terms
         in_passes = []
 
         def recorded_balance(legit, eve, m, D, *args):
@@ -978,14 +985,9 @@ class TestEvaluatedOnce:
             finally:
                 in_passes.clear()
 
-        def fallback(*args):
-            in_passes.clear()
-            return bcd_step(*args)
-
         monkeypatch.setattr(solvers, "_hazard_balance", recorded_balance)
         monkeypatch.setattr(solvers, "_link_log_terms", recorded_terms)
         monkeypatch.setattr(solvers, "_mm_step", new_step)
-        monkeypatch.setattr(solvers, "_bcd_step", fallback)
         for sc in self.SCENARIOS:
             steps.clear()
             solve_mm(sc)
