@@ -389,6 +389,47 @@ def _first_maximum_start(legit, eve, d_m, m, lo, hi):
     return np.where(flat, plateau, newton) - d_m
 
 
+def _cell_bound(legit, eve, m_b, m_e, lo, hi):
+    """An upper bound on a direction's log success g(m, D) over a cell
+    of blocklengths m in [m_e, m_b] and total bits D in [lo, hi],
+    0 <= lo <= hi, and the D* it was taken at: (bound, D*).
+
+    For D >= 0 both margins rise with m, so over the cell
+    g <= U(D) = log_ndtr(w_b(m_b, D)) + log_ndtr(-w_e(m_e, D)), which is
+    concave in D and so at most its tangent at any D*:
+    U(D*) + max(U'(D*) (lo - D*), U'(D*) (hi - D*)), capped at 0.  D* is
+    one Newton step on U's log hazard balance (``_hazard_balance``'s r,
+    each link at its own blocklength) from the balanced-margin point,
+    clipped to [lo, hi]: a step on U' itself falls far short where the
+    hazards are tail values.  ``legit`` and ``eve`` are
+    ``link_constants`` entries, or ``_Link``s of arrays that broadcast
+    against the others.  Costs two link-pair evaluations per element.
+    Unchecked.
+    """
+    s_b, s_e = np.sqrt(m_b / legit.v), np.sqrt(m_e / eve.v)
+    c_b, c_e = LN2 / m_b * s_b, LN2 / m_e * s_e
+
+    def terms(D):
+        w_b = _margin(legit.log1p, legit.v, m_b, D)
+        w_e = _margin(eve.log1p, eve.v, m_e, D)
+        l_b, l_e = log_ndtr(w_b), log_ndtr(-w_e)
+        return (l_b + l_e, _log_hazard(w_b, l_b), _log_hazard(-w_e, l_e),
+                w_b, w_e)
+
+    D = np.minimum(np.maximum((legit.log1p * s_b + eve.log1p * s_e)
+                              / (c_b + c_e), lo), hi)
+    _, lh_b, lh_e, w_b, w_e = terms(D)
+    r = np.log(c_e / c_b) + lh_e - lh_b
+    slope = -(c_e * (np.exp(lh_e) - w_e) + c_b * (w_b + np.exp(lh_b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = D - r / slope
+    D = np.minimum(np.maximum(np.where(np.isfinite(newton), newton, D), lo),
+                   hi)
+    u, lh_b, lh_e, _, _ = terms(D)
+    du = c_e * np.exp(lh_e) - c_b * np.exp(lh_b)
+    return np.minimum(u + np.maximum(du * (lo - D), du * (hi - D)), 0.0), D
+
+
 def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
                          d_r2: float):
     """Analytic gradient of the LFP in (m1, d_r1, d_r2), m2 = M - m1.

@@ -9,9 +9,15 @@
   g(d+1) <= g(d).  For all blocklengths at once, a Newton estimate (or,
   on an exact 0.0 plateau, the plateau's first point) gives two
   candidates that are checked exactly against that condition; the few
-  blocklengths where the check fails are bisected.  About five link
-  evaluations per blocklength and direction, O(M) in all, instead of the
-  O(M * range) dense scan, with the same first-maximum tie rule.
+  blocklengths where the check fails are bisected: about five link
+  evaluations per blocklength and direction, instead of the
+  O(M * range) dense scan, with the same first-maximum tie rule.  At
+  full budget from M = 500 up, a bound pass over cells of m1 comes
+  first: a concave upper bound per cell and direction against a lower
+  bound from each cell's midpoint, and only the cells whose bound
+  reaches the lower bound are tabulated.  The prune is strict, so the
+  allocation and its bits are the full scan's; on an exact 0.0 plateau
+  it drops nothing.
 * ``solve_bcd`` -- block coordinate descent on the relaxed problem:
   an m1 block followed by the exact relaxed optimum of d_r1, then of
   d_r2, in their threshold boxes refreshed after every m1 update (at a
@@ -59,9 +65,11 @@ from .lfp_model import (  # noqa: F401
     Allocation,
     LinkErrors,
     _balanced_start,
+    _cell_bound,
     _direction_bound_slopes,
     _first_maximum_start,
     _hazard_balance,
+    _Link,
     _link_log_terms,
     _log_success,
     _split_boxes,
@@ -98,6 +106,14 @@ _STOP_ATOL = 1e-12
 # Smallest normal float: ``_first_maxima`` accepts no candidate whose
 # nonzero log success is smaller in magnitude.
 _TINY = float(np.finfo(float).tiny)
+# Budgets below which ``_best_full_budget`` tabulates every split: there
+# the cell-bound pass costs more than it saves.  Full scan / pruned,
+# median of 25 alternating runs on 2 shared cores (Python 3.11, numpy
+# 2.4), at the default point and on four acceptance draws: M = 250
+# 0.77 / 0.99 and 0.74 / 0.88 ms, M = 350 0.87 / 0.99 and 0.86 / 0.87,
+# M = 500 1.03 / 0.98 and 1.01 / 0.87, M = 700 1.31 / 1.04 and
+# 1.27 / 0.94.
+_PRUNE_MIN_M = 500
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -130,7 +146,8 @@ class SolverReport:
 
     ``evaluations`` counts link-pair evaluations in the oracle's tables
     (one direction at one blocklength and redundancy), with no final
-    re-evaluation of the winner, and the points BCD/MM's descent scores,
+    re-evaluation of the winner, and in its cell-bound pass (three per
+    cell and direction), and the points BCD/MM's descent scores,
     each once: scalar round trips, m1-grid points and the m1 block's
     profile points (a value and its slope from one set of four link
     terms count as one).  Each hazard-balance evaluation of BCD's
@@ -450,14 +467,13 @@ def _integer_reconstruct(obj, m1):
     splits floor(m1) - 1 ... ceil(m1) + 1 in [1, M - 1], each with its
     exact best redundancy pair (``_best_split``, as the oracle computes
     it).  If no split of that window has an integer box, the oracle's
-    over every split is taken.  Returns ``_best_split``'s (allocation,
-    log success), or None.
+    answer over every split is taken (``_best_full_budget``).  Returns
+    ``_best_split``'s (allocation, log success), or None.
     """
     splits = np.arange(max(1, math.floor(m1) - 1),
                        min(obj.scenario.M - 1, math.ceil(m1) + 1) + 1,
                        dtype=float)
-    return (_best_split(obj, splits)
-            or _best_split(obj, np.arange(1.0, obj.scenario.M)))
+    return _best_split(obj, splits) or _best_full_budget(obj)
 
 
 def _report(obj, t_start, status, trace, alloc=None, final=None):
@@ -617,12 +633,87 @@ def _best_split(obj, splits):
             float(s1[i] + s2[i]))
 
 
+def _cell_bounds(obj, k):
+    """Bounds on the oracle's tables over cells of k splits: the cells
+    [a, b] = [1, k], [k + 1, 2k], ... of m1 in [1, M - 1], where
+    direction 2 sees m2 in [M - b, M - a].
+
+    Per cell and direction, ``_cell_bound`` bounds the log success over
+    the cell's blocklengths and the total bits [d_m, d_m + max(hi(a),
+    hi(b)) + 1e-9]: the box's upper edge hi is convex or increasing in
+    m, so it peaks at an end of the cell, and the 1e-9 is the integer
+    box's slack.  The lower bound is the best sum of the two directions'
+    log success at each cell's midpoint split, each at the integer
+    redundancy nearest the bound's D* in its box (-inf where no midpoint
+    has both boxes).  Where max(hi(a), hi(b)) < -1e-9 no split of the
+    cell has an integer box, and its bound, whatever it reads, drops
+    nothing that could win.  Each bound and lower-bound evaluation
+    counts as one link-pair evaluation, three per cell and direction.
+    Returns (per-direction bounds, shape (2, cells), lower bound).
+    """
+    sc = obj.scenario
+    M = sc.M
+    a = np.arange(1, M, k)
+    b = np.minimum(a + (k - 1), M - 1)
+    m1 = np.stack((a, b, (a + b) // 2)).astype(float)  # ends and midpoint
+    m2 = M - m1
+    lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, sc, m1, m2,
+                                         np.sqrt, np.maximum)
+    # both directions stacked: row 0 is direction 1 at m1, row 1 is
+    # direction 2 at m2 = M - m1
+    ab, ae, ba, be = obj.links
+    legit = _Link(*np.array((ab, ba)).T[:, :, None])
+    eve = _Link(*np.array((ae, be)).T[:, :, None])
+    d_m = np.array(((sc.d_m1,), (sc.d_m2,)), dtype=float)
+    top = np.stack((np.maximum(hi1[0], hi1[1]), np.maximum(hi2[0], hi2[1])))
+    bound, D = _cell_bound(legit, eve, np.stack((m1[1], m2[0])),
+                           np.stack((m1[0], m2[1])), d_m, d_m + (top + 1e-9))
+    ilo = np.ceil(np.stack((lo1[2], lo2[2])) - 1e-9)
+    ihi = np.floor(np.stack((hi1[2], hi2[2])) + 1e-9)
+    d = np.minimum(np.maximum(np.rint(D - d_m), ilo), ihi)
+    g = log_direction_success(legit, eve, np.stack((m1[2], m2[2])),
+                              d_m + d)
+    obj.evaluations += 3 * g.size
+    lower = np.where((ihi >= ilo).all(axis=0), g[0] + g[1], -math.inf)
+    return bound, float(lower.max())
+
+
+def _best_full_budget(obj):
+    """``_best_split`` over every split m1 = 1 ... M - 1, tabulating only
+    the cells of m1 that can win.
+
+    The splits are cut into about 2 sqrt(M) cells of about sqrt(M) / 2
+    splits.  A cell whose bound (``_cell_bounds``, summed over the
+    directions) is below L - (1e-9 |L| + 1e-300), L the lower bound, is
+    dropped: its table entries are at most its bound, so strictly worse
+    than the split L came from, and ties survive.  The slack covers
+    rounding and, where the tables are subnormal (no longer concave in
+    floating point), the few 1e-311 by which an entry can pass its
+    bound (at most 6.8e-311 with one-split cells on the 400 instances of
+    benchmark ladder seeds 1-20 and suite seeds 1-5).  Where the log
+    success is exactly 0.0, L and the bounds are 0.0 and nothing is
+    dropped.  Below ``_PRUNE_MIN_M`` every split is tabulated.
+    """
+    M = obj.scenario.M
+    if M < _PRUNE_MIN_M:
+        return _best_split(obj, np.arange(1.0, M))
+    k = math.isqrt(M) // 2 + 1
+    bound, lower = _cell_bounds(obj, k)
+    keep = ~(bound[0] + bound[1] < lower - (1e-9 * abs(lower) + 1e-300))
+    return _best_split(obj, np.arange(1.0, M)[np.repeat(keep, k)[:M - 1]])
+
+
 def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     """Global integer optimum by enumeration.
 
     Each direction's success is maximized over its integer redundancy
     box at every blocklength by ``_first_maxima``.  At full budget
-    ``_best_split`` combines them over the splits m1 + m2 = M.  With
+    ``_best_full_budget`` combines them over the splits m1 + m2 = M:
+    from M = 500 up it tabulates only the cells of m1 whose bound
+    reaches the best midpoint value (``_cell_bounds``), dropping only
+    splits strictly worse than a kept one, so the winner, its tie rule
+    and its bits are those of the full scan; below M = 500, and in
+    effect on an exact 0.0 plateau, it tabulates every split.  With
     ``full_budget_only=False`` each split m1 is one vector row over
     every m2 <= M - m1: among the row's entries equal to its largest
     sum the smallest d_r2 wins, then the largest m2, and a later split
@@ -639,7 +730,7 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     M = scenario.M
 
     if config.full_budget_only:
-        best = _best_split(obj, np.arange(1.0, M))
+        best = _best_full_budget(obj)
     else:
         # both directions over every blocklength 1..M-1; row i pairs
         # m1 = i + 1 with m2 = 1..M-1-i, -inf where a box is empty

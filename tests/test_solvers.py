@@ -37,9 +37,13 @@ from fblsec.lfp_model import (
 from fblsec.solvers import (
     _LINE_SEARCH_TOL,
     _M1_GRID,
+    _best_full_budget,
     _best_redundancy,
+    _best_split,
     _bisect_first_maxima,
+    _cell_bounds,
     _direction_balance,
+    _direction_tables,
     _first_maxima,
     _initial_point,
     _integer_reconstruct,
@@ -403,11 +407,132 @@ class TestFirstMaxima:
 
     @pytest.mark.parametrize("M", [1000, 5000])
     def test_at_most_six_evaluations_per_blocklength(self, M):
+        # the tables over every split, as the oracle's unpruned scan
+        # builds them
         sc = dataclasses.replace(self.DEFAULT, M=M)
         blocklengths = sum(m.size for _, _, _, m, _, _ in direction_boxes(sc))
+        obj = _Objective(sc)
+        _best_split(obj, np.arange(1.0, M))
+        assert obj.evaluations <= 6 * blocklengths
+
+
+def full_scan(sc):
+    """``_best_split`` over every split: the oracle without the cell
+    prune, as (allocation, LFP) or (None, None)."""
+    best = _best_split(_Objective(sc), np.arange(1.0, sc.M))
+    if best is None:
+        return None, None
+    return best[0], -math.expm1(best[1])
+
+
+@pytest.fixture(scope="module")
+def prune_suite():
+    """Seeded acceptance draws at M = 250, 1000 and 4000, an instance
+    whose optimum underflows to LFP 0.0 and the subnormal-table draws of
+    ``TestFirstMaxima``."""
+    rng = np.random.default_rng(20250101)
+    out = [draw_random_scenario(rng, m_lo=M, m_hi=M)
+           for M in (250, 1000, 4000) for _ in range(3)]
+    out.append(make_scenario(gamma_ab=1000.0, gamma_ae=0.01, gamma_ba=1000.0,
+                             gamma_be=0.01, d_m1=4, d_m2=4, M=1000))
+    return out + TestFirstMaxima.SUBNORMAL
+
+
+class TestPrunedOracle:
+    """The full-budget oracle tabulates only the cells of m1 whose bound
+    reaches the lower bound (``_best_full_budget``), with the full
+    scan's allocation and LFP bits."""
+
+    DEFAULT = TestFirstMaxima.DEFAULT
+
+    @staticmethod
+    def tabulated(monkeypatch):
+        """Record the splits every ``_best_split`` call tabulates."""
+        seen = []
+
+        def spy(obj, splits):
+            seen.append(splits)
+            return _best_split(obj, splits)
+
+        monkeypatch.setattr(solvers, "_best_split", spy)
+        return seen
+
+    def test_same_result_as_the_full_scan(self, prune_suite, monkeypatch):
+        # prune at every budget, M = 250 included
+        monkeypatch.setattr(solvers, "_PRUNE_MIN_M", 2)
+        seen = self.tabulated(monkeypatch)
+        zero = pruned = 0
+        for sc in prune_suite:
+            report = solve_exhaustive(sc)
+            alloc, value = full_scan(sc)
+            assert report.alloc == alloc
+            assert report.status == ("converged" if alloc else "infeasible")
+            if alloc is not None:
+                assert report.lfp_final.hex() == value.hex()
+                zero += value == 0.0
+            pruned += seen[-1].size < sc.M - 1
+        assert zero and pruned >= len(prune_suite) // 2
+
+    @pytest.mark.parametrize("k", [1, 23, 200])
+    def test_every_table_entry_within_its_cell_bound(self, prune_suite, k):
+        for sc in prune_suite:
+            obj = _Objective(sc)
+            bound, lower = _cell_bounds(obj, k)
+            m = np.arange(1.0, sc.M)
+            tables = _direction_tables(obj, m, sc.M - m)
+            cell = np.arange(sc.M - 1) // k
+            for (ok, s, _), b in zip(tables, bound):
+                b = b[cell[ok]]
+                assert np.all(s[ok] <= b + (1e-9 * np.abs(b) + 1e-300))
+            # the lower bound is a table sum's value at some split
+            both = tables[0][0] & tables[1][0]
+            if both.any():
+                best = (tables[0][1] + tables[1][1])[both].max()
+                assert lower <= best + (1e-9 * abs(best) + 1e-300)
+            else:
+                assert lower == -math.inf
+
+    @pytest.mark.parametrize("M", [700, 4000])
+    def test_mirrored_tie_survives(self, M, monkeypatch):
+        # the symmetric default point ties at the mirrored splits
+        # M / 2 - 1 and M / 2 + 1; both stay tabulated
+        sc = dataclasses.replace(self.DEFAULT, M=M)
+        obj = _Objective(sc)
+        m = np.arange(1.0, M)
+        (ok1, s1, _), (ok2, s2, _) = _direction_tables(obj, m, M - m)
+        total = np.where(ok1 & ok2, s1 + s2, -math.inf)
+        ties = m[total == total.max()]
+        assert ties.tolist() == [M / 2 - 1, M / 2 + 1]
+        seen = self.tabulated(monkeypatch)
         report = solve_exhaustive(sc)
-        # one more evaluation scores the chosen allocation
-        assert report.evaluations - 1 <= 6 * blocklengths
+        assert seen[-1].size < M - 1
+        assert np.isin(ties, seen[-1]).all()
+        assert (report.alloc, report.lfp_final) == full_scan(sc)
+        if M == 700:
+            a = report.alloc
+            assert (a.m1, a.m2, a.d_r1, a.d_r2) == (349, 351, 494, 497)
+
+    def test_bound_at_the_threshold_is_kept(self, monkeypatch):
+        # every cell's bound sum lands exactly on the prune threshold
+        # L - (1e-9 |L| + 1e-300) of L = 0.0: the prune is strict, so
+        # every split is still tabulated
+        def at_threshold(obj, k):
+            cells = -(-(obj.scenario.M - 1) // k)
+            return np.stack((np.full(cells, -1e-300), np.zeros(cells))), 0.0
+
+        monkeypatch.setattr(solvers, "_cell_bounds", at_threshold)
+        seen = self.tabulated(monkeypatch)
+        sc = dataclasses.replace(self.DEFAULT, M=1000)
+        assert _best_full_budget(_Objective(sc)) is not None
+        assert seen[-1].tolist() == list(range(1, 1000))
+
+    def test_default_point_evaluates_a_tenth_of_the_full_scan(self):
+        # bound pass included; the full scan takes 49,900 evaluations
+        sc = dataclasses.replace(self.DEFAULT, M=5000)
+        obj = _Objective(sc)
+        _best_split(obj, np.arange(1.0, 5000.0))
+        assert obj.evaluations == 49_900
+        assert solve_exhaustive(sc).evaluations < obj.evaluations / 10
 
 
 class TestBcd:
