@@ -58,6 +58,11 @@ def _check_snr(gamma):
     if np.any(gamma <= 0.0):
         raise DomainError(
             f"snr must be > 0 (dispersion vanishes at zero), got {gamma!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _dispersion(gamma)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(
+            f"snr too large: its dispersion V(gamma) overflows, got {gamma!r}")
     return gamma
 
 

@@ -13,11 +13,12 @@ only path from geometry to SNR, and there is no random scenario sampler.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fbl_core import DomainError
+from .fbl_core import DomainError, _dispersion
 
 FADING_MODELS = ("real_normal", "complex_normal")
 
@@ -91,6 +92,14 @@ class Scenario:
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "d_m1", int(self.d_m1))
         object.__setattr__(self, "d_m2", int(self.d_m2))
+        # the link kernel divides blocklengths up to M by V(gamma)
+        for name in ("gamma_ab", "gamma_ae", "gamma_ba", "gamma_be"):
+            v = getattr(self, name)
+            disp = _dispersion(float(v))
+            if not (math.isfinite(disp) and math.isfinite(self.M / disp)):
+                raise DomainError(
+                    f"Scenario.{name} = {v!r} is out of range: its "
+                    f"dispersion V = {disp!r} and M / V must be finite")
 
 
 def _link_snr(geom, gain, what):

@@ -19,28 +19,31 @@
   allocation and its bits are the full scan's; on an exact 0.0 plateau
   it drops nothing.
 * ``solve_bcd`` -- block coordinate descent on the relaxed problem:
-  an m1 block followed by the exact relaxed optimum of d_r1, then of
-  d_r2, in their threshold boxes refreshed after every m1 update (at a
+  an m1 block followed by the exact relaxed optimum of d_r1 and of
+  d_r2, in their threshold boxes refreshed after every m1 update.  At a
   fixed split each direction's log success is concave in its
-  redundancy, so each is a safeguarded Newton solve on the hazard
-  balance).  The m1 block moves the split along the profile that
-  carries the redundancy pair at its box-relative position: a coarse
-  grid finds the best basin, and the root of the profile's closed-form
-  slope in its grid bracket refines it.  Both blocks and MM's step
-  share one bracketed root finder (``_bracketed_root``).  In integer
-  mode an exact per-split finish follows: the splits floor(m1) - 1 ...
-  ceil(m1) + 1 around the relaxed m1, each with its best integer
-  redundancy pair from the oracle's own per-direction tables
-  (``_best_split``).
+  redundancy and the objective separates by direction, so each optimum
+  is the box edge or the root of the direction's hazard balance, found
+  from the incumbent by the edge-or-root rule it shares with MM's step
+  (``_edge_or_root``).  The m1 block moves the split along the profile
+  that carries the redundancy pair at its box-relative position: a
+  coarse grid finds the best basin, and the root of the profile's
+  closed-form slope in its grid bracket refines it.  Both blocks and
+  MM's step share one bracketed root finder (``_bracketed_root``).  In
+  integer mode an exact per-split finish follows: the splits
+  floor(m1) - 1 ... ceil(m1) + 1 around the relaxed m1, each with its
+  best integer redundancy pair from the oracle's own per-direction
+  tables (``_best_split``).
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
   minimized jointly by majorize-minimize passes on the reciprocal
   success product, each the exact minimizer of the power-mean surrogate
-  at the incumbent: per direction, the root of the hazard balance
-  shifted by the anchor's log factors.  A pass that would increase the
-  true objective is refused.
+  at the incumbent: per direction, the edge-or-root rule on the hazard
+  balance shifted by the anchor's log factors.  A pass that would
+  increase the true objective is refused.
 
 BCD and MM differ only in their redundancy update and share the outer
-loop around it (``_descend``) and the integer finish.
+loop around it (``_descend``), the per-direction balances it builds
+(``_direction_balance``), the edge-or-root rule and the integer finish.
 
 Every accepted step is checked against the incumbent, so traces are
 nonincreasing by construction.  All solvers are deterministic functions
@@ -71,7 +74,6 @@ from .lfp_model import (  # noqa: F401
     _hazard_balance,
     _Link,
     _link_log_terms,
-    _log_success,
     _split_boxes,
     lfp_value,
     link_constants,
@@ -148,10 +150,10 @@ class SolverReport:
     (one direction at one blocklength and redundancy), with no final
     re-evaluation of the winner, and in its cell-bound pass (three per
     cell and direction), and the points BCD/MM's descent scores,
-    each once: scalar round trips, m1-grid points and the m1 block's
+    each once: the start's and the m1 grid's points and the m1 block's
     profile points (a value and its slope from one set of four link
     terms count as one).  Each hazard-balance evaluation of BCD's
-    redundancy block and of MM's step (which also scores MM's points)
+    redundancy block and of MM's step, which also score their points,
     counts as one link-pair evaluation, about five per direction and
     block; BCD/MM's integer finish adds its tables' link-pair
     evaluations, about five per direction at each split.
@@ -227,11 +229,12 @@ def bcd_scalar_min(objective, lo, hi, tol):
 # ----------------------------------------------------------------------
 
 class _Objective:
-    """Negative log round-trip success with an evaluation counter, and
-    the solve's link constants.
+    """A solve's scenario, link constants and evaluation counter, and the
+    boxes of its splits.
 
-    Minimizing it is equivalent to minimizing the LFP but it stays
-    informative where the LFP itself underflows.
+    The solvers minimize the negative log round-trip success, which
+    orders points as the LFP does but stays informative where the LFP
+    itself underflows.
     """
 
     def __init__(self, scenario):
@@ -253,14 +256,6 @@ class _Objective:
         float, or an array with ``np.sqrt`` and ``np.maximum``."""
         return _split_boxes(self.links, self.scenario, m1,
                             self.scenario.M - m1, sqrt, maximum)
-
-    def nl(self, m1, d_r1, d_r2):
-        """-``log_round_trip_success`` on the solve's own constants,
-        unchecked: solver points are in the domain by construction."""
-        self.evaluations += 1
-        sc = self.scenario
-        return -_log_success(self.links, m1, sc.M - m1,
-                             sc.d_m1 + d_r1, sc.d_m2 + d_r2)
 
 
 def _rel_pos(x, lo, hi):
@@ -311,6 +306,53 @@ def _bracketed_root(fn, a, fa, b, fb, x=None, atol=0.0, rtol=0.0):
     return x
 
 
+def _edge_or_root(fn, x, lo, hi):
+    """Where a function F that falls strictly in d has its zero in the
+    box [lo, hi], or the box edge it is closest to; ``fn(d)`` returns
+    (F(d), F'(d)).
+
+    The answer is x where the Newton step from x rounds to x, else the
+    box edge that F(x)'s sign points to where F has not changed sign
+    there, else F's root between x and that edge (``_bracketed_root``
+    from x, to ``_BLOCK_TOL``).  An answer of x costs one value of
+    ``fn``, an edge two.
+    """
+    f_x, slope = fn(x)
+    if x - f_x / slope == x:
+        return x
+    edge = hi if f_x > 0.0 else lo
+    f_edge = fn(edge)[0]
+    if f_edge == 0.0 or (f_edge > 0.0) == (f_x > 0.0):
+        return edge
+    a, fa, b, fb = ((x, f_x, edge, f_edge) if f_x > 0.0
+                    else (edge, f_edge, x, f_x))
+    return _bracketed_root(fn, a, fa, b, fb, x,
+                           atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
+
+
+def _direction_balance(obj, legit, eve, d_m, m):
+    """One direction's ``_hazard_balance`` at blocklength m by redundancy
+    d, each d evaluated once (one link-pair evaluation): (r, dr/dD, F',
+    l_b - l_e, l_b + l_e).  l_b + l_e is the direction's log success,
+    with ``log_round_trip_success``'s bits.  F' is the slope of
+    ``_surrogate_min``'s F, dr/dD + d(l_b - l_e)/dD, where
+    d(l_b - l_e)/dD = -(c_b h(w_b) + c_e h(-w_e)) = dr/dD + c_b w_b -
+    c_e w_e by the balance's slope."""
+    _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
+    seen = {}
+
+    def at(d):
+        if d not in seen:
+            obj.evaluations += 1
+            r, slope, w_b, w_e, l_b, l_e = _hazard_balance(
+                legit, eve, m, d_m + d, c_b, c_e, math.sqrt, math.exp)
+            seen[d] = (float(r), float(slope),
+                       2.0 * slope + c_b * w_b - c_e * w_e,
+                       float(l_b - l_e), float(l_b + l_e))
+        return seen[d]
+    return at
+
+
 def _m1_profile(obj, m1, t1, t2):
     """The carried profile p at split m1 and its slope: the objective
     with the redundancy pair at the box-relative positions (t1, t2) of
@@ -318,9 +360,9 @@ def _m1_profile(obj, m1, t1, t2):
 
     Returns (p, dp/dm1, d_r1, d_r2), or (+inf, NaN, None, None) where
     the box is empty.  p and its slope come from the same four
-    ``_link_log_terms``, p with ``_Objective.nl``'s bits, and count as
-    one evaluation.  The slope adds the links' dl/dm to their dl/dd
-    times the carried pair's slope, which the box edges give
+    ``_link_log_terms``, p with -``log_round_trip_success``'s bits, and
+    count as one evaluation.  The slope adds the links' dl/dm to their
+    dl/dd times the carried pair's slope, which the box edges give
     (``_direction_bound_slopes``); m2 = M - m1 turns direction 2's
     signs.
     """
@@ -345,10 +387,10 @@ def _m1_profile(obj, m1, t1, t2):
 
 
 def _nl_grid(obj, m1, d_r1, d_r2, feasible):
-    """``_Objective.nl`` at every split of the array ``m1`` with the
-    redundancy arrays (d_r1, d_r2), in one vector evaluation with the
-    same bits per point; +inf where ``feasible`` is false.  Each
-    feasible point counts as one evaluation."""
+    """-``log_round_trip_success`` at every split of the array ``m1``
+    with the redundancy arrays (d_r1, d_r2), in one vector evaluation
+    with the same bits per point; +inf where ``feasible`` is false.
+    Each feasible point counts as one evaluation."""
     scenario = obj.scenario
     ab, ae, ba, be = obj.links
     m = m1[feasible]
@@ -488,10 +530,11 @@ def _descend(scenario, config, redundancy_step):
     """The outer alternation of BCD and MM.
 
     From ``_initial_point``, each cycle runs the m1 block, refreshes the
-    box at the new split, updates the redundancy pair by
-    ``redundancy_step(obj, m1, d_r1, d_r2, f, (lo1, hi1, lo2, hi2))``
-    and records the LFP -expm1(-f) (``lfp_value``'s bits); the
-    incumbent's objective value f is carried, never re-evaluated.  It
+    box at the new split, builds each direction's ``_direction_balance``
+    there, updates the redundancy pair by ``redundancy_step(dirs, d_r1,
+    d_r2, f)``, dirs = ((at1, lo1, hi1), (at2, lo2, hi2)), and records
+    the LFP -expm1(-f) (``lfp_value``'s bits); the incumbent's
+    objective value f is carried, never re-evaluated.  It
     stops when a cycle changes the LFP by at most ``_REL_TOL`` relative
     (with a ``_STOP_ATOL`` floor for LFPs below double-precision
     resolution) or after ``_MAX_OUTER_ITERS`` cycles.  In integer mode
@@ -506,12 +549,16 @@ def _descend(scenario, config, redundancy_step):
     if start is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, [])
     m1, d_r1, d_r2, f = start
+    ab, ae, ba, be = obj.links
     trace = [(0, -math.expm1(-f))]
     status = STATUS_MAX_ITERS
     for k in range(1, _MAX_OUTER_ITERS + 1):
         m1, d_r1, d_r2, f = _m1_block(obj, m1, d_r1, d_r2, f)
-        box = obj.box(m1)[:4]
-        d_r1, d_r2, f = redundancy_step(obj, m1, d_r1, d_r2, f, box)
+        lo1, hi1, lo2, hi2, _ = obj.box(m1)
+        dirs = ((_direction_balance(obj, ab, ae, scenario.d_m1, m1), lo1, hi1),
+                (_direction_balance(obj, ba, be, scenario.d_m2,
+                                    scenario.M - m1), lo2, hi2))
+        d_r1, d_r2, f = redundancy_step(dirs, d_r1, d_r2, f)
         trace.append((k, -math.expm1(-f)))
         if _stopped(trace[-2][1], trace[-1][1]):
             status = STATUS_CONVERGED
@@ -758,69 +805,42 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
 # block coordinate descent
 # ----------------------------------------------------------------------
 
-def _best_redundancy(obj, legit, eve, d_m, m, lo, hi):
-    """A direction's best relaxed redundancy at blocklength m over its
-    box [lo, hi]; ``legit`` and ``eve`` are its ``link_constants``
-    entries and ``d_m`` its message bits.
+def _direction_min(at, x, lo, hi):
+    """BCD's block of one direction: its exact relaxed optimum over the
+    box [lo, hi] from the incumbent x; ``at`` is its
+    ``_direction_balance``.
 
-    The direction's log success is concave in the total bits D, and
-    ``_hazard_balance``'s r(D) has the sign of its slope and falls in D.
-    So the answer is lo where r(d_m + lo) <= 0, hi where
-    r(d_m + hi) >= 0, and otherwise r's root: Newton from the clipped
-    balanced-margin point, bisecting the sign bracket whenever a step
-    would leave it (rtsafe), until a step is at most ``_BLOCK_TOL`` *
-    max(1, |D|).  Each r evaluation counts as one link-pair evaluation.
+    The direction's log success is concave in its redundancy and the
+    hazard balance r has the sign of its slope and falls, so the optimum
+    is ``_edge_or_root`` of (r, dr/dD) from x.  It is kept only if its
+    log success, read from the memo, does not fall below x's.
     """
-    if hi <= lo:
-        return lo
-    balanced, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
-
-    def balance(D):
-        obj.evaluations += 1
-        return _hazard_balance(legit, eve, m, D, c_b, c_e,
-                               math.sqrt, math.exp)[:2]
-
-    a, b = d_m + lo, d_m + hi
-    fa = balance(a)[0]
-    if fa <= 0.0:
-        return lo
-    fb = balance(b)[0]
-    if fb >= 0.0:
-        return hi
-    x = _bracketed_root(balance, a, fa, b, fb, min(max(balanced, a), b),
-                        atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
-    return min(max(x - d_m, lo), hi)
+    n = _edge_or_root(lambda d: at(d)[:2], x, lo, hi)
+    return n if at(n)[4] >= at(x)[4] else x
 
 
-def _bcd_step(obj, m1, d_r1, d_r2, f, box):
-    """BCD's redundancy update of (d_r1, d_r2) with objective ``f``: the
-    exact relaxed d_r1 at blocklength m1 (``_best_redundancy``), then
-    d_r2 at M - m1, each kept only if it does not worsen the objective;
-    returns (d_r1, d_r2, objective)."""
-    lo1, hi1, lo2, hi2 = box
-    sc = obj.scenario
-    ab, ae, ba, be = obj.links
-    x = _best_redundancy(obj, ab, ae, sc.d_m1, m1, lo1, hi1)
-    if x != d_r1:
-        f_x = obj.nl(m1, x, d_r2)
-        if f_x <= f:
-            d_r1, f = x, f_x
-    x = _best_redundancy(obj, ba, be, sc.d_m2, sc.M - m1, lo2, hi2)
-    if x != d_r2:
-        f_x = obj.nl(m1, d_r1, x)
-        if f_x <= f:
-            d_r2, f = x, f_x
-    return d_r1, d_r2, f
+def _bcd_step(dirs, d_r1, d_r2, f):
+    """BCD's redundancy update of (d_r1, d_r2) with objective ``f``: one
+    ``_direction_min`` per direction; ``dirs`` holds each direction's
+    (``_direction_balance``, lo, hi).  The objective of a moved pair is
+    the sum of the two memoized log successes.  Returns (d_r1, d_r2,
+    objective)."""
+    (at1, lo1, hi1), (at2, lo2, hi2) = dirs
+    n1 = _direction_min(at1, d_r1, lo1, hi1)
+    n2 = _direction_min(at2, d_r2, lo2, hi2)
+    if (n1, n2) == (d_r1, d_r2):
+        return d_r1, d_r2, f
+    return n1, n2, -(at1(n1)[4] + at2(n2)[4])
 
 
 def solve_bcd(scenario: Scenario, config: SolverConfig | None = None):
     """Cyclic descent m1 -> d_r1 -> d_r2 on the relaxed problem.
 
     Each redundancy coordinate is set to its exact relaxed optimum over
-    its refreshed threshold box (``_bcd_step``, ``_best_redundancy``);
-    every update is kept only when it does not worsen the objective, so
-    the trace is nonincreasing.  Stopping and integer rounding are
-    ``_descend``'s.
+    its refreshed threshold box, the edge-or-root rule on its hazard
+    balance from the incumbent (``_direction_min``); every update is
+    kept only when it does not worsen the objective, so the trace is
+    nonincreasing.  Stopping and integer rounding are ``_descend``'s.
     """
     return _descend(scenario, config, _bcd_step)
 
@@ -852,26 +872,6 @@ def surrogate_g(errors: LinkErrors, exponent: int = 4) -> float:
     return mean ** exponent
 
 
-def _direction_balance(obj, legit, eve, d_m, m):
-    """One direction's ``_hazard_balance`` at blocklength m by redundancy
-    d, each d evaluated once (one link-pair evaluation): (r, F',
-    l_b - l_e, l_b + l_e).  F' is the slope of ``_surrogate_min``'s F,
-    dr/dD + d(l_b - l_e)/dD, where d(l_b - l_e)/dD = -(c_b h(w_b) +
-    c_e h(-w_e)) = slope + c_b w_b - c_e w_e by the balance's slope."""
-    _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
-    seen = {}
-
-    def at(d):
-        if d not in seen:
-            obj.evaluations += 1
-            r, slope, w_b, w_e, l_b, l_e = _hazard_balance(
-                legit, eve, m, d_m + d, c_b, c_e, math.sqrt, math.exp)
-            seen[d] = (float(r), 2.0 * slope + c_b * w_b - c_e * w_e,
-                       float(l_b - l_e), float(l_b + l_e))
-        return seen[d]
-    return at
-
-
 def _surrogate_min(at, x, lo, hi):
     """The redundancy in [lo, hi] that minimizes one direction's part
     r_b + r_e of the surrogate anchored at x, r_i = exp(l̂_i - l_i);
@@ -879,29 +879,19 @@ def _surrogate_min(at, x, lo, hi):
 
     The part's slope has the sign of -F, F(d) = r(d) - δ(d), with r the
     hazard balance and δ(d) = (l̂_b - l̂_e) - (l_b(d) - l_e(d)).  F falls
-    strictly and F(x) = r(x), so the answer is x where the Newton step
-    from x rounds to x, else the box edge that r(x)'s sign points to
-    where F has not changed sign there, else F's root between x and that
-    edge (``_bracketed_root`` from x).
+    strictly and F(x) = r(x), so the answer is ``_edge_or_root`` of
+    (F, F') from x.
     """
-    r, slope, gap, _ = at(x)
+    gap = at(x)[3]
 
     def shifted(d):
-        r_d, slope_d, gap_d, _ = at(d)
-        return r_d - (gap - gap_d), slope_d
+        r, _, slope, gap_d, _ = at(d)
+        return r - (gap - gap_d), slope
 
-    if x - r / slope == x:
-        return x
-    edge = hi if r > 0.0 else lo
-    f_edge = shifted(edge)[0]
-    if f_edge == 0.0 or (f_edge > 0.0) == (r > 0.0):
-        return edge
-    a, fa, b, fb = (x, r, edge, f_edge) if r > 0.0 else (edge, f_edge, x, r)
-    return _bracketed_root(shifted, a, fa, b, fb, x,
-                           atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
+    return _edge_or_root(shifted, x, lo, hi)
 
 
-def _mm_step(obj, m1, d_r1, d_r2, f, box):
+def _mm_step(dirs, d_r1, d_r2, f):
     """MM's redundancy update, as ``_bcd_step``'s: majorize-minimize
     passes on the joint pair.
 
@@ -913,11 +903,7 @@ def _mm_step(obj, m1, d_r1, d_r2, f, box):
     point, scored from the two balances that anchor the next pass, is
     kept only if it is not worse (rounding).
     """
-    lo1, hi1, lo2, hi2 = box
-    sc = obj.scenario
-    ab, ae, ba, be = obj.links
-    at1 = _direction_balance(obj, ab, ae, sc.d_m1, m1)
-    at2 = _direction_balance(obj, ba, be, sc.d_m2, sc.M - m1)
+    (at1, lo1, hi1), (at2, lo2, hi2) = dirs
     x1, x2, f_cur = d_r1, d_r2, f
     for _ in range(_MAX_INNER_ITERS):
         n1 = _surrogate_min(at1, x1, lo1, hi1)
@@ -925,7 +911,7 @@ def _mm_step(obj, m1, d_r1, d_r2, f, box):
         moved = abs(n1 - x1) + abs(n2 - x2)
         if not moved:
             break
-        f_new = -(at1(n1)[3] + at2(n2)[3])
+        f_new = -(at1(n1)[4] + at2(n2)[4])
         if f_new > f_cur:
             break
         rel_gain = abs(f_cur - f_new) / max(abs(f_cur), 1e-300)
@@ -939,8 +925,9 @@ def solve_mm(scenario: Scenario, config: SolverConfig | None = None):
     """Nested scheme: m1 block, then a joint redundancy block solved by
     exact majorize-minimize passes on the reciprocal success product
     (``_mm_step``), which never increase the true objective.  Their
-    fixed point is BCD's exact redundancy optimum (``_best_redundancy``).
-    Stopping and integer rounding are ``_descend``'s.
+    fixed point is BCD's exact redundancy optimum (``_direction_min``):
+    the same edge-or-root rule on the unshifted balance.  Stopping and
+    integer rounding are ``_descend``'s.
     """
     return _descend(scenario, config, _mm_step)
 

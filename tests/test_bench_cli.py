@@ -193,6 +193,29 @@ class TestSolve:
         assert "unrecognized arguments: --no-safeguard" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("gamma_ab_db", 1600),
+                                              ("gamma_be_db", -3200)])
+    def test_extreme_snr_exits_1_without_warnings(self, tmp_path, field,
+                                                  value,
+                                                  default_scenario_path):
+        # 1600 dB makes V(gamma) NaN and -3200 dB (a subnormal SNR)
+        # overflows M / V; both are rejected before any solve, in a
+        # process with Python's default warning filters
+        with open(default_scenario_path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg[field] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fblsec", "solve", "--scenario",
+             str(path), "--method", "bcd"],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Scenario.gamma_")
+        assert "out of range" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
     def test_module_entry_point(self, tmp_path):
         path = write_scenario(tmp_path)
         proc = subprocess.run(

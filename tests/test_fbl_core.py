@@ -86,6 +86,14 @@ class TestCapacityDispersion:
         assert np.all(np.diff(v) > 0)
         assert dispersion(1e9) == pytest.approx(1.0, abs=1e-8)
 
+    def test_overflowing_snr_rejected(self):
+        # gamma (2 + gamma) and (1 + gamma)^2 overflow to inf past
+        # ~1.3e154, and their ratio is NaN
+        assert dispersion(1e154) == 1.0
+        for gamma in (1e155, np.array([3.0, 1e200])):
+            with pytest.raises(DomainError, match="dispersion"):
+                dispersion(gamma)
+
     @pytest.mark.parametrize("func", [dispersion])
     def test_zero_snr_rejected(self, func):
         with pytest.raises(DomainError):

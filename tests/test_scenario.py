@@ -31,6 +31,28 @@ class TestScenarioInvariants:
         with pytest.raises(DomainError):
             Scenario(**kwargs)
 
+    @pytest.mark.parametrize("field,value,M", [
+        ("gamma_ab", 1e160, 100),   # V(gamma) is NaN
+        ("gamma_be", 1e-320, 100),  # M / V overflows
+        ("gamma_ae", 1e-306, 1000),
+    ])
+    def test_snr_outside_the_kernel_range_rejected(self, field, value, M):
+        kwargs = dict(gamma_ab=3.0, gamma_ae=1.0, gamma_ba=3.0, gamma_be=1.0,
+                      d_m1=4, d_m2=4, M=M, eps_ab_max=0.5, eps_ba_max=0.5,
+                      eps_e_max=0.5)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=f"Scenario.{field}"):
+            Scenario(**kwargs)
+        kwargs[field] = np.float64(value)
+        with pytest.raises(DomainError, match=f"Scenario.{field}"):
+            Scenario(**kwargs)
+
+    def test_extreme_snrs_inside_the_range_accepted(self):
+        # 1540 dB and -3000 dB keep V and M / V finite at M = 1000
+        Scenario(gamma_ab=1e154, gamma_ae=1.0, gamma_ba=3.0, gamma_be=1e-300,
+                 d_m1=4, d_m2=4, M=1000, eps_ab_max=0.5, eps_ba_max=0.5,
+                 eps_e_max=0.5)
+
 
 class TestJsonSurface:
     def base_cfg(self):

@@ -1,5 +1,6 @@
 """Solver correctness: enumeration against an independent brute force,
-descent contracts, MM's majorize step, rounding and determinism."""
+descent contracts, the shared root finder and edge-or-root rule, BCD's
+redundancy block, MM's majorize step, rounding and determinism."""
 
 import dataclasses
 import json
@@ -33,17 +34,21 @@ from fblsec.lfp_model import (
     _split_boxes,
     link_constants,
     log_direction_success,
+    log_round_trip_success,
 )
 from fblsec.solvers import (
     _LINE_SEARCH_TOL,
     _M1_GRID,
+    _bcd_step,
     _best_full_budget,
-    _best_redundancy,
     _best_split,
     _bisect_first_maxima,
+    _bracketed_root,
     _cell_bounds,
     _direction_balance,
+    _direction_min,
     _direction_tables,
+    _edge_or_root,
     _first_maxima,
     _initial_point,
     _integer_reconstruct,
@@ -609,6 +614,88 @@ class TestMm:
         assert a.alloc == b.alloc and a.trace == b.trace
 
 
+def counted(fn):
+    """``fn`` and the list of the points it has been called at."""
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return fn(x)
+    return wrapped, seen
+
+
+class TestBracketedRoot:
+    """The shared root finder on functions whose steps are known."""
+
+    def test_newton_step_leaving_the_bracket_is_bisected(self):
+        # F = -atan(x - 1): from x = 8 the Newton step lands at -63.4,
+        # outside [-10, 8], so the next point is that bracket's midpoint
+        fn, seen = counted(lambda x: (-math.atan(x - 1.0),
+                                      -1.0 / (1.0 + (x - 1.0) ** 2)))
+        root = _bracketed_root(fn, -10.0, math.atan(11.0), 10.0,
+                               -math.atan(9.0), 8.0, atol=1e-12)
+        assert seen[:2] == [8.0, -1.0]
+        assert abs(root - 1.0) <= 1e-12
+        assert len(seen) < 15
+
+    def test_illinois_steps_without_a_slope(self):
+        # F = 1 - x^10 on [0, 2]: plain false position keeps the end 2
+        # and creeps in from 0 (over 100 points to 1e-12); Illinois
+        # halves the kept end's value and reaches the root from both sides
+        fn, seen = counted(lambda x: (1.0 - x ** 10, None))
+        root = _bracketed_root(fn, 0.0, 1.0, 2.0, 1.0 - 2.0 ** 10,
+                               atol=1e-12)
+        assert seen[0] == 2.0 / 1024.0  # the false-position point
+        assert abs(root - 1.0) <= 1e-12
+        assert len(seen) < 40
+        assert min(seen) < 1.0 < max(seen)
+        assert sum(x > 1.0 for x in seen) >= 2
+
+    def test_stops_at_an_exact_zero(self):
+        fn, seen = counted(lambda x: (0.5 - x, None))
+        assert _bracketed_root(fn, 0.0, 0.5, 1.0, -0.5) == 0.5
+        assert seen == [0.5]
+        # where the slope vanishes with the value, no step is taken
+        fn, seen = counted(lambda x: (-(x - 0.5) ** 3, -3.0 * (x - 0.5) ** 2))
+        assert _bracketed_root(fn, 0.0, 0.125, 1.0, -0.125) == 0.5
+        assert seen == [0.5]
+
+
+class TestEdgeOrRoot:
+    """The edge-or-root rule BCD's block and MM's step share."""
+
+    def test_anchor_at_the_root_costs_one_value(self):
+        fn, seen = counted(lambda d: (3.0 - d, -1.0))
+        assert _edge_or_root(fn, 3.0, 0.0, 10.0) == 3.0
+        assert seen == [3.0]
+
+    def test_one_sign_over_the_box_gives_the_edge_it_points_to(self):
+        fn, seen = counted(lambda d: (5.0 - d, -1.0))
+        assert _edge_or_root(fn, 1.0, 0.0, 2.0) == 2.0  # F > 0: rises
+        assert seen == [1.0, 2.0]
+        fn, seen = counted(lambda d: (5.0 - d, -1.0))
+        assert _edge_or_root(fn, 8.0, 7.0, 9.0) == 7.0  # F < 0: falls
+        assert seen == [8.0, 7.0]
+
+    def test_edge_at_a_zero_is_returned(self):
+        fn, seen = counted(lambda d: (2.0 - d, -0.5))
+        assert _edge_or_root(fn, 1.0, 0.0, 2.0) == 2.0
+        assert seen == [1.0, 2.0]
+
+    def test_root_between_the_anchor_and_the_edge(self):
+        # a nonlinear F so that Newton from the anchor is not exact
+        fn, seen = counted(lambda d: (math.exp(-d) - 0.25,
+                                      -math.exp(-d)))
+        root = _edge_or_root(fn, 4.0, 0.0, 10.0)
+        assert seen[:2] == [4.0, 0.0]
+        assert abs(root - math.log(4.0)) <= 1e-9
+
+    def test_point_box_gives_its_point(self):
+        fn, seen = counted(lambda d: (5.0 - d, -1.0))
+        assert _edge_or_root(fn, 3.0, 3.0, 3.0) == 3.0
+        assert set(seen) == {3.0}
+
+
 def interior_anchors(count, seed=29):
     """``count`` seeded (scenario, m1, d_r1, d_r2) interior points."""
     rng = np.random.default_rng(seed)
@@ -622,8 +709,9 @@ def interior_anchors(count, seed=29):
 
 
 def direction_steps(sc, m1, d_r1, d_r2):
-    """(legit, eve, d_m, m, lo, hi, x, at) of both directions of MM's
-    step anchored at (d_r1, d_r2) on split m1."""
+    """(legit, eve, d_m, m, lo, hi, x, at) of both directions of a
+    redundancy step anchored at (d_r1, d_r2) on split m1, each ``at`` a
+    fresh ``_direction_balance`` as ``_descend`` builds it."""
     obj = _Objective(sc)
     ab, ae, ba, be = obj.links
     lo1, hi1, lo2, hi2, _ = obj.box(m1)
@@ -677,13 +765,15 @@ class TestMmStep:
                 moved += step != x
         assert moved > 100
 
-    def test_best_redundancy_is_a_fixed_point(self):
+    def test_bcd_block_answer_is_a_fixed_point(self):
+        # BCD's block from the anchor, then MM's step anchored at its
+        # answer: the shifted balance there is the plain one, so the
+        # step stays put
         edges = 0
         for sc, m1, d_r1, d_r2 in self.ANCHORS:
-            obj = _Objective(sc)
-            for legit, eve, d_m, m, lo, hi, _, at in direction_steps(
+            for legit, eve, d_m, m, lo, hi, x, at in direction_steps(
                     sc, m1, d_r1, d_r2):
-                best = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+                best = _direction_min(at, x, lo, hi)
                 step = _surrogate_min(at, best, lo, hi)
                 if best in (lo, hi):
                     edges += 1
@@ -842,28 +932,30 @@ class TestIntegerFinish:
 
 
 class TestRedundancyBlock:
-    """The exact relaxed redundancy block (``_best_redundancy``) on the
-    solver suite and the acceptance batch, each direction at several
-    splits: no point of a dense grid over the box beats its answer, its
-    hazard balance vanishes at an interior answer, and a box on one side
-    of the balance's root gives that side's edge."""
+    """BCD's exact relaxed redundancy block (``_direction_min``, from an
+    interior anchor) on the solver suite and the acceptance batch, each
+    direction at several splits: no point of a dense grid over the box
+    beats its answer, its hazard balance vanishes at an interior answer,
+    and a box on one side of the balance's root gives that side's
+    edge."""
 
     SCENARIOS = (random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
                  + random_feasible_suite(20, seed=20240801))
+    # the anchors' box-relative positions
+    ANCHORS = (0.1, 0.5, 0.9)
 
     @staticmethod
     def blocks(sc):
-        """(obj, legit, eve, d_m, m, lo, hi) of both directions at five
-        splits with a non-empty box."""
-        obj = _Objective(sc)
-        ab, ae, ba, be = obj.links
+        """(legit, eve, d_m, m, lo, hi, x, at) of both directions at five
+        splits with a non-empty box, from three interior anchors each."""
         for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
             m1 = 1.0 + frac * (sc.M - 2)
-            lo1, hi1, lo2, hi2, _ = obj.box(m1)
-            for block in ((ab, ae, sc.d_m1, m1, lo1, hi1),
-                          (ba, be, sc.d_m2, sc.M - m1, lo2, hi2)):
-                if block[-1] > block[-2]:
-                    yield (obj,) + block
+            lo1, hi1, lo2, hi2, _ = _Objective(sc).box(m1)
+            for t in TestRedundancyBlock.ANCHORS:
+                for block in direction_steps(sc, m1, lo1 + t * (hi1 - lo1),
+                                             lo2 + t * (hi2 - lo2)):
+                    if block[5] > block[4]:
+                        yield block
 
     @staticmethod
     def balance(legit, eve, d_m, m, d):
@@ -873,19 +965,20 @@ class TestRedundancyBlock:
 
     @pytest.mark.parametrize("sc", SCENARIOS)
     def test_no_grid_point_is_better(self, sc):
-        for obj, legit, eve, d_m, m, lo, hi in self.blocks(sc):
-            d = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+        for legit, eve, d_m, m, lo, hi, x, at in self.blocks(sc):
+            d = _direction_min(at, x, lo, hi)
             assert lo <= d <= hi
             grid = log_direction_success(legit, eve, m,
                                          d_m + np.linspace(lo, hi, 2001))
             g = float(log_direction_success(legit, eve, m, d_m + d))
             assert g >= grid.max() - 1e-12 * abs(grid.max())
+            assert at(d)[4] == g
 
     @pytest.mark.parametrize("sc", SCENARIOS)
     def test_balance_vanishes_at_an_interior_answer(self, sc):
         interior = 0
-        for obj, legit, eve, d_m, m, lo, hi in self.blocks(sc):
-            d = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+        for legit, eve, d_m, m, lo, hi, x, at in self.blocks(sc):
+            d = _direction_min(at, x, lo, hi)
             if lo < d < hi:
                 interior += 1
                 assert abs(self.balance(legit, eve, d_m, m, d)) <= 1e-12
@@ -893,46 +986,66 @@ class TestRedundancyBlock:
 
     @pytest.mark.parametrize("sc", SCENARIOS)
     def test_box_on_one_side_of_the_root_gives_its_edge(self, sc):
-        for obj, legit, eve, d_m, m, lo, hi in self.blocks(sc):
-            d = _best_redundancy(obj, legit, eve, d_m, m, lo, hi)
+        for legit, eve, d_m, m, lo, hi, x, at in self.blocks(sc):
+            d = _direction_min(at, x, lo, hi)
             # above the root r < 0 throughout, so g falls from the low edge
             above = (d + 1.0, d + 5.0)
             assert self.balance(legit, eve, d_m, m, above[1]) < 0.0
-            assert (_best_redundancy(obj, legit, eve, d_m, m, *above)
-                    == above[0])
+            assert _direction_min(at, d + 3.0, *above) == above[0]
             below = (max(0.0, d - 5.0), d - 1.0)
             if below[1] > below[0]:
                 assert self.balance(legit, eve, d_m, m, below[0]) > 0.0
-                assert (_best_redundancy(obj, legit, eve, d_m, m, *below)
-                        == below[1])
+                assert (_direction_min(at, 0.5 * (below[0] + below[1]),
+                                       *below) == below[1])
+
+    @pytest.mark.parametrize("sc", SCENARIOS[:6])
+    def test_step_scores_the_pair_it_returns(self, sc):
+        # _bcd_step's objective is the round trip's at the pair it
+        # returns, bit for bit, and a second step barely moves it
+        for frac in (0.2, 0.5, 0.8):
+            m1 = 1.0 + frac * (sc.M - 2)
+            lo1, hi1, lo2, hi2, _ = _Objective(sc).box(m1)
+            for t in self.ANCHORS:
+                d_r1, d_r2 = lo1 + t * (hi1 - lo1), lo2 + t * (hi2 - lo2)
+                dirs = [(at, lo, hi) for *_, lo, hi, _, at in
+                        direction_steps(sc, m1, d_r1, d_r2)]
+                f = -log_round_trip_success(sc, m1, d_r1, d_r2)
+                n1, n2, f_new = _bcd_step(dirs, d_r1, d_r2, f)
+                assert f_new.hex() == (
+                    -log_round_trip_success(sc, m1, n1, n2)).hex()
+                assert f_new <= f
+                again = _bcd_step(dirs, n1, n2, f_new)
+                assert again[2] <= f_new
+                for n, m in zip((n1, n2), again[:2]):
+                    assert abs(m - n) <= 1e-9 * max(1.0, n)
 
     # (scenario, direction, split fraction) with the threshold box and
-    # its two parts split at 30 %: 54 blocks with interior and edge
-    # answers; the outputs of the loop the shared root finder replaced
+    # its two parts split at 30 %, each from its midpoint: 54 blocks with
+    # interior and edge answers
     PINNED_SCENARIOS = (
         SMALL, make_scenario(gamma_ba=8.0, gamma_be=0.3, M=1000),
         make_scenario(gamma_ab=1.1724898685987892, gamma_ae=0.9793948492744282,
                       gamma_ba=6.089165608101732, gamma_be=0.2099366309057787,
                       d_m1=4, d_m2=4, M=197))
     PINNED = (
-        '0x1.5a3678db6932ep+3', '0x1.25c28f5c28f5dp+3', '0x1.5a3678db6932ep+3',
-        '0x1.6353898affad5p+5', '0x1.368f5c28f5c29p+5', '0x1.6353898affad5p+5',
+        '0x1.5a3678db6932dp+3', '0x1.25c28f5c28f5dp+3', '0x1.5a3678db6932dp+3',
+        '0x1.6353898affad6p+5', '0x1.368f5c28f5c29p+5', '0x1.6353898affad6p+5',
         '0x1.ba05b2ec751bfp+4', '0x1.8000000000000p+4', '0x1.ba05b2ec751bfp+4',
         '0x1.ba05b2ec751bfp+4', '0x1.8000000000000p+4', '0x1.ba05b2ec751bfp+4',
-        '0x1.368f9b3b61f0ap+5', '0x1.0f0a3d70a3d70p+5', '0x1.368f9b3b61f0ap+5',
-        '0x1.06cfa6bb51c44p+4', '0x1.c3d70a3d70a3fp+3', '0x1.06cfa6bb51c44p+4',
+        '0x1.368f9b3b61f09p+5', '0x1.0f0a3d70a3d70p+5', '0x1.368f9b3b61f0ap+5',
+        '0x1.06cfa6bb51c45p+4', '0x1.c3d70a3d70a3fp+3', '0x1.06cfa6bb51c45p+4',
         '0x1.1381532efc528p+8', '0x1.e18f5c28f5c2ap+7', '0x1.1381532efc528p+8',
-        '0x1.210317750d8a0p+10', '0x1.dc026ce33a90ap+9', '0x1.210317750d8a0p+10',
+        '0x1.210317750d8a1p+10', '0x1.dc026ce33a90ap+9', '0x1.210317750d8a0p+10',
         '0x1.66219fed93b42p+9', '0x1.3afffffffffffp+9', '0x1.66219fed93b42p+9',
-        '0x1.65d4814cb18dfp+9', '0x1.25fbe178cbec9p+9', '0x1.65d4814cb18dfp+9',
-        '0x1.f90cee9f202d2p+9', '0x1.bcbd70a3d70a3p+9', '0x1.f90cee9f202d2p+9',
-        '0x1.a611700ebdf8bp+8', '0x1.59445e63aefe7p+8', '0x1.a611700ebdf8bp+8',
-        '0x1.315eaed344db9p+5', '0x1.281c614715985p+5', '0x1.315eaed344db9p+5',
-        '0x1.712d4136fe5a4p+7', '0x1.3e9a5b1fad09ep+7', '0x1.712d4136fe5a4p+7',
-        '0x1.8ee338b69817ep+6', '0x1.83fc8af91f639p+6', '0x1.8ee338b69817ep+6',
-        '0x1.c9a7b0159ddb0p+6', '0x1.89d05b830eef1p+6', '0x1.c9a7b0159ddb0p+6',
-        '0x1.197c6b5289827p+7', '0x1.11f86399168eep+7', '0x1.197c6b5289827p+7',
-        '0x1.0e85bdeeaabd5p+6', '0x1.cf1ae8b5b9ad4p+5', '0x1.0e85bdeeaabd5p+6',
+        '0x1.65d4814cb18dfp+9', '0x1.25fbe178cbec9p+9', '0x1.65d4814cb18dep+9',
+        '0x1.f90cee9f202d2p+9', '0x1.bcbd70a3d70a3p+9', '0x1.f90cee9f202d1p+9',
+        '0x1.a611700ebdf8bp+8', '0x1.59445e63aefe7p+8', '0x1.a611700ebdf8ap+8',
+        '0x1.315eaed344db8p+5', '0x1.281c614715985p+5', '0x1.315eaed344db8p+5',
+        '0x1.712d4136fe5a3p+7', '0x1.3e9a5b1fad09ep+7', '0x1.712d4136fe5a2p+7',
+        '0x1.8ee338b698180p+6', '0x1.83fc8af91f639p+6', '0x1.8ee338b69817fp+6',
+        '0x1.c9a7b0159ddb0p+6', '0x1.89d05b830eef1p+6', '0x1.c9a7b0159ddafp+6',
+        '0x1.197c6b5289826p+7', '0x1.11f86399168eep+7', '0x1.197c6b5289827p+7',
+        '0x1.0e85bdeeaabd4p+6', '0x1.cf1ae8b5b9ad4p+5', '0x1.0e85bdeeaabd5p+6',
     )
 
     def test_pinned_outputs(self):
@@ -948,20 +1061,20 @@ class TestRedundancyBlock:
                         (ba, be, sc.d_m2, sc.M - m1, lo2, hi2)):
                     cut = lo + 0.3 * (hi - lo)
                     for a, b in ((lo, hi), (lo, cut), (cut, hi)):
-                        out.append(_best_redundancy(obj, legit, eve, d_m, m,
-                                                    a, b))
+                        at = _direction_balance(obj, legit, eve, d_m, m)
+                        out.append(_direction_min(at, 0.5 * (a + b), a, b))
             evaluations += obj.evaluations
         assert hex_list(out) == list(self.PINNED)
-        assert evaluations == 216
+        assert evaluations == 244
 
-    def test_empty_or_point_box_gives_its_low_edge(self):
+    def test_point_box_gives_its_point_from_one_evaluation(self):
         obj = _Objective(SMALL)
         ab, ae = obj.links[:2]
-        for lo, hi in ((3.0, 3.0), (4.0, 2.0)):
+        for d in (0.0, 3.0, 7.5):
+            at = _direction_balance(obj, ab, ae, SMALL.d_m1, 20.0)
             before = obj.evaluations
-            assert _best_redundancy(obj, ab, ae, SMALL.d_m1, 20.0,
-                                    lo, hi) == lo
-            assert obj.evaluations == before
+            assert _direction_min(at, d, d, d) == d
+            assert obj.evaluations == before + 1
 
     def test_mirrored_tie_takes_the_oracles_allocation(self):
         # at M = 700 the default point's splits 349 and 351 tie to the
@@ -1047,22 +1160,18 @@ class TestRunControl:
 class TestEvaluatedOnce:
     """BCD and MM carry the incumbent's objective value instead of
     scoring it again, the m1 block takes its answer's value from that
-    split's own profile point, and MM scores a new point from the
-    hazard-balance evaluations that anchor its next pass."""
+    split's own profile point, and both redundancy steps score their
+    points from the hazard-balance evaluations they solve on, each
+    evaluated once."""
 
     SCENARIOS = random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
 
     @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
     def test_no_point_scored_twice_in_a_cycle(self, solve, monkeypatch):
-        # the scalar scorings: round trips and the m1 block's profile
-        # points (the block's one grid call is a vector evaluation)
-        cycles = []  # the points scored in each cycle, start first
-        nl, m1_block = _Objective.nl, solvers._m1_block
-        m1_profile = solvers._m1_profile
-
-        def recorded_nl(obj, m1, d_r1, d_r2):
-            cycles[-1].append((m1, d_r1, d_r2))
-            return nl(obj, m1, d_r1, d_r2)
+        # the m1 block's scalar profile points (its one grid call is a
+        # vector evaluation)
+        cycles = []  # the points scored in each cycle
+        m1_block, m1_profile = solvers._m1_block, solvers._m1_profile
 
         def recorded_profile(obj, m1, t1, t2):
             out = m1_profile(obj, m1, t1, t2)
@@ -1074,49 +1183,64 @@ class TestEvaluatedOnce:
             cycles.append([])
             return m1_block(*args)
 
-        monkeypatch.setattr(_Objective, "nl", recorded_nl)
         monkeypatch.setattr(solvers, "_m1_profile", recorded_profile)
         monkeypatch.setattr(solvers, "_m1_block", new_cycle)
         for sc in self.SCENARIOS:
-            cycles[:] = [[]]
+            cycles.clear()
             solve(sc)
-            assert len(cycles) > 2
-            assert any(len(points) > 2 for points in cycles[1:])
+            assert len(cycles) > 1
+            assert any(len(points) > 2 for points in cycles)
             for points in cycles:
                 assert len(set(points)) == len(points), sc
 
     def test_no_link_terms_built_twice_in_an_mm_step(self, monkeypatch):
-        # the link pairs each MM step evaluates: its hazard balances and
-        # no four-link terms
+        self.check_step_balances(solve_mm, "_mm_step", monkeypatch)
+
+    def test_no_link_terms_built_twice_in_a_bcd_step(self, monkeypatch):
+        self.check_step_balances(solve_bcd, "_bcd_step", monkeypatch)
+
+    def check_step_balances(self, solve, step, monkeypatch):
+        """The link pairs each redundancy step of ``solve`` evaluates:
+        its hazard balances, each once and counted once in
+        ``evaluations``, and no four-link terms."""
         steps = []  # (legit, m, D) of each step's balances
-        balance, mm_step = solvers._hazard_balance, solvers._mm_step
-        terms = solvers._link_log_terms
-        in_passes = []
+        balance, redundancy_step = solvers._hazard_balance, getattr(solvers,
+                                                                    step)
+        terms, direction_balance = (solvers._link_log_terms,
+                                    solvers._direction_balance)
+        in_step, objs = [], []
 
         def recorded_balance(legit, eve, m, D, *args):
-            if in_passes:
+            if in_step:
                 steps[-1].append((legit, m, D))
             return balance(legit, eve, m, D, *args)
 
         def recorded_terms(*args):
-            assert not in_passes
+            assert not in_step
             return terms(*args)
+
+        def recorded_direction(obj, *args):
+            objs[:] = [obj]
+            return direction_balance(obj, *args)
 
         def new_step(*args):
             steps.append([])
-            in_passes.append(True)
+            in_step.append(True)
+            before = objs[0].evaluations
             try:
-                return mm_step(*args)
+                return redundancy_step(*args)
             finally:
-                in_passes.clear()
+                in_step.clear()
+                assert objs[0].evaluations - before == len(steps[-1])
 
         monkeypatch.setattr(solvers, "_hazard_balance", recorded_balance)
         monkeypatch.setattr(solvers, "_link_log_terms", recorded_terms)
-        monkeypatch.setattr(solvers, "_mm_step", new_step)
+        monkeypatch.setattr(solvers, "_direction_balance", recorded_direction)
+        monkeypatch.setattr(solvers, step, new_step)
         for sc in self.SCENARIOS:
             steps.clear()
-            solve_mm(sc)
-            assert any(len(points) > 6 for points in steps)
+            solve(sc)
+            assert any(len(points) > 4 for points in steps)
             for points in steps:
                 assert len(set(points)) == len(points), sc
 
@@ -1152,18 +1276,19 @@ class TestM1BracketGrid:
     def test_start_matches_scalar_candidates(self, sc):
         # the scalar loop the one-call start replaced: mid-budget split
         # first, then the 16-point grid, strict improvement only
-        ref_obj, obj = _Objective(sc), _Objective(sc)
-        best = None
+        obj = _Objective(sc)
+        best, scored = None, 0
         for m1 in [float(round(sc.M / 2))] + list(
                 np.linspace(1.0, sc.M - 1.0, 16)):
-            lo1, hi1, lo2, hi2, feasible = ref_obj.box(m1)
+            lo1, hi1, lo2, hi2, feasible = obj.box(m1)
             if feasible:
                 point = (m1, 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2))
-                val = ref_obj.nl(*point)
+                val = -log_round_trip_success(sc, *point)
+                scored += 1
                 if best is None or val < best[3]:
                     best = (*point, val)
         start = _initial_point(obj)
-        assert obj.evaluations == ref_obj.evaluations
+        assert obj.evaluations == scored
         if best is None:
             assert start is None
         else:
@@ -1214,7 +1339,8 @@ class TestM1BracketGrid:
 class TestM1ProfileSlope:
     """``_m1_profile``'s slope against central differences of its own
     value, at feasible splits away from the lower edges' clamp at 0 (a
-    kink), and its value against ``_Objective.nl`` at the carried pair,
+    kink), and its value against -``log_round_trip_success`` at the
+    carried pair,
     bit for bit.  A threshold of 1/2 makes its link's Qinv 0, so the
     second scenario's thresholds are not 1/2."""
 
@@ -1269,7 +1395,8 @@ class TestM1ProfileSlope:
                     continue
                 assert (d_r1, d_r2) == (lo1 + t1 * (hi1 - lo1),
                                         lo2 + t2 * (hi2 - lo2))
-                assert value.hex() == obj.nl(x, d_r1, d_r2).hex()
+                assert value.hex() == (
+                    -log_round_trip_success(sc, x, d_r1, d_r2)).hex()
 
 
 class TestIterativeGolden:
