@@ -10,7 +10,11 @@ fail).  This module provides the per-link error evaluation, the
 per-direction log success probability, the LFP itself, the redundancy
 bounds induced by the reliability/leakage thresholds, and the analytic
 LFP gradient in the reduced variable space (m1, d_r1, d_r2) with
-m2 = M - m1.
+m2 = M - m1.  A direction's best bits at a blocklength are the root of
+one log hazard balance (``_hazard_balance``), which BCD/MM's redundancy
+steps (``solvers._direction_balance``), the oracle's first-maximum
+estimate (``_first_maximum_start``) and its cell bound
+(``_cell_bound``, each link at its own blocklength) all evaluate.
 
 The LFP is always evaluated as -expm1(log P), with log P the sum of the
 four per-link log probabilities (via ``log_ndtr``).  This keeps ~1e-14
@@ -316,7 +320,7 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
 
 
 # ----------------------------------------------------------------------
-# Reduced-space gradient
+# Hazard balance and reduced-space gradient
 # ----------------------------------------------------------------------
 
 # Smallest margin at which scipy's ``log_ndtr`` returns 0.0 (found by
@@ -326,40 +330,43 @@ def redundancy_bounds(scenario: Scenario, m1: float, m2: float) -> FeasibleBox:
 _LOG_NDTR_ZERO = 37.67712072049519
 
 
-def _balanced_start(legit, eve, m, sqrt):
-    """The geometry of a direction's hazard balance at blocklength m.
+def _balanced_start(legit, eve, m_b, m_e, sqrt):
+    """The geometry of a direction's hazard balance, the legitimate link
+    at blocklength m_b and the eavesdropper at m_e.
 
     Both margins are linear in the total bits D: w = alpha - c*D.
     Returns (D_bal, c_b, c_e, alpha_e), D_bal the balanced-margin point
-    w_b = -w_e.  ``m`` is a float with ``math.sqrt``, or an array with
-    ``np.sqrt``; both give the same bits per element.  Unchecked.
+    w_b = -w_e.  Floats with ``math.sqrt`` and arrays with ``np.sqrt``
+    give the same bits per element.  Unchecked.
     """
-    s_b, s_e = sqrt(m / legit.v), sqrt(m / eve.v)
-    c_b, c_e = LN2 / m * s_b, LN2 / m * s_e
+    s_b, s_e = sqrt(m_b / legit.v), sqrt(m_e / eve.v)
+    c_b, c_e = LN2 / m_b * s_b, LN2 / m_e * s_e
     alpha_e = eve.log1p * s_e
     return (legit.log1p * s_b + alpha_e) / (c_b + c_e), c_b, c_e, alpha_e
 
 
-def _hazard_balance(legit, eve, m, D, c_b, c_e, sqrt, exp):
+def _hazard_balance(legit, eve, m_b, m_e, D, c_b, c_e, log_ratio, sqrt, exp):
     """The log hazard balance r(D) = log(c_e*h(-w_e)) - log(c_b*h(w_b)),
-    h = phi/Phi, of a direction at blocklength m and total bits D: (r,
-    dr/dD, w_b, w_e, l_b, l_e), with the log factors l_b = log_ndtr(w_b)
-    and l_e = log_ndtr(-w_e) (``_link_log_term``'s bits).
+    h = phi/Phi, of a direction at total bits D, its links at
+    blocklengths m_b and m_e: (r, dr/dD, w_b, w_e, l_b, l_e, h_b, h_e),
+    with the log factors l_b = log_ndtr(w_b), l_e = log_ndtr(-w_e)
+    (``_link_log_term``'s bits) and the hazards h_b, h_e.
 
     r has the sign of g'(D), g = l_b + l_e, and falls strictly in D
     (x + h(x) > 0), so its root is g's maximizer.  (c_b, c_e) are
-    ``_balanced_start``'s.  ``math.sqrt`` and ``math.exp`` on floats,
-    ``np.sqrt`` and ``np.exp`` on arrays.  Costs one link-pair
-    evaluation.  Unchecked.
+    ``_balanced_start``'s; ``log_ratio`` = log(c_e / c_b) is the
+    caller's.  ``math.sqrt``, ``math.exp`` on floats and ``np.sqrt``,
+    ``np.exp`` on arrays.  Costs one link-pair evaluation.  Unchecked.
     """
-    w_b = _margin(legit.log1p, legit.v, m, D, sqrt)
-    w_e = _margin(eve.log1p, eve.v, m, D, sqrt)
+    w_b = _margin(legit.log1p, legit.v, m_b, D, sqrt)
+    w_e = _margin(eve.log1p, eve.v, m_e, D, sqrt)
     l_b, l_e = log_ndtr(w_b), log_ndtr(-w_e)
     lh_b, lh_e = _log_hazard(w_b, l_b), _log_hazard(-w_e, l_e)
-    # log(c_e / c_b) = log(V_b / V_e) / 2; d(log h)/dx = -(x + h(x))
-    r = 0.5 * math.log(legit.v / eve.v) + lh_e - lh_b
-    slope = -(c_e * (exp(lh_e) - w_e) + c_b * (w_b + exp(lh_b)))
-    return r, slope, w_b, w_e, l_b, l_e
+    h_b, h_e = exp(lh_b), exp(lh_e)
+    # d(log h)/dx = -(x + h(x))
+    r = log_ratio + lh_e - lh_b
+    slope = -(c_e * (h_e - w_e) + c_b * (w_b + h_b))
+    return r, slope, w_b, w_e, l_b, l_e, h_b, h_e
 
 
 def _first_maximum_start(legit, eve, d_m, m, lo, hi):
@@ -377,10 +384,11 @@ def _first_maximum_start(legit, eve, d_m, m, lo, hi):
     Nothing here is checked.  Costs one link-pair evaluation per
     blocklength.
     """
-    balanced, c_b, c_e, alpha_e = _balanced_start(legit, eve, m, np.sqrt)
+    balanced, c_b, c_e, alpha_e = _balanced_start(legit, eve, m, m, np.sqrt)
     start = np.clip(balanced, d_m + lo, d_m + hi)
-    r, slope, w_b, w_e, _, _ = _hazard_balance(legit, eve, m, start, c_b,
-                                               c_e, np.sqrt, np.exp)
+    r, slope, w_b, w_e, *_ = _hazard_balance(
+        legit, eve, m, m, start, c_b, c_e, 0.5 * math.log(legit.v / eve.v),
+        np.sqrt, np.exp)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = start - r / slope
     newton = np.where(np.isfinite(newton), newton, start)
@@ -398,36 +406,25 @@ def _cell_bound(legit, eve, m_b, m_e, lo, hi):
     g <= U(D) = log_ndtr(w_b(m_b, D)) + log_ndtr(-w_e(m_e, D)), which is
     concave in D and so at most its tangent at any D*:
     U(D*) + max(U'(D*) (lo - D*), U'(D*) (hi - D*)), capped at 0.  D* is
-    one Newton step on U's log hazard balance (``_hazard_balance``'s r,
-    each link at its own blocklength) from the balanced-margin point,
-    clipped to [lo, hi]: a step on U' itself falls far short where the
-    hazards are tail values.  ``legit`` and ``eve`` are
-    ``link_constants`` entries, or ``_Link``s of arrays that broadcast
-    against the others.  Costs two link-pair evaluations per element.
-    Unchecked.
+    one Newton step on U's ``_hazard_balance`` from the balanced-margin
+    point, clipped to [lo, hi]: a step on U' itself falls far short
+    where the hazards are tail values; where a hazard overflows (a
+    legitimate margin below about -3e9) the bound reads NaN or 0.0.
+    ``legit`` and ``eve`` are ``link_constants`` entries, or ``_Link``s
+    of arrays that broadcast against the others.  Costs two link-pair
+    evaluations per element.  Unchecked.
     """
-    s_b, s_e = np.sqrt(m_b / legit.v), np.sqrt(m_e / eve.v)
-    c_b, c_e = LN2 / m_b * s_b, LN2 / m_e * s_e
-
-    def terms(D):
-        w_b = _margin(legit.log1p, legit.v, m_b, D)
-        w_e = _margin(eve.log1p, eve.v, m_e, D)
-        l_b, l_e = log_ndtr(w_b), log_ndtr(-w_e)
-        return (l_b + l_e, _log_hazard(w_b, l_b), _log_hazard(-w_e, l_e),
-                w_b, w_e)
-
-    D = np.minimum(np.maximum((legit.log1p * s_b + eve.log1p * s_e)
-                              / (c_b + c_e), lo), hi)
-    _, lh_b, lh_e, w_b, w_e = terms(D)
-    r = np.log(c_e / c_b) + lh_e - lh_b
-    slope = -(c_e * (np.exp(lh_e) - w_e) + c_b * (w_b + np.exp(lh_b)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    balanced, c_b, c_e, _ = _balanced_start(legit, eve, m_b, m_e, np.sqrt)
+    args = (c_b, c_e, np.log(c_e / c_b), np.sqrt, np.exp)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        D = np.clip(balanced, lo, hi)
+        r, slope, *_ = _hazard_balance(legit, eve, m_b, m_e, D, *args)
         newton = D - r / slope
-    D = np.minimum(np.maximum(np.where(np.isfinite(newton), newton, D), lo),
-                   hi)
-    u, lh_b, lh_e, _, _ = terms(D)
-    du = c_e * np.exp(lh_e) - c_b * np.exp(lh_b)
-    return np.minimum(u + np.maximum(du * (lo - D), du * (hi - D)), 0.0), D
+        D = np.clip(np.where(np.isfinite(newton), newton, D), lo, hi)
+        *_, l_b, l_e, h_b, h_e = _hazard_balance(legit, eve, m_b, m_e, D, *args)
+        du = c_e * h_e - c_b * h_b
+        return np.minimum(l_b + l_e + np.maximum(du * (lo - D), du * (hi - D)),
+                          0.0), D
 
 
 def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,

@@ -338,14 +338,16 @@ def _direction_balance(obj, legit, eve, d_m, m):
     ``_surrogate_min``'s F, dr/dD + d(l_b - l_e)/dD, where
     d(l_b - l_e)/dD = -(c_b h(w_b) + c_e h(-w_e)) = dr/dD + c_b w_b -
     c_e w_e by the balance's slope."""
-    _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
+    _, c_b, c_e, _ = _balanced_start(legit, eve, m, m, math.sqrt)
+    # log(c_e / c_b) = log(V_b / V_e) / 2 at one blocklength
+    args = (c_b, c_e, 0.5 * math.log(legit.v / eve.v), math.sqrt, math.exp)
     seen = {}
 
     def at(d):
         if d not in seen:
             obj.evaluations += 1
-            r, slope, w_b, w_e, l_b, l_e = _hazard_balance(
-                legit, eve, m, d_m + d, c_b, c_e, math.sqrt, math.exp)
+            r, slope, w_b, w_e, l_b, l_e, _, _ = _hazard_balance(
+                legit, eve, m, m, d_m + d, *args)
             seen[d] = (float(r), float(slope),
                        2.0 * slope + c_b * w_b - c_e * w_e,
                        float(l_b - l_e), float(l_b + l_e))
@@ -529,25 +531,31 @@ def _report(obj, t_start, status, trace, alloc=None, final=None):
 def _descend(scenario, config, redundancy_step):
     """The outer alternation of BCD and MM.
 
-    From ``_initial_point``, each cycle runs the m1 block, refreshes the
-    box at the new split, builds each direction's ``_direction_balance``
-    there, updates the redundancy pair by ``redundancy_step(dirs, d_r1,
-    d_r2, f)``, dirs = ((at1, lo1, hi1), (at2, lo2, hi2)), and records
-    the LFP -expm1(-f) (``lfp_value``'s bits); the incumbent's
-    objective value f is carried, never re-evaluated.  It
-    stops when a cycle changes the LFP by at most ``_REL_TOL`` relative
-    (with a ``_STOP_ATOL`` floor for LFPs below double-precision
-    resolution) or after ``_MAX_OUTER_ITERS`` cycles.  In integer mode
-    ``_integer_reconstruct`` finishes exactly at the splits within one
-    of floor/ceil of the relaxed m1, with the oracle's per-direction
-    tables.
+    From ``_initial_point``, or from the oracle's answer
+    (``_best_full_budget``, infeasible only where that is None) where
+    its grid misses a narrow feasible set, each cycle runs the m1 block,
+    refreshes the box at the new split, builds each direction's
+    ``_direction_balance`` there, updates the redundancy pair by
+    ``redundancy_step(dirs, d_r1, d_r2, f)``, dirs = ((at1, lo1, hi1),
+    (at2, lo2, hi2)), and records the LFP -expm1(-f) (``lfp_value``'s
+    bits); the incumbent's objective value f is carried, never
+    re-evaluated.  It stops when a cycle changes the LFP by at most
+    ``_REL_TOL`` relative (with a ``_STOP_ATOL`` floor for LFPs below
+    double-precision resolution) or after ``_MAX_OUTER_ITERS`` cycles.
+    In integer mode ``_integer_reconstruct`` finishes exactly at the
+    splits within one of floor/ceil of the relaxed m1, with the oracle's
+    per-direction tables.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
     obj = _Objective(scenario)
     start = _initial_point(obj)
     if start is None:
-        return _report(obj, t_start, STATUS_INFEASIBLE, [])
+        best = _best_full_budget(obj)
+        if best is None:
+            return _report(obj, t_start, STATUS_INFEASIBLE, [])
+        alloc, log_p = best
+        start = (float(alloc.m1), float(alloc.d_r1), float(alloc.d_r2), -log_p)
     m1, d_r1, d_r2, f = start
     ab, ae, ba, be = obj.links
     trace = [(0, -math.expm1(-f))]
@@ -693,9 +701,10 @@ def _cell_bounds(obj, k):
     log success at each cell's midpoint split, each at the integer
     redundancy nearest the bound's D* in its box (-inf where no midpoint
     has both boxes).  Where max(hi(a), hi(b)) < -1e-9 no split of the
-    cell has an integer box, and its bound, whatever it reads, drops
-    nothing that could win.  Each bound and lower-bound evaluation
-    counts as one link-pair evaluation, three per cell and direction.
+    cell has an integer box, and its bound, whatever it reads (NaN where
+    a hazard overflowed), drops nothing that could win.  Each bound and
+    lower-bound evaluation counts as one link-pair evaluation, three per
+    cell and direction.
     Returns (per-direction bounds, shape (2, cells), lower bound).
     """
     sc = obj.scenario
@@ -733,7 +742,8 @@ def _best_full_budget(obj):
     splits.  A cell whose bound (``_cell_bounds``, summed over the
     directions) is below L - (1e-9 |L| + 1e-300), L the lower bound, is
     dropped: its table entries are at most its bound, so strictly worse
-    than the split L came from, and ties survive.  The slack covers
+    than the split L came from, and ties survive; a bound that is not
+    finite (an overflowed hazard) keeps its cell.  The slack covers
     rounding and, where the tables are subnormal (no longer concave in
     floating point), the few 1e-311 by which an entry can pass its
     bound (at most 6.8e-311 with one-split cells on the 400 instances of
@@ -746,7 +756,8 @@ def _best_full_budget(obj):
         return _best_split(obj, np.arange(1.0, M))
     k = math.isqrt(M) // 2 + 1
     bound, lower = _cell_bounds(obj, k)
-    keep = ~(bound[0] + bound[1] < lower - (1e-9 * abs(lower) + 1e-300))
+    total, slack = bound[0] + bound[1], 1e-9 * abs(lower) + 1e-300
+    keep = ~np.isfinite(total) | (total >= lower - slack)
     return _best_split(obj, np.arange(1.0, M)[np.repeat(keep, k)[:M - 1]])
 
 

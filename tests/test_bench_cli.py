@@ -216,6 +216,25 @@ class TestSolve:
         assert "out of range" in proc.stderr
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("value", [-400, -1000])
+    @pytest.mark.parametrize("method", ["exhaustive", "bcd", "mm"])
+    def test_vanishing_legitimate_snr_is_infeasible_without_warnings(
+            self, tmp_path, value, method, default_scenario_path):
+        # the legitimate margins fall below -1e19, where the oracle's cell
+        # bound overflows a hazard; in a process with Python's default
+        # warning filters nothing may be printed
+        with open(default_scenario_path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["gamma_ab_db"] = value
+        path = tmp_path / "vanishing.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fblsec", "solve", "--scenario",
+             str(path), "--method", method],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_INFEASIBLE
+        assert proc.stderr == ""
+
     def test_module_entry_point(self, tmp_path):
         path = write_scenario(tmp_path)
         proc = subprocess.run(

@@ -803,8 +803,10 @@ class TestMmStep:
                     continue  # the answer is a box edge
                 checked += 1
                 fn, a, fa, b, fb, start = brackets[0]
-                _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
-                r = _hazard_balance(legit, eve, m, d_m + x, c_b, c_e,
+                _, c_b, c_e, _ = _balanced_start(legit, eve, m, m,
+                                                 math.sqrt)
+                r = _hazard_balance(legit, eve, m, m, d_m + x, c_b, c_e,
+                                    0.5 * math.log(legit.v / eve.v),
                                     math.sqrt, math.exp)[0]
                 assert start == x and x in (a, b)
                 assert fn(x)[0].hex() == float(r).hex()
@@ -959,8 +961,9 @@ class TestRedundancyBlock:
 
     @staticmethod
     def balance(legit, eve, d_m, m, d):
-        _, c_b, c_e, _ = _balanced_start(legit, eve, m, math.sqrt)
-        return _hazard_balance(legit, eve, m, d_m + d, c_b, c_e,
+        _, c_b, c_e, _ = _balanced_start(legit, eve, m, m, math.sqrt)
+        return _hazard_balance(legit, eve, m, m, d_m + d, c_b, c_e,
+                               0.5 * math.log(legit.v / eve.v),
                                math.sqrt, math.exp)[0]
 
     @pytest.mark.parametrize("sc", SCENARIOS)
@@ -1210,10 +1213,10 @@ class TestEvaluatedOnce:
                                     solvers._direction_balance)
         in_step, objs = [], []
 
-        def recorded_balance(legit, eve, m, D, *args):
+        def recorded_balance(legit, eve, m_b, m_e, D, *args):
             if in_step:
-                steps[-1].append((legit, m, D))
-            return balance(legit, eve, m, D, *args)
+                steps[-1].append((legit, m_b, m_e, D))
+            return balance(legit, eve, m_b, m_e, D, *args)
 
         def recorded_terms(*args):
             assert not in_step
