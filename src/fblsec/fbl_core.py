@@ -21,14 +21,14 @@ written once (``_margin``), as are V(gamma) and Qinv (``_dispersion``,
 ``_q_inv``): the checked functions run these after their checks, and
 ``rate_margin`` and the model's per-scenario link constants run them
 directly.  Tail values are computed through the complementary error
-function (and ``log_ndtr`` for log-domain work) so that arguments
-beyond |w| ~ 38 do not collapse to 0/1 prematurely.
+function (the model's link kernel takes ``log_ndtr`` in the log domain)
+so that arguments beyond |w| ~ 38 do not collapse to 0/1 prematurely.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtri
+from scipy.special import erfc, ndtri
 
 LN2 = float(np.log(2.0))
 _SQRT2 = float(np.sqrt(2.0))
@@ -149,11 +149,10 @@ def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
     ln(1+gamma) and V(gamma): the one margin expression.
 
     ``rate_margin`` calls it with ``np.sqrt`` on the two values it
-    computes from gamma.  The model's link kernel, per-link log term,
-    hazard balance and ``link_errors`` call it on the constants
-    ``lfp_model.link_constants`` caches, with ``math.sqrt`` on floats or
-    ``np.sqrt`` on arrays; all give the same bits as long as ln(1+gamma)
-    is ``np.log1p``'s (``math.log1p`` can differ in the last bit).
+    computes from gamma, and the link kernel ``lfp_model._link_pair``
+    and ``link_errors`` on ``lfp_model.link_constants``' cached values,
+    with ``math.sqrt`` on floats or ``np.sqrt`` on arrays: the same bits
+    while ln(1+gamma) is ``np.log1p``'s (``math.log1p`` can differ).
     """
     return (log1p_gamma - d * LN2 / m) * sqrt(m / v)
 
@@ -207,10 +206,7 @@ def _error_prob(w):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_hazard(x, log_cdf=None):
-    """log(phi(x) / Phi(x)), the log of d(log_ndtr)/dx; finite where
-    phi(x) itself underflows.  ``log_cdf`` is log_ndtr(x) where the
-    caller already has it."""
-    if log_cdf is None:
-        log_cdf = log_ndtr(x)
+def _log_hazard(x, log_cdf):
+    """log(phi(x) / Phi(x)), the log of d(log_ndtr)/dx, from ``log_cdf``
+    = log_ndtr(x); finite where phi(x) itself underflows."""
     return -0.5 * x * x - _LOG_SQRT_2PI - log_cdf

@@ -31,10 +31,10 @@ The per-link constants are computed once per scenario
 (``link_constants``), not once per call, and hold ln(1+gamma) twice:
 the margin's value (``np.log1p``, as ``fbl_core.rate_margin`` computes
 it) and the threshold boxes' value (``math.log1p``).  The two differ in
-the last bit on a few per cent of SNRs.  One kernel, ``_log_direction``,
-gives a direction's log success from these constants: on arrays it is
-``log_direction_success``, and the scalar round trip is the sum of its
-two directions on floats.
+the last bit on a few per cent of SNRs.  One kernel, ``_link_pair``,
+evaluates a link pair's margins and log factors from these constants,
+on floats or arrays with the same bits; ``log_direction_success``, the
+scalar round trip, ``_direction_log_terms`` and the balance sum it.
 """
 
 from __future__ import annotations
@@ -134,53 +134,46 @@ def link_errors(scenario: Scenario, alloc: Allocation) -> LinkErrors:
                                            (be, alloc.m2, d2))))
 
 
-def _log_direction(legit, eve, m, d, sqrt):
-    """The one link kernel: log[(1 - eps_b) * eps_e] of one direction
-    from the ``link_constants`` entries of its two links.
+def _link_pair(legit, eve, m_b, m_e, D, sqrt):
+    """The one link kernel: the margins and log success factors of a
+    direction's two links at total bits D, the legitimate link at
+    blocklength m_b and the eavesdropper at m_e: (w_b, w_e, l_b, l_e).
 
-    log(1 - eps_b) = log_ndtr(w_b) and log(eps_e) = log_ndtr(-w_e) stay
-    finite and accurate where the plain probabilities saturate;
-    ``math.sqrt`` on floats and ``np.sqrt`` on arrays give the same bits.
+    ``legit`` and ``eve`` are ``link_constants`` entries.  The factors
+    l_b = log_ndtr(w_b) = log(1 - eps_b) and l_e = log_ndtr(-w_e) =
+    log(eps_e) stay finite and accurate where the plain probabilities
+    saturate; ``math.sqrt`` on floats and ``np.sqrt`` on arrays give the
+    same bits.  Unchecked.
     """
-    return (log_ndtr(_margin(legit.log1p, legit.v, m, d, sqrt))
-            + log_ndtr(-_margin(eve.log1p, eve.v, m, d, sqrt)))
+    w_b = _margin(legit.log1p, legit.v, m_b, D, sqrt)
+    w_e = _margin(eve.log1p, eve.v, m_e, D, sqrt)
+    return w_b, w_e, log_ndtr(w_b), log_ndtr(-w_e)
 
 
-def _link_log_term(link, m, d, sign):
-    """One link's log success factor and its derivatives at scalar
-    blocklength m and total bits d: (l, dl/dm, dl/dd).
+def _direction_log_terms(legit, eve, m, D):
+    """A direction's log success l = l_b + l_e and its derivatives at
+    scalar blocklength m and total bits D: (l, dl/dm, dl/dD).
 
-    ``link`` is the link's ``link_constants`` entry.  With ``sign`` +1.0
-    (a legitimate link) l = log_ndtr(w) = log(1 - eps); with -1.0 (an
-    eavesdropper) l = log_ndtr(-w) = log(eps): the factors of
-    ``_log_direction``, with its bits.  d(log_ndtr)/dx is
-    exp(``_log_hazard``(x)), which stays finite where the factor
-    saturates.  Unchecked.
+    d(log_ndtr)/dx is exp(``_log_hazard``(x)), which stays finite where
+    the factor saturates.  Unchecked.
     """
-    x = sign * _margin(link.log1p, link.v, m, d, math.sqrt)
-    sqrt_mv = math.sqrt(m * link.v)
-    l = log_ndtr(x)
-    dl_dw = sign * math.exp(_log_hazard(x, l))
-    # dw/dm = (ln(1+gamma) + d*ln2/m) / (2*sqrt(m*V)), dw/dd = -ln2/sqrt(m*V)
-    return (float(l),
-            dl_dw * (link.log1p + d * LN2 / m) / (2.0 * sqrt_mv),
-            -dl_dw * LN2 / sqrt_mv)
-
-
-def _link_log_terms(links, m1, m2, d1, d2):
-    """``_link_log_term`` of the links ab, ae, ba, be, direction 1 at
-    (m1, d1) and direction 2 at (m2, d2); ``links`` is
-    ``link_constants(scenario)``."""
-    ab, ae, ba, be = links
-    return (_link_log_term(ab, m1, d1, 1.0), _link_log_term(ae, m1, d1, -1.0),
-            _link_log_term(ba, m2, d2, 1.0), _link_log_term(be, m2, d2, -1.0))
+    w_b, w_e, l_b, l_e = _link_pair(legit, eve, m, m, D, math.sqrt)
+    h_b = math.exp(_log_hazard(w_b, l_b))
+    h_e = math.exp(_log_hazard(-w_e, l_e))
+    s_b, s_e = math.sqrt(m * legit.v), math.sqrt(m * eve.v)
+    # dw/dm = (ln(1+gamma) + D*ln2/m) / (2*sqrt(m*V)), dw/dD = -ln2/sqrt(m*V)
+    return (float(l_b + l_e),
+            h_b * (legit.log1p + D * LN2 / m) / (2.0 * s_b)
+            - h_e * (eve.log1p + D * LN2 / m) / (2.0 * s_e),
+            -h_b * LN2 / s_b + h_e * LN2 / s_e)
 
 
 def log_direction_success(legit, eve, m, d):
-    """``_log_direction`` on arrays in m and d (the exhaustive scan and
-    the m1 bracket grid).  Unchecked: the caller passes in-domain
-    values."""
-    return _log_direction(legit, eve, m, d, np.sqrt)
+    """A direction's log success l_b + l_e (``_link_pair``) on arrays in
+    m and d (the exhaustive scan and the m1 bracket grid).  Unchecked:
+    the caller passes in-domain values."""
+    _, _, l_b, l_e = _link_pair(legit, eve, m, m, d, np.sqrt)
+    return l_b + l_e
 
 
 def _log_success(links, m1, m2, d1, d2):
@@ -188,8 +181,9 @@ def _log_success(links, m1, m2, d1, d2):
     total bits, each direction at its own blocklength; ``links`` is
     ``link_constants(scenario)``.  The sum of its two directions."""
     ab, ae, ba, be = links
-    return float(_log_direction(ab, ae, m1, d1, math.sqrt)
-                 + _log_direction(ba, be, m2, d2, math.sqrt))
+    _, _, l_ab, l_ae = _link_pair(ab, ae, m1, m1, d1, math.sqrt)
+    _, _, l_ba, l_be = _link_pair(ba, be, m2, m2, d2, math.sqrt)
+    return float((l_ab + l_ae) + (l_ba + l_be))
 
 
 def log_round_trip_success(scenario, m1, d_r1, d_r2):
@@ -349,8 +343,8 @@ def _hazard_balance(legit, eve, m_b, m_e, D, c_b, c_e, log_ratio, sqrt, exp):
     """The log hazard balance r(D) = log(c_e*h(-w_e)) - log(c_b*h(w_b)),
     h = phi/Phi, of a direction at total bits D, its links at
     blocklengths m_b and m_e: (r, dr/dD, w_b, w_e, l_b, l_e, h_b, h_e),
-    with the log factors l_b = log_ndtr(w_b), l_e = log_ndtr(-w_e)
-    (``_link_log_term``'s bits) and the hazards h_b, h_e.
+    with ``_link_pair``'s margins and log factors and the hazards h_b,
+    h_e.
 
     r has the sign of g'(D), g = l_b + l_e, and falls strictly in D
     (x + h(x) > 0), so its root is g's maximizer.  (c_b, c_e) are
@@ -358,9 +352,7 @@ def _hazard_balance(legit, eve, m_b, m_e, D, c_b, c_e, log_ratio, sqrt, exp):
     caller's.  ``math.sqrt``, ``math.exp`` on floats and ``np.sqrt``,
     ``np.exp`` on arrays.  Costs one link-pair evaluation.  Unchecked.
     """
-    w_b = _margin(legit.log1p, legit.v, m_b, D, sqrt)
-    w_e = _margin(eve.log1p, eve.v, m_e, D, sqrt)
-    l_b, l_e = log_ndtr(w_b), log_ndtr(-w_e)
+    w_b, w_e, l_b, l_e = _link_pair(legit, eve, m_b, m_e, D, sqrt)
     lh_b, lh_e = _log_hazard(w_b, l_b), _log_hazard(-w_e, l_e)
     h_b, h_e = exp(lh_b), exp(lh_e)
     # d(log h)/dx = -(x + h(x))
@@ -431,25 +423,21 @@ def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
                          d_r2: float):
     """Analytic gradient of the LFP in (m1, d_r1, d_r2), m2 = M - m1.
 
-    Composed through the four ``_link_log_term`` factors:
-    grad lfp = -P * grad log P with P the round-trip success product,
-    exp of the factors' sum.
+    Composed through each direction's ``_direction_log_terms``:
+    grad lfp = -P * grad log P with P the round-trip success product.
     Matches central finite differences to ~1e-6 relative at interior
     points of the feasible box.
     """
     if not (1.0 < m1 < scenario.M - 1):
         raise DomainError(f"m1 must lie in (1, M-1), got {m1!r}")
     _check_point(scenario, m1, d_r1, d_r2)
-    ((l_ab, dm_ab, dd_ab), (l_ae, dm_ae, dd_ae),
-     (l_ba, dm_ba, dd_ba), (l_be, dm_be, dd_be)) = _link_log_terms(
-        link_constants(scenario), m1, scenario.M - m1,
-        scenario.d_m1 + d_r1, scenario.d_m2 + d_r2)
-    # summed per direction, as ``_log_success`` sums, for its bits
-    p = math.exp((l_ab + l_ae) + (l_ba + l_be))
-    # backward links see m2 = M - m1, hence the sign flip on their
-    # m-derivatives.
-    dlogp_dm1 = dm_ab + dm_ae - dm_ba - dm_be
-    return (-p * dlogp_dm1, -p * (dd_ab + dd_ae), -p * (dd_ba + dd_be))
+    ab, ae, ba, be = link_constants(scenario)
+    l1, dm1, dd1 = _direction_log_terms(ab, ae, m1, scenario.d_m1 + d_r1)
+    l2, dm2, dd2 = _direction_log_terms(ba, be, scenario.M - m1,
+                                        scenario.d_m2 + d_r2)
+    p = math.exp(l1 + l2)
+    # direction 2 sees m2 = M - m1, hence the sign flip on its dl/dm
+    return (-p * (dm1 - dm2), -p * dd1, -p * dd2)
 
 
 __all__ = [

@@ -70,10 +70,10 @@ from .lfp_model import (  # noqa: F401
     _balanced_start,
     _cell_bound,
     _direction_bound_slopes,
+    _direction_log_terms,
     _first_maximum_start,
     _hazard_balance,
     _Link,
-    _link_log_terms,
     _split_boxes,
     lfp_value,
     link_constants,
@@ -151,12 +151,13 @@ class SolverReport:
     re-evaluation of the winner, and in its cell-bound pass (three per
     cell and direction), and the points BCD/MM's descent scores,
     each once: the start's and the m1 grid's points and the m1 block's
-    profile points (a value and its slope from one set of four link
-    terms count as one).  Each hazard-balance evaluation of BCD's
-    redundancy block and of MM's step, which also score their points,
-    counts as one link-pair evaluation, about five per direction and
-    block; BCD/MM's integer finish adds its tables' link-pair
-    evaluations, about five per direction at each split.
+    profile points (a value and its slope from one
+    ``_direction_log_terms`` per direction count as one).  Each
+    hazard-balance evaluation of BCD's redundancy block and of MM's
+    step, which also score their points, counts as one link-pair
+    evaluation, about five per direction and block; BCD/MM's integer
+    finish adds its tables' link-pair evaluations, about five per
+    direction at each split.
     """
 
     status: str
@@ -361,12 +362,12 @@ def _m1_profile(obj, m1, t1, t2):
     split m1's box.
 
     Returns (p, dp/dm1, d_r1, d_r2), or (+inf, NaN, None, None) where
-    the box is empty.  p and its slope come from the same four
-    ``_link_log_terms``, p with -``log_round_trip_success``'s bits, and
-    count as one evaluation.  The slope adds the links' dl/dm to their
-    dl/dd times the carried pair's slope, which the box edges give
-    (``_direction_bound_slopes``); m2 = M - m1 turns direction 2's
-    signs.
+    the box is empty.  p and its slope come from one
+    ``_direction_log_terms`` per direction, p with
+    -``log_round_trip_success``'s bits, and count as one evaluation.
+    The slope adds each direction's dl/dm to its dl/dD times the carried
+    pair's slope, which the box edges give (``_direction_bound_slopes``);
+    m2 = M - m1 turns direction 2's signs.
     """
     sc = obj.scenario
     m2 = sc.M - m1
@@ -376,16 +377,13 @@ def _m1_profile(obj, m1, t1, t2):
     d_r1, d_r2 = lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2)
     obj.evaluations += 1
     ab, ae, ba, be = obj.links
-    ((l_ab, dm_ab, dd_ab), (l_ae, dm_ae, dd_ae),
-     (l_ba, dm_ba, dd_ba), (l_be, dm_be, dd_be)) = _link_log_terms(
-        obj.links, m1, m2, sc.d_m1 + d_r1, sc.d_m2 + d_r2)
+    l1, dm1, dd1 = _direction_log_terms(ab, ae, m1, sc.d_m1 + d_r1)
+    l2, dm2, dd2 = _direction_log_terms(ba, be, m2, sc.d_m2 + d_r2)
     slo1, shi1 = _direction_bound_slopes(ab, ae, m1, lo1)
     slo2, shi2 = _direction_bound_slopes(ba, be, m2, lo2)
     carry1 = slo1 + t1 * (shi1 - slo1)  # d(d_r1)/dm1
     carry2 = slo2 + t2 * (shi2 - slo2)  # d(d_r2)/dm2 = -d(d_r2)/dm1
-    slope = -((dm_ab + dm_ae) + (dd_ab + dd_ae) * carry1
-              - (dm_ba + dm_be) - (dd_ba + dd_be) * carry2)
-    return -((l_ab + l_ae) + (l_ba + l_be)), slope, d_r1, d_r2
+    return -(l1 + l2), -(dm1 + dd1 * carry1 - dm2 - dd2 * carry2), d_r1, d_r2
 
 
 def _nl_grid(obj, m1, d_r1, d_r2, feasible):

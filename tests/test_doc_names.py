@@ -2,7 +2,7 @@
 
 The docstrings of ``src/fblsec`` name private helpers in double
 backticks (``_best_split``, ``_Objective.box``,
-``lfp_model._link_log_term``), and README.md names them as
+``lfp_model._link_pair``), and README.md names them as
 ``fblsec.<module>.<name>``.  A name that a change deletes or renames
 leaves those mentions stale; this resolves each of them by import and
 getattr, so a stale one fails the suite.

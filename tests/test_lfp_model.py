@@ -22,7 +22,9 @@ from fblsec import (
 )
 from fblsec.fbl_core import LN2, _P_CEIL, _P_FLOOR, _margin, q_func, rate_margin
 from fblsec.lfp_model import (
-    _link_log_term,
+    _balanced_start,
+    _direction_log_terms,
+    _hazard_balance,
     _log_success,
     _split_boxes,
     link_constants,
@@ -389,49 +391,82 @@ class TestScalarKernel:
         ab, ae, ba, be = links
         for m1, a, b in kernel_points(sc, np.random.default_rng(sc.M + 4)):
             m2, d1, d2 = sc.M - m1, sc.d_m1 + a, sc.d_m2 + b
-            l_ab = _link_log_term(ab, m1, d1, 1.0)[0]
-            l_ae = _link_log_term(ae, m1, d1, -1.0)[0]
-            l_ba = _link_log_term(ba, m2, d2, 1.0)[0]
-            l_be = _link_log_term(be, m2, d2, -1.0)[0]
-            assert ((l_ab + l_ae) + (l_ba + l_be)).hex() == \
+            l1 = _direction_log_terms(ab, ae, m1, d1)[0]
+            l2 = _direction_log_terms(ba, be, m2, d2)[0]
+            assert (l1 + l2).hex() == \
                 _log_success(links, m1, m2, d1, d2).hex(), (m1, a, b)
+
+    @pytest.mark.parametrize("sc", KERNEL_SCENARIOS)
+    def test_direction_log_terms_agree_with_the_hazard_balance(self, sc):
+        """At the same (m, D): l is the balance's l_b + l_e, bit for bit,
+        and dl/dD is -c_b h_b + c_e h_e from the balance's c and hazards,
+        to 1e-14 of the terms' size (the two cancel near the balance)."""
+        ab, ae, ba, be = link_constants(sc)
+        for m1, a, b in kernel_points(sc, np.random.default_rng(sc.M + 5)):
+            for legit, eve, m, D in ((ab, ae, m1, sc.d_m1 + a),
+                                     (ba, be, sc.M - m1, sc.d_m2 + b)):
+                _, c_b, c_e, _ = _balanced_start(legit, eve, m, m, math.sqrt)
+                *_, l_b, l_e, h_b, h_e = _hazard_balance(
+                    legit, eve, m, m, D, c_b, c_e,
+                    0.5 * math.log(legit.v / eve.v), math.sqrt, math.exp)
+                l, _, dl_dD = _direction_log_terms(legit, eve, m, D)
+                assert l.hex() == float(l_b + l_e).hex(), (m, D)
+                assert abs(dl_dD - (-c_b * h_b + c_e * h_e)) <= \
+                    1e-14 * (c_b * h_b + c_e * h_e) + 1e-300, (m, D)
 
 
 class TestLinkLogTerm:
-    """``_link_log_term``'s derivatives against central differences of
-    log_ndtr(+-margin), with log_ndtr's argument from -40 to 40."""
+    """Each link's log factor in ``_direction_log_terms``: its
+    derivatives against central differences of log_ndtr(w_b) and
+    log_ndtr(-w_e), the swept link's argument from -40 to 40 (``sign``
+    +1.0 sweeps the legitimate link, -1.0 the eavesdropper)."""
 
     @pytest.mark.parametrize("sign", (1.0, -1.0))
     @pytest.mark.parametrize("gamma", (0.3, 3.0, 100.0))
     def test_derivatives_match_central_differences(self, gamma, sign):
-        sc = make_scenario(gamma_ab=gamma)
-        link = link_constants(sc)[0]
+        # the other link far from the swept one, so that its factor is
+        # mostly saturated and the swept factor's derivative dominates
+        if sign > 0.0:
+            sc = make_scenario(gamma_ab=gamma, gamma_ae=0.01)
+        else:
+            sc = make_scenario(gamma_ab=1e6, gamma_ae=gamma)
+        legit, eve = link_constants(sc)[:2]
+        link = legit if sign > 0.0 else eve
 
-        def log_factor(m, d):
-            return float(log_ndtr(sign * _margin(link.log1p, link.v, m, d,
-                                                 math.sqrt)))
+        def log_factors(m, D):
+            return (float(log_ndtr(_margin(legit.log1p, legit.v, m, D,
+                                           math.sqrt))),
+                    float(log_ndtr(-_margin(eve.log1p, eve.v, m, D,
+                                            math.sqrt))))
+
+        def central(m, D, h_m, h_D):
+            """Each factor's central difference."""
+            hi = log_factors(m + h_m, D + h_D)
+            lo = log_factors(m - h_m, D - h_D)
+            return [(a - b) / (2.0 * (h_m + h_D)) for a, b in zip(hi, lo)]
 
         reached = set()
         for m in (50.0, 1000.0, 20000.0):
             s = math.sqrt(m / link.v)
             for x in np.linspace(-40.0, 40.0, 33):
-                # the total bits d that put log_ndtr's argument at x
-                d = (link.log1p - sign * x / s) * m / LN2
-                if d < 0.0:
+                # the total bits D that put the swept argument at x
+                D = (link.log1p - sign * x / s) * m / LN2
+                if D < 0.0:
                     continue
                 reached.add(float(x))
-                l, dl_dm, dl_dd = _link_log_term(link, m, d, sign)
-                assert l == log_factor(m, d)
-                # steps that move the margin by 1e-5: dw/dd = -ln2*s/m,
-                # dw/dm = (ln(1+gamma) + d*ln2/m)*s/(2m)
-                h_d = 1e-5 * m / (LN2 * s)
-                h_m = 2e-5 * m / ((link.log1p + d * LN2 / m) * s)
-                fd_d = (log_factor(m, d + h_d)
-                        - log_factor(m, d - h_d)) / (2.0 * h_d)
-                fd_m = (log_factor(m + h_m, d)
-                        - log_factor(m - h_m, d)) / (2.0 * h_m)
-                assert dl_dd == pytest.approx(fd_d, rel=1e-6, abs=1e-290)
-                assert dl_dm == pytest.approx(fd_m, rel=1e-6, abs=1e-290)
+                l, dl_dm, dl_dD = _direction_log_terms(legit, eve, m, D)
+                assert l == sum(log_factors(m, D))
+                # steps that move neither margin by more than 1e-5:
+                # |dw/dD| = ln2*s/m, dw/dm = (ln(1+gamma) + D*ln2/m)*s/(2m)
+                s_b, s_e = math.sqrt(m / legit.v), math.sqrt(m / eve.v)
+                h_D = 1e-5 * m / (LN2 * max(s_b, s_e))
+                h_m = 2e-5 * m / max((legit.log1p + D * LN2 / m) * s_b,
+                                     (eve.log1p + D * LN2 / m) * s_e)
+                for got, fd in ((dl_dD, central(m, D, 0.0, h_D)),
+                                (dl_dm, central(m, D, h_m, 0.0))):
+                    assert got == pytest.approx(
+                        sum(fd), rel=1e-6,
+                        abs=1e-6 * (abs(fd[0]) + abs(fd[1])) + 1e-290)
         assert min(reached) == -40.0 and max(reached) == 40.0
 
 

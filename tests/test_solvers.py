@@ -30,7 +30,7 @@ from fblsec import solvers
 from fblsec.lfp_model import (
     _balanced_start,
     _hazard_balance,
-    _link_log_term,
+    _link_pair,
     _split_boxes,
     link_constants,
     log_direction_success,
@@ -732,15 +732,14 @@ class TestMmStep:
     @staticmethod
     def surrogate_part(legit, eve, d_m, m, x):
         """r_b + r_e anchored at x, less its constant exp(l̂_b) + exp(l̂_e),
-        as a function of d, from the links' ``_link_log_term`` factors.
+        as a function of d, from ``_link_pair``'s log factors.
 
         r_i = exp(l̂_i - l_i) is exp(l̂_i) + exp(l̂_i) * expm1(-l_i); near
         success 1 the factors are tiny, r_i rounds to 1 and the plain
         sum is flat over a wide range of d, while each term
         exp(l̂_i) * expm1(-l_i) keeps its relative precision."""
         def log_factors(d):
-            return (_link_log_term(legit, m, d_m + d, 1.0)[0],
-                    _link_log_term(eve, m, d_m + d, -1.0)[0])
+            return _link_pair(legit, eve, m, m, d_m + d, math.sqrt)[2:]
 
         lb_hat, le_hat = log_factors(x)
 
@@ -1205,11 +1204,11 @@ class TestEvaluatedOnce:
     def check_step_balances(self, solve, step, monkeypatch):
         """The link pairs each redundancy step of ``solve`` evaluates:
         its hazard balances, each once and counted once in
-        ``evaluations``, and no four-link terms."""
+        ``evaluations``, and no ``_direction_log_terms``."""
         steps = []  # (legit, m, D) of each step's balances
         balance, redundancy_step = solvers._hazard_balance, getattr(solvers,
                                                                     step)
-        terms, direction_balance = (solvers._link_log_terms,
+        terms, direction_balance = (solvers._direction_log_terms,
                                     solvers._direction_balance)
         in_step, objs = [], []
 
@@ -1237,7 +1236,7 @@ class TestEvaluatedOnce:
                 assert objs[0].evaluations - before == len(steps[-1])
 
         monkeypatch.setattr(solvers, "_hazard_balance", recorded_balance)
-        monkeypatch.setattr(solvers, "_link_log_terms", recorded_terms)
+        monkeypatch.setattr(solvers, "_direction_log_terms", recorded_terms)
         monkeypatch.setattr(solvers, "_direction_balance", recorded_direction)
         monkeypatch.setattr(solvers, step, new_step)
         for sc in self.SCENARIOS:
