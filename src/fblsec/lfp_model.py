@@ -361,13 +361,15 @@ def _hazard_balance(legit, eve, m_b, m_e, D, c_b, c_e, log_ratio, sqrt, exp):
     return r, slope, w_b, w_e, l_b, l_e, h_b, h_e
 
 
-def _first_maximum_start(legit, eve, d_m, m, lo, hi):
+def _first_maximum_start(legit, eve, d_m, m, lo, hi, log_ratio):
     """An estimate of where a direction's log success g first peaks in
     the redundancy, at every blocklength of the array ``m`` with box
     [lo, hi], in redundancy units.
 
-    The start is ``_balanced_start``'s balanced-margin point, clipped to
-    the box.  Where g is exactly 0.0 there (both margins at least
+    The constants, d_m and ``log_ratio`` = 0.5 * math.log(V_b / V_e)
+    are scalars or per-blocklength arrays.  The start is
+    ``_balanced_start``'s balanced-margin point, clipped to the box.
+    Where g is exactly 0.0 there (both margins at least
     ``_LOG_NDTR_ZERO``), g's first maximum is the first D at which the
     eavesdropper's log_ndtr(-w_e) reaches 0.0, and the estimate is
     ceil((_LOG_NDTR_ZERO + alpha_e) / c_e).  Elsewhere it is one Newton
@@ -377,10 +379,9 @@ def _first_maximum_start(legit, eve, d_m, m, lo, hi):
     blocklength.
     """
     balanced, c_b, c_e, alpha_e = _balanced_start(legit, eve, m, m, np.sqrt)
-    start = np.clip(balanced, d_m + lo, d_m + hi)
+    start = np.minimum(np.maximum(balanced, d_m + lo), d_m + hi)
     r, slope, w_b, w_e, *_ = _hazard_balance(
-        legit, eve, m, m, start, c_b, c_e, 0.5 * math.log(legit.v / eve.v),
-        np.sqrt, np.exp)
+        legit, eve, m, m, start, c_b, c_e, log_ratio, np.sqrt, np.exp)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = start - r / slope
     newton = np.where(np.isfinite(newton), newton, start)

@@ -10,14 +10,15 @@
   on an exact 0.0 plateau, the plateau's first point) gives two
   candidates that are checked exactly against that condition; the few
   blocklengths where the check fails are bisected: about five link
-  evaluations per blocklength and direction, instead of the
-  O(M * range) dense scan, with the same first-maximum tie rule.  At
-  full budget from M = 500 up, a bound pass over cells of m1 comes
-  first: a concave upper bound per cell and direction against a lower
-  bound from each cell's midpoint, and only the cells whose bound
-  reaches the lower bound are tabulated.  The prune is strict, so the
-  allocation and its bits are the full scan's; on an exact 0.0 plateau
-  it drops nothing.
+  evaluations per blocklength and direction, both directions in one
+  vector pass, instead of the O(M * range) dense scan, with the same
+  first-maximum tie rule.  At full budget from M = 500 up, a bound pass
+  over cells of m1 comes first: a concave upper bound per cell and
+  direction against a lower bound from each cell's midpoint, and only
+  the cells whose bound reaches the lower bound are tabulated.  The
+  prune is strict, so the allocation and its bits are the full scan's;
+  on an exact 0.0 plateau no cell after the first whose midpoint
+  reached 0.0 is tabulated.
 * ``solve_bcd`` -- block coordinate descent on the relaxed problem:
   an m1 block followed by the exact relaxed optimum of d_r1 and of
   d_r2, in their threshold boxes refreshed after every m1 update.  At a
@@ -70,6 +71,7 @@ from .lfp_model import (  # noqa: F401
     _balanced_start,
     _cell_bound,
     _direction_bound_slopes,
+    _direction_bounds,
     _direction_log_terms,
     _first_maximum_start,
     _hazard_balance,
@@ -111,10 +113,10 @@ _TINY = float(np.finfo(float).tiny)
 # Budgets below which ``_best_full_budget`` tabulates every split: there
 # the cell-bound pass costs more than it saves.  Full scan / pruned,
 # median of 25 alternating runs on 2 shared cores (Python 3.11, numpy
-# 2.4), at the default point and on four acceptance draws: M = 250
-# 0.77 / 0.99 and 0.74 / 0.88 ms, M = 350 0.87 / 0.99 and 0.86 / 0.87,
-# M = 500 1.03 / 0.98 and 1.01 / 0.87, M = 700 1.31 / 1.04 and
-# 1.27 / 0.94.
+# 2.4), at the default point and per solve on the four SNR draws of
+# benchmark ladder seed 1: M = 250 0.62 / 0.77 and 0.61 / 0.72 ms,
+# M = 350 0.75 / 0.76 and 0.75 / 0.74, M = 500 0.94 / 0.80 and
+# 0.96 / 0.75, M = 700 1.21 / 0.83 and 1.24 / 0.79.
 _PRUNE_MIN_M = 500
 
 STATUS_CONVERGED = "converged"
@@ -242,6 +244,16 @@ class _Objective:
         self.scenario = scenario
         self.links = link_constants(scenario)
         self.evaluations = 0
+
+    def directions(self, index):
+        """(legit, eve, d_m, log ratio) of the directions ``index`` (0s and
+        1s), per entry, from one indexing: ``_Link``s of arrays and
+        ``_first_maximum_start``'s log ratio 0.5 * math.log(V_b / V_e)."""
+        sc, links = self.scenario, self.links
+        c = np.array([(*b, *e, d_m, 0.5 * math.log(b.v / e.v))
+                      for b, e, d_m in zip(links[::2], links[1::2],
+                                           (sc.d_m1, sc.d_m2))]).T[:, index]
+        return _Link(*c[:4]), _Link(*c[4:8]), c[8], c[9]
 
     @cached_property
     def m1_grid(self):
@@ -586,33 +598,35 @@ def _descend(scenario, config, redundancy_step):
 def _bisect_first_maxima(obj, legit, eve, d_m, m, lo, hi):
     """``_first_maxima`` by bisection: all blocklengths share one
     bisection of about log2(hi - lo) steps for the smallest d in the box
-    with g(d+1) <= g(d), or hi if there is none."""
-    a, b = lo.copy(), hi.copy()
-    active = np.flatnonzero(a < b)
-    while active.size:
-        mid = np.floor(0.5 * (a[active] + b[active]))
-        g = log_direction_success(legit, eve, m[active],
-                                  d_m + np.stack((mid, mid + 1.0)))
-        obj.evaluations += g.size
+    with g(d+1) <= g(d), or hi if there is none.  Each step evaluates
+    every blocklength but counts only the unfinished ones."""
+    a, b = lo, hi
+    active = a < b
+    while active.any():
+        mid = np.floor(0.5 * (a + b))
+        g = log_direction_success(legit, eve, m,
+                                  d_m + np.array((mid, mid + 1.0)))
+        obj.evaluations += 2 * int(np.count_nonzero(active))
         falls = g[1] <= g[0]
-        b[active[falls]] = mid[falls]
-        a[active[~falls]] = mid[~falls] + 1.0
-        active = active[a[active] < b[active]]
+        b = np.where(active & falls, mid, b)
+        a = np.where(active & ~falls, mid + 1.0, a)
+        active = a < b
     best = log_direction_success(legit, eve, m, d_m + a)
     obj.evaluations += best.size
     return best, a
 
 
-def _first_maxima(obj, legit, eve, d_m, m, lo, hi):
+def _first_maxima(obj, legit, eve, d_m, m, lo, hi, log_ratio):
     """Best integer redundancy of one direction at every blocklength.
 
     ``legit`` and ``eve`` are the ``link_constants`` entries of the
-    direction's two links; ``m``, ``lo`` and ``hi`` are arrays (non-empty
-    integer boxes [lo, hi]).  For each m this finds the smallest d in the
-    box with g(d+1) <= g(d), or hi if there is none, where g is the
-    direction's log success.  g is concave in d (log Phi is concave), so
-    that d is the first maximizer a dense scan of the box would return,
-    plateau ties included.
+    direction's two links, or per-entry ``_Objective.directions``, as
+    are d_m and ``_first_maximum_start``'s ``log_ratio``; ``m``, ``lo``
+    and ``hi`` are arrays (non-empty integer boxes [lo, hi]).  For each
+    m this finds the smallest d in the box with g(d+1) <= g(d), or hi if
+    there is none, where g is the direction's log success.  g is concave
+    in d (log Phi is concave), so that d is the first maximizer a dense
+    scan of the box would return, plateau ties included.
 
     The candidates are e = floor of ``_first_maximum_start``'s estimate,
     clipped to the box, and e + 1; one vector call evaluates g at
@@ -625,9 +639,9 @@ def _first_maxima(obj, legit, eve, d_m, m, lo, hi):
     go to ``_bisect_first_maxima``, so every entry is the bisection's.
     Returns (max log success, its d) arrays.
     """
-    est = np.floor(_first_maximum_start(legit, eve, d_m, m, lo, hi))
+    est = np.floor(_first_maximum_start(legit, eve, d_m, m, lo, hi, log_ratio))
     obj.evaluations += m.size
-    ds = np.clip(est, lo, hi) + np.arange(-1.0, 3.0)[:, None]
+    ds = np.minimum(np.maximum(est, lo), hi) + np.arange(-1.0, 3.0)[:, None]
     g = log_direction_success(legit, eve, m, d_m + ds)
     obj.evaluations += g.size
     c, gc = ds[1:3], g[1:3]
@@ -638,10 +652,13 @@ def _first_maxima(obj, legit, eve, d_m, m, lo, hi):
     second = passes[1]
     best = np.where(second, gc[1], gc[0])
     d = np.where(second, c[1], c[0])
-    rest = np.flatnonzero(~(passes[0] | second))
+    rest = (~(passes[0] | second)).nonzero()[0]
     if rest.size:
-        best[rest], d[rest] = _bisect_first_maxima(obj, legit, eve, d_m,
-                                                   m[rest], lo[rest], hi[rest])
+        def at(x):
+            return x[rest] if np.ndim(x) else x
+        best[rest], d[rest] = _bisect_first_maxima(
+            obj, _Link(*map(at, legit)), _Link(*map(at, eve)), at(d_m),
+            m[rest], lo[rest], hi[rest])
     return best, d
 
 
@@ -649,23 +666,24 @@ def _direction_tables(obj, m1, m2):
     """Each direction's best integer redundancy, direction 1 at the
     blocklengths of the array ``m1`` and direction 2 at ``m2``: per
     direction (ok, max log success, its d), where ok marks a non-empty
-    integer box and ``_first_maxima`` fills the entries it marks."""
-    scenario = obj.scenario
-    lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, scenario, m1, m2,
-                                         np.sqrt, np.maximum)
+    integer box.  One ``_first_maxima`` call on the two directions'
+    concatenated entries fills every entry ok marks."""
+    sc = obj.scenario
     ab, ae, ba, be = obj.links
-    tables = []
-    for legit, eve, d_m, m, lo, hi in ((ab, ae, scenario.d_m1, m1, lo1, hi1),
-                                       (ba, be, scenario.d_m2, m2, lo2, hi2)):
-        lo = np.ceil(lo - 1e-9)
-        hi = np.floor(hi + 1e-9)
-        ok = hi >= lo
-        s = np.full(m.size, -np.inf)
-        d = np.zeros(m.size, dtype=np.int64)
-        s[ok], d[ok] = _first_maxima(obj, legit, eve, d_m, m[ok],
-                                     lo[ok], hi[ok])
-        tables.append((ok, s, d))
-    return tables
+    lo1, hi1 = _direction_bounds(ab, ae, sc.d_m1, m1, np.sqrt, np.maximum)
+    lo2, hi2 = _direction_bounds(ba, be, sc.d_m2, m2, np.sqrt, np.maximum)
+    lo = np.ceil(np.concatenate((lo1, lo2)) - 1e-9)
+    hi = np.floor(np.concatenate((hi1, hi2)) + 1e-9)
+    ok = hi >= lo
+    i = ok.nonzero()[0]
+    n = m1.size
+    legit, eve, d_m, log_ratio = obj.directions(i // n)
+    s = np.full(2 * n, -np.inf)
+    d = np.zeros(2 * n, dtype=np.int64)
+    s[i], d[i] = _first_maxima(obj, legit, eve, d_m,
+                               np.concatenate((m1, m2))[i], lo[i], hi[i],
+                               log_ratio)
+    return (ok[:n], s[:n], d[:n]), (ok[n:], s[n:], d[n:])
 
 
 def _best_split(obj, splits):
@@ -677,7 +695,7 @@ def _best_split(obj, splits):
     """
     M = obj.scenario.M
     (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, splits, M - splits)
-    ok = np.flatnonzero(ok1 & ok2)
+    ok = (ok1 & ok2).nonzero()[0]
     if not ok.size:
         return None
     i = ok[np.argmin(-(s1[ok] + s2[ok]))]
@@ -703,33 +721,30 @@ def _cell_bounds(obj, k):
     a hazard overflowed), drops nothing that could win.  Each bound and
     lower-bound evaluation counts as one link-pair evaluation, three per
     cell and direction.
-    Returns (per-direction bounds, shape (2, cells), lower bound).
+    Returns (per-direction bounds, shape (2, cells), lower bound, the
+    first cell whose midpoint reaches the lower bound).
     """
     sc = obj.scenario
     M = sc.M
     a = np.arange(1, M, k)
     b = np.minimum(a + (k - 1), M - 1)
-    m1 = np.stack((a, b, (a + b) // 2)).astype(float)  # ends and midpoint
+    m1 = np.array((a, b, (a + b) // 2), dtype=float)  # ends and midpoint
     m2 = M - m1
     lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, sc, m1, m2,
                                          np.sqrt, np.maximum)
     # both directions stacked: row 0 is direction 1 at m1, row 1 is
     # direction 2 at m2 = M - m1
-    ab, ae, ba, be = obj.links
-    legit = _Link(*np.array((ab, ba)).T[:, :, None])
-    eve = _Link(*np.array((ae, be)).T[:, :, None])
-    d_m = np.array(((sc.d_m1,), (sc.d_m2,)), dtype=float)
-    top = np.stack((np.maximum(hi1[0], hi1[1]), np.maximum(hi2[0], hi2[1])))
-    bound, D = _cell_bound(legit, eve, np.stack((m1[1], m2[0])),
-                           np.stack((m1[0], m2[1])), d_m, d_m + (top + 1e-9))
-    ilo = np.ceil(np.stack((lo1[2], lo2[2])) - 1e-9)
-    ihi = np.floor(np.stack((hi1[2], hi2[2])) + 1e-9)
+    legit, eve, d_m, _ = obj.directions(np.arange(2)[:, None])
+    top = np.array((np.maximum(hi1[0], hi1[1]), np.maximum(hi2[0], hi2[1])))
+    bound, D = _cell_bound(legit, eve, np.array((m1[1], m2[0])),
+                           np.array((m1[0], m2[1])), d_m, d_m + (top + 1e-9))
+    ilo = np.ceil(np.array((lo1[2], lo2[2])) - 1e-9)
+    ihi = np.floor(np.array((hi1[2], hi2[2])) + 1e-9)
     d = np.minimum(np.maximum(np.rint(D - d_m), ilo), ihi)
-    g = log_direction_success(legit, eve, np.stack((m1[2], m2[2])),
-                              d_m + d)
+    g = log_direction_success(legit, eve, np.array((m1[2], m2[2])), d_m + d)
     obj.evaluations += 3 * g.size
-    lower = np.where((ihi >= ilo).all(axis=0), g[0] + g[1], -math.inf)
-    return bound, float(lower.max())
+    mid = np.where((ihi >= ilo).all(axis=0), g[0] + g[1], -math.inf)
+    return bound, float(mid.max()), int(mid.argmax())
 
 
 def _best_full_budget(obj):
@@ -745,17 +760,22 @@ def _best_full_budget(obj):
     rounding and, where the tables are subnormal (no longer concave in
     floating point), the few 1e-311 by which an entry can pass its
     bound (at most 6.8e-311 with one-split cells on the 400 instances of
-    benchmark ladder seeds 1-20 and suite seeds 1-5).  Where the log
-    success is exactly 0.0, L and the bounds are 0.0 and nothing is
-    dropped.  Below ``_PRUNE_MIN_M`` every split is tabulated.
+    benchmark ladder seeds 1-20 and suite seeds 1-5).  Where L is 0.0 no
+    sum exceeds it, so the first split that reaches it wins: every cell
+    after the first whose midpoint reached 0.0 is dropped too.  Below
+    ``_PRUNE_MIN_M`` every split is tabulated.
     """
     M = obj.scenario.M
     if M < _PRUNE_MIN_M:
         return _best_split(obj, np.arange(1.0, M))
     k = math.isqrt(M) // 2 + 1
-    bound, lower = _cell_bounds(obj, k)
+    bound, lower, first = _cell_bounds(obj, k)
     total, slack = bound[0] + bound[1], 1e-9 * abs(lower) + 1e-300
     keep = ~np.isfinite(total) | (total >= lower - slack)
+    if lower == 0.0:
+        # the exact 0.0 plateau (ROADMAP item 3): with log LFP it prunes
+        # like any other budget, and this cut goes
+        keep[first + 1:] = False
     return _best_split(obj, np.arange(1.0, M)[np.repeat(keep, k)[:M - 1]])
 
 
@@ -763,20 +783,20 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     """Global integer optimum by enumeration.
 
     Each direction's success is maximized over its integer redundancy
-    box at every blocklength by ``_first_maxima``.  At full budget
-    ``_best_full_budget`` combines them over the splits m1 + m2 = M:
-    from M = 500 up it tabulates only the cells of m1 whose bound
-    reaches the best midpoint value (``_cell_bounds``), dropping only
-    splits strictly worse than a kept one, so the winner, its tie rule
-    and its bits are those of the full scan; below M = 500, and in
-    effect on an exact 0.0 plateau, it tabulates every split.  With
-    ``full_budget_only=False`` each split m1 is one vector row over
-    every m2 <= M - m1: among the row's entries equal to its largest
-    sum the smallest d_r2 wins, then the largest m2, and a later split
-    replaces the incumbent only on a strictly larger sum.  Either way
-    ties resolve to the lexicographically smallest (m1, d_r1, d_r2)
-    and, at equal splits, to the fullest budget.  The LFP is -expm1 of
-    the winner's table log success, ``lfp``'s bits.
+    box at every blocklength by one ``_first_maxima`` call for both
+    directions.  At full budget ``_best_full_budget`` combines them over
+    the splits m1 + m2 = M: from M = 500 up it tabulates only the cells
+    of m1 whose bound reaches the best midpoint value (``_cell_bounds``),
+    and on an exact 0.0 plateau none after the first cell whose midpoint
+    reached it, dropping only splits that cannot win, so the winner, its
+    tie rule and its bits are those of the full scan; below M = 500 it
+    tabulates every split.  With ``full_budget_only=False`` split m1
+    pairs with every m2 <= M - m1 through a prefix maximum of direction
+    2's table: the first split with the largest sum wins, and among its
+    entries equal to that sum the smallest d_r2, then the largest m2.
+    Either way ties resolve to the lexicographically smallest (m1, d_r1,
+    d_r2) and, at equal splits, to the fullest budget.  The LFP is
+    -expm1 of the winner's table log success, ``lfp``'s bits.
     """
     config = config or SolverConfig()
     if not config.integer_mode:
@@ -788,21 +808,20 @@ def solve_exhaustive(scenario: Scenario, config: SolverConfig | None = None):
     if config.full_budget_only:
         best = _best_full_budget(obj)
     else:
-        # both directions over every blocklength 1..M-1; row i pairs
-        # m1 = i + 1 with m2 = 1..M-1-i, -inf where a box is empty
+        # both directions over every blocklength 1..M-1, -inf where a box
+        # is empty; split m1 = i + 1's largest sum over m2 = 1..M-1-i is
+        # s1 plus a prefix maximum of s2, as rounding is monotone
         m = np.arange(1.0, M)
-        (ok1, s1, d1), (_, s2, d2) = _direction_tables(obj, m, m)
-        best, best_sum = None, -math.inf
-        for i in np.flatnonzero(ok1).tolist():
+        (_, s1, d1), (_, s2, d2) = _direction_tables(obj, m, m)
+        tops = s1 + np.maximum.accumulate(s2)[::-1]
+        i = int(tops.argmax())
+        best = None
+        if tops[i] > -math.inf:
             row = s1[i] + s2[:M - 1 - i]
-            top = row.max()
-            if not top > best_sum:
-                continue
-            ties = np.flatnonzero(row == top)
+            ties = (row == tops[i]).nonzero()[0]
             j = int(ties[d2[ties] == d2[ties].min()][-1])
-            best_sum = top
             best = (Allocation(m1=i + 1, m2=j + 1, d_r1=int(d1[i]),
-                               d_r2=int(d2[j])), float(top))
+                               d_r2=int(d2[j])), float(tops[i]))
     if best is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, [])
     alloc, log_p = best

@@ -339,6 +339,11 @@ def hex_list(values):
     return [float(v).hex() for v in values]
 
 
+def log_ratio(legit, eve):
+    """``_first_maximum_start``'s log ratio of a direction's links."""
+    return 0.5 * math.log(legit.v / eve.v)
+
+
 class TestFirstMaxima:
     """The checked start of ``_first_maxima`` against the bisection it
     replaces: every per-direction table, d and value, bit for bit."""
@@ -362,7 +367,8 @@ class TestFirstMaxima:
     @staticmethod
     def assert_same_tables(sc):
         for legit, eve, d_m, m, lo, hi in direction_boxes(sc):
-            s, d = _first_maxima(_Objective(sc), legit, eve, d_m, m, lo, hi)
+            s, d = _first_maxima(_Objective(sc), legit, eve, d_m, m, lo, hi,
+                                 log_ratio(legit, eve))
             sb, db = _bisect_first_maxima(_Objective(sc), legit, eve, d_m,
                                           m, lo, hi)
             assert d.tolist() == db.tolist()
@@ -384,7 +390,8 @@ class TestFirstMaxima:
 
         monkeypatch.setattr(solvers, "_bisect_first_maxima", bisect)
         legit, eve, d_m, ms, lo, hi = direction_boxes(sc)[direction]
-        s, d = _first_maxima(_Objective(sc), legit, eve, d_m, ms, lo, hi)
+        s, d = _first_maxima(_Objective(sc), legit, eve, d_m, ms, lo, hi,
+                             log_ratio(legit, eve))
         value = s[ms == m][0]
         assert value != 0.0 and abs(value) < np.finfo(float).tiny
         assert m in sent
@@ -399,7 +406,7 @@ class TestFirstMaxima:
             return _bisect_first_maxima(obj, legit, eve, d_m, m, lo, hi)
 
         monkeypatch.setattr(solvers, "_first_maximum_start",
-                            lambda legit, eve, d_m, m, lo, hi: lo)
+                            lambda legit, eve, d_m, m, lo, hi, log_ratio: lo)
         monkeypatch.setattr(solvers, "_bisect_first_maxima", bisect)
         sc = dataclasses.replace(self.DEFAULT, M=1000)
         self.assert_same_tables(sc)
@@ -409,6 +416,31 @@ class TestFirstMaxima:
                                         m, lo, hi)
             expected += int(np.count_nonzero(d > lo + 1.0))
         assert expected > 0 and sum(sent) == expected
+
+    @staticmethod
+    def assert_one_pass_tables(sc):
+        # ``_direction_tables`` serves both directions with one
+        # ``_first_maxima`` call on per-entry constants; here against one
+        # call per direction with the scalar constants
+        m = np.arange(1.0, sc.M)
+        obj, ref = _Objective(sc), _Objective(sc)
+        tables = _direction_tables(obj, m, m)
+        for (ok, s, d), (legit, eve, d_m, m_ok, lo, hi) in zip(
+                tables, direction_boxes(sc)):
+            sb, db = _first_maxima(ref, legit, eve, d_m, m_ok, lo, hi,
+                                   log_ratio(legit, eve))
+            assert m[ok].tolist() == m_ok.tolist()
+            assert d[ok].tolist() == db.tolist()
+            assert hex_list(s[ok]) == hex_list(sb)
+        assert obj.evaluations == ref.evaluations
+
+    @pytest.mark.parametrize("sc", SCENARIOS)
+    def test_one_pass_tables_match_per_direction_calls(self, sc):
+        self.assert_one_pass_tables(sc)
+
+    def test_one_pass_tables_on_the_prune_suite(self, prune_suite):
+        for sc in prune_suite:
+            self.assert_one_pass_tables(sc)
 
     @pytest.mark.parametrize("M", [1000, 5000])
     def test_at_most_six_evaluations_per_blocklength(self, M):
@@ -475,14 +507,17 @@ class TestPrunedOracle:
             if alloc is not None:
                 assert report.lfp_final.hex() == value.hex()
                 zero += value == 0.0
-            pruned += seen[-1].size < sc.M - 1
+            cut = seen[-1].size < sc.M - 1
+            pruned += cut
+            # an exact LFP 0.0 optimum is pruned too (the plateau cut)
+            assert cut or value != 0.0
         assert zero and pruned >= len(prune_suite) // 2
 
     @pytest.mark.parametrize("k", [1, 23, 200])
     def test_every_table_entry_within_its_cell_bound(self, prune_suite, k):
         for sc in prune_suite:
             obj = _Objective(sc)
-            bound, lower = _cell_bounds(obj, k)
+            bound, lower, first = _cell_bounds(obj, k)
             m = np.arange(1.0, sc.M)
             tables = _direction_tables(obj, m, sc.M - m)
             cell = np.arange(sc.M - 1) // k
@@ -492,8 +527,12 @@ class TestPrunedOracle:
             # the lower bound is a table sum's value at some split
             both = tables[0][0] & tables[1][0]
             if both.any():
-                best = (tables[0][1] + tables[1][1])[both].max()
+                total = np.where(both, tables[0][1] + tables[1][1], -math.inf)
+                best = total.max()
                 assert lower <= best + (1e-9 * abs(best) + 1e-300)
+                # ... and at most the table sum at cell ``first``'s midpoint
+                mid = (first * k + 1 + min(first * k + k, sc.M - 1)) // 2
+                assert lower <= total[mid - 1] + (1e-9 * abs(best) + 1e-300)
             else:
                 assert lower == -math.inf
 
@@ -522,14 +561,49 @@ class TestPrunedOracle:
         # L - (1e-9 |L| + 1e-300) of L = 0.0: the prune is strict, so
         # every split is still tabulated
         def at_threshold(obj, k):
+            # no midpoint before the last cell reaches L
             cells = -(-(obj.scenario.M - 1) // k)
-            return np.stack((np.full(cells, -1e-300), np.zeros(cells))), 0.0
+            return (np.stack((np.full(cells, -1e-300), np.zeros(cells))), 0.0,
+                    cells - 1)
 
         monkeypatch.setattr(solvers, "_cell_bounds", at_threshold)
         seen = self.tabulated(monkeypatch)
         sc = dataclasses.replace(self.DEFAULT, M=1000)
         assert _best_full_budget(_Objective(sc)) is not None
         assert seen[-1].tolist() == list(range(1, 1000))
+
+    # optima of exactly LFP 0.0: the M = 1000 instance of ``prune_suite``
+    # and an M = 4000 draw of benchmark ladder seed 1, which took 9,818
+    # and 25,712 evaluations when the plateau dropped no cell
+    PLATEAU = [
+        (make_scenario(gamma_ab=1000.0, gamma_ae=0.01, gamma_ba=1000.0,
+                       gamma_be=0.01, d_m1=4, d_m2=4, M=1000), 9_818),
+        (make_scenario(9.164686181779189, 0.1876313853038582,
+                       5.777107886509391, 0.1220468195574183,
+                       d_m1=4, d_m2=4, M=4000), 25_712),
+    ]
+
+    @pytest.mark.parametrize("sc, uncut", PLATEAU)
+    def test_plateau_stops_at_the_first_zero_cell(self, sc, uncut,
+                                                  monkeypatch):
+        M = sc.M
+        k = math.isqrt(M) // 2 + 1
+        m = np.arange(1.0, M)
+        (ok1, s1, _), (ok2, s2, _) = _direction_tables(_Objective(sc), m,
+                                                       M - m)
+        total = np.where(ok1 & ok2, s1 + s2, -math.inf)
+        a = np.arange(1, M, k)
+        mid = (a + np.minimum(a + (k - 1), M - 1)) // 2
+        first = int(np.argmax(total[mid - 1] == 0.0))
+        assert total[mid[first] - 1] == 0.0
+        seen = self.tabulated(monkeypatch)
+        report = solve_exhaustive(sc)
+        alloc, value = full_scan(sc)
+        assert report.alloc == alloc
+        assert report.lfp_final.hex() == value.hex() == (0.0).hex()
+        # nothing after cell ``first`` is tabulated
+        assert seen[-1].max() <= min(a[first] + (k - 1), M - 1)
+        assert report.evaluations <= uncut / 5
 
     def test_default_point_evaluates_a_tenth_of_the_full_scan(self):
         # bound pass included; the full scan takes 49,900 evaluations
