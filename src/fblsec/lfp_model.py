@@ -410,10 +410,11 @@ def _cell_bound(legit, eve, m_b, m_e, lo, hi):
     balanced, c_b, c_e, _ = _balanced_start(legit, eve, m_b, m_e, np.sqrt)
     args = (c_b, c_e, np.log(c_e / c_b), np.sqrt, np.exp)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        D = np.clip(balanced, lo, hi)
+        D = np.minimum(np.maximum(balanced, lo), hi)
         r, slope, *_ = _hazard_balance(legit, eve, m_b, m_e, D, *args)
         newton = D - r / slope
-        D = np.clip(np.where(np.isfinite(newton), newton, D), lo, hi)
+        D = np.minimum(np.maximum(np.where(np.isfinite(newton), newton, D),
+                                  lo), hi)
         *_, l_b, l_e, h_b, h_e = _hazard_balance(legit, eve, m_b, m_e, D, *args)
         du = c_e * h_e - c_b * h_b
         return np.minimum(l_b + l_e + np.maximum(du * (lo - D), du * (hi - D)),

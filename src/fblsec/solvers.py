@@ -30,7 +30,11 @@
   that carries the redundancy pair at its box-relative position: a
   coarse grid finds the best basin, and the root of the profile's
   closed-form slope in its grid bracket refines it.  Both blocks and
-  MM's step share one bracketed root finder (``_bracketed_root``).  In
+  MM's step share one bracketed root finder (``_bracketed_root``), the
+  m1 block's on the profile's log-scaled slope, whose scale does not
+  shrink with the LFP.  The descent starts from the m1 block itself,
+  with the redundancy pair at mid-box, and stops on a relative change
+  of the LFP alone, however small the LFP.  In
   integer mode an exact per-split finish follows: the splits
   floor(m1) - 1 ... ceil(m1) + 1 around the relaxed m1, each with its
   best integer redundancy pair from the oracle's own per-direction
@@ -104,9 +108,6 @@ _LINE_SEARCH_TOL = 1e-6
 # 1e21 times its tolerance.
 _BLOCK_TOL = 1e-9
 _MAX_BLOCK_ITERS = 100
-# Absolute floor added to the relative stopping test; below this the
-# double-precision evaluation itself is noise.
-_STOP_ATOL = 1e-12
 # Smallest normal float: ``_first_maxima`` accepts no candidate whose
 # nonzero log success is smaller in magnitude.
 _TINY = float(np.finfo(float).tiny)
@@ -133,8 +134,8 @@ class SolverConfig:
     it is only useful for oracle cross-checks, since partial-budget
     optima are never better unless the full-budget boxes are empty
     (eavesdroppers above their legitimate receivers).  Run control is
-    fixed: stop when a cycle changes the LFP by at most 1e-8 relative
-    plus 1e-12 absolute, or after 100 cycles; at most 200 MM passes,
+    fixed: stop when a cycle changes the LFP by at most 1e-8 relative,
+    however small the LFP, or after 100 cycles; at most 200 MM passes,
     stopping below a 1e-8 relative gain or a 1e-6 move; the m1 block's
     root to 1e-6 in m1; Newton steps to 1e-9 relative.
     """
@@ -152,8 +153,8 @@ class SolverReport:
     (one direction at one blocklength and redundancy), with no final
     re-evaluation of the winner, and in its cell-bound pass (three per
     cell and direction), and the points BCD/MM's descent scores,
-    each once: the start's and the m1 grid's points and the m1 block's
-    profile points (a value and its slope from one
+    each once: the m1 grid's points and the m1 block's profile points,
+    the start's included (a value and its slope from one
     ``_direction_log_terms`` per direction count as one).  Each
     hazard-balance evaluation of BCD's redundancy block and of MM's
     step, which also score their points, counts as one link-pair
@@ -245,14 +246,20 @@ class _Objective:
         self.links = link_constants(scenario)
         self.evaluations = 0
 
+    @cached_property
+    def direction_constants(self):
+        """The (10, 2) array of ``directions``' constants, one column per
+        direction, built once per solve."""
+        sc, links = self.scenario, self.links
+        return np.array([(*b, *e, d_m, 0.5 * math.log(b.v / e.v))
+                         for b, e, d_m in zip(links[::2], links[1::2],
+                                              (sc.d_m1, sc.d_m2))]).T
+
     def directions(self, index):
         """(legit, eve, d_m, log ratio) of the directions ``index`` (0s and
         1s), per entry, from one indexing: ``_Link``s of arrays and
         ``_first_maximum_start``'s log ratio 0.5 * math.log(V_b / V_e)."""
-        sc, links = self.scenario, self.links
-        c = np.array([(*b, *e, d_m, 0.5 * math.log(b.v / e.v))
-                      for b, e, d_m in zip(links[::2], links[1::2],
-                                           (sc.d_m1, sc.d_m2))]).T[:, index]
+        c = self.direction_constants[:, index]
         return _Link(*c[:4]), _Link(*c[4:8]), c[8], c[9]
 
     @cached_property
@@ -345,9 +352,10 @@ def _edge_or_root(fn, x, lo, hi):
 
 def _direction_balance(obj, legit, eve, d_m, m):
     """One direction's ``_hazard_balance`` at blocklength m by redundancy
-    d, each d evaluated once (one link-pair evaluation): (r, dr/dD, F',
-    l_b - l_e, l_b + l_e).  l_b + l_e is the direction's log success,
-    with ``log_round_trip_success``'s bits.  F' is the slope of
+    d, each total bits D = d_m + d evaluated once (one link-pair
+    evaluation), so two redundancies that round to the same D share it:
+    (r, dr/dD, F', l_b - l_e, l_b + l_e).  l_b + l_e is the direction's
+    log success, with ``log_round_trip_success``'s bits.  F' is the slope of
     ``_surrogate_min``'s F, dr/dD + d(l_b - l_e)/dD, where
     d(l_b - l_e)/dD = -(c_b h(w_b) + c_e h(-w_e)) = dr/dD + c_b w_b -
     c_e w_e by the balance's slope."""
@@ -357,14 +365,15 @@ def _direction_balance(obj, legit, eve, d_m, m):
     seen = {}
 
     def at(d):
-        if d not in seen:
+        D = d_m + d
+        if D not in seen:
             obj.evaluations += 1
             r, slope, w_b, w_e, l_b, l_e, _, _ = _hazard_balance(
-                legit, eve, m, m, d_m + d, *args)
-            seen[d] = (float(r), float(slope),
+                legit, eve, m, m, D, *args)
+            seen[D] = (float(r), float(slope),
                        2.0 * slope + c_b * w_b - c_e * w_e,
                        float(l_b - l_e), float(l_b + l_e))
-        return seen[d]
+        return seen[D]
     return at
 
 
@@ -398,29 +407,23 @@ def _m1_profile(obj, m1, t1, t2):
     return -(l1 + l2), -(dm1 + dd1 * carry1 - dm2 - dd2 * carry2), d_r1, d_r2
 
 
-def _nl_grid(obj, m1, d_r1, d_r2, feasible):
-    """-``log_round_trip_success`` at every split of the array ``m1``
-    with the redundancy arrays (d_r1, d_r2), in one vector evaluation
-    with the same bits per point; +inf where ``feasible`` is false.
-    Each feasible point counts as one evaluation."""
-    scenario = obj.scenario
+def _m1_profile_grid(obj, m1, box, t1, t2):
+    """``_m1_profile``'s values at every split of the array ``m1``, whose
+    ``_Objective.box`` arrays are ``box``, in one vector evaluation with
+    the same bits per point; +inf where the box is empty.  Each feasible
+    point counts as one evaluation."""
+    sc = obj.scenario
     ab, ae, ba, be = obj.links
+    lo1, hi1, lo2, hi2, feasible = box
     m = m1[feasible]
-    s1 = log_direction_success(ab, ae, m, scenario.d_m1 + d_r1[feasible])
-    s2 = log_direction_success(ba, be, scenario.M - m,
-                               scenario.d_m2 + d_r2[feasible])
+    s1 = log_direction_success(ab, ae, m,
+                               sc.d_m1 + (lo1 + t1 * (hi1 - lo1))[feasible])
+    s2 = log_direction_success(ba, be, sc.M - m,
+                               sc.d_m2 + (lo2 + t2 * (hi2 - lo2))[feasible])
     obj.evaluations += m.size
     vals = np.full(m1.size, math.inf)
     vals[feasible] = -(s1 + s2)
     return vals
-
-
-def _m1_profile_grid(obj, m1, box, t1, t2):
-    """``_m1_profile``'s values at every split of the array ``m1``, whose
-    ``_Objective.box`` arrays are ``box``, in one ``_nl_grid`` call."""
-    lo1, hi1, lo2, hi2, feasible = box
-    return _nl_grid(obj, m1, lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2),
-                    feasible)
 
 
 def _feasibility_edge(obj, x, y):
@@ -438,82 +441,65 @@ def _feasibility_edge(obj, x, y):
     return x
 
 
-def _m1_block(obj, m1, d_r1, d_r2, f):
-    """One blocklength-split update of (m1, d_r1, d_r2), objective ``f``.
+def _m1_block(obj, t1, t2):
+    """The blocklength-split update of (m1, d_r1, d_r2), with the
+    redundancy pair held at the box-relative positions (t1, t2).
 
     A plain fixed-redundancy line search cannot leave the thin diagonal
     strip that the thresholds carve out when the legitimate and
     eavesdropper capacities are close, so candidates are evaluated with
-    the redundancy pair held at its current box-relative position
+    the redundancy pair held at its box-relative position
     (``_m1_profile``).  A coarse grid on [1, M-1]
     (``_Objective.m1_grid``), evaluated in one vector call, isolates the
     best basin.  The profile's slope at the grid's best split x points
     to a neighbour y; where y's box is empty, y becomes
     ``_feasibility_edge``'s split between x and y.  Where the slope
     changes sign between x and y, ``_bracketed_root`` closes in on its
-    root with Illinois steps to ``_LINE_SEARCH_TOL``.
+    root with Illinois steps to ``_LINE_SEARCH_TOL``.  The steps run on
+    the slope over the profile's value p (-log success), d log p / dm1,
+    and on the slope itself where p is 0.0: the raw slope scales with
+    p, which can change by orders of magnitude across one bracket.
 
     The answer is the best split the block scored, the latest on ties:
     the root finder's points close in on the root, so the latest of
     equal values lies nearest it; without a sign change it is the
     better of x and y.  Its value and carried pair are those of its own
-    profile point, so no split is scored twice.  The move is kept only
-    if it does not worsen the objective; returns (m1, d_r1, d_r2,
-    objective).
+    profile point, so no split is scored twice.  Returns (m1, d_r1,
+    d_r2, objective), or None where no grid split is feasible.
     """
-    lo1, hi1, lo2, hi2, _ = obj.box(m1)
-    t1 = _rel_pos(d_r1, lo1, hi1)
-    t2 = _rel_pos(d_r2, lo2, hi2)
     xs, grid_box = obj.m1_grid
     vals = _m1_profile_grid(obj, xs, grid_box, t1, t2)
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
-        return m1, d_r1, d_r2, f
+        return None
     points = {}
 
-    def profile(z):
+    def slope(z):
         if z not in points:
             points[z] = _m1_profile(obj, z, t1, t2)
-        return points[z]
+        p, s = points[z][:2]
+        return s / p if p else s
 
     x = float(xs[i])
-    s_x = profile(x)[1]
+    s_x = slope(x)
     j = i + 1 if s_x < 0.0 else i - 1 if s_x > 0.0 else i  # 0, NaN: stay
     if j != i and 0 <= j <= _M1_GRID:
         y = float(xs[j])
         if not grid_box[4][j]:
             y = _feasibility_edge(obj, x, y)
-        s_y = profile(y)[1]
-        if s_x * s_y < 0.0:
+        s_y = slope(y)
+        if s_x < 0.0 < s_y or s_y < 0.0 < s_x:
             # the root finder's function falls through zero: -slope
             a, fa, b, fb = (x, -s_x, y, -s_y) if x < y else (y, -s_y, x, -s_x)
-            _bracketed_root(lambda z: (-profile(z)[1], None), a, fa, b, fb,
+            _bracketed_root(lambda z: (-slope(z), None), a, fa, b, fb,
                             atol=_LINE_SEARCH_TOL)
     x = min(reversed(points), key=lambda z: points[z][0])
-    value, _, d_r1_new, d_r2_new = points[x]
-    if value <= f:
-        return x, d_r1_new, d_r2_new, value
-    return m1, d_r1, d_r2, f
-
-
-def _initial_point(obj):
-    """Start at the best of 17 splits, the mid-budget split and a
-    16-point grid on [1, M-1], each with mid-box redundancy, scored in
-    one ``_nl_grid`` call (the first on ties): (m1, d_r1, d_r2,
-    objective), or None if no split is feasible."""
-    M = obj.scenario.M
-    xs = np.concatenate(([float(round(M / 2))], np.linspace(1.0, M - 1.0, 16)))
-    lo1, hi1, lo2, hi2, feasible = obj.box(xs, np.sqrt, np.maximum)
-    d_r1, d_r2 = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
-    vals = _nl_grid(obj, xs, d_r1, d_r2, feasible)
-    i = int(np.argmin(vals))
-    if not feasible[i]:
-        return None
-    return float(xs[i]), float(d_r1[i]), float(d_r2[i]), float(vals[i])
+    value, _, d_r1, d_r2 = points[x]
+    return x, d_r1, d_r2, value
 
 
 def _stopped(prev, cur):
-    return abs(prev - cur) <= _REL_TOL * abs(prev) + _STOP_ATOL
+    return abs(prev - cur) <= _REL_TOL * abs(prev)
 
 
 def _integer_reconstruct(obj, m1):
@@ -541,25 +527,28 @@ def _report(obj, t_start, status, trace, alloc=None, final=None):
 def _descend(scenario, config, redundancy_step):
     """The outer alternation of BCD and MM.
 
-    From ``_initial_point``, or from the oracle's answer
-    (``_best_full_budget``, infeasible only where that is None) where
-    its grid misses a narrow feasible set, each cycle runs the m1 block,
-    refreshes the box at the new split, builds each direction's
-    ``_direction_balance`` there, updates the redundancy pair by
-    ``redundancy_step(dirs, d_r1, d_r2, f)``, dirs = ((at1, lo1, hi1),
-    (at2, lo2, hi2)), and records the LFP -expm1(-f) (``lfp_value``'s
-    bits); the incumbent's objective value f is carried, never
-    re-evaluated.  It stops when a cycle changes the LFP by at most
-    ``_REL_TOL`` relative (with a ``_STOP_ATOL`` floor for LFPs below
-    double-precision resolution) or after ``_MAX_OUTER_ITERS`` cycles.
-    In integer mode ``_integer_reconstruct`` finishes exactly at the
-    splits within one of floor/ceil of the relaxed m1, with the oracle's
-    per-direction tables.
+    The start is the m1 block's answer with the redundancy pair at
+    mid-box, t1 = t2 = 1/2, or the oracle's answer
+    (``_best_full_budget``, infeasible only where that is None) where no
+    split of its grid is feasible.  Cycle 1 then updates the redundancy
+    pair; every later cycle first runs the m1 block from the incumbent's
+    box-relative position and keeps its answer where it does not worsen
+    the objective.  A cycle refreshes the box at its split, builds each
+    direction's ``_direction_balance`` there, updates the redundancy
+    pair by ``redundancy_step(dirs, d_r1, d_r2, f)``, dirs = ((at1, lo1,
+    hi1), (at2, lo2, hi2)), and records the LFP -expm1(-f)
+    (``lfp_value``'s bits); the incumbent's objective value f is
+    carried, never re-evaluated.  It stops when a cycle changes the LFP
+    by at most ``_REL_TOL`` relative, however small the LFP, or after
+    ``_MAX_OUTER_ITERS`` cycles.  In integer mode
+    ``_integer_reconstruct`` finishes exactly at the splits within one
+    of floor/ceil of the relaxed m1, with the oracle's per-direction
+    tables.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
     obj = _Objective(scenario)
-    start = _initial_point(obj)
+    start = _m1_block(obj, 0.5, 0.5)
     if start is None:
         best = _best_full_budget(obj)
         if best is None:
@@ -571,7 +560,12 @@ def _descend(scenario, config, redundancy_step):
     trace = [(0, -math.expm1(-f))]
     status = STATUS_MAX_ITERS
     for k in range(1, _MAX_OUTER_ITERS + 1):
-        m1, d_r1, d_r2, f = _m1_block(obj, m1, d_r1, d_r2, f)
+        if k > 1:
+            lo1, hi1, lo2, hi2, _ = obj.box(m1)
+            moved = _m1_block(obj, _rel_pos(d_r1, lo1, hi1),
+                              _rel_pos(d_r2, lo2, hi2))
+            if moved is not None and moved[3] <= f:
+                m1, d_r1, d_r2, f = moved
         lo1, hi1, lo2, hi2, _ = obj.box(m1)
         dirs = ((_direction_balance(obj, ab, ae, scenario.d_m1, m1), lo1, hi1),
                 (_direction_balance(obj, ba, be, scenario.d_m2,
@@ -666,22 +660,20 @@ def _direction_tables(obj, m1, m2):
     """Each direction's best integer redundancy, direction 1 at the
     blocklengths of the array ``m1`` and direction 2 at ``m2``: per
     direction (ok, max log success, its d), where ok marks a non-empty
-    integer box.  One ``_first_maxima`` call on the two directions'
-    concatenated entries fills every entry ok marks."""
-    sc = obj.scenario
-    ab, ae, ba, be = obj.links
-    lo1, hi1 = _direction_bounds(ab, ae, sc.d_m1, m1, np.sqrt, np.maximum)
-    lo2, hi2 = _direction_bounds(ba, be, sc.d_m2, m2, np.sqrt, np.maximum)
-    lo = np.ceil(np.concatenate((lo1, lo2)) - 1e-9)
-    hi = np.floor(np.concatenate((hi1, hi2)) + 1e-9)
+    integer box.  One ``_direction_bounds`` call gives both directions'
+    boxes and one ``_first_maxima`` call fills every entry ok marks, each
+    on the two directions' concatenated entries."""
+    n = m1.size
+    m = np.concatenate((m1, m2))
+    legit, eve, d_m, _ = obj.directions(np.arange(2 * n) // n)
+    lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
+    lo, hi = np.ceil(lo - 1e-9), np.floor(hi + 1e-9)
     ok = hi >= lo
     i = ok.nonzero()[0]
-    n = m1.size
     legit, eve, d_m, log_ratio = obj.directions(i // n)
     s = np.full(2 * n, -np.inf)
     d = np.zeros(2 * n, dtype=np.int64)
-    s[i], d[i] = _first_maxima(obj, legit, eve, d_m,
-                               np.concatenate((m1, m2))[i], lo[i], hi[i],
+    s[i], d[i] = _first_maxima(obj, legit, eve, d_m, m[i], lo[i], hi[i],
                                log_ratio)
     return (ok[:n], s[:n], d[:n]), (ok[n:], s[n:], d[n:])
 
@@ -730,16 +722,15 @@ def _cell_bounds(obj, k):
     b = np.minimum(a + (k - 1), M - 1)
     m1 = np.array((a, b, (a + b) // 2), dtype=float)  # ends and midpoint
     m2 = M - m1
-    lo1, hi1, lo2, hi2, _ = _split_boxes(obj.links, sc, m1, m2,
-                                         np.sqrt, np.maximum)
     # both directions stacked: row 0 is direction 1 at m1, row 1 is
-    # direction 2 at m2 = M - m1
+    # direction 2 at m2 = M - m1; the boxes of (ends, midpoint) x rows
     legit, eve, d_m, _ = obj.directions(np.arange(2)[:, None])
-    top = np.array((np.maximum(hi1[0], hi1[1]), np.maximum(hi2[0], hi2[1])))
+    lo, hi = _direction_bounds(legit, eve, d_m, np.stack((m1, m2), axis=1),
+                               np.sqrt, np.maximum)
+    top = np.maximum(hi[0], hi[1])
     bound, D = _cell_bound(legit, eve, np.array((m1[1], m2[0])),
                            np.array((m1[0], m2[1])), d_m, d_m + (top + 1e-9))
-    ilo = np.ceil(np.array((lo1[2], lo2[2])) - 1e-9)
-    ihi = np.floor(np.array((hi1[2], hi2[2])) + 1e-9)
+    ilo, ihi = np.ceil(lo[2] - 1e-9), np.floor(hi[2] + 1e-9)
     d = np.minimum(np.maximum(np.rint(D - d_m), ilo), ihi)
     g = log_direction_success(legit, eve, np.array((m1[2], m2[2])), d_m + d)
     obj.evaluations += 3 * g.size

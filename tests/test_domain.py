@@ -29,8 +29,8 @@ from fblsec import (
 from fblsec.bench_cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK
 
 LINKS = ("ab", "ae", "ba", "be")
-# a feasible set of two splits (m1 in {15, 16}) that BCD/MM's 17-split
-# start grid misses
+# a feasible set of two splits (m1 in {15, 16}) that the 33-point grid of
+# BCD/MM's m1 block, and so of their start, misses
 NARROW = {"gamma_ab_db": 19.56197444185515, "gamma_ae_db": 38.182100212393706,
           "gamma_ba_db": 4.90490946641016, "gamma_be_db": -27.36894504446687,
           "d_m1": 1, "d_m2": 4, "M": 2107,

@@ -5,6 +5,7 @@ redundancy block, MM's majorize step, rounding and determinism."""
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,13 +51,11 @@ from fblsec.solvers import (
     _direction_tables,
     _edge_or_root,
     _first_maxima,
-    _initial_point,
     _integer_reconstruct,
     _m1_block,
     _m1_profile,
     _m1_profile_grid,
     _Objective,
-    _rel_pos,
     _surrogate_min,
 )
 
@@ -70,6 +69,10 @@ from conftest import (
 )
 from dense_oracle import dense_exhaustive, dense_split
 from iterative_golden import GOLDEN_PATH, golden_records
+
+# the benchmark's seeded instance sets
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+from workloads import ladder_instances, suite_instances  # noqa: E402
 
 
 def brute_force_optimum(scenario, full_budget_only=False):
@@ -1006,6 +1009,70 @@ class TestIntegerFinish:
         assert -math.expm1(log_p) == oracle.lfp_final
 
 
+def gate_instances():
+    """(name, scenario) of the acceptance batch and of benchmark suite and
+    ladder seeds 1-3."""
+    out = [(f"acceptance_{i}", sc)
+           for i, sc in enumerate(random_feasible_suite(20, seed=20240801))]
+    for seed in (1, 2, 3):
+        out += [(f"suite{seed}_{i}", sc)
+                for i, sc in enumerate(suite_instances(seed))]
+        out += [(f"ladder{seed}_{i}", sc)
+                for i, sc in enumerate(ladder_instances(seed))]
+    return out
+
+
+@pytest.fixture(scope="module")
+def gate_reports():
+    """(name, oracle, {(method, integer_mode): report}) per gate
+    instance."""
+    out = []
+    for name, sc in gate_instances():
+        reports = {(method, integer):
+                   solve(sc, SolverConfig(integer_mode=integer))
+                   for method, solve in (("bcd", solve_bcd), ("mm", solve_mm))
+                   for integer in (True, False)}
+        out.append((name, solve_exhaustive(sc), reports))
+    return out
+
+
+class TestReachesTheOracle:
+    """BCD and MM against the oracle by relative gap, on the acceptance
+    batch and benchmark suite and ladder seeds 1-3: the LFP ranges down
+    to 1e-300 and below, where an absolute gap says nothing."""
+
+    GAP = 1e-9
+    # exact ties on an LFP 0.0 plateau where BCD/MM's allocation (m1,
+    # m2, d_r1, d_r2) is not the oracle's smallest tied one
+    PLATEAU_TIES = {
+        "ladder1_8": (1374, 2626, 1424, 1696),
+        "ladder2_5": (2498, 1502, 2394, 1459),
+        "ladder3_8": (2373, 1627, 3268, 1502),
+    }
+
+    def test_integer_result_within_the_gap(self, gate_reports):
+        ties = {}
+        for name, oracle, reports in gate_reports:
+            for method in ("bcd", "mm"):
+                report = reports[method, True]
+                assert report.status == "converged", (name, method)
+                assert (oracle.lfp_final <= report.lfp_final
+                        <= oracle.lfp_final * (1.0 + self.GAP)), (name, method)
+                if report.alloc != oracle.alloc:
+                    assert report.lfp_final == oracle.lfp_final == 0.0
+                    ties[name] = dataclasses.astuple(report.alloc)
+        assert ties == self.PLATEAU_TIES
+
+    def test_relaxed_result_not_worse_than_the_integer_oracle(self,
+                                                              gate_reports):
+        for name, oracle, reports in gate_reports:
+            for method in ("bcd", "mm"):
+                report = reports[method, False]
+                assert report.status == "converged", (name, method)
+                assert (report.lfp_final
+                        <= oracle.lfp_final * (1.0 + self.GAP)), (name, method)
+
+
 class TestRedundancyBlock:
     """BCD's exact relaxed redundancy block (``_direction_min``, from an
     interior anchor) on the solver suite and the acceptance batch, each
@@ -1322,12 +1389,15 @@ class TestEvaluatedOnce:
 
 
 class TestM1BracketGrid:
-    """The m1 block's one-call bracket grid and the one-call start
-    against the scalar loops they replaced, point for point and bit
-    for bit."""
+    """The m1 block's one-call bracket grid against the scalar profile,
+    point for point and bit for bit, the start it gives and the split
+    it ends at."""
 
-    SCENARIOS = [SMALL, TestNearDegenerateLinks.SC, TestExhaustivePlateauTies.SC,
-                 make_scenario(M=1000)] + random_feasible_suite(4, seed=99)
+    # ladder_instances(1)[7] (M = 1000) ends at LFP ~4e-190, where the
+    # profile's slopes are so small that their product underflows
+    SCENARIOS = ([SMALL, TestNearDegenerateLinks.SC,
+                  TestExhaustivePlateauTies.SC, make_scenario(M=1000)]
+                 + random_feasible_suite(4, seed=99) + [ladder_instances(1)[7]])
 
     @pytest.mark.parametrize("sc", SCENARIOS)
     def test_grid_matches_scalar_profile(self, sc):
@@ -1349,26 +1419,38 @@ class TestM1BracketGrid:
 
     @pytest.mark.parametrize("sc", SCENARIOS + [
         make_scenario(gamma_ab=1.0, gamma_ae=1.2, d_m1=4, d_m2=4, M=60)])
-    def test_start_matches_scalar_candidates(self, sc):
-        # the scalar loop the one-call start replaced: mid-budget split
-        # first, then the 16-point grid, strict improvement only
-        obj = _Objective(sc)
-        best, scored = None, 0
-        for m1 in [float(round(sc.M / 2))] + list(
-                np.linspace(1.0, sc.M - 1.0, 16)):
-            lo1, hi1, lo2, hi2, feasible = obj.box(m1)
-            if feasible:
-                point = (m1, 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2))
-                val = -log_round_trip_success(sc, *point)
-                scored += 1
-                if best is None or val < best[3]:
-                    best = (*point, val)
-        start = _initial_point(obj)
-        assert obj.evaluations == scored
-        if best is None:
-            assert start is None
+    def test_start_matches_scalar_candidates(self, sc, monkeypatch):
+        # the solve's first m1 block runs at mid-box and the start is the
+        # best value it scored, on its grid or its profile; with no
+        # feasible grid split the start is the oracle's answer
+        blocks = []  # (t1, t2, values scored) of each m1 block
+        grid, profile, block = (solvers._m1_profile_grid,
+                                solvers._m1_profile, solvers._m1_block)
+
+        def recorded_grid(*args):
+            vals = grid(*args)
+            blocks[-1][2].extend(vals)
+            return vals
+
+        def recorded_profile(*args):
+            out = profile(*args)
+            blocks[-1][2].append(out[0])
+            return out
+
+        def recorded_block(obj, t1, t2):
+            blocks.append((t1, t2, []))
+            return block(obj, t1, t2)
+
+        monkeypatch.setattr(solvers, "_m1_profile_grid", recorded_grid)
+        monkeypatch.setattr(solvers, "_m1_profile", recorded_profile)
+        monkeypatch.setattr(solvers, "_m1_block", recorded_block)
+        report = solve_bcd(sc, SolverConfig(integer_mode=False))
+        t1, t2, values = blocks[0]
+        assert (t1, t2) == (0.5, 0.5)
+        if math.isinf(min(values)):
+            assert report.trace[:1] == solve_exhaustive(sc).trace
         else:
-            assert hex_list(start) == hex_list(best)
+            assert report.trace[0] == (0, -math.expm1(-min(values)))
 
     def test_grid_sees_infeasible_splits(self):
         # the near-degenerate forward direction is empty at short blocks
@@ -1380,27 +1462,25 @@ class TestM1BracketGrid:
 
     @pytest.mark.parametrize("sc", SCENARIOS)
     def test_block_ends_at_a_slope_sign_change_or_an_edge(self, sc):
-        # from each incumbent the block meets in a BCD and an MM solve
-        incumbents = []
+        # from each box-relative position the block meets in a BCD and an
+        # MM solve, the start's included
+        positions = []
         block = solvers._m1_block
 
-        def recorded(obj, m1, d_r1, d_r2, f):
-            incumbents.append((m1, d_r1, d_r2))
-            return block(obj, m1, d_r1, d_r2, f)
+        def recorded(obj, t1, t2):
+            positions.append((t1, t2))
+            return block(obj, t1, t2)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_m1_block", recorded)
             solve_bcd(sc)
             solve_mm(sc)
-        assert incumbents
+        assert positions
         tol = _LINE_SEARCH_TOL
         grid_edges = (1.0, float(sc.M - 1))
-        for m1, d_r1, d_r2 in incumbents:
+        for t1, t2 in positions:
             obj = _Objective(sc)
-            lo1, hi1, lo2, hi2, _ = obj.box(m1)
-            t1, t2 = _rel_pos(d_r1, lo1, hi1), _rel_pos(d_r2, lo2, hi2)
-            # f = +inf: the block's answer is kept whatever its value
-            x, a, b, value = _m1_block(obj, m1, d_r1, d_r2, math.inf)
+            x, a, b, value = _m1_block(obj, t1, t2)
             point = _m1_profile(_Objective(sc), x, t1, t2)
             assert (value, a, b) == (point[0], point[2], point[3])
             if x in grid_edges:
