@@ -151,21 +151,31 @@ def _link_pair(legit, eve, m_b, m_e, D, sqrt):
 
 
 def _direction_log_terms(legit, eve, m, D):
-    """A direction's log success l = l_b + l_e and its derivatives at
-    scalar blocklength m and total bits D: (l, dl/dm, dl/dD).
+    """A direction's log success l = l_b + l_e and its first and second
+    derivatives at scalar blocklength m and total bits D:
+    (l, dl/dm, dl/dD, d2l/dm2, d2l/dm dD, d2l/dD2).
 
-    d(log_ndtr)/dx is exp(``_log_hazard``(x)), which stays finite where
-    the factor saturates.  Unchecked.
+    d(log_ndtr)/dx is h(x) = exp(``_log_hazard``(x)), which stays finite
+    where the factor saturates, and h'(x) = -h(x) (x + h(x)).  Unchecked.
     """
     w_b, w_e, l_b, l_e = _link_pair(legit, eve, m, m, D, math.sqrt)
     h_b = math.exp(_log_hazard(w_b, l_b))
     h_e = math.exp(_log_hazard(-w_e, l_e))
     s_b, s_e = math.sqrt(m * legit.v), math.sqrt(m * eve.v)
-    # dw/dm = (ln(1+gamma) + D*ln2/m) / (2*sqrt(m*V)), dw/dD = -ln2/sqrt(m*V)
-    return (float(l_b + l_e),
-            h_b * (legit.log1p + D * LN2 / m) / (2.0 * s_b)
-            - h_e * (eve.log1p + D * LN2 / m) / (2.0 * s_e),
-            -h_b * LN2 / s_b + h_e * LN2 / s_e)
+    # per link, s = sqrt(m*V), r = D*ln2/m: dw/dm = (ln(1+gamma) + r)/(2s),
+    # -dw/dD = ln2/s, d2w/dm2 = -(ln(1+gamma) + 3r)/(4ms), d2w/dm dD =
+    # ln2/(2ms), d2w/dD2 = 0; g is h'(w_b) and h'(-w_e)
+    r = D * LN2 / m
+    wm_b, wm_e = (legit.log1p + r) / (2.0 * s_b), (eve.log1p + r) / (2.0 * s_e)
+    wD_b, wD_e = LN2 / s_b, LN2 / s_e
+    g_b, g_e = -h_b * (w_b + h_b), -h_e * (h_e - w_e)
+    return (float(l_b + l_e), h_b * wm_b - h_e * wm_e, h_e * wD_e - h_b * wD_b,
+            g_b * wm_b * wm_b + g_e * wm_e * wm_e
+            - h_b * (legit.log1p + 3.0 * r) / (4.0 * m * s_b)
+            + h_e * (eve.log1p + 3.0 * r) / (4.0 * m * s_e),
+            -g_b * wm_b * wD_b - g_e * wm_e * wD_e
+            + (h_b * wD_b - h_e * wD_e) / (2.0 * m),
+            g_b * wD_b * wD_b + g_e * wD_e * wD_e)
 
 
 def log_direction_success(legit, eve, m, d):
@@ -271,18 +281,23 @@ def _direction_bounds(legit, eve, d_m, m, sqrt=math.sqrt, maximum=max):
 
 
 def _direction_bound_slopes(legit, eve, m, lo):
-    """d/dm of ``_direction_bounds``' (d_min, d_max) at a scalar
-    blocklength m whose clamped lower bound is ``lo``.
+    """d/dm and d2/dm2 of ``_direction_bounds``' (d_min, d_max) at a
+    scalar blocklength m whose clamped lower bound is ``lo``: (d_min',
+    d_max', d_min'', d_max'').
 
     Each edge (m * ln(1+gamma) - sqrt(m * V) * Qinv) / ln2 - d_m has
-    slope (ln(1+gamma) - Qinv * sqrt(V / m) / 2) / ln2, on the
-    legitimate link for d_max and on the eavesdropper for d_min; a
-    lower bound clamped at 0 (``lo`` <= 0) has slope 0.  Unchecked.
+    slope s = (ln(1+gamma) - Qinv * sqrt(V / m) / 2) / ln2 and curvature
+    (ln(1+gamma) / ln2 - s) / (2m), on the legitimate link for d_max and
+    on the eavesdropper for d_min; a lower bound clamped at 0 (``lo`` <=
+    0) has slope and curvature 0.  Unchecked.
     """
     slope_hi = (legit.box_log1p - 0.5 * legit.q * math.sqrt(legit.v / m)) / LN2
+    curv_hi = (legit.box_log1p / LN2 - slope_hi) / (2.0 * m)
     if lo <= 0.0:
-        return 0.0, slope_hi
-    return (eve.box_log1p - 0.5 * eve.q * math.sqrt(eve.v / m)) / LN2, slope_hi
+        return 0.0, slope_hi, 0.0, curv_hi
+    slope_lo = (eve.box_log1p - 0.5 * eve.q * math.sqrt(eve.v / m)) / LN2
+    return (slope_lo, slope_hi, (eve.box_log1p / LN2 - slope_lo) / (2.0 * m),
+            curv_hi)
 
 
 def _split_boxes(links, scenario, m1, m2, sqrt=math.sqrt, maximum=max):
@@ -434,9 +449,9 @@ def lfp_gradient_reduced(scenario: Scenario, m1: float, d_r1: float,
         raise DomainError(f"m1 must lie in (1, M-1), got {m1!r}")
     _check_point(scenario, m1, d_r1, d_r2)
     ab, ae, ba, be = link_constants(scenario)
-    l1, dm1, dd1 = _direction_log_terms(ab, ae, m1, scenario.d_m1 + d_r1)
+    l1, dm1, dd1 = _direction_log_terms(ab, ae, m1, scenario.d_m1 + d_r1)[:3]
     l2, dm2, dd2 = _direction_log_terms(ba, be, scenario.M - m1,
-                                        scenario.d_m2 + d_r2)
+                                        scenario.d_m2 + d_r2)[:3]
     p = math.exp(l1 + l2)
     # direction 2 sees m2 = M - m1, hence the sign flip on its dl/dm
     return (-p * (dm1 - dm2), -p * dd1, -p * dd2)

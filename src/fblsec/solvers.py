@@ -28,14 +28,15 @@
   from the incumbent by the edge-or-root rule it shares with MM's step
   (``_edge_or_root``).  The m1 block moves the split along the profile
   that carries the redundancy pair at its box-relative position: a
-  coarse grid finds the best basin, and the root of the profile's
-  closed-form slope in its grid bracket refines it.  Both blocks and
-  MM's step share one bracketed root finder (``_bracketed_root``), the
-  m1 block's on the profile's log-scaled slope, whose scale does not
-  shrink with the LFP.  The descent starts from the m1 block itself,
-  with the redundancy pair at mid-box, and stops on a relative change
-  of the LFP alone, however small the LFP.  In
-  integer mode an exact per-split finish follows: the splits
+  coarse grid, both directions in one vector call, finds the best
+  basin, and Newton steps from the incumbent split on the profile's
+  log-scaled slope, whose scale does not shrink with the LFP, close in
+  on its root in the grid bracket; slope and second slope are closed
+  form.  Both blocks and MM's step share one bracketed Newton root
+  finder (``_bracketed_root``).  The descent starts from the m1 block
+  itself, with the redundancy pair at mid-box, and stops on a relative
+  change of the LFP alone, however small the LFP.  In integer mode an
+  exact per-split finish follows: the splits
   floor(m1) - 1 ... ceil(m1) + 1 around the relaxed m1, each with its
   best integer redundancy pair from the oracle's own per-direction
   tables (``_best_split``).
@@ -119,6 +120,8 @@ _TINY = float(np.finfo(float).tiny)
 # M = 350 0.75 / 0.76 and 0.75 / 0.74, M = 500 0.94 / 0.80 and
 # 0.96 / 0.75, M = 700 1.21 / 0.83 and 1.24 / 0.79.
 _PRUNE_MIN_M = 500
+# The offsets e - 1 ... e + 2 at which ``_first_maxima`` probes.
+_PROBES = np.arange(-1.0, 3.0)[:, None]
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -153,8 +156,8 @@ class SolverReport:
     (one direction at one blocklength and redundancy), with no final
     re-evaluation of the winner, and in its cell-bound pass (three per
     cell and direction), and the points BCD/MM's descent scores,
-    each once: the m1 grid's points and the m1 block's profile points,
-    the start's included (a value and its slope from one
+    each once: the m1 grid's feasible points and the m1 block's profile
+    points, the start's included (a value and its two slopes from one
     ``_direction_log_terms`` per direction count as one).  Each
     hazard-balance evaluation of BCD's redundancy block and of MM's
     step, which also score their points, counts as one link-pair
@@ -263,19 +266,32 @@ class _Objective:
         return _Link(*c[:4]), _Link(*c[4:8]), c[8], c[9]
 
     @cached_property
+    def both_directions(self):
+        """``directions`` as (2, 1) rows, built once per solve."""
+        return self.directions(np.arange(2)[:, None])
+
+    def split_grid(self, m1):
+        """The splits of the array ``m1`` as (2, n) rows, direction 1 at m1
+        and direction 2 at M - m1: (m, box edge lo, box width hi - lo,
+        feasible per split), with ``box``'s bits and feasibility."""
+        legit, eve, d_m, _ = self.both_directions
+        m = np.array((m1, self.scenario.M - m1))
+        lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
+        return m, lo, hi - lo, ((lo <= hi) & (hi >= 0.0)).all(axis=0)
+
+    @cached_property
     def m1_grid(self):
         """The m1 block's ``_M1_GRID`` + 1 splits on [1, M-1] and their
-        ``box`` arrays, built once per solve."""
+        ``split_grid``, built once per solve."""
         xs = np.linspace(1.0, float(self.scenario.M - 1), _M1_GRID + 1)
-        return xs, self.box(xs, np.sqrt, np.maximum)
+        return xs, self.split_grid(xs)
 
-    def box(self, m1, sqrt=math.sqrt, maximum=max):
-        """Redundancy boxes of split m1 (m2 = M - m1) and their
+    def box(self, m1):
+        """Redundancy boxes of the scalar split m1 (m2 = M - m1) and their
         feasibility, straight from the solve's constants, with no check:
-        (d_r1_min, d_r1_max, d_r2_min, d_r2_max, feasible).  ``m1`` is a
-        float, or an array with ``np.sqrt`` and ``np.maximum``."""
+        (d_r1_min, d_r1_max, d_r2_min, d_r2_max, feasible)."""
         return _split_boxes(self.links, self.scenario, m1,
-                            self.scenario.M - m1, sqrt, maximum)
+                            self.scenario.M - m1)
 
 
 def _rel_pos(x, lo, hi):
@@ -288,35 +304,26 @@ def _bracketed_root(fn, a, fa, b, fb, x=None, atol=0.0, rtol=0.0):
     """A root of ``fn`` in the bracket [a, b] of a function that falls
     through zero there: fa = fn(a) > 0 > fb = fn(b).
 
-    ``fn(x)`` returns (value, slope), the slope None where it is not
-    known.  From the start x (by default the false-position point of
-    the ends), each value narrows the bracket to its sign change, and
-    the next point is the Newton step where the slope is known, else the
-    Illinois false-position step on the bracket ends (an end kept twice
-    in a row has its value halved); a step that would leave the bracket
-    is replaced by its midpoint (rtsafe).  Stops at a zero or NaN value,
-    after a step of at most max(atol, rtol * |step|) or after
-    ``_MAX_BLOCK_ITERS`` values, and returns the last point reached.
+    ``fn(x)`` returns (value, slope).  From the start x (by default the
+    false-position point of the ends), each value narrows the bracket to
+    its sign change, and the next point is the Newton step, or the
+    bracket's midpoint where that step would leave the bracket or the
+    slope is 0 (rtsafe, Press et al., Numerical Recipes, section 9.4).
+    Stops at a zero or NaN value, after a step of at most max(atol, rtol
+    * |step|) or after ``_MAX_BLOCK_ITERS`` values, and returns the last
+    point reached.
     """
     if x is None:
         x = (a * fb - b * fa) / (fb - fa)
-    kept = 0  # +1: the last value moved a, -1: it moved b
     for _ in range(_MAX_BLOCK_ITERS):
         r, slope = fn(x)
         if r > 0.0:
-            if kept > 0:
-                fb *= 0.5
-            a, fa, kept = x, r, 1
+            a = x
         elif r < 0.0:
-            if kept < 0:
-                fa *= 0.5
-            b, fb, kept = x, r, -1
+            b = x
         else:
             break
-        if slope is None:
-            step = (a * fb - b * fa) / (fb - fa)
-        else:
-            step = x - r / slope
+        step = x - r / slope if slope else math.nan
         if not a <= step <= b:  # NaN included
             step = 0.5 * (a + b)
         done = abs(step - x) <= max(atol, rtol * abs(step))
@@ -377,53 +384,55 @@ def _direction_balance(obj, legit, eve, d_m, m):
     return at
 
 
-def _m1_profile(obj, m1, t1, t2):
-    """The carried profile p at split m1 and its slope: the objective
-    with the redundancy pair at the box-relative positions (t1, t2) of
-    split m1's box.
+def _carried_direction(legit, eve, d_m, m, t):
+    """One direction of ``_m1_profile`` at blocklength m, on the path
+    d_r(m) = lo(m) + t (hi(m) - lo(m)) with slope c and curvature k
+    (``_direction_bound_slopes``): (l, l_m + l_D c, l_mm + 2 l_mD c +
+    l_DD c^2 + l_D k, d_r) from ``_direction_log_terms``, or None where
+    the box is empty (``_split_boxes``' test)."""
+    lo, hi = _direction_bounds(legit, eve, d_m, m)
+    if not (lo <= hi and hi >= 0.0):
+        return None
+    d_r = lo + t * (hi - lo)
+    l, l_m, l_D, l_mm, l_mD, l_DD = _direction_log_terms(legit, eve, m,
+                                                         d_m + d_r)
+    slo, shi, klo, khi = _direction_bound_slopes(legit, eve, m, lo)
+    c, k = slo + t * (shi - slo), klo + t * (khi - klo)
+    return l, l_m + l_D * c, l_mm + (2.0 * l_mD + l_DD * c) * c + l_D * k, d_r
 
-    Returns (p, dp/dm1, d_r1, d_r2), or (+inf, NaN, None, None) where
-    the box is empty.  p and its slope come from one
-    ``_direction_log_terms`` per direction, p with
-    -``log_round_trip_success``'s bits, and count as one evaluation.
-    The slope adds each direction's dl/dm to its dl/dD times the carried
-    pair's slope, which the box edges give (``_direction_bound_slopes``);
-    m2 = M - m1 turns direction 2's signs.
+
+def _m1_profile(obj, m1, t1, t2):
+    """The carried profile p at split m1 and its first two slopes: the
+    objective with the redundancy pair at the box-relative positions
+    (t1, t2) of split m1's box.
+
+    Returns (p, p', d_r1, d_r2, p''), derivatives in m1, or (+inf, NaN,
+    None, None, NaN) where the box is empty: one ``_carried_direction``
+    per direction, p with -``log_round_trip_success``'s bits, counted as
+    one evaluation.  m2 = M - m1 turns direction 2's p' but not its p''.
     """
     sc = obj.scenario
-    m2 = sc.M - m1
-    lo1, hi1, lo2, hi2, feasible = obj.box(m1)
-    if not feasible:
-        return math.inf, math.nan, None, None
-    d_r1, d_r2 = lo1 + t1 * (hi1 - lo1), lo2 + t2 * (hi2 - lo2)
+    ab, ae, ba, be = obj.links
+    one = _carried_direction(ab, ae, sc.d_m1, m1, t1)
+    two = one and _carried_direction(ba, be, sc.d_m2, sc.M - m1, t2)
+    if not two:
+        return math.inf, math.nan, None, None, math.nan
     obj.evaluations += 1
-    ab, ae, ba, be = obj.links
-    l1, dm1, dd1 = _direction_log_terms(ab, ae, m1, sc.d_m1 + d_r1)
-    l2, dm2, dd2 = _direction_log_terms(ba, be, m2, sc.d_m2 + d_r2)
-    slo1, shi1 = _direction_bound_slopes(ab, ae, m1, lo1)
-    slo2, shi2 = _direction_bound_slopes(ba, be, m2, lo2)
-    carry1 = slo1 + t1 * (shi1 - slo1)  # d(d_r1)/dm1
-    carry2 = slo2 + t2 * (shi2 - slo2)  # d(d_r2)/dm2 = -d(d_r2)/dm1
-    return -(l1 + l2), -(dm1 + dd1 * carry1 - dm2 - dd2 * carry2), d_r1, d_r2
+    (l1, s1, c1, d_r1), (l2, s2, c2, d_r2) = one, two
+    return -(l1 + l2), s2 - s1, d_r1, d_r2, -(c1 + c2)
 
 
-def _m1_profile_grid(obj, m1, box, t1, t2):
-    """``_m1_profile``'s values at every split of the array ``m1``, whose
-    ``_Objective.box`` arrays are ``box``, in one vector evaluation with
-    the same bits per point; +inf where the box is empty.  Each feasible
-    point counts as one evaluation."""
-    sc = obj.scenario
-    ab, ae, ba, be = obj.links
-    lo1, hi1, lo2, hi2, feasible = box
-    m = m1[feasible]
-    s1 = log_direction_success(ab, ae, m,
-                               sc.d_m1 + (lo1 + t1 * (hi1 - lo1))[feasible])
-    s2 = log_direction_success(ba, be, sc.M - m,
-                               sc.d_m2 + (lo2 + t2 * (hi2 - lo2))[feasible])
-    obj.evaluations += m.size
-    vals = np.full(m1.size, math.inf)
-    vals[feasible] = -(s1 + s2)
-    return vals
+def _m1_profile_grid(obj, grid, t1, t2):
+    """``_m1_profile``'s values at every split of the
+    ``_Objective.split_grid`` ``grid``, both directions in one vector
+    evaluation, with the same bits per point; +inf where the box is
+    empty.  Each feasible point counts as one evaluation."""
+    m, lo, span, feasible = grid
+    legit, eve, d_m, _ = obj.both_directions
+    s = log_direction_success(legit, eve, m,
+                              d_m + (lo + np.array(((t1,), (t2,))) * span))
+    obj.evaluations += int(np.count_nonzero(feasible))
+    return np.where(feasible, -(s[0] + s[1]), math.inf)
 
 
 def _feasibility_edge(obj, x, y):
@@ -441,9 +450,10 @@ def _feasibility_edge(obj, x, y):
     return x
 
 
-def _m1_block(obj, t1, t2):
+def _m1_block(obj, t1, t2, m1=None):
     """The blocklength-split update of (m1, d_r1, d_r2), with the
-    redundancy pair held at the box-relative positions (t1, t2).
+    redundancy pair held at the box-relative positions (t1, t2); ``m1``
+    is the incumbent split, if there is one.
 
     A plain fixed-redundancy line search cannot leave the thin diagonal
     strip that the thresholds carve out when the legitimate and
@@ -455,9 +465,10 @@ def _m1_block(obj, t1, t2):
     to a neighbour y; where y's box is empty, y becomes
     ``_feasibility_edge``'s split between x and y.  Where the slope
     changes sign between x and y, ``_bracketed_root`` closes in on its
-    root with Illinois steps to ``_LINE_SEARCH_TOL``.  The steps run on
-    the slope over the profile's value p (-log success), d log p / dm1,
-    and on the slope itself where p is 0.0: the raw slope scales with
+    root with Newton steps to ``_LINE_SEARCH_TOL``, from the incumbent if
+    it lies strictly inside the bracket, else from its false-position
+    point.  The steps run on q = p'/p, q' = p''/p - q^2 (p = -log
+    success), and on (p', p'') where p is 0.0: the raw slope scales with
     p, which can change by orders of magnitude across one bracket.
 
     The answer is the best split the block scored, the latest on ties:
@@ -467,34 +478,38 @@ def _m1_block(obj, t1, t2):
     profile point, so no split is scored twice.  Returns (m1, d_r1,
     d_r2, objective), or None where no grid split is feasible.
     """
-    xs, grid_box = obj.m1_grid
-    vals = _m1_profile_grid(obj, xs, grid_box, t1, t2)
+    xs, grid = obj.m1_grid
+    vals = _m1_profile_grid(obj, grid, t1, t2)
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         return None
     points = {}
 
-    def slope(z):
+    def scaled(z):  # the root finder's function, -q, and its slope
         if z not in points:
             points[z] = _m1_profile(obj, z, t1, t2)
-        p, s = points[z][:2]
-        return s / p if p else s
+        p, s, _, _, s2 = points[z]
+        if not p:
+            return -s, -s2
+        q = s / p
+        return -q, q * q - s2 / p
 
     x = float(xs[i])
-    s_x = slope(x)
-    j = i + 1 if s_x < 0.0 else i - 1 if s_x > 0.0 else i  # 0, NaN: stay
+    f_x = scaled(x)[0]
+    j = i + 1 if f_x > 0.0 else i - 1 if f_x < 0.0 else i  # 0, NaN: stay
     if j != i and 0 <= j <= _M1_GRID:
         y = float(xs[j])
-        if not grid_box[4][j]:
+        if not grid[3][j]:
             y = _feasibility_edge(obj, x, y)
-        s_y = slope(y)
-        if s_x < 0.0 < s_y or s_y < 0.0 < s_x:
-            # the root finder's function falls through zero: -slope
-            a, fa, b, fb = (x, -s_x, y, -s_y) if x < y else (y, -s_y, x, -s_x)
-            _bracketed_root(lambda z: (-slope(z), None), a, fa, b, fb,
+        f_y = scaled(y)[0]
+        if f_x < 0.0 < f_y or f_y < 0.0 < f_x:
+            # the root finder's function falls through zero
+            a, fa, b, fb = (x, f_x, y, f_y) if x < y else (y, f_y, x, f_x)
+            start = m1 if m1 is not None and a < m1 < b else None
+            _bracketed_root(scaled, a, fa, b, fb, start,
                             atol=_LINE_SEARCH_TOL)
     x = min(reversed(points), key=lambda z: points[z][0])
-    value, _, d_r1, d_r2 = points[x]
+    value, _, d_r1, d_r2, _ = points[x]
     return x, d_r1, d_r2, value
 
 
@@ -563,7 +578,7 @@ def _descend(scenario, config, redundancy_step):
         if k > 1:
             lo1, hi1, lo2, hi2, _ = obj.box(m1)
             moved = _m1_block(obj, _rel_pos(d_r1, lo1, hi1),
-                              _rel_pos(d_r2, lo2, hi2))
+                              _rel_pos(d_r2, lo2, hi2), m1)
             if moved is not None and moved[3] <= f:
                 m1, d_r1, d_r2, f = moved
         lo1, hi1, lo2, hi2, _ = obj.box(m1)
@@ -635,7 +650,7 @@ def _first_maxima(obj, legit, eve, d_m, m, lo, hi, log_ratio):
     """
     est = np.floor(_first_maximum_start(legit, eve, d_m, m, lo, hi, log_ratio))
     obj.evaluations += m.size
-    ds = np.minimum(np.maximum(est, lo), hi) + np.arange(-1.0, 3.0)[:, None]
+    ds = np.minimum(np.maximum(est, lo), hi) + _PROBES
     g = log_direction_success(legit, eve, m, d_m + ds)
     obj.evaluations += g.size
     c, gc = ds[1:3], g[1:3]
@@ -662,15 +677,18 @@ def _direction_tables(obj, m1, m2):
     direction (ok, max log success, its d), where ok marks a non-empty
     integer box.  One ``_direction_bounds`` call gives both directions'
     boxes and one ``_first_maxima`` call fills every entry ok marks, each
-    on the two directions' concatenated entries."""
+    on the two directions' concatenated entries, whose constants are
+    indexed again only where some entry has no box."""
     n = m1.size
     m = np.concatenate((m1, m2))
-    legit, eve, d_m, _ = obj.directions(np.arange(2 * n) // n)
+    legit, eve, d_m, log_ratio = obj.directions(np.arange(2 * n) // n)
     lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
     lo, hi = np.ceil(lo - 1e-9), np.floor(hi + 1e-9)
     ok = hi >= lo
-    i = ok.nonzero()[0]
-    legit, eve, d_m, log_ratio = obj.directions(i // n)
+    i = slice(None)  # the finish's usual case: every entry has a box
+    if not ok.all():
+        i = ok.nonzero()[0]
+        legit, eve, d_m, log_ratio = obj.directions(i // n)
     s = np.full(2 * n, -np.inf)
     d = np.zeros(2 * n, dtype=np.int64)
     s[i], d[i] = _first_maxima(obj, legit, eve, d_m, m[i], lo[i], hi[i],
@@ -724,7 +742,7 @@ def _cell_bounds(obj, k):
     m2 = M - m1
     # both directions stacked: row 0 is direction 1 at m1, row 1 is
     # direction 2 at m2 = M - m1; the boxes of (ends, midpoint) x rows
-    legit, eve, d_m, _ = obj.directions(np.arange(2)[:, None])
+    legit, eve, d_m, _ = obj.both_directions
     lo, hi = _direction_bounds(legit, eve, d_m, np.stack((m1, m2), axis=1),
                                np.sqrt, np.maximum)
     top = np.maximum(hi[0], hi[1])

@@ -409,21 +409,23 @@ class TestScalarKernel:
                 *_, l_b, l_e, h_b, h_e = _hazard_balance(
                     legit, eve, m, m, D, c_b, c_e,
                     0.5 * math.log(legit.v / eve.v), math.sqrt, math.exp)
-                l, _, dl_dD = _direction_log_terms(legit, eve, m, D)
+                l, _, dl_dD = _direction_log_terms(legit, eve, m, D)[:3]
                 assert l.hex() == float(l_b + l_e).hex(), (m, D)
                 assert abs(dl_dD - (-c_b * h_b + c_e * h_e)) <= \
                     1e-14 * (c_b * h_b + c_e * h_e) + 1e-300, (m, D)
 
 
 class TestLinkLogTerm:
-    """Each link's log factor in ``_direction_log_terms``: its
+    """Each link's log factor in ``_direction_log_terms``: its first
     derivatives against central differences of log_ndtr(w_b) and
-    log_ndtr(-w_e), the swept link's argument from -40 to 40 (``sign``
-    +1.0 sweeps the legitimate link, -1.0 the eavesdropper)."""
+    log_ndtr(-w_e), and its second derivatives against central
+    differences of the first, the swept link's argument from -40 to 40
+    (``sign`` +1.0 sweeps the legitimate link, -1.0 the eavesdropper)."""
 
-    @pytest.mark.parametrize("sign", (1.0, -1.0))
-    @pytest.mark.parametrize("gamma", (0.3, 3.0, 100.0))
-    def test_derivatives_match_central_differences(self, gamma, sign):
+    @staticmethod
+    def sweep(gamma, sign):
+        """(legit, eve, m, D) at each point of the sweep; every argument
+        from -40 to 40 is reached."""
         # the other link far from the swept one, so that its factor is
         # mostly saturated and the swept factor's derivative dominates
         if sign > 0.0:
@@ -432,19 +434,6 @@ class TestLinkLogTerm:
             sc = make_scenario(gamma_ab=1e6, gamma_ae=gamma)
         legit, eve = link_constants(sc)[:2]
         link = legit if sign > 0.0 else eve
-
-        def log_factors(m, D):
-            return (float(log_ndtr(_margin(legit.log1p, legit.v, m, D,
-                                           math.sqrt))),
-                    float(log_ndtr(-_margin(eve.log1p, eve.v, m, D,
-                                            math.sqrt))))
-
-        def central(m, D, h_m, h_D):
-            """Each factor's central difference."""
-            hi = log_factors(m + h_m, D + h_D)
-            lo = log_factors(m - h_m, D - h_D)
-            return [(a - b) / (2.0 * (h_m + h_D)) for a, b in zip(hi, lo)]
-
         reached = set()
         for m in (50.0, 1000.0, 20000.0):
             s = math.sqrt(m / link.v)
@@ -454,20 +443,76 @@ class TestLinkLogTerm:
                 if D < 0.0:
                     continue
                 reached.add(float(x))
-                l, dl_dm, dl_dD = _direction_log_terms(legit, eve, m, D)
-                assert l == sum(log_factors(m, D))
-                # steps that move neither margin by more than 1e-5:
-                # |dw/dD| = ln2*s/m, dw/dm = (ln(1+gamma) + D*ln2/m)*s/(2m)
-                s_b, s_e = math.sqrt(m / legit.v), math.sqrt(m / eve.v)
-                h_D = 1e-5 * m / (LN2 * max(s_b, s_e))
-                h_m = 2e-5 * m / max((legit.log1p + D * LN2 / m) * s_b,
-                                     (eve.log1p + D * LN2 / m) * s_e)
-                for got, fd in ((dl_dD, central(m, D, 0.0, h_D)),
-                                (dl_dm, central(m, D, h_m, 0.0))):
-                    assert got == pytest.approx(
-                        sum(fd), rel=1e-6,
-                        abs=1e-6 * (abs(fd[0]) + abs(fd[1])) + 1e-290)
+                yield legit, eve, m, D
         assert min(reached) == -40.0 and max(reached) == 40.0
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("gamma", (0.3, 3.0, 100.0))
+    def test_derivatives_match_central_differences(self, gamma, sign):
+        for legit, eve, m, D in self.sweep(gamma, sign):
+
+            def log_factors(m, D):
+                return (float(log_ndtr(_margin(legit.log1p, legit.v, m, D,
+                                               math.sqrt))),
+                        float(log_ndtr(-_margin(eve.log1p, eve.v, m, D,
+                                                math.sqrt))))
+
+            def central(h_m, h_D):
+                """Each factor's central difference."""
+                hi = log_factors(m + h_m, D + h_D)
+                lo = log_factors(m - h_m, D - h_D)
+                return [(a - b) / (2.0 * (h_m + h_D)) for a, b in zip(hi, lo)]
+
+            l, dl_dm, dl_dD = _direction_log_terms(legit, eve, m, D)[:3]
+            assert l == sum(log_factors(m, D))
+            # steps that move neither margin by more than 1e-5:
+            # |dw/dD| = ln2*s/m, dw/dm = (ln(1+gamma) + D*ln2/m)*s/(2m)
+            s_b, s_e = math.sqrt(m / legit.v), math.sqrt(m / eve.v)
+            h_D = 1e-5 * m / (LN2 * max(s_b, s_e))
+            h_m = 2e-5 * m / max((legit.log1p + D * LN2 / m) * s_b,
+                                 (eve.log1p + D * LN2 / m) * s_e)
+            for got, fd in ((dl_dD, central(0.0, h_D)),
+                            (dl_dm, central(h_m, 0.0))):
+                assert got == pytest.approx(
+                    sum(fd), rel=1e-6,
+                    abs=1e-6 * (abs(fd[0]) + abs(fd[1])) + 1e-290)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    @pytest.mark.parametrize("gamma", (0.3, 3.0, 100.0))
+    def test_second_derivatives_match_central_differences(self, gamma, sign):
+        for legit, eve, m, D in self.sweep(gamma, sign):
+            # each factor alone: the other link's margin so far out that
+            # its factor and hazard are exactly 0.0
+            alone = ((legit, eve._replace(log1p=-1e3)),
+                     (legit._replace(log1p=1e3), eve))
+
+            def central(i, along_D):
+                """Each factor's central difference of derivative i of
+                ``_direction_log_terms``, in m or D, its own margin
+                moving by 1e-5, and that difference's rounding: ~1e-12
+                of the derivative over the step."""
+                out = []
+                for (b, e), link in zip(alone, (legit, eve)):
+                    s = math.sqrt(m / link.v)
+                    if along_D:
+                        h = 1e-5 * m / (LN2 * s)
+                        hi, lo = (_direction_log_terms(b, e, m, D + h)[i],
+                                  _direction_log_terms(b, e, m, D - h)[i])
+                    else:
+                        h = 2e-5 * m / ((link.log1p + D * LN2 / m) * s)
+                        hi, lo = (_direction_log_terms(b, e, m + h, D)[i],
+                                  _direction_log_terms(b, e, m - h, D)[i])
+                    out.append(((hi - lo) / (2.0 * h),
+                                1e-12 * max(abs(hi), abs(lo)) / h))
+                return out
+
+            _, _, _, l_mm, l_mD, l_DD = _direction_log_terms(legit, eve, m, D)
+            for got, fd in ((l_mm, central(1, False)), (l_mD, central(1, True)),
+                            (l_mD, central(2, False)), (l_DD, central(2, True))):
+                (fd_b, floor_b), (fd_e, floor_e) = fd
+                assert abs(got - (fd_b + fd_e)) <= (
+                    1e-6 * (abs(fd_b) + abs(fd_e)) + floor_b + floor_e
+                    + 1e-290), (m, D, got, fd)
 
 
 class TestGradientReduced:
