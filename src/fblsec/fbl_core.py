@@ -151,8 +151,8 @@ def _margin(log1p_gamma, v, m, d, sqrt=np.sqrt):
     ``rate_margin`` calls it with ``np.sqrt`` on the two values it
     computes from gamma, and the link kernel ``lfp_model._link_pair``
     and ``link_errors`` on ``lfp_model.link_constants``' cached values,
-    with ``math.sqrt`` on floats or ``np.sqrt`` on arrays: the same bits
-    while ln(1+gamma) is ``np.log1p``'s (``math.log1p`` can differ).
+    with ``math.sqrt`` on floats or ``np.sqrt`` on arrays: the same bits,
+    as both take ln(1+gamma) from ``np.log1p``.
     """
     return (log1p_gamma - d * LN2 / m) * sqrt(m / v)
 

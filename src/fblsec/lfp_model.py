@@ -28,13 +28,12 @@ and ``link_errors`` validate their arguments; ``log_direction_success``,
 sit below that boundary and run on whatever they are given.
 
 The per-link constants are computed once per scenario
-(``link_constants``), not once per call, and hold ln(1+gamma) twice:
-the margin's value (``np.log1p``, as ``fbl_core.rate_margin`` computes
-it) and the threshold boxes' value (``math.log1p``).  The two differ in
-the last bit on a few per cent of SNRs.  One kernel, ``_link_pair``,
-evaluates a link pair's margins and log factors from these constants,
-on floats or arrays with the same bits; ``log_direction_success``, the
-scalar round trip, ``_direction_log_terms`` and the balance sum it.
+(``link_constants``), not once per call, with one ln(1+gamma) per link
+(``np.log1p``, as ``fbl_core.rate_margin`` computes it) for the margins
+and the threshold boxes alike.  One kernel, ``_link_pair``, evaluates a
+link pair's margins and log factors from these constants, on floats or
+arrays with the same bits; ``log_direction_success``, the scalar round
+trip, ``_direction_log_terms`` and the balance sum it.
 """
 
 from __future__ import annotations
@@ -236,10 +235,9 @@ def lfp(scenario: Scenario, alloc: Allocation) -> float:
 class _Link(NamedTuple):
     """Constants of one link that depend on the scenario alone."""
 
-    log1p: float      # ln(1+gamma) of the margin kernel: np.log1p
-    v: float          # dispersion V(gamma)
-    box_log1p: float  # ln(1+gamma) of the threshold box: math.log1p
-    q: float          # Qinv(threshold)
+    log1p: float  # ln(1+gamma): np.log1p
+    v: float      # dispersion V(gamma)
+    q: float      # Qinv(threshold)
 
 
 @lru_cache(maxsize=1024)
@@ -250,7 +248,7 @@ def link_constants(scenario: Scenario):
     ``fbl_core.rate_margin``'s, so the link kernel returns its bits.
     """
     return tuple(_Link(float(np.log1p(gamma)), float(_dispersion(gamma)),
-                       math.log1p(gamma), float(_q_inv(eps)))
+                       float(_q_inv(eps)))
                  for gamma, eps in ((scenario.gamma_ab, scenario.eps_ab_max),
                                     (scenario.gamma_ae, scenario.eps_e_max),
                                     (scenario.gamma_ba, scenario.eps_ba_max),
@@ -267,16 +265,12 @@ def _direction_bounds(legit, eve, d_m, m, sqrt=math.sqrt, maximum=max):
         d * ln2 <= m * ln(1+gamma_b) - sqrt(m * V_b) * Qinv(eps_b_max)
         d * ln2 >= m * ln(1+gamma_e) - sqrt(m * V_e) * Qinv(eps_e_max)
 
-    The box takes ln(1+gamma) from ``math.log1p`` and the kernel from
-    ``np.log1p``, which can differ in the last bit, so the margin at a
-    box edge reproduces the threshold to ~1e-12, not to the last ulp.
-
     ``legit`` and ``eve`` are ``link_constants`` entries.  ``m`` is a
     float with the default ``math`` operations, or an array with
     ``np.sqrt`` and ``np.maximum``; both give the same bits per element.
     """
-    d_max = (m * legit.box_log1p - sqrt(m * legit.v) * legit.q) / LN2 - d_m
-    d_min = (m * eve.box_log1p - sqrt(m * eve.v) * eve.q) / LN2 - d_m
+    d_max = (m * legit.log1p - sqrt(m * legit.v) * legit.q) / LN2 - d_m
+    d_min = (m * eve.log1p - sqrt(m * eve.v) * eve.q) / LN2 - d_m
     return maximum(0.0, d_min), d_max
 
 
@@ -291,12 +285,12 @@ def _direction_bound_slopes(legit, eve, m, lo):
     on the eavesdropper for d_min; a lower bound clamped at 0 (``lo`` <=
     0) has slope and curvature 0.  Unchecked.
     """
-    slope_hi = (legit.box_log1p - 0.5 * legit.q * math.sqrt(legit.v / m)) / LN2
-    curv_hi = (legit.box_log1p / LN2 - slope_hi) / (2.0 * m)
+    slope_hi = (legit.log1p - 0.5 * legit.q * math.sqrt(legit.v / m)) / LN2
+    curv_hi = (legit.log1p / LN2 - slope_hi) / (2.0 * m)
     if lo <= 0.0:
         return 0.0, slope_hi, 0.0, curv_hi
-    slope_lo = (eve.box_log1p - 0.5 * eve.q * math.sqrt(eve.v / m)) / LN2
-    return (slope_lo, slope_hi, (eve.box_log1p / LN2 - slope_lo) / (2.0 * m),
+    slope_lo = (eve.log1p - 0.5 * eve.q * math.sqrt(eve.v / m)) / LN2
+    return (slope_lo, slope_hi, (eve.log1p / LN2 - slope_lo) / (2.0 * m),
             curv_hi)
 
 
@@ -307,7 +301,7 @@ def _split_boxes(links, scenario, m1, m2, sqrt=math.sqrt, maximum=max):
     ab, ae, ba, be = links
     lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m1, sqrt, maximum)
     lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m2, sqrt, maximum)
-    feasible = (lo1 <= hi1) & (lo2 <= hi2) & (hi1 >= 0.0) & (hi2 >= 0.0)
+    feasible = (lo1 <= hi1) & (lo2 <= hi2)  # lo >= 0, so hi >= 0 too
     return lo1, hi1, lo2, hi2, feasible
 
 

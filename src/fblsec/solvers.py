@@ -41,15 +41,14 @@
   best integer redundancy pair from the oracle's own per-direction
   tables (``_best_split``).
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
-  minimized jointly by majorize-minimize passes on the reciprocal
-  success product, each the exact minimizer of the power-mean surrogate
-  at the incumbent: per direction, the edge-or-root rule on the hazard
-  balance shifted by the anchor's log factors.  A pass that would
-  increase the true objective is refused.
+  minimized by majorize-minimize passes, each the exact minimizer of the
+  power-mean surrogate at the incumbent: per direction, the edge-or-root
+  rule on the hazard balance shifted by the anchor's log factors.
 
-BCD and MM differ only in their redundancy update and share the outer
-loop around it (``_descend``), the per-direction balances it builds
-(``_direction_balance``), the edge-or-root rule and the integer finish.
+BCD and MM differ only in their redundancy update, which one pass
+(``_redundancy_pass``) applies per direction with one keep rule.  They
+share everything else: ``_descend``, the split's boxes and balances
+(``_Objective.split``), the edge-or-root rule and the stopping rule.
 
 Every accepted step is checked against the incumbent, so traces are
 nonincreasing by construction.  All solvers are deterministic functions
@@ -61,7 +60,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -97,8 +96,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _M1_GRID = 32
 # Run control of BCD and MM: relative stopping tolerance (outer cycle
 # and MM pass), outer and MM-pass caps, and the absolute tolerance in
-# m1 of the m1 block's root and feasibility-edge searches, which is
-# also the smallest move that lets the MM passes go on.
+# m1 of the m1 block's root and feasibility-edge searches.
 _REL_TOL = 1e-8
 _MAX_OUTER_ITERS = 100
 _MAX_INNER_ITERS = 200
@@ -122,6 +120,8 @@ _TINY = float(np.finfo(float).tiny)
 _PRUNE_MIN_M = 500
 # The offsets e - 1 ... e + 2 at which ``_first_maxima`` probes.
 _PROBES = np.arange(-1.0, 3.0)[:, None]
+# The slack by which ``_integer_box`` widens a box against rounding.
+_BOX_SLACK = 1e-9
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -138,8 +138,8 @@ class SolverConfig:
     optima are never better unless the full-budget boxes are empty
     (eavesdroppers above their legitimate receivers).  Run control is
     fixed: stop when a cycle changes the LFP by at most 1e-8 relative,
-    however small the LFP, or after 100 cycles; at most 200 MM passes,
-    stopping below a 1e-8 relative gain or a 1e-6 move; the m1 block's
+    however small the LFP, or after 100 cycles; at most 200 MM passes
+    per cycle, under the same rule on the objective; the m1 block's
     root to 1e-6 in m1; Newton steps to 1e-9 relative.
     """
 
@@ -251,7 +251,7 @@ class _Objective:
 
     @cached_property
     def direction_constants(self):
-        """The (10, 2) array of ``directions``' constants, one column per
+        """The (8, 2) array of ``directions``' constants, one column per
         direction, built once per solve."""
         sc, links = self.scenario, self.links
         return np.array([(*b, *e, d_m, 0.5 * math.log(b.v / e.v))
@@ -263,7 +263,7 @@ class _Objective:
         1s), per entry, from one indexing: ``_Link``s of arrays and
         ``_first_maximum_start``'s log ratio 0.5 * math.log(V_b / V_e)."""
         c = self.direction_constants[:, index]
-        return _Link(*c[:4]), _Link(*c[4:8]), c[8], c[9]
+        return _Link(*c[:3]), _Link(*c[3:6]), c[6], c[7]
 
     @cached_property
     def both_directions(self):
@@ -277,7 +277,7 @@ class _Objective:
         legit, eve, d_m, _ = self.both_directions
         m = np.array((m1, self.scenario.M - m1))
         lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
-        return m, lo, hi - lo, ((lo <= hi) & (hi >= 0.0)).all(axis=0)
+        return m, lo, hi - lo, (lo <= hi).all(axis=0)
 
     @cached_property
     def m1_grid(self):
@@ -293,11 +293,19 @@ class _Objective:
         return _split_boxes(self.links, self.scenario, m1,
                             self.scenario.M - m1)
 
+    def split(self, m1):
+        """Both directions' (``_direction_balance``, lo, hi) at the scalar
+        split m1 from one ``box`` call: a redundancy update's dirs."""
+        (ab, ae, ba, be), sc = self.links, self.scenario
+        lo1, hi1, lo2, hi2, _ = self.box(m1)
+        r1, r2 = self.direction_constants[-1].tolist()
+        return ((_direction_balance(self, ab, ae, sc.d_m1, r1, m1), lo1, hi1),
+                (_direction_balance(self, ba, be, sc.d_m2, r2, sc.M - m1),
+                 lo2, hi2))
+
 
 def _rel_pos(x, lo, hi):
-    if hi <= lo:
-        return 0.5
-    return (x - lo) / (hi - lo)
+    return 0.5 if hi <= lo else (x - lo) / (hi - lo)
 
 
 def _bracketed_root(fn, a, fa, b, fb, x=None, atol=0.0, rtol=0.0):
@@ -357,18 +365,18 @@ def _edge_or_root(fn, x, lo, hi):
                            atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
 
 
-def _direction_balance(obj, legit, eve, d_m, m):
+def _direction_balance(obj, legit, eve, d_m, log_ratio, m):
     """One direction's ``_hazard_balance`` at blocklength m by redundancy
     d, each total bits D = d_m + d evaluated once (one link-pair
     evaluation), so two redundancies that round to the same D share it:
-    (r, dr/dD, F', l_b - l_e, l_b + l_e).  l_b + l_e is the direction's
+    (r, dr/dD, F', l_b - l_e, l_b + l_e); ``log_ratio`` = log(c_e /
+    c_b), from ``_Objective.split``.  l_b + l_e is the direction's
     log success, with ``log_round_trip_success``'s bits.  F' is the slope of
     ``_surrogate_min``'s F, dr/dD + d(l_b - l_e)/dD, where
     d(l_b - l_e)/dD = -(c_b h(w_b) + c_e h(-w_e)) = dr/dD + c_b w_b -
     c_e w_e by the balance's slope."""
     _, c_b, c_e, _ = _balanced_start(legit, eve, m, m, math.sqrt)
-    # log(c_e / c_b) = log(V_b / V_e) / 2 at one blocklength
-    args = (c_b, c_e, 0.5 * math.log(legit.v / eve.v), math.sqrt, math.exp)
+    args = (c_b, c_e, log_ratio, math.sqrt, math.exp)
     seen = {}
 
     def at(d):
@@ -384,6 +392,23 @@ def _direction_balance(obj, legit, eve, d_m, m):
     return at
 
 
+def _redundancy_pass(update, dirs, d_r1, d_r2, f):
+    """``update(at, x, lo, hi)`` once per direction of ``dirs`` from the
+    incumbent (d_r1, d_r2) with objective f, each move kept only where
+    its direction's log success, read from the memo ``at``, does not
+    fall.  Returns (d_r1, d_r2, objective), a moved pair scored from the
+    memo."""
+    def keep(at, x, lo, hi):
+        n = update(at, x, lo, hi)
+        return n if at(n)[4] >= at(x)[4] else x
+
+    (at1, lo1, hi1), (at2, lo2, hi2) = dirs
+    n1, n2 = keep(at1, d_r1, lo1, hi1), keep(at2, d_r2, lo2, hi2)
+    if (n1, n2) == (d_r1, d_r2):
+        return d_r1, d_r2, f
+    return n1, n2, -(at1(n1)[4] + at2(n2)[4])
+
+
 def _carried_direction(legit, eve, d_m, m, t):
     """One direction of ``_m1_profile`` at blocklength m, on the path
     d_r(m) = lo(m) + t (hi(m) - lo(m)) with slope c and curvature k
@@ -391,7 +416,7 @@ def _carried_direction(legit, eve, d_m, m, t):
     l_DD c^2 + l_D k, d_r) from ``_direction_log_terms``, or None where
     the box is empty (``_split_boxes``' test)."""
     lo, hi = _direction_bounds(legit, eve, d_m, m)
-    if not (lo <= hi and hi >= 0.0):
+    if not lo <= hi:
         return None
     d_r = lo + t * (hi - lo)
     l, l_m, l_D, l_mm, l_mD, l_DD = _direction_log_terms(legit, eve, m,
@@ -548,13 +573,12 @@ def _descend(scenario, config, redundancy_step):
     split of its grid is feasible.  Cycle 1 then updates the redundancy
     pair; every later cycle first runs the m1 block from the incumbent's
     box-relative position and keeps its answer where it does not worsen
-    the objective.  A cycle refreshes the box at its split, builds each
-    direction's ``_direction_balance`` there, updates the redundancy
-    pair by ``redundancy_step(dirs, d_r1, d_r2, f)``, dirs = ((at1, lo1,
-    hi1), (at2, lo2, hi2)), and records the LFP -expm1(-f)
-    (``lfp_value``'s bits); the incumbent's objective value f is
-    carried, never re-evaluated.  It stops when a cycle changes the LFP
-    by at most ``_REL_TOL`` relative, however small the LFP, or after
+    the objective.  The split's ``dirs`` (``_Objective.split``) are built
+    at the start and after each kept m1 move only.  A cycle updates the
+    redundancy pair by ``redundancy_step(dirs, d_r1, d_r2, f)`` and
+    records the LFP -expm1(-f) (``lfp_value``'s bits); the incumbent's
+    objective value f is carried, never re-evaluated.  It stops when
+    ``_stopped`` holds for consecutive LFPs, or after
     ``_MAX_OUTER_ITERS`` cycles.  In integer mode
     ``_integer_reconstruct`` finishes exactly at the splits within one
     of floor/ceil of the relaxed m1, with the oracle's per-direction
@@ -571,20 +595,17 @@ def _descend(scenario, config, redundancy_step):
         alloc, log_p = best
         start = (float(alloc.m1), float(alloc.d_r1), float(alloc.d_r2), -log_p)
     m1, d_r1, d_r2, f = start
-    ab, ae, ba, be = obj.links
+    dirs = obj.split(m1)
     trace = [(0, -math.expm1(-f))]
     status = STATUS_MAX_ITERS
     for k in range(1, _MAX_OUTER_ITERS + 1):
         if k > 1:
-            lo1, hi1, lo2, hi2, _ = obj.box(m1)
+            (_, lo1, hi1), (_, lo2, hi2) = dirs
             moved = _m1_block(obj, _rel_pos(d_r1, lo1, hi1),
                               _rel_pos(d_r2, lo2, hi2), m1)
             if moved is not None and moved[3] <= f:
                 m1, d_r1, d_r2, f = moved
-        lo1, hi1, lo2, hi2, _ = obj.box(m1)
-        dirs = ((_direction_balance(obj, ab, ae, scenario.d_m1, m1), lo1, hi1),
-                (_direction_balance(obj, ba, be, scenario.d_m2,
-                                    scenario.M - m1), lo2, hi2))
+                dirs = obj.split(m1)
         d_r1, d_r2, f = redundancy_step(dirs, d_r1, d_r2, f)
         trace.append((k, -math.expm1(-f)))
         if _stopped(trace[-2][1], trace[-1][1]):
@@ -671,6 +692,11 @@ def _first_maxima(obj, legit, eve, d_m, m, lo, hi, log_ratio):
     return best, d
 
 
+def _integer_box(lo, hi):
+    """(first, last) integer arrays of [lo, hi] widened by the slack."""
+    return np.ceil(lo - _BOX_SLACK), np.floor(hi + _BOX_SLACK)
+
+
 def _direction_tables(obj, m1, m2):
     """Each direction's best integer redundancy, direction 1 at the
     blocklengths of the array ``m1`` and direction 2 at ``m2``: per
@@ -682,8 +708,8 @@ def _direction_tables(obj, m1, m2):
     n = m1.size
     m = np.concatenate((m1, m2))
     legit, eve, d_m, log_ratio = obj.directions(np.arange(2 * n) // n)
-    lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
-    lo, hi = np.ceil(lo - 1e-9), np.floor(hi + 1e-9)
+    lo, hi = _integer_box(*_direction_bounds(legit, eve, d_m, m, np.sqrt,
+                                             np.maximum))
     ok = hi >= lo
     i = slice(None)  # the finish's usual case: every entry has a box
     if not ok.all():
@@ -721,12 +747,12 @@ def _cell_bounds(obj, k):
 
     Per cell and direction, ``_cell_bound`` bounds the log success over
     the cell's blocklengths and the total bits [d_m, d_m + max(hi(a),
-    hi(b)) + 1e-9]: the box's upper edge hi is convex or increasing in
-    m, so it peaks at an end of the cell, and the 1e-9 is the integer
-    box's slack.  The lower bound is the best sum of the two directions'
-    log success at each cell's midpoint split, each at the integer
-    redundancy nearest the bound's D* in its box (-inf where no midpoint
-    has both boxes).  Where max(hi(a), hi(b)) < -1e-9 no split of the
+    hi(b)) + ``_BOX_SLACK``]: the box's upper edge hi is convex or
+    increasing in m, so it peaks at an end of the cell, and the slack is
+    ``_integer_box``'s.  The lower bound is the best sum of the two
+    directions' log success at each cell's midpoint split, each at the
+    integer redundancy nearest the bound's D* in its box (-inf where no
+    midpoint has both boxes).  Where max(hi(a), hi(b)) < -slack no split of the
     cell has an integer box, and its bound, whatever it reads (NaN where
     a hazard overflowed), drops nothing that could win.  Each bound and
     lower-bound evaluation counts as one link-pair evaluation, three per
@@ -734,8 +760,7 @@ def _cell_bounds(obj, k):
     Returns (per-direction bounds, shape (2, cells), lower bound, the
     first cell whose midpoint reaches the lower bound).
     """
-    sc = obj.scenario
-    M = sc.M
+    M = obj.scenario.M
     a = np.arange(1, M, k)
     b = np.minimum(a + (k - 1), M - 1)
     m1 = np.array((a, b, (a + b) // 2), dtype=float)  # ends and midpoint
@@ -745,10 +770,10 @@ def _cell_bounds(obj, k):
     legit, eve, d_m, _ = obj.both_directions
     lo, hi = _direction_bounds(legit, eve, d_m, np.stack((m1, m2), axis=1),
                                np.sqrt, np.maximum)
-    top = np.maximum(hi[0], hi[1])
+    top = np.maximum(hi[0], hi[1]) + _BOX_SLACK
     bound, D = _cell_bound(legit, eve, np.array((m1[1], m2[0])),
-                           np.array((m1[0], m2[1])), d_m, d_m + (top + 1e-9))
-    ilo, ihi = np.ceil(lo[2] - 1e-9), np.floor(hi[2] + 1e-9)
+                           np.array((m1[0], m2[1])), d_m, d_m + top)
+    ilo, ihi = _integer_box(lo[2], hi[2])
     d = np.minimum(np.maximum(np.rint(D - d_m), ilo), ihi)
     g = log_direction_success(legit, eve, np.array((m1[2], m2[2])), d_m + d)
     obj.evaluations += 3 * g.size
@@ -849,25 +874,10 @@ def _direction_min(at, x, lo, hi):
 
     The direction's log success is concave in its redundancy and the
     hazard balance r has the sign of its slope and falls, so the optimum
-    is ``_edge_or_root`` of (r, dr/dD) from x.  It is kept only if its
-    log success, read from the memo, does not fall below x's.
+    is ``_edge_or_root`` of (r, dr/dD) from x.  ``_redundancy_pass``
+    keeps it only where its log success does not fall (rounding).
     """
-    n = _edge_or_root(lambda d: at(d)[:2], x, lo, hi)
-    return n if at(n)[4] >= at(x)[4] else x
-
-
-def _bcd_step(dirs, d_r1, d_r2, f):
-    """BCD's redundancy update of (d_r1, d_r2) with objective ``f``: one
-    ``_direction_min`` per direction; ``dirs`` holds each direction's
-    (``_direction_balance``, lo, hi).  The objective of a moved pair is
-    the sum of the two memoized log successes.  Returns (d_r1, d_r2,
-    objective)."""
-    (at1, lo1, hi1), (at2, lo2, hi2) = dirs
-    n1 = _direction_min(at1, d_r1, lo1, hi1)
-    n2 = _direction_min(at2, d_r2, lo2, hi2)
-    if (n1, n2) == (d_r1, d_r2):
-        return d_r1, d_r2, f
-    return n1, n2, -(at1(n1)[4] + at2(n2)[4])
+    return _edge_or_root(lambda d: at(d)[:2], x, lo, hi)
 
 
 def solve_bcd(scenario: Scenario, config: SolverConfig | None = None):
@@ -875,11 +885,13 @@ def solve_bcd(scenario: Scenario, config: SolverConfig | None = None):
 
     Each redundancy coordinate is set to its exact relaxed optimum over
     its refreshed threshold box, the edge-or-root rule on its hazard
-    balance from the incumbent (``_direction_min``); every update is
+    balance from the incumbent (``_direction_min``), in one
+    ``_redundancy_pass`` per cycle: the block is exact.  Every update is
     kept only when it does not worsen the objective, so the trace is
     nonincreasing.  Stopping and integer rounding are ``_descend``'s.
     """
-    return _descend(scenario, config, _bcd_step)
+    return _descend(scenario, config,
+                    partial(_redundancy_pass, _direction_min))
 
 
 # ----------------------------------------------------------------------
@@ -929,38 +941,25 @@ def _surrogate_min(at, x, lo, hi):
 
 
 def _mm_step(dirs, d_r1, d_r2, f):
-    """MM's redundancy update, as ``_bcd_step``'s: majorize-minimize
-    passes on the joint pair.
-
-    A pass moves to the exact minimizer of the surrogate
+    """MM's redundancy update: ``_redundancy_pass``es of
+    ``_surrogate_min`` (BCD's is one pass of ``_direction_min``), each to the exact minimizer of the surrogate
     ((r_ab + r_ae + r_ba + r_be) / 4)^4 anchored at the current point,
-    which separates by direction and does not depend on the exponent:
-    one ``_surrogate_min`` per direction.  The surrogate touches the
-    reciprocal success product at its anchor and bounds it; the new
-    point, scored from the two balances that anchor the next pass, is
-    kept only if it is not worse (rounding).
-    """
-    (at1, lo1, hi1), (at2, lo2, hi2) = dirs
-    x1, x2, f_cur = d_r1, d_r2, f
+    which separates by direction and does not depend on the exponent.
+    Per direction, AM-GM gives ((r_b + r_e) / 2)^2 >= r_b r_e =
+    exp(l̂ - l), 1 at the anchor, so the pass's keep only guards against
+    rounding.  The passes stop when ``_stopped`` holds for consecutive
+    objectives, as it does after a pass that leaves the pair unchanged."""
     for _ in range(_MAX_INNER_ITERS):
-        n1 = _surrogate_min(at1, x1, lo1, hi1)
-        n2 = _surrogate_min(at2, x2, lo2, hi2)
-        moved = abs(n1 - x1) + abs(n2 - x2)
-        if not moved:
+        f_prev = f
+        d_r1, d_r2, f = _redundancy_pass(_surrogate_min, dirs, d_r1, d_r2, f)
+        if _stopped(f_prev, f):
             break
-        f_new = -(at1(n1)[4] + at2(n2)[4])
-        if f_new > f_cur:
-            break
-        rel_gain = abs(f_cur - f_new) / max(abs(f_cur), 1e-300)
-        x1, x2, f_cur = n1, n2, f_new
-        if rel_gain < _REL_TOL or moved < _LINE_SEARCH_TOL:
-            break
-    return x1, x2, f_cur
+    return d_r1, d_r2, f
 
 
 def solve_mm(scenario: Scenario, config: SolverConfig | None = None):
-    """Nested scheme: m1 block, then a joint redundancy block solved by
-    exact majorize-minimize passes on the reciprocal success product
+    """Nested scheme: m1 block, then a redundancy block solved by exact
+    majorize-minimize passes on the reciprocal success product
     (``_mm_step``), which never increase the true objective.  Their
     fixed point is BCD's exact redundancy optimum (``_direction_min``):
     the same edge-or-root rule on the unshifted balance.  Stopping and

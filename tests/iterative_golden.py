@@ -8,8 +8,11 @@ A change to the evaluation path or the solver scaffolding that moves
 any last bit shows up.  ``tests/data/sweep_default_M200-1000.csv`` is
 the CLI sweep of ``SWEEP_ARGV`` over the default operating point,
 compared on every column but ``wall_time``; the writer keeps the
-committed CSV when only that column differs.  Regenerate both only for
-an intended change of results:
+committed CSV when only that column differs.
+``tests/data/converge_<scenario>.csv`` is the CLI ``converge`` output of
+BCD and MM on each ``scenarios/*.json`` file (``converge_argv``),
+compared byte for byte.  Regenerate them all only for an intended
+change of results:
 
     PYTHONPATH=src python3 tests/iterative_golden.py
 """
@@ -39,6 +42,20 @@ SWEEP_ARGV = [
     "sweep", "--scenario", str(SCENARIO_DIR / "roundtrip_default.json"),
     "--vary", "M", "--from", "200", "--to", "1000", "--step", "100",
     "--methods", "exhaustive,bcd,mm"]
+
+
+def converge_argv(path):
+    """The golden ``converge`` run of the scenario file ``path``, without
+    ``--out``."""
+    return ["converge", "--scenario", str(path), "--methods", "bcd,mm"]
+
+
+def converge_golden_paths():
+    """(scenario file, golden converge CSV) pairs, one per scenario
+    file."""
+    return [(path, DATA_DIR / f"converge_{path.stem}.csv")
+            for path in sorted(SCENARIO_DIR.glob("*.json"))]
+
 
 # The seeds of the solver suite (test_solvers) and of the acceptance
 # batch (test_acceptance), whose first eight draws are used here.
@@ -133,6 +150,14 @@ def write_golden_sweep():
         return True
 
 
+def write_golden_converge():
+    """Run the golden ``converge`` of every scenario file into its
+    golden CSV."""
+    for path, out in converge_golden_paths():
+        if main(converge_argv(path) + ["--out", str(out)]) != 0:
+            raise SystemExit(f"golden converge of {path.name} failed")
+
+
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(golden_records(), indent=1) + "\n",
                            encoding="utf-8")
@@ -141,3 +166,5 @@ if __name__ == "__main__":
         print(f"wrote {SWEEP_GOLDEN_PATH}")
     else:
         print(f"kept {SWEEP_GOLDEN_PATH}: only wall_time differs")
+    write_golden_converge()
+    print(f"wrote {DATA_DIR}/converge_*.csv")

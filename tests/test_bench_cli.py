@@ -22,7 +22,13 @@ from fblsec.bench_cli import (
     main,
 )
 from conftest import REPO_ROOT, make_scenario
-from iterative_golden import SWEEP_ARGV, SWEEP_GOLDEN_PATH, strip_wall_time
+from iterative_golden import (
+    SWEEP_ARGV,
+    SWEEP_GOLDEN_PATH,
+    converge_argv,
+    converge_golden_paths,
+    strip_wall_time,
+)
 
 
 def write_scenario(tmp_path, name="sc.json", drop=(), **overrides):
@@ -456,6 +462,21 @@ class TestGoldenSweep:
         assert code == EXIT_OK
         assert (strip_wall_time(out_csv)
                 == strip_wall_time(SWEEP_GOLDEN_PATH))
+
+
+class TestGoldenConverge:
+    """BCD and MM's ``converge`` CSV of each scenario file reproduces the
+    committed one byte for byte: every trace value's last bit and every
+    iteration count.  ``tests/iterative_golden.py`` regenerates them."""
+
+    @pytest.mark.parametrize("path,golden", converge_golden_paths(),
+                             ids=lambda p: p.name)
+    def test_matches_committed_csv(self, capsys, tmp_path, path, golden):
+        out_csv = tmp_path / "converge.csv"
+        code, _, _ = run_main(capsys, converge_argv(path)
+                              + ["--out", str(out_csv)])
+        assert code == EXIT_OK
+        assert out_csv.read_bytes() == golden.read_bytes()
 
 
 class TestSweepHelpers:

@@ -270,7 +270,7 @@ class TestRedundancyBoundsTable:
             links = ((sc.gamma_ab, sc.eps_ab_max), (sc.gamma_ae, sc.eps_e_max),
                      (sc.gamma_ba, sc.eps_ba_max), (sc.gamma_be, sc.eps_e_max))
             assert link_constants(sc) == tuple(
-                (float(np.log1p(g)), dispersion(g), math.log1p(g), q_inv(e))
+                (float(np.log1p(g)), dispersion(g), q_inv(e))
                 for g, e in links)
 
 

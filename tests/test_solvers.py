@@ -40,13 +40,11 @@ from fblsec.lfp_model import (
 from fblsec.solvers import (
     _LINE_SEARCH_TOL,
     _M1_GRID,
-    _bcd_step,
     _best_full_budget,
     _best_split,
     _bisect_first_maxima,
     _bracketed_root,
     _cell_bounds,
-    _direction_balance,
     _direction_min,
     _direction_tables,
     _edge_or_root,
@@ -56,6 +54,7 @@ from fblsec.solvers import (
     _m1_profile,
     _m1_profile_grid,
     _Objective,
+    _redundancy_pass,
     _surrogate_min,
 )
 
@@ -674,10 +673,12 @@ class TestMm:
             SolverConfig(mm_safeguard=False)
 
     def test_never_enters_bcd_step(self, monkeypatch):
-        def bcd_step(*args):
-            raise AssertionError("MM entered BCD's redundancy step")
+        # BCD's step is one pass of _direction_min; MM's passes never
+        # call it
+        def direction_min(*args):
+            raise AssertionError("MM called BCD's redundancy block")
 
-        monkeypatch.setattr(solvers, "_bcd_step", bcd_step)
+        monkeypatch.setattr(solvers, "_direction_min", direction_min)
         for sc in [SMALL] + TestEvaluatedOnce.SCENARIOS:
             assert solve_mm(sc).status == "converged"
 
@@ -784,16 +785,14 @@ def interior_anchors(count, seed=29):
 
 def direction_steps(sc, m1, d_r1, d_r2):
     """(legit, eve, d_m, m, lo, hi, x, at) of both directions of a
-    redundancy step anchored at (d_r1, d_r2) on split m1, each ``at`` a
-    fresh ``_direction_balance`` as ``_descend`` builds it."""
+    redundancy step anchored at (d_r1, d_r2) on split m1, each (at, lo,
+    hi) fresh from ``_Objective.split`` as ``_descend`` builds it."""
     obj = _Objective(sc)
     ab, ae, ba, be = obj.links
-    lo1, hi1, lo2, hi2, _ = obj.box(m1)
-    for legit, eve, d_m, m, lo, hi, x in (
-            (ab, ae, sc.d_m1, m1, lo1, hi1, d_r1),
-            (ba, be, sc.d_m2, sc.M - m1, lo2, hi2, d_r2)):
-        yield (legit, eve, d_m, m, lo, hi, x,
-               _direction_balance(obj, legit, eve, d_m, m))
+    for (legit, eve, d_m, m, x), (at, lo, hi) in zip(
+            ((ab, ae, sc.d_m1, m1, d_r1), (ba, be, sc.d_m2, sc.M - m1, d_r2)),
+            obj.split(m1)):
+        yield legit, eve, d_m, m, lo, hi, x, at
 
 
 class TestMmStep:
@@ -837,6 +836,19 @@ class TestMmStep:
                 assert part(step) <= part(x)
                 moved += step != x
         assert moved > 100
+
+    def test_step_never_lowers_its_directions_log_success(self):
+        # AM-GM: ((r_b + r_e) / 2)^2 >= r_b r_e = exp(l̂ - l), 1 at the
+        # anchor, so the surrogate's minimizer keeps l >= l̂; the pass's
+        # per-direction keep only guards against rounding
+        steps = moved = 0
+        for sc, m1, d_r1, d_r2 in interior_anchors(400):
+            for *_, lo, hi, x, at in direction_steps(sc, m1, d_r1, d_r2):
+                step = _surrogate_min(at, x, lo, hi)
+                assert at(step)[4] >= at(x)[4], (sc, m1, x)
+                steps += 1
+                moved += step != x
+        assert steps == 800 and moved > 400
 
     def test_bcd_block_answer_is_a_fixed_point(self):
         # BCD's block from the anchor, then MM's step anchored at its
@@ -1140,8 +1152,9 @@ class TestRedundancyBlock:
 
     @pytest.mark.parametrize("sc", SCENARIOS[:6])
     def test_step_scores_the_pair_it_returns(self, sc):
-        # _bcd_step's objective is the round trip's at the pair it
-        # returns, bit for bit, and a second step barely moves it
+        # BCD's step, one _redundancy_pass of _direction_min: its
+        # objective is the round trip's at the pair it returns, bit for
+        # bit, and a second step barely moves it
         for frac in (0.2, 0.5, 0.8):
             m1 = 1.0 + frac * (sc.M - 2)
             lo1, hi1, lo2, hi2, _ = _Objective(sc).box(m1)
@@ -1150,11 +1163,13 @@ class TestRedundancyBlock:
                 dirs = [(at, lo, hi) for *_, lo, hi, _, at in
                         direction_steps(sc, m1, d_r1, d_r2)]
                 f = -log_round_trip_success(sc, m1, d_r1, d_r2)
-                n1, n2, f_new = _bcd_step(dirs, d_r1, d_r2, f)
+                n1, n2, f_new = _redundancy_pass(_direction_min, dirs,
+                                                 d_r1, d_r2, f)
                 assert f_new.hex() == (
                     -log_round_trip_success(sc, m1, n1, n2)).hex()
                 assert f_new <= f
-                again = _bcd_step(dirs, n1, n2, f_new)
+                again = _redundancy_pass(_direction_min, dirs, n1, n2,
+                                         f_new)
                 assert again[2] <= f_new
                 for n, m in zip((n1, n2), again[:2]):
                     assert abs(m - n) <= 1e-9 * max(1.0, n)
@@ -1192,26 +1207,21 @@ class TestRedundancyBlock:
         out, evaluations = [], 0
         for sc in self.PINNED_SCENARIOS:
             obj = _Objective(sc)
-            ab, ae, ba, be = obj.links
             for frac in (0.2, 0.5, 0.7):
                 m1 = 1.0 + frac * (sc.M - 2)
-                lo1, hi1, lo2, hi2, _ = obj.box(m1)
-                for legit, eve, d_m, m, lo, hi in (
-                        (ab, ae, sc.d_m1, m1, lo1, hi1),
-                        (ba, be, sc.d_m2, sc.M - m1, lo2, hi2)):
+                for i, (_, lo, hi) in enumerate(obj.split(m1)):
                     cut = lo + 0.3 * (hi - lo)
                     for a, b in ((lo, hi), (lo, cut), (cut, hi)):
-                        at = _direction_balance(obj, legit, eve, d_m, m)
+                        at = obj.split(m1)[i][0]  # a fresh memo per block
                         out.append(_direction_min(at, 0.5 * (a + b), a, b))
             evaluations += obj.evaluations
         assert hex_list(out) == list(self.PINNED)
-        assert evaluations == 244
+        assert evaluations == 210
 
     def test_point_box_gives_its_point_from_one_evaluation(self):
         obj = _Objective(SMALL)
-        ab, ae = obj.links[:2]
         for d in (0.0, 3.0, 7.5):
-            at = _direction_balance(obj, ab, ae, SMALL.d_m1, 20.0)
+            at = obj.split(20.0)[0][0]
             before = obj.evaluations
             assert _direction_min(at, d, d, d) == d
             assert obj.evaluations == before + 1
@@ -1337,7 +1347,8 @@ class TestEvaluatedOnce:
         self.check_step_balances(solve_mm, "_mm_step", monkeypatch)
 
     def test_no_link_terms_built_twice_in_a_bcd_step(self, monkeypatch):
-        self.check_step_balances(solve_bcd, "_bcd_step", monkeypatch)
+        # BCD's step is one pass
+        self.check_step_balances(solve_bcd, "_redundancy_pass", monkeypatch)
 
     def check_step_balances(self, solve, step, monkeypatch):
         """The link pairs each redundancy step of ``solve`` evaluates:
