@@ -174,14 +174,11 @@ def cmd_converge(args) -> int:
         sys.stderr.write("error: scenario infeasible\n")
         return EXIT_INFEASIBLE
     max_k = max(r.iterations for r in reports.values())
-    lines = ["method,k,lfp"]
-    for k in range(max_k + 1):
-        lines.append(f"exhaustive,{k},{bench.lfp_final!r}")
-    for m in methods:
-        for k, v in reports[m].trace:
-            lines.append(f"{m},{k},{v!r}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [{"method": "exhaustive", "k": k, "lfp": bench.lfp_final}
+            for k in range(max_k + 1)]
+    rows += [{"method": m, "k": k, "lfp": v}
+             for m in methods for k, v in reports[m].trace]
+    _write_rows(args.out, rows, ("method", "k", "lfp"))
     return EXIT_OK
 
 
@@ -226,10 +223,12 @@ def _format_cell(v):
     return str(v)
 
 
-def _write_rows(path, rows):
-    lines = [",".join(RESULT_COLUMNS)]
+def _write_rows(path, rows, columns):
+    """The CSV of ``rows`` (dicts), one line per row in ``columns``'
+    order, a missing cell empty."""
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_format_cell(row.get(c, "")) for c in RESULT_COLUMNS))
+        lines.append(",".join(_format_cell(row.get(c, "")) for c in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -291,7 +290,7 @@ def cmd_sweep(args) -> int:
                      step=args.step)
     rows = [row for value in spec.values()
             for row in _sweep_point(scenario, spec.vary, value, methods)]
-    _write_rows(args.out, rows)
+    _write_rows(args.out, rows, RESULT_COLUMNS)
     _write_plot_script(args.out, spec.vary)
     return EXIT_OK
 

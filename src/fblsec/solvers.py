@@ -150,20 +150,12 @@ class SolverConfig:
 @dataclass
 class SolverReport:
     """Outcome of one solve: final allocation, objective, per-iteration
-    trace [(k, lfp_k)], objective-evaluation count and wall time.
+    trace [(k, lfp_k)], link-pair evaluation count and wall time.
 
-    ``evaluations`` counts link-pair evaluations in the oracle's tables
-    (one direction at one blocklength and redundancy), with no final
-    re-evaluation of the winner, and in its cell-bound pass (three per
-    cell and direction), and the points BCD/MM's descent scores,
-    each once: the m1 grid's feasible points and the m1 block's profile
-    points, the start's included (a value and its two slopes from one
-    ``_direction_log_terms`` per direction count as one).  Each
-    hazard-balance evaluation of BCD's redundancy block and of MM's
-    step, which also score their points, counts as one link-pair
-    evaluation, about five per direction and block; BCD/MM's integer
-    finish adds its tables' link-pair evaluations, about five per
-    direction at each split.
+    ``evaluations`` counts link pairs, in every solver alike: one
+    direction's two links at one blocklength and one total-bits value,
+    counted once per point a solver scores (a value and its slopes from
+    one evaluation count as one).
     """
 
     status: str
@@ -434,7 +426,7 @@ def _m1_profile(obj, m1, t1, t2):
     Returns (p, p', d_r1, d_r2, p''), derivatives in m1, or (+inf, NaN,
     None, None, NaN) where the box is empty: one ``_carried_direction``
     per direction, p with -``log_round_trip_success``'s bits, counted as
-    one evaluation.  m2 = M - m1 turns direction 2's p' but not its p''.
+    two link pairs.  m2 = M - m1 turns direction 2's p' but not its p''.
     """
     sc = obj.scenario
     ab, ae, ba, be = obj.links
@@ -442,7 +434,7 @@ def _m1_profile(obj, m1, t1, t2):
     two = one and _carried_direction(ba, be, sc.d_m2, sc.M - m1, t2)
     if not two:
         return math.inf, math.nan, None, None, math.nan
-    obj.evaluations += 1
+    obj.evaluations += 2
     (l1, s1, c1, d_r1), (l2, s2, c2, d_r2) = one, two
     return -(l1 + l2), s2 - s1, d_r1, d_r2, -(c1 + c2)
 
@@ -451,12 +443,12 @@ def _m1_profile_grid(obj, grid, t1, t2):
     """``_m1_profile``'s values at every split of the
     ``_Objective.split_grid`` ``grid``, both directions in one vector
     evaluation, with the same bits per point; +inf where the box is
-    empty.  Each feasible point counts as one evaluation."""
+    empty.  Each feasible point counts as two link pairs."""
     m, lo, span, feasible = grid
     legit, eve, d_m, _ = obj.both_directions
     s = log_direction_success(legit, eve, m,
                               d_m + (lo + np.array(((t1,), (t2,))) * span))
-    obj.evaluations += int(np.count_nonzero(feasible))
+    obj.evaluations += 2 * int(np.count_nonzero(feasible))
     return np.where(feasible, -(s[0] + s[1]), math.inf)
 
 

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -46,9 +47,27 @@ def write_scenario(tmp_path, name="sc.json", drop=(), **overrides):
     return str(path)
 
 
+def write_default_scenario(tmp_path, default_scenario_path, **overrides):
+    """The default scenario file with ``overrides``, written to
+    tmp_path."""
+    with open(default_scenario_path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    return write_scenario(tmp_path, **{**cfg, **overrides})
+
+
 def run_main(capsys, argv):
-    code = main(argv)
+    """The CLI run in this process: (exit code, stdout, stderr).
+
+    Every warning is recorded, whatever the filters say, and fails the
+    test.  It is not raised as an error, because the CLI could catch
+    that error and still exit with the expected code.  An exception that
+    escapes ``main`` fails the test as it is."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
     captured = capsys.readouterr()
+    assert not caught, [f"{w.category.__name__}: {w.message}"
+                        for w in caught]
     return code, captured.out, captured.err
 
 
@@ -201,45 +220,35 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, value", [("gamma_ab_db", 1600),
                                               ("gamma_be_db", -3200)])
-    def test_extreme_snr_exits_1_without_warnings(self, tmp_path, field,
-                                                  value,
+    def test_extreme_snr_exits_1_without_warnings(self, capsys, tmp_path,
+                                                  field, value,
                                                   default_scenario_path):
         # 1600 dB makes V(gamma) NaN and -3200 dB (a subnormal SNR)
-        # overflows M / V; both are rejected before any solve, in a
-        # process with Python's default warning filters
-        with open(default_scenario_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        cfg[field] = value
-        path = tmp_path / "extreme.json"
-        path.write_text(json.dumps(cfg))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fblsec", "solve", "--scenario",
-             str(path), "--method", "bcd"],
-            capture_output=True, text=True)
-        assert proc.returncode == EXIT_INPUT
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: Scenario.gamma_")
-        assert "out of range" in proc.stderr
-        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        # overflows M / V; both are rejected before any solve
+        path = write_default_scenario(tmp_path, default_scenario_path,
+                                      **{field: value})
+        code, out, err = run_main(capsys, [
+            "solve", "--scenario", path, "--method", "bcd"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: Scenario.gamma_")
+        assert "out of range" in err
 
     @pytest.mark.parametrize("value", [-400, -1000])
     @pytest.mark.parametrize("method", ["exhaustive", "bcd", "mm"])
     def test_vanishing_legitimate_snr_is_infeasible_without_warnings(
-            self, tmp_path, value, method, default_scenario_path):
+            self, capsys, tmp_path, value, method, default_scenario_path):
         # the legitimate margins fall below -1e19, where the oracle's cell
-        # bound overflows a hazard; in a process with Python's default
-        # warning filters nothing may be printed
-        with open(default_scenario_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        cfg["gamma_ab_db"] = value
-        path = tmp_path / "vanishing.json"
-        path.write_text(json.dumps(cfg))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fblsec", "solve", "--scenario",
-             str(path), "--method", method],
-            capture_output=True, text=True)
-        assert proc.returncode == EXIT_INFEASIBLE
-        assert proc.stderr == ""
+        # bound overflows a hazard
+        path = write_default_scenario(tmp_path, default_scenario_path,
+                                      gamma_ab_db=value)
+        code, _, err = run_main(capsys, [
+            "solve", "--scenario", path, "--method", method])
+        assert code == EXIT_INFEASIBLE
+        assert err == ""
+
+    # The process boundary, probed once per exit code: ``python -m
+    # fblsec`` in a process with Python's default warning filters.
 
     def test_module_entry_point(self, tmp_path):
         path = write_scenario(tmp_path)
@@ -249,6 +258,32 @@ class TestSolve:
             capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["status"] == "converged"
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_module_exits_1_without_warnings(self, tmp_path,
+                                             default_scenario_path):
+        path = write_default_scenario(tmp_path, default_scenario_path,
+                                      gamma_ab_db=1600)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fblsec", "solve", "--scenario", path,
+             "--method", "bcd"],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Scenario.gamma_ab")
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_module_exits_2_without_warnings(self, tmp_path,
+                                             default_scenario_path):
+        path = write_default_scenario(tmp_path, default_scenario_path,
+                                      gamma_ab_db=-1000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fblsec", "solve", "--scenario", path,
+             "--method", "exhaustive"],
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_INFEASIBLE
+        assert json.loads(proc.stdout)["status"] == "infeasible"
+        assert proc.stderr == ""
 
 
 class TestConverge:

@@ -6,13 +6,14 @@ sizes from {0, 1, 4, 20, 200}, budgets M in [2, 3000] and thresholds
 log-uniform down to 1e-300.  A draw's JSON form either builds
 (``scenario_from_dict``, as the CLI builds it) or raises
 ``DomainError``; every scenario that builds is solved by all three
-methods, with every warning an error (``filterwarnings``).
+methods, with every warning an error (``filterwarnings``).  The CLI
+tests run ``fblsec solve`` in this process through
+``test_bench_cli.run_main``, which fails on any warning; the process
+boundary itself is probed in ``test_bench_cli``.
 """
 
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fblsec import (
     solve_mm,
 )
 from fblsec.bench_cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK
+from test_bench_cli import run_main, write_scenario
 
 LINKS = ("ab", "ae", "ba", "be")
 # a feasible set of two splits (m1 in {15, 16}) that the 33-point grid of
@@ -105,27 +107,21 @@ def test_a_feasible_set_the_start_grid_misses_is_solved():
     assert bcd.alloc == mm.alloc == oracle.alloc
 
 
-def run_solve(tmp_path, cfg, method):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(cfg))
-    return subprocess.run(
-        [sys.executable, "-m", "fblsec", "solve", "--scenario", str(path),
-         "--method", method], capture_output=True, text=True)
-
-
 @pytest.mark.parametrize("method", ["exhaustive", "bcd", "mm"])
-def test_cli_solves_the_narrow_feasible_set(tmp_path, method):
-    proc = run_solve(tmp_path, NARROW, method)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    alloc = json.loads(proc.stdout)["alloc"]
+def test_cli_solves_the_narrow_feasible_set(capsys, tmp_path, method):
+    code, out, err = run_main(capsys, [
+        "solve", "--scenario", write_scenario(tmp_path, **NARROW),
+        "--method", method])
+    assert code == EXIT_OK, err
+    alloc = json.loads(out)["alloc"]
     assert alloc == {"m1": 15, "m2": 2092, "d_r1": 2, "d_r2": 152}
 
 
 @pytest.mark.parametrize("seed, method", [(4, "exhaustive"), (5, "bcd"),
                                           (6, "mm")])
-def test_cli_probes_exit_cleanly(tmp_path, seed, method):
+def test_cli_probes_exit_cleanly(capsys, tmp_path, seed, method):
     # the first draws of a seed that build and that do not, through the
-    # CLI in a process with Python's default warning filters
+    # CLI with every warning recorded
     rng = np.random.default_rng(seed)
     probes = {}
     while len(probes) < 2:
@@ -136,9 +132,9 @@ def test_cli_probes_exit_cleanly(tmp_path, seed, method):
         except DomainError:
             probes.setdefault("rejected", cfg)
     for kind, cfg in probes.items():
-        proc = run_solve(tmp_path, cfg, method)
+        code, _, err = run_main(capsys, [
+            "solve", "--scenario", write_scenario(tmp_path, **cfg),
+            "--method", method])
         expected = ((EXIT_OK, EXIT_INFEASIBLE) if kind == "builds"
                     else (EXIT_INPUT,))
-        assert proc.returncode in expected, (cfg, proc.stderr)
-        assert "Traceback" not in proc.stderr, cfg
-        assert "Warning" not in proc.stderr, cfg
+        assert code in expected, (cfg, err)

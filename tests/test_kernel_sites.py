@@ -44,9 +44,10 @@ def use_sites(source, name):
     return sites
 
 
-def package_sites(name):
-    """``use_sites`` of ``name`` in every module, as "module.function"."""
-    return {f"{path.stem}.{site}" for path in sorted(SRC.glob("*.py"))
+def package_sites(name, directory=SRC):
+    """``use_sites`` of ``name`` in every module of ``directory``, as
+    "module.function"."""
+    return {f"{path.stem}.{site}" for path in sorted(directory.glob("*.py"))
             for site in use_sites(path.read_text(encoding="utf-8"), name)}
 
 
