@@ -74,6 +74,12 @@ class SweepSpec:
                         ("--step", self.step)):
             if not math.isfinite(v):
                 raise DomainError(f"sweep {flag} must be finite, got {v!r}")
+        if self.vary == "M":
+            # a fractional grid rounds to repeated and skipped budgets
+            for flag, v in (("--from", self.start), ("--step", self.step)):
+                if not float(v).is_integer():
+                    raise DomainError(f"sweep --vary M needs an integer "
+                                      f"{flag}, got {v!r}")
         if not self.start < self.stop:
             raise DomainError("sweep needs start < stop")
         if self.step <= 0:

@@ -33,23 +33,6 @@ def db_to_linear(x_db):
 
 
 @dataclass(frozen=True)
-class _LinkGeometry:
-    """Large-scale description of one link: pathloss gain, noise power
-    (W) and transmit power (W).  All strictly positive."""
-
-    pathloss: float
-    noise_power: float
-    tx_power: float
-
-    def __post_init__(self):
-        for name in ("pathloss", "noise_power", "tx_power"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise DomainError(f"link geometry {name} must be finite "
-                                  f"and > 0, got {v!r}")
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One full problem instance.
 
@@ -102,14 +85,6 @@ class Scenario:
                     f"dispersion V = {disp!r} and M / V must be finite")
 
 
-def _link_snr(geom, gain, what):
-    """SNR tx_power * pathloss * gain / noise_power for a small-scale
-    power gain; a gain of exactly zero is a dead link."""
-    if gain == 0.0:
-        raise DegenerateChannelError(f"{what}: fading gain of 0 gives a dead link")
-    return geom.tx_power * geom.pathloss * gain / geom.noise_power
-
-
 def _fading_gains(rng, n, fading_model):
     if fading_model == "real_normal":
         return rng.standard_normal(n) ** 2
@@ -132,35 +107,48 @@ _GEOMETRY_FIELDS = ("pathloss", "noise_power", "tx_power", "fading_seed")
 
 
 def _number(cfg, key, where=""):
-    """cfg[key] as a float; null, lists, objects and non-numeric strings
-    raise DomainError naming the field ``where + key``."""
+    """cfg[key] as a float; booleans, null, lists, objects and
+    non-numeric strings raise DomainError naming the field
+    ``where + key``."""
+    value = cfg[key]
     try:
-        return float(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"scenario field {where}{key} must be a number, "
-                          f"got {cfg[key]!r}") from exc
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"scenario field {where}{key} must be a number, "
+                      f"got {value!r}")
 
 
 def _geometry_snr(cfg, link, fading_model):
-    """SNR of a link given as "geometry_<link>": its geometry and one
-    seeded draw of the fading model."""
+    """SNR tx_power * pathloss * gain / noise_power of a link given as
+    "geometry_<link>", for one seeded draw of the fading model's power
+    gain; the three geometry numbers must be finite and > 0, and a gain
+    of exactly zero is a dead link."""
     key = f"geometry_{link}"
     geo_cfg = cfg[key]
     if not (isinstance(geo_cfg, dict)
             and all(k in geo_cfg for k in _GEOMETRY_FIELDS)):
         raise DomainError(f"{key} needs {', '.join(_GEOMETRY_FIELDS)}")
     where = f"{key}."
-    geom = _LinkGeometry(*(_number(geo_cfg, k, where)
-                          for k in _GEOMETRY_FIELDS[:3]))
+    geometry = [_number(geo_cfg, k, where) for k in _GEOMETRY_FIELDS[:3]]
+    for name, v in zip(_GEOMETRY_FIELDS, geometry):
+        if not (np.isfinite(v) and v > 0.0):
+            raise DomainError(f"link geometry {name} must be finite "
+                              f"and > 0, got {v!r}")
+    pathloss, noise_power, tx_power = geometry
     seed = geo_cfg["fading_seed"]
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         seed = _number(geo_cfg, "fading_seed", where)
         if not seed.is_integer():
             raise DomainError(f"scenario field {where}fading_seed must be "
                               f"an integer, got {geo_cfg['fading_seed']!r}")
     rng = np.random.default_rng(int(seed))
     gain = float(_fading_gains(rng, 1, fading_model)[0])
-    return _link_snr(geom, gain, f"link {link}")
+    if gain == 0.0:
+        raise DegenerateChannelError(
+            f"link {link}: fading gain of 0 gives a dead link")
+    return tx_power * pathloss * gain / noise_power
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:

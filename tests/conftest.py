@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fblsec import Scenario, redundancy_bounds
+from fblsec import Scenario, lfp, link_errors, redundancy_bounds
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -54,6 +54,65 @@ def random_feasible_suite(n, seed, m_lo=40, m_hi=200, d_m=4):
         sc = draw_random_scenario(rng, m_lo=m_lo, m_hi=m_hi, d_m=d_m)
         if integer_feasible(sc):
             out.append(sc)
+    return out
+
+
+# The solver suite and the acceptance batch, drawn once for every test
+# and for the golden writer.  ``test_acceptance`` draws its batch itself.
+SOLVER_SUITE = random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
+ACCEPTANCE_BATCH = random_feasible_suite(20, seed=20240801)
+
+
+def violations(sc, oracle, reports, gap=1e-9):
+    """The invariants that solves of ``sc`` break, as strings: the
+    oracle's report and each of ``reports``, {method: integer report}.
+    This is the one definition of a correct solve.  Each report has
+
+    - status infeasible exactly where the oracle's is, else converged;
+    - m1 + m2 = M and the redundancy pair inside ``redundancy_bounds``
+      (to 1e-9);
+    - link errors within every threshold to 1e-9 relative;
+    - ``lfp_final`` equal to ``lfp`` at its allocation, bit for bit;
+    - a trace that never rises;
+
+    and each of ``reports`` an LFP from the oracle's up to
+    oracle * (1 + gap), at the oracle's allocation unless the two LFPs
+    are equal."""
+    out = []
+    infeasible = oracle.status == "infeasible"
+    for name, report in (("exhaustive", oracle), *reports.items()):
+        if report.status != ("infeasible" if infeasible else "converged"):
+            out.append(f"{name}: status {report.status}, oracle "
+                       f"{oracle.status}")
+            continue
+        if infeasible:
+            continue
+        a = report.alloc
+        if a.m1 + a.m2 != sc.M:
+            out.append(f"{name}: m1 + m2 = {a.m1 + a.m2}, M = {sc.M}")
+        box = redundancy_bounds(sc, a.m1, a.m2)
+        if not (box.d_r1_min - 1e-9 <= a.d_r1 <= box.d_r1_max + 1e-9
+                and box.d_r2_min - 1e-9 <= a.d_r2 <= box.d_r2_max + 1e-9):
+            out.append(f"{name}: {a} outside {box}")
+        e = link_errors(sc, a)
+        if not (e.eps_ab <= sc.eps_ab_max * (1.0 + 1e-9)
+                and e.eps_ba <= sc.eps_ba_max * (1.0 + 1e-9)
+                and min(e.eps_ae, e.eps_be) >= sc.eps_e_max * (1.0 - 1e-9)):
+            out.append(f"{name}: {e} misses a threshold of {sc}")
+        exact = lfp(sc, a)
+        if float(report.lfp_final).hex() != float(exact).hex():
+            out.append(f"{name}: lfp_final {report.lfp_final!r}, lfp {exact!r}")
+        values = [v for _, v in report.trace]
+        if any(b > v for v, b in zip(values, values[1:])):
+            out.append(f"{name}: trace rises: {report.trace}")
+        if report is oracle:
+            continue
+        if not (oracle.lfp_final <= report.lfp_final
+                <= oracle.lfp_final * (1.0 + gap)):
+            out.append(f"{name}: {report.lfp_final!r} against the oracle's "
+                       f"{oracle.lfp_final!r}")
+        if a != oracle.alloc and report.lfp_final != oracle.lfp_final:
+            out.append(f"{name}: {a} is not the oracle's {oracle.alloc}")
     return out
 
 

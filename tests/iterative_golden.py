@@ -32,7 +32,7 @@ from fblsec import (
 )
 from fblsec.bench_cli import main
 
-from conftest import SCENARIO_DIR, random_feasible_suite
+from conftest import ACCEPTANCE_BATCH, SCENARIO_DIR, SOLVER_SUITE
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 GOLDEN_PATH = DATA_DIR / "iterative_golden.json"
@@ -57,11 +57,6 @@ def converge_golden_paths():
             for path in sorted(SCENARIO_DIR.glob("*.json"))]
 
 
-# The seeds of the solver suite (test_solvers) and of the acceptance
-# batch (test_acceptance), whose first eight draws are used here.
-SOLVER_SUITE_SEED = 321
-ACCEPTANCE_SEED = 20240801
-
 MODES = (
     ("bcd", solve_bcd, SolverConfig()),
     ("bcd_relaxed", solve_bcd, SolverConfig(integer_mode=False)),
@@ -74,13 +69,12 @@ PARTIAL_BUDGET_MAX_M = 200
 
 def instances():
     """(name, scenario) pairs: the solver suite, both scenario files and
-    eight acceptance draws."""
-    out = [(f"solver_suite_{i}", sc) for i, sc in enumerate(
-        random_feasible_suite(6, seed=SOLVER_SUITE_SEED, m_lo=40, m_hi=120))]
+    the first eight draws of the acceptance batch."""
+    out = [(f"solver_suite_{i}", sc) for i, sc in enumerate(SOLVER_SUITE)]
     out += [(path.stem, load_scenario(path))
             for path in sorted(SCENARIO_DIR.glob("*.json"))]
-    out += [(f"acceptance_{i}", sc) for i, sc in enumerate(
-        random_feasible_suite(8, seed=ACCEPTANCE_SEED))]
+    out += [(f"acceptance_{i}", sc)
+            for i, sc in enumerate(ACCEPTANCE_BATCH[:8])]
     return out
 
 

@@ -150,7 +150,7 @@ class TestSolve:
         assert "line" in err and "column" in err
 
     @pytest.mark.parametrize("field,value", [("M", 40.7), ("d_m1", 4.9),
-                                             ("M", None)])
+                                             ("M", None), ("d_m1", True)])
     def test_bad_scalar_field_exits_1(self, capsys, tmp_path, field, value):
         path = write_scenario(tmp_path, **{field: value})
         code, out, err = run_main(capsys, [
@@ -418,6 +418,22 @@ class TestSweep:
             "--out", str(out_csv)])
         assert code == EXIT_INPUT
         assert "--step" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("start,step,flag", [("40", "0.5", "--step"),
+                                                 ("40.5", "1", "--from")],
+                             ids=["half_step", "half_start"])
+    def test_fractional_budget_grid_exits_1(self, capsys, tmp_path, start,
+                                            step, flag):
+        # these rounded to the budgets 40, 40, 41, 42, 42 and 40, 42, 42
+        path = write_scenario(tmp_path)
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_main(capsys, [
+            "sweep", "--scenario", path, "--vary", "M", "--from", start,
+            "--to", "43", "--step", step, "--methods", "bcd",
+            "--out", str(out_csv)])
+        assert code == EXIT_INPUT
+        assert flag in err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("methods", ["bcd,bcd", "mm,newton", ""])

@@ -6,7 +6,8 @@ sizes from {0, 1, 4, 20, 200}, budgets M in [2, 3000] and thresholds
 log-uniform down to 1e-300.  A draw's JSON form either builds
 (``scenario_from_dict``, as the CLI builds it) or raises
 ``DomainError``; every scenario that builds is solved by all three
-methods, with every warning an error (``filterwarnings``).  The CLI
+methods, with every warning an error (``filterwarnings``), and judged
+by ``conftest.violations``.  The CLI
 tests run ``fblsec solve`` in this process through
 ``test_bench_cli.run_main``, which fails on any warning; the process
 boundary itself is probed in ``test_bench_cli``.
@@ -20,14 +21,13 @@ import pytest
 
 from fblsec import (
     DomainError,
-    lfp,
-    redundancy_bounds,
     scenario_from_dict,
     solve_bcd,
     solve_exhaustive,
     solve_mm,
 )
 from fblsec.bench_cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK
+from conftest import violations
 from test_bench_cli import run_main, write_scenario
 
 LINKS = ("ab", "ae", "ba", "be")
@@ -54,34 +54,6 @@ def draw(rng):
             "eps_e_max": float(eps[2])}
 
 
-def violations(sc):
-    """The invariants one scenario breaks, as strings."""
-    oracle = solve_exhaustive(sc)
-    out = []
-    for name, report in (("exhaustive", oracle), ("bcd", solve_bcd(sc)),
-                         ("mm", solve_mm(sc))):
-        if (report.status == "infeasible") != (oracle.status == "infeasible"):
-            out.append(f"{name}: status {report.status}, oracle "
-                       f"{oracle.status}")
-            continue
-        a = report.alloc
-        if a is None:
-            continue
-        box = redundancy_bounds(sc, a.m1, a.m2)
-        if a.m1 + a.m2 != sc.M:
-            out.append(f"{name}: m1 + m2 = {a.m1 + a.m2}, M = {sc.M}")
-        if not (box.d_r1_min - 1e-9 <= a.d_r1 <= box.d_r1_max + 1e-9
-                and box.d_r2_min - 1e-9 <= a.d_r2 <= box.d_r2_max + 1e-9):
-            out.append(f"{name}: {a} outside {box}")
-        exact = lfp(sc, a)
-        if not abs(report.lfp_final - exact) <= 1e-12 * exact:
-            out.append(f"{name}: lfp_final {report.lfp_final!r}, lfp {exact!r}")
-        if report.lfp_final < oracle.lfp_final * (1.0 - 1e-12):
-            out.append(f"{name}: {report.lfp_final!r} undercuts the oracle's "
-                       f"{oracle.lfp_final!r}")
-    return out
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_seeded_draws_keep_every_invariant(seed):
     rng = np.random.default_rng(seed)
@@ -93,7 +65,9 @@ def test_seeded_draws_keep_every_invariant(seed):
         except DomainError:
             continue
         built += 1
-        failures += [(i, cfg, v) for v in violations(sc)]
+        reports = {"bcd": solve_bcd(sc), "mm": solve_mm(sc)}
+        failures += [(i, cfg, v)
+                     for v in violations(sc, solve_exhaustive(sc), reports)]
     assert built > 100
     assert failures == []
 

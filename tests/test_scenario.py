@@ -93,7 +93,8 @@ class TestJsonSurface:
     @pytest.mark.parametrize("field,value", [
         ("fading_seed", 7.9), ("fading_seed", "seven"), ("fading_seed", None),
         ("fading_seed", float("inf")), ("pathloss", "abc"),
-        ("noise_power", None), ("tx_power", [1.0]),
+        ("noise_power", None), ("tx_power", [1.0]), ("fading_seed", True),
+        ("pathloss", True),
     ])
     def test_bad_geometry_field_raises(self, field, value):
         cfg = self.geometry_cfg(**{field: value})
@@ -133,15 +134,15 @@ class TestJsonSurface:
 
     @pytest.mark.parametrize("field,value", [
         ("M", 40.7), ("d_m1", 4.9), ("d_m2", 2.5), ("M", None),
-        ("eps_e_max", None), ("M", "forty"),
+        ("eps_e_max", None), ("M", "forty"), ("d_m1", True),
     ])
     def test_bad_scalar_field_raises(self, field, value):
         cfg = self.base_cfg()
         cfg[field] = value
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=field):
             scenario_from_dict(cfg)
 
-    @pytest.mark.parametrize("value", [None, [3.0], {"db": 3.0}, "loud"])
+    @pytest.mark.parametrize("value", [None, [3.0], {"db": 3.0}, "loud", True])
     def test_bad_db_field_raises(self, value):
         cfg = self.base_cfg()
         cfg["gamma_ab_db"] = value

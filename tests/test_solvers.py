@@ -59,12 +59,15 @@ from fblsec.solvers import (
 )
 
 from conftest import (
+    ACCEPTANCE_BATCH,
     REPO_ROOT,
     SCENARIO_DIR,
+    SOLVER_SUITE,
     draw_random_scenario,
     make_scenario,
     random_feasible_suite,
     sample_interior_point,
+    violations,
 )
 from dense_oracle import dense_exhaustive, dense_split
 from iterative_golden import GOLDEN_PATH, golden_records
@@ -108,6 +111,18 @@ def brute_force_optimum(scenario, full_budget_only=False):
 
 
 SMALL = make_scenario(d_m1=2, d_m2=2, M=40)
+# The default operating point at a kilobit budget: 20 message bits per
+# direction, thresholds 1/2, symmetric 4.77/0 dB links.
+DEFAULT_M1000 = make_scenario(M=1000)
+# When the eavesdropper capacity sits just below the legitimate one, the
+# thresholds carve the feasible set into a thin diagonal strip in (m1,
+# d_r1) and fixed-redundancy split updates can only crawl along it.  This
+# instance regressed to a 0.049 LFP gap under that naive scheme; the
+# box-relative split carry keeps both iterative solvers at the oracle.
+NEAR_DEGENERATE = make_scenario(
+    gamma_ab=1.1724898685987892, gamma_ae=0.9793948492744282,
+    gamma_ba=6.089165608101732, gamma_be=0.2099366309057787,
+    d_m1=4, d_m2=4, M=197)
 
 
 class TestBcdScalarMin:
@@ -617,28 +632,6 @@ class TestPrunedOracle:
 
 
 class TestBcd:
-    def test_close_to_exhaustive_small_instance(self):
-        ex = solve_exhaustive(SMALL)
-        report = solve_bcd(SMALL)
-        assert report.status == "converged"
-        assert report.lfp_final <= ex.lfp_final + 1e-3
-
-    def test_trace_nonincreasing(self):
-        report = solve_bcd(SMALL)
-        vals = [v for _, v in report.trace]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_budget_saturated(self):
-        report = solve_bcd(SMALL)
-        assert report.alloc.m1 + report.alloc.m2 == SMALL.M
-
-    def test_alloc_inside_feasible_box(self):
-        report = solve_bcd(SMALL)
-        box = redundancy_bounds(SMALL, float(report.alloc.m1),
-                                float(report.alloc.m2))
-        assert box.d_r1_min - 1e-9 <= report.alloc.d_r1 <= box.d_r1_max + 1e-9
-        assert box.d_r2_min - 1e-9 <= report.alloc.d_r2 <= box.d_r2_max + 1e-9
-
     def test_infeasible_scenario(self):
         sc = make_scenario(gamma_ab=1.0, gamma_ae=1.2, d_m1=4, d_m2=4, M=60)
         report = solve_bcd(sc)
@@ -657,15 +650,9 @@ class TestBcd:
 
 
 class TestMm:
-    def test_close_to_exhaustive_small_instance(self):
-        ex = solve_exhaustive(SMALL)
-        report = solve_mm(SMALL)
-        assert report.lfp_final <= ex.lfp_final + 2e-3
-
-    def test_safeguarded_trace_nonincreasing(self):
-        report = solve_mm(SMALL)
-        vals = [v for _, v in report.trace]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+    def test_joint_scheme_needs_no_more_iterations(self):
+        bcd, mm = solve_bcd(DEFAULT_M1000), solve_mm(DEFAULT_M1000)
+        assert mm.trace[-1][0] <= bcd.trace[-1][0]
 
     def test_safeguard_field_is_gone(self):
         # MM is its majorize-minimize passes alone: no fallback to switch
@@ -679,12 +666,8 @@ class TestMm:
             raise AssertionError("MM called BCD's redundancy block")
 
         monkeypatch.setattr(solvers, "_direction_min", direction_min)
-        for sc in [SMALL] + TestEvaluatedOnce.SCENARIOS:
+        for sc in [SMALL] + SOLVER_SUITE:
             assert solve_mm(sc).status == "converged"
-
-    def test_budget_saturated(self):
-        report = solve_mm(SMALL)
-        assert report.alloc.m1 + report.alloc.m2 == SMALL.M
 
     def test_deterministic(self):
         a = solve_mm(SMALL)
@@ -900,71 +883,22 @@ class TestMmStep:
         assert checked > 100
 
 
-@pytest.fixture(scope="module")
-def suite():
-    scenarios = random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
-    return [(sc, solve_exhaustive(sc), solve_bcd(sc), solve_mm(sc))
-            for sc in scenarios]
+# The sets whose oracle, BCD and MM solves ``conftest.violations`` judges
+# here.  It judges the whole-domain draws in ``test_domain``, and the
+# acceptance batch and benchmark sets in ``TestReachesTheOracle``.
+INSTANCE_SETS = {
+    "small": [SMALL],
+    "default_M1000": [DEFAULT_M1000],
+    "near_degenerate": [NEAR_DEGENERATE],
+    "solver_suite": SOLVER_SUITE,
+}
 
 
-class TestRandomSuite:
-    """Cross-method agreement on a small randomized batch (the full
-    20-instance acceptance batch lives in test_acceptance)."""
-
-    def test_oracle_dominance(self, suite):
-        for sc, ex, bcd, mm in suite:
-            assert ex.lfp_final <= bcd.lfp_final + 1e-12
-            assert ex.lfp_final <= mm.lfp_final + 1e-12
-
-    def test_near_optimality(self, suite):
-        for sc, ex, bcd, mm in suite:
-            assert bcd.lfp_final - ex.lfp_final <= 1e-3
-            assert mm.lfp_final - ex.lfp_final <= 2e-3
-
-    def test_budget_saturation(self, suite):
-        for sc, ex, bcd, mm in suite:
-            for rep in (ex, bcd, mm):
-                assert rep.alloc.m1 + rep.alloc.m2 == sc.M
-
-    def test_descent_traces(self, suite):
-        for sc, ex, bcd, mm in suite:
-            for rep in (bcd, mm):
-                vals = [v for _, v in rep.trace]
-                assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_allocations_threshold_feasible(self, suite):
-        for sc, ex, bcd, mm in suite:
-            for rep in (ex, bcd, mm):
-                errs = link_errors(sc, rep.alloc)
-                assert errs.eps_ab <= sc.eps_ab_max + 1e-9
-                assert errs.eps_ba <= sc.eps_ba_max + 1e-9
-                assert errs.eps_ae >= sc.eps_e_max - 1e-9
-                assert errs.eps_be >= sc.eps_e_max - 1e-9
-
-
-class TestNearDegenerateLinks:
-    """When the eavesdropper capacity sits just below the legitimate
-    one, the thresholds carve the feasible set into a thin diagonal
-    strip in (m1, d_r1) and fixed-redundancy split updates can only
-    crawl along it.  This instance regressed to a 0.049 LFP gap under
-    that naive scheme; the box-relative split carry must keep both
-    iterative solvers at the oracle."""
-
-    SC = make_scenario(gamma_ab=1.1724898685987892, gamma_ae=0.9793948492744282,
-                       gamma_ba=6.089165608101732, gamma_be=0.2099366309057787,
-                       d_m1=4, d_m2=4, M=197)
-
-    def test_bcd_reaches_oracle(self):
-        ex = solve_exhaustive(self.SC)
-        report = solve_bcd(self.SC)
-        assert report.status == "converged"
-        assert report.lfp_final - ex.lfp_final <= 1e-3
-
-    def test_mm_reaches_oracle(self):
-        ex = solve_exhaustive(self.SC)
-        report = solve_mm(self.SC)
-        assert report.status == "converged"
-        assert report.lfp_final - ex.lfp_final <= 2e-3
+@pytest.mark.parametrize("name", INSTANCE_SETS)
+def test_instance_set_keeps_every_invariant(name):
+    for sc in INSTANCE_SETS[name]:
+        reports = {"bcd": solve_bcd(sc), "mm": solve_mm(sc)}
+        assert violations(sc, solve_exhaustive(sc), reports) == [], sc
 
 
 @pytest.fixture(scope="module")
@@ -972,10 +906,8 @@ def finish_suite():
     """(scenario, oracle, relaxed, integer) reports of BCD and MM on the
     solver suite and the acceptance batch; the relaxed solve ends at the
     m1 that the integer solve rounds."""
-    scenarios = (random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
-                 + random_feasible_suite(20, seed=20240801))
     out = []
-    for sc in scenarios:
+    for sc in SOLVER_SUITE + ACCEPTANCE_BATCH:
         oracle = solve_exhaustive(sc)
         for solve in (solve_bcd, solve_mm):
             out.append((sc, oracle,
@@ -1009,7 +941,7 @@ class TestIntegerFinish:
     def test_no_integer_box_at_either_split_gives_the_oracle(self):
         # the window of m1 = 2.0 is splits 1, 2 and 3, none of which has
         # an integer box in the forward direction
-        sc = TestNearDegenerateLinks.SC
+        sc = NEAR_DEGENERATE
         for m1 in (1, 2, 3):
             assert dense_split(sc, m1) == (None, None)
         alloc, log_p = _integer_reconstruct(_Objective(sc), 2.0)
@@ -1021,8 +953,7 @@ class TestIntegerFinish:
 def gate_instances():
     """(name, scenario) of the acceptance batch and of benchmark suite and
     ladder seeds 1-3."""
-    out = [(f"acceptance_{i}", sc)
-           for i, sc in enumerate(random_feasible_suite(20, seed=20240801))]
+    out = [(f"acceptance_{i}", sc) for i, sc in enumerate(ACCEPTANCE_BATCH)]
     for seed in (1, 2, 3):
         out += [(f"suite{seed}_{i}", sc)
                 for i, sc in enumerate(suite_instances(seed))]
@@ -1033,15 +964,15 @@ def gate_instances():
 
 @pytest.fixture(scope="module")
 def gate_reports():
-    """(name, oracle, {(method, integer_mode): report}) per gate
-    instance."""
+    """(name, scenario, oracle, {(method, integer_mode): report}) per
+    gate instance."""
     out = []
     for name, sc in gate_instances():
         reports = {(method, integer):
                    solve(sc, SolverConfig(integer_mode=integer))
                    for method, solve in (("bcd", solve_bcd), ("mm", solve_mm))
                    for integer in (True, False)}
-        out.append((name, solve_exhaustive(sc), reports))
+        out.append((name, sc, solve_exhaustive(sc), reports))
     return out
 
 
@@ -1061,20 +992,18 @@ class TestReachesTheOracle:
 
     def test_integer_result_within_the_gap(self, gate_reports):
         ties = {}
-        for name, oracle, reports in gate_reports:
-            for method in ("bcd", "mm"):
-                report = reports[method, True]
-                assert report.status == "converged", (name, method)
-                assert (oracle.lfp_final <= report.lfp_final
-                        <= oracle.lfp_final * (1.0 + self.GAP)), (name, method)
+        for name, sc, oracle, reports in gate_reports:
+            integer = {method: reports[method, True] for method in ("bcd", "mm")}
+            assert violations(sc, oracle, integer, self.GAP) == [], name
+            for report in integer.values():
                 if report.alloc != oracle.alloc:
-                    assert report.lfp_final == oracle.lfp_final == 0.0
+                    assert report.lfp_final == 0.0, name
                     ties[name] = dataclasses.astuple(report.alloc)
         assert ties == self.PLATEAU_TIES
 
     def test_relaxed_result_not_worse_than_the_integer_oracle(self,
                                                               gate_reports):
-        for name, oracle, reports in gate_reports:
+        for name, _, oracle, reports in gate_reports:
             for method in ("bcd", "mm"):
                 report = reports[method, False]
                 assert report.status == "converged", (name, method)
@@ -1090,8 +1019,7 @@ class TestRedundancyBlock:
     and a box on one side of the balance's root gives that side's
     edge."""
 
-    SCENARIOS = (random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
-                 + random_feasible_suite(20, seed=20240801))
+    SCENARIOS = SOLVER_SUITE + ACCEPTANCE_BATCH
     # the anchors' box-relative positions
     ANCHORS = (0.1, 0.5, 0.9)
 
@@ -1179,9 +1107,7 @@ class TestRedundancyBlock:
     # interior and edge answers
     PINNED_SCENARIOS = (
         SMALL, make_scenario(gamma_ba=8.0, gamma_be=0.3, M=1000),
-        make_scenario(gamma_ab=1.1724898685987892, gamma_ae=0.9793948492744282,
-                      gamma_ba=6.089165608101732, gamma_be=0.2099366309057787,
-                      d_m1=4, d_m2=4, M=197))
+        NEAR_DEGENERATE)
     PINNED = (
         '0x1.5a3678db6932dp+3', '0x1.25c28f5c28f5dp+3', '0x1.5a3678db6932dp+3',
         '0x1.6353898affad6p+5', '0x1.368f5c28f5c29p+5', '0x1.6353898affad6p+5',
@@ -1239,39 +1165,6 @@ class TestRedundancyBlock:
             assert report.lfp_final == oracle.lfp_final
 
 
-@pytest.fixture(scope="module")
-def reports():
-    sc = make_scenario(M=1000)
-    return sc, solve_exhaustive(sc), solve_bcd(sc), solve_mm(sc)
-
-
-class TestFullBudgetSetting:
-    """The default operating point: kilobit budget, 20 message bits per
-    direction, thresholds 1/2, symmetric 4.77/0 dB links."""
-
-    def test_iterative_methods_near_enumeration(self, reports):
-        sc, ex, bcd, mm = reports
-        # the optimum here is deep in the tail; compare relative
-        assert bcd.lfp_final <= ex.lfp_final * 1.01 + 1e-300
-        assert mm.lfp_final <= ex.lfp_final * 1.01 + 1e-300
-
-    def test_traces_nonincreasing_within_cap(self, reports):
-        sc, ex, bcd, mm = reports
-        for rep in (bcd, mm):
-            assert rep.status == "converged"
-            vals = [v for _, v in rep.trace]
-            assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_joint_scheme_needs_no_more_iterations(self, reports):
-        sc, ex, bcd, mm = reports
-        assert mm.trace[-1][0] <= bcd.trace[-1][0]
-
-    def test_budget_saturated(self, reports):
-        sc, ex, bcd, mm = reports
-        for rep in (ex, bcd, mm):
-            assert rep.alloc.m1 + rep.alloc.m2 == 1000
-
-
 class TestReportSurface:
     def test_to_dict_roundtrips_json(self):
         import json
@@ -1314,8 +1207,6 @@ class TestEvaluatedOnce:
     points from the hazard-balance evaluations they solve on, each
     evaluated once."""
 
-    SCENARIOS = random_feasible_suite(6, seed=321, m_lo=40, m_hi=120)
-
     @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
     def test_no_point_scored_twice_in_a_cycle(self, solve, monkeypatch):
         # the m1 block's scalar profile points (its one grid call is a
@@ -1335,7 +1226,7 @@ class TestEvaluatedOnce:
 
         monkeypatch.setattr(solvers, "_m1_profile", recorded_profile)
         monkeypatch.setattr(solvers, "_m1_block", new_cycle)
-        for sc in self.SCENARIOS:
+        for sc in SOLVER_SUITE:
             cycles.clear()
             solve(sc)
             assert len(cycles) > 1
@@ -1388,7 +1279,7 @@ class TestEvaluatedOnce:
         monkeypatch.setattr(solvers, "_direction_log_terms", recorded_terms)
         monkeypatch.setattr(solvers, "_direction_balance", recorded_direction)
         monkeypatch.setattr(solvers, step, new_step)
-        for sc in self.SCENARIOS:
+        for sc in SOLVER_SUITE:
             steps.clear()
             solve(sc)
             assert any(len(points) > 4 for points in steps)
@@ -1403,8 +1294,8 @@ class TestM1BracketGrid:
 
     # ladder_instances(1)[7] (M = 1000) ends at LFP ~4e-190, where the
     # profile's slopes are so small that their product underflows
-    SCENARIOS = ([SMALL, TestNearDegenerateLinks.SC,
-                  TestExhaustivePlateauTies.SC, make_scenario(M=1000)]
+    SCENARIOS = ([SMALL, NEAR_DEGENERATE, TestExhaustivePlateauTies.SC,
+                  DEFAULT_M1000]
                  + random_feasible_suite(4, seed=99) + [ladder_instances(1)[7]])
 
     @pytest.mark.parametrize("sc", SCENARIOS)
@@ -1514,7 +1405,7 @@ class TestM1BracketGrid:
 
     def test_grid_sees_infeasible_splits(self):
         # the near-degenerate forward direction is empty at short blocks
-        obj = _Objective(TestNearDegenerateLinks.SC)
+        obj = _Objective(NEAR_DEGENERATE)
         xs = np.arange(1.0, float(obj.scenario.M))
         grid = _m1_profile_grid(obj, obj.split_grid(xs), 0.5, 0.5)
         assert np.isinf(grid).any() and np.isfinite(grid).any()
@@ -1560,11 +1451,11 @@ class TestM1ProfileSlope:
     second scenario's thresholds are not 1/2."""
 
     SCENARIOS = (
-        make_scenario(M=1000),
+        DEFAULT_M1000,
         make_scenario(gamma_ab=4.0, gamma_ae=0.5, gamma_ba=2.5, gamma_be=0.3,
                       d_m1=8, d_m2=12, M=400, eps_ab_max=0.1, eps_ba_max=0.2,
                       eps_e_max=0.3),
-        TestNearDegenerateLinks.SC,
+        NEAR_DEGENERATE,
     )
     POSITIONS = ((0.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.8, 0.1))
 
