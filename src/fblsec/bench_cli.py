@@ -29,7 +29,7 @@ import numpy as np
 
 from .fbl_core import DomainError
 from .lfp_model import Allocation, link_errors, lfp_value
-from .scenario import Scenario, db_to_linear, load_scenario
+from .scenario import _MAX_INTEGER, Scenario, db_to_linear, load_scenario
 from .solvers import (
     STATUS_INFEASIBLE,
     SolverConfig,
@@ -81,9 +81,10 @@ class SweepSpec:
                     raise DomainError(f"sweep --vary M needs an integer "
                                       f"{flag}, got {v!r}")
         if not self.start < self.stop:
-            raise DomainError("sweep needs start < stop")
+            raise DomainError(f"sweep --from must be below --to, got "
+                              f"--from {self.start!r} --to {self.stop!r}")
         if self.step <= 0:
-            raise DomainError("sweep step must be > 0")
+            raise DomainError(f"sweep --step must be > 0, got {self.step!r}")
         if not math.isfinite((self.stop - self.start) / self.step):
             raise DomainError(f"sweep --step {self.step!r} is too small")
 
@@ -311,6 +312,11 @@ def cmd_validate(args) -> int:
         raise DomainError("--trials must be >= 1000")
     if not 1 <= args.m1 <= scenario.M - 1:
         raise DomainError(f"--m1 must lie in [1, {scenario.M - 1}]")
+    for flag, v in (("--dr1", args.dr1), ("--dr2", args.dr2)):
+        if not 0 <= v <= _MAX_INTEGER:
+            raise DomainError(f"{flag} must lie in [0, {_MAX_INTEGER}]")
+    if args.seed < 0:
+        raise DomainError("--seed must be >= 0")
     alloc = Allocation(m1=args.m1, m2=scenario.M - args.m1,
                        d_r1=args.dr1, d_r2=args.dr2)
     errors = link_errors(scenario, alloc)

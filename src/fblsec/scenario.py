@@ -22,6 +22,13 @@ from .fbl_core import DomainError, _dispersion
 
 FADING_MODELS = ("real_normal", "complex_normal")
 
+# The largest M, d_m1 and d_m2 a Scenario takes.  Every SNR it accepts
+# has log2(1 + gamma) < 512 (V(gamma) overflows above gamma ~ 1.3e154),
+# so every total-bits value of a split stays below 2**52, where floats
+# still hold consecutive integers: the m1 grid keeps m2 >= 1 and the
+# integer finish's brackets keep shrinking.
+_MAX_INTEGER = 2**43
+
 
 class DegenerateChannelError(DomainError):
     """A fading draw of exactly zero leaves the link without a channel."""
@@ -68,6 +75,9 @@ class Scenario:
             v = getattr(self, name)
             if not float(v).is_integer():
                 raise DomainError(f"Scenario.{name} must be an integer, got {v!r}")
+            if v > _MAX_INTEGER:
+                raise DomainError(f"Scenario.{name} must be <= 2**43, "
+                                  f"got {v!r}")
         if int(self.M) < 2:
             raise DomainError(f"Scenario.M must be >= 2, got {self.M!r}")
         if int(self.d_m1) < 1 or int(self.d_m2) < 1:
@@ -107,17 +117,17 @@ _GEOMETRY_FIELDS = ("pathloss", "noise_power", "tx_power", "fading_seed")
 
 
 def _number(cfg, key, where=""):
-    """cfg[key] as a float; booleans, null, lists, objects and
-    non-numeric strings raise DomainError naming the field
-    ``where + key``."""
+    """cfg[key] as a float; booleans, null, lists, objects,
+    non-numeric strings and integers beyond float range raise
+    DomainError naming the field ``where + key``."""
     value = cfg[key]
     try:
         if not isinstance(value, bool):
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"scenario field {where}{key} must be a number, "
-                      f"got {value!r}")
+    raise DomainError(f"scenario field {where}{key} must be a number "
+                      f"within float range, got {value!r}")
 
 
 def _geometry_snr(cfg, link, fading_model):
@@ -134,15 +144,15 @@ def _geometry_snr(cfg, link, fading_model):
     geometry = [_number(geo_cfg, k, where) for k in _GEOMETRY_FIELDS[:3]]
     for name, v in zip(_GEOMETRY_FIELDS, geometry):
         if not (np.isfinite(v) and v > 0.0):
-            raise DomainError(f"link geometry {name} must be finite "
+            raise DomainError(f"scenario field {where}{name} must be finite "
                               f"and > 0, got {v!r}")
     pathloss, noise_power, tx_power = geometry
     seed = geo_cfg["fading_seed"]
     if isinstance(seed, bool) or not isinstance(seed, int):
         seed = _number(geo_cfg, "fading_seed", where)
-        if not seed.is_integer():
-            raise DomainError(f"scenario field {where}fading_seed must be "
-                              f"an integer, got {geo_cfg['fading_seed']!r}")
+    if (isinstance(seed, float) and not seed.is_integer()) or seed < 0:
+        raise DomainError(f"scenario field {where}fading_seed must be "
+                          f"an integer >= 0, got {geo_cfg['fading_seed']!r}")
     rng = np.random.default_rng(int(seed))
     gain = float(_fading_gains(rng, 1, fading_model)[0])
     if gain == 0.0:
