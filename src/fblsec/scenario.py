@@ -22,7 +22,8 @@ from .fbl_core import DomainError, _dispersion
 
 FADING_MODELS = ("real_normal", "complex_normal")
 
-# The largest M, d_m1 and d_m2 a Scenario takes.  Every SNR it accepts
+# The largest M, d_m1 and d_m2 a Scenario takes (and the largest
+# redundancy the CLI's validate takes).  Every SNR a Scenario accepts
 # has log2(1 + gamma) < 512 (V(gamma) overflows above gamma ~ 1.3e154),
 # so every total-bits value of a split stays below 2**52, where floats
 # still hold consecutive integers: the m1 grid keeps m2 >= 1 and the
