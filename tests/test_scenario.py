@@ -91,10 +91,34 @@ class TestJsonSurface:
         assert scenario_from_dict(
             self.geometry_cfg(fading_seed=7.0)).gamma_ab == seven
 
+    @pytest.mark.parametrize("field,value", [
+        ("fading_seed", 7.9), ("fading_seed", "seven"), ("fading_seed", None),
+        ("fading_seed", float("inf")), ("pathloss", "abc"),
+        ("noise_power", None), ("tx_power", [1.0]), ("fading_seed", True),
+        ("pathloss", True),
+    ])
+    def test_bad_geometry_field_raises(self, field, value):
+        cfg = self.geometry_cfg(**{field: value})
+        with pytest.raises(DomainError, match=f"geometry_ab.{field}"):
+            scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("field", ["pathloss", "noise_power", "tx_power"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf")])
+    def test_non_positive_geometry_raises(self, field, value):
+        cfg = self.geometry_cfg(**{field: value})
+        with pytest.raises(DomainError, match=f"geometry_ab.{field} must be finite and > 0"):
+            scenario_from_dict(cfg)
+
     def test_zero_fading_gain_is_a_dead_link(self, monkeypatch):
         monkeypatch.setattr(scenario, "_fading_gains", lambda *args: [0.0])
         with pytest.raises(DegenerateChannelError, match="link ab"):
             scenario._geometry_snr(self.geometry_cfg(), "ab", "real_normal")
+
+    def test_unknown_fading_model_raises(self):
+        cfg = self.geometry_cfg()
+        cfg["fading_model"] = "rician"
+        with pytest.raises(DomainError, match="rician"):
+            scenario_from_dict(cfg)
 
     def test_db_takes_precedence_over_geometry(self):
         cfg = self.base_cfg()
@@ -103,12 +127,41 @@ class TestJsonSurface:
         sc = scenario_from_dict(cfg)
         assert sc.gamma_ab == pytest.approx(3.0, rel=1e-12)
 
+    def test_missing_field_raises(self):
+        cfg = self.base_cfg()
+        del cfg["eps_e_max"]
+        with pytest.raises(DomainError):
+            scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("field,value", [
+        ("M", 40.7), ("d_m1", 4.9), ("d_m2", 2.5), ("M", None),
+        ("eps_e_max", None), ("M", "forty"), ("d_m1", True),
+    ])
+    def test_bad_scalar_field_raises(self, field, value):
+        cfg = self.base_cfg()
+        cfg[field] = value
+        with pytest.raises(DomainError, match=field):
+            scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("value", [None, [3.0], {"db": 3.0}, "loud", True])
+    def test_bad_db_field_raises(self, value):
+        cfg = self.base_cfg()
+        cfg["gamma_ab_db"] = value
+        with pytest.raises(DomainError, match="gamma_ab_db"):
+            scenario_from_dict(cfg)
+
     def test_integral_floats_accepted(self):
         cfg = self.base_cfg()
         cfg.update(M=200.0, d_m1=20.0)
         sc = scenario_from_dict(cfg)
         assert (sc.M, sc.d_m1) == (200, 20)
         assert type(sc.M) is int and type(sc.d_m1) is int
+
+    def test_missing_link_raises(self):
+        cfg = self.base_cfg()
+        del cfg["gamma_be_db"]
+        with pytest.raises(DomainError):
+            scenario_from_dict(cfg)
 
     def test_fading_model_switch_for_geometry_links(self):
         cfg = self.base_cfg()
