@@ -53,6 +53,11 @@ _METHODS = {
 # and the output, do not depend on it.
 _VALIDATE_CHUNK = 1 << 18
 
+# The most grid points a sweep takes.  Its grid is built as one list
+# before the first point is solved, and each point is up to three
+# solves, so a larger grid would run for hours or exhaust memory first.
+_MAX_SWEEP_POINTS = 10_000
+
 SWEEP_FIELDS = ("gamma_ab_db", "gamma_ae_db", "gamma_ba_db", "gamma_be_db",
                 "M", "tx_power")
 
@@ -85,8 +90,12 @@ class SweepSpec:
                               f"--from {self.start!r} --to {self.stop!r}")
         if self.step <= 0:
             raise DomainError(f"sweep --step must be > 0, got {self.step!r}")
-        if not math.isfinite((self.stop - self.start) / self.step):
-            raise DomainError(f"sweep --step {self.step!r} is too small")
+        # values()'s last index, floor(spans + 1e-9), is below the cap
+        spans = (self.stop - self.start) / self.step
+        if not spans + 1e-9 < _MAX_SWEEP_POINTS:  # inf included
+            raise DomainError(
+                f"sweep --step {self.step!r} is too small: the grid may "
+                f"hold at most {_MAX_SWEEP_POINTS} points")
 
     def values(self):
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9))

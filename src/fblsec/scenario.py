@@ -72,20 +72,20 @@ class Scenario:
             v = getattr(self, name)
             if not (np.isfinite(v) and 0.0 < v < 1.0):
                 raise DomainError(f"Scenario.{name} must lie in (0,1), got {v!r}")
-        for name in ("M", "d_m1", "d_m2"):
+        for name, lowest in (("M", 2), ("d_m1", 1), ("d_m2", 1)):
             v = getattr(self, name)
-            if not float(v).is_integer():
-                raise DomainError(f"Scenario.{name} must be an integer, got {v!r}")
+            # the bounds first: float(v) overflows on an int beyond
+            # float range
             if v > _MAX_INTEGER:
                 raise DomainError(f"Scenario.{name} must be <= 2**43, "
                                   f"got {v!r}")
-        if int(self.M) < 2:
-            raise DomainError(f"Scenario.M must be >= 2, got {self.M!r}")
-        if int(self.d_m1) < 1 or int(self.d_m2) < 1:
-            raise DomainError("message sizes d_m1, d_m2 must be >= 1")
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "d_m1", int(self.d_m1))
-        object.__setattr__(self, "d_m2", int(self.d_m2))
+            if v < lowest:
+                raise DomainError(f"Scenario.{name} must be >= {lowest}, "
+                                  f"got {v!r}")
+            if not float(v).is_integer():
+                raise DomainError(f"Scenario.{name} must be an integer, "
+                                  f"got {v!r}")
+            object.__setattr__(self, name, int(v))
         # the link kernel divides blocklengths up to M by V(gamma)
         for name in ("gamma_ab", "gamma_ae", "gamma_ba", "gamma_be"):
             v = getattr(self, name)

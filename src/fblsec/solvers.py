@@ -39,7 +39,10 @@
   exact per-split finish follows: the splits
   floor(m1) - 1 ... ceil(m1) + 1 around the relaxed m1, each with its
   best integer redundancy pair from the oracle's own per-direction
-  tables (``_best_split``).
+  tables (``_best_split``).  Their first estimate is the relaxed pair's
+  box-relative position carried to each split's integer box; an entry
+  it does not settle takes the oracle's own estimate, so the tables
+  are the oracle's, bit for bit.
 * ``solve_mm`` -- the same outer alternation, but the redundancy pair is
   minimized by majorize-minimize passes, each the exact minimizer of the
   power-mean surrogate at the incumbent: per direction, the edge-or-root
@@ -49,6 +52,10 @@ BCD and MM differ only in their redundancy update, which one pass
 (``_redundancy_pass``) applies per direction with one keep rule.  They
 share everything else: ``_descend``, the split's boxes and balances
 (``_Objective.split``), the edge-or-root rule and the stopping rule.
+What depends on the scenario alone, the direction constants and the m1
+block's grid with its boxes, is built once per scenario (``_geometry``)
+and shared by the BCD, MM and oracle solves of that scenario; a
+solve's own state is its ``_Objective``.
 
 Every accepted step is checked against the incumbent, so traces are
 nonincreasing by construction.  All solvers are deterministic functions
@@ -60,7 +67,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,9 +235,60 @@ def bcd_scalar_min(objective, lo, hi, tol):
 # shared solver scaffolding
 # ----------------------------------------------------------------------
 
+def _directions(constants, index):
+    """(legit, eve, d_m, log ratio) of the directions ``index`` (0s and
+    1s) of the (8, 2) array ``constants``, per entry, from one indexing:
+    ``_Link``s of arrays and ``_first_maximum_start``'s log ratio
+    0.5 * math.log(V_b / V_e)."""
+    c = constants[:, index]
+    return _Link(*c[:3]), _Link(*c[3:6]), c[6], c[7]
+
+
+def _split_grid(both, M, m1):
+    """The splits of the array ``m1`` as (2, n) rows, direction 1 at m1
+    and direction 2 at M - m1, for the directions ``both`` of
+    ``_Geometry``: (m, box edge lo, box width hi - lo, feasible per
+    split), with ``_Objective.box``'s bits and feasibility."""
+    legit, eve, d_m, _ = both
+    m = np.array((m1, M - m1))
+    lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
+    return m, lo, hi - lo, (lo <= hi).all(axis=0)
+
+
+class _Geometry(NamedTuple):
+    """What BCD, MM and the oracle derive from the scenario alone
+    (``_geometry``); every array is read-only."""
+
+    constants: np.ndarray  # (8, 2): ``_directions``' constants by column
+    both: tuple            # ``_directions`` of both, as (2, 1) rows
+    xs: np.ndarray         # the m1 block's _M1_GRID + 1 splits on [1, M-1]
+    grid: tuple            # their ``_split_grid``
+
+
+@lru_cache(maxsize=1024)
+def _geometry(scenario):
+    """The ``_Geometry`` of a scenario, built from ``link_constants`` and
+    cached as it is, by the scenario's field values: BCD, MM and the
+    oracle of one scenario share it.  The arrays are read-only, because
+    every solve of an equal scenario reads the same ones."""
+    sc, links = scenario, link_constants(scenario)
+    constants = np.array([(*b, *e, d_m, 0.5 * math.log(b.v / e.v))
+                          for b, e, d_m in zip(links[::2], links[1::2],
+                                               (sc.d_m1, sc.d_m2))]).T
+    constants.flags.writeable = False
+    both = _directions(constants, np.arange(2)[:, None])
+    xs = np.linspace(1.0, float(sc.M - 1), _M1_GRID + 1)
+    grid = _split_grid(both, sc.M, xs)
+    for a in (*both[0], *both[1], *both[2:], xs, *grid):
+        a.flags.writeable = False
+    return _Geometry(constants, both, xs, grid)
+
+
 class _Objective:
-    """A solve's scenario, link constants and evaluation counter, and the
-    boxes of its splits.
+    """A solve's own state: its scenario and evaluation counter.  What
+    depends on the scenario alone it reads, built once, from
+    ``link_constants`` and the shared ``_geometry``; ``box`` and
+    ``split`` give a split's boxes and balances.
 
     The solvers minimize the negative log round-trip success, which
     orders points as the LFP does but stays informative where the LFP
@@ -239,44 +298,8 @@ class _Objective:
     def __init__(self, scenario):
         self.scenario = scenario
         self.links = link_constants(scenario)
+        self.geometry = _geometry(scenario)
         self.evaluations = 0
-
-    @cached_property
-    def direction_constants(self):
-        """The (8, 2) array of ``directions``' constants, one column per
-        direction, built once per solve."""
-        sc, links = self.scenario, self.links
-        return np.array([(*b, *e, d_m, 0.5 * math.log(b.v / e.v))
-                         for b, e, d_m in zip(links[::2], links[1::2],
-                                              (sc.d_m1, sc.d_m2))]).T
-
-    def directions(self, index):
-        """(legit, eve, d_m, log ratio) of the directions ``index`` (0s and
-        1s), per entry, from one indexing: ``_Link``s of arrays and
-        ``_first_maximum_start``'s log ratio 0.5 * math.log(V_b / V_e)."""
-        c = self.direction_constants[:, index]
-        return _Link(*c[:3]), _Link(*c[3:6]), c[6], c[7]
-
-    @cached_property
-    def both_directions(self):
-        """``directions`` as (2, 1) rows, built once per solve."""
-        return self.directions(np.arange(2)[:, None])
-
-    def split_grid(self, m1):
-        """The splits of the array ``m1`` as (2, n) rows, direction 1 at m1
-        and direction 2 at M - m1: (m, box edge lo, box width hi - lo,
-        feasible per split), with ``box``'s bits and feasibility."""
-        legit, eve, d_m, _ = self.both_directions
-        m = np.array((m1, self.scenario.M - m1))
-        lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
-        return m, lo, hi - lo, (lo <= hi).all(axis=0)
-
-    @cached_property
-    def m1_grid(self):
-        """The m1 block's ``_M1_GRID`` + 1 splits on [1, M-1] and their
-        ``split_grid``, built once per solve."""
-        xs = np.linspace(1.0, float(self.scenario.M - 1), _M1_GRID + 1)
-        return xs, self.split_grid(xs)
 
     def box(self, m1):
         """Redundancy boxes of the scalar split m1 (m2 = M - m1) and their
@@ -290,7 +313,7 @@ class _Objective:
         split m1 from one ``box`` call: a redundancy update's dirs."""
         (ab, ae, ba, be), sc = self.links, self.scenario
         lo1, hi1, lo2, hi2, _ = self.box(m1)
-        r1, r2 = self.direction_constants[-1].tolist()
+        r1, r2 = self.geometry.constants[-1].tolist()
         return ((_direction_balance(self, ab, ae, sc.d_m1, r1, m1), lo1, hi1),
                 (_direction_balance(self, ba, be, sc.d_m2, r2, sc.M - m1),
                  lo2, hi2))
@@ -298,6 +321,13 @@ class _Objective:
 
 def _rel_pos(x, lo, hi):
     return 0.5 if hi <= lo else (x - lo) / (hi - lo)
+
+
+def _positions(dirs, d_r1, d_r2):
+    """The box-relative positions (t1, t2) of the pair (d_r1, d_r2) in
+    the boxes of ``dirs`` (``_Objective.split``), 1/2 in an empty box."""
+    (_, lo1, hi1), (_, lo2, hi2) = dirs
+    return _rel_pos(d_r1, lo1, hi1), _rel_pos(d_r2, lo2, hi2)
 
 
 def _bracketed_root(fn, a, fa, b, fb, x=None, atol=0.0, rtol=0.0):
@@ -440,12 +470,12 @@ def _m1_profile(obj, m1, t1, t2):
 
 
 def _m1_profile_grid(obj, grid, t1, t2):
-    """``_m1_profile``'s values at every split of the
-    ``_Objective.split_grid`` ``grid``, both directions in one vector
-    evaluation, with the same bits per point; +inf where the box is
-    empty.  Each feasible point counts as two link pairs."""
+    """``_m1_profile``'s values at every split of the ``_split_grid``
+    ``grid``, both directions in one vector evaluation, with the same
+    bits per point; +inf where the box is empty.  Each feasible point
+    counts as two link pairs."""
     m, lo, span, feasible = grid
-    legit, eve, d_m, _ = obj.both_directions
+    legit, eve, d_m, _ = obj.geometry.both
     s = log_direction_success(legit, eve, m,
                               d_m + (lo + np.array(((t1,), (t2,))) * span))
     obj.evaluations += 2 * int(np.count_nonzero(feasible))
@@ -477,7 +507,7 @@ def _m1_block(obj, t1, t2, m1=None):
     eavesdropper capacities are close, so candidates are evaluated with
     the redundancy pair held at its box-relative position
     (``_m1_profile``).  A coarse grid on [1, M-1]
-    (``_Objective.m1_grid``), evaluated in one vector call, isolates the
+    (``_Geometry.grid``), evaluated in one vector call, isolates the
     best basin.  The profile's slope at the grid's best split x points
     to a neighbour y; where y's box is empty, y becomes
     ``_feasibility_edge``'s split between x and y.  Where the slope
@@ -495,7 +525,7 @@ def _m1_block(obj, t1, t2, m1=None):
     profile point, so no split is scored twice.  Returns (m1, d_r1,
     d_r2, objective), or None where no grid split is feasible.
     """
-    xs, grid = obj.m1_grid
+    _, _, xs, grid = obj.geometry
     vals = _m1_profile_grid(obj, grid, t1, t2)
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
@@ -534,18 +564,19 @@ def _stopped(prev, cur):
     return abs(prev - cur) <= _REL_TOL * abs(prev)
 
 
-def _integer_reconstruct(obj, m1):
+def _integer_reconstruct(obj, m1, seed=None):
     """Round a relaxed split m1 to the best integer allocation over the
     splits floor(m1) - 1 ... ceil(m1) + 1 in [1, M - 1], each with its
     exact best redundancy pair (``_best_split``, as the oracle computes
-    it).  If no split of that window has an integer box, the oracle's
-    answer over every split is taken (``_best_full_budget``).  Returns
+    it, seeded with the relaxed pair's box-relative positions ``seed``).
+    If no split of that window has an integer box, the oracle's answer
+    over every split is taken (``_best_full_budget``).  Returns
     ``_best_split``'s (allocation, log success), or None.
     """
     splits = np.arange(max(1, math.floor(m1) - 1),
                        min(obj.scenario.M - 1, math.ceil(m1) + 1) + 1,
                        dtype=float)
-    return _best_split(obj, splits) or _best_full_budget(obj)
+    return _best_split(obj, splits, seed) or _best_full_budget(obj)
 
 
 def _report(obj, t_start, status, trace, alloc=None, final=None):
@@ -574,7 +605,7 @@ def _descend(scenario, config, redundancy_step):
     ``_MAX_OUTER_ITERS`` cycles.  In integer mode
     ``_integer_reconstruct`` finishes exactly at the splits within one
     of floor/ceil of the relaxed m1, with the oracle's per-direction
-    tables.
+    tables seeded with the relaxed pair's box-relative positions.
     """
     config = config or SolverConfig()
     t_start = time.perf_counter()
@@ -592,9 +623,7 @@ def _descend(scenario, config, redundancy_step):
     status = STATUS_MAX_ITERS
     for k in range(1, _MAX_OUTER_ITERS + 1):
         if k > 1:
-            (_, lo1, hi1), (_, lo2, hi2) = dirs
-            moved = _m1_block(obj, _rel_pos(d_r1, lo1, hi1),
-                              _rel_pos(d_r2, lo2, hi2), m1)
+            moved = _m1_block(obj, *_positions(dirs, d_r1, d_r2), m1)
             if moved is not None and moved[3] <= f:
                 m1, d_r1, d_r2, f = moved
                 dirs = obj.split(m1)
@@ -606,7 +635,7 @@ def _descend(scenario, config, redundancy_step):
     if not config.integer_mode:
         alloc = Allocation(m1=m1, m2=scenario.M - m1, d_r1=d_r1, d_r2=d_r2)
         return _report(obj, t_start, status, trace, alloc, trace[-1][1])
-    best = _integer_reconstruct(obj, m1)
+    best = _integer_reconstruct(obj, m1, _positions(dirs, d_r1, d_r2))
     if best is None:
         return _report(obj, t_start, STATUS_INFEASIBLE, trace)
     alloc, log_p = best
@@ -638,32 +667,40 @@ def _bisect_first_maxima(obj, legit, eve, d_m, m, lo, hi):
     return best, a
 
 
-def _first_maxima(obj, legit, eve, d_m, m, lo, hi, log_ratio):
+def _first_maxima(obj, legit, eve, d_m, m, lo, hi, log_ratio, t=None):
     """Best integer redundancy of one direction at every blocklength.
 
     ``legit`` and ``eve`` are the ``link_constants`` entries of the
-    direction's two links, or per-entry ``_Objective.directions``, as
-    are d_m and ``_first_maximum_start``'s ``log_ratio``; ``m``, ``lo``
-    and ``hi`` are arrays (non-empty integer boxes [lo, hi]).  For each
-    m this finds the smallest d in the box with g(d+1) <= g(d), or hi if
-    there is none, where g is the direction's log success.  g is concave
-    in d (log Phi is concave), so that d is the first maximizer a dense
-    scan of the box would return, plateau ties included.
+    direction's two links, or per-entry ``_directions``, as are d_m,
+    ``_first_maximum_start``'s ``log_ratio`` and the seed ``t``; ``m``,
+    ``lo`` and ``hi`` are arrays (non-empty integer boxes [lo, hi]).
+    For each m this finds the smallest d in the box with g(d+1) <= g(d),
+    or hi if there is none, where g is the direction's log success.  g
+    is concave in d (log Phi is concave), so that d is the first
+    maximizer a dense scan of the box would return, plateau ties
+    included.
 
-    The candidates are e = floor of ``_first_maximum_start``'s estimate,
-    clipped to the box, and e + 1; one vector call evaluates g at
-    e - 1 ... e + 2.  A candidate d in the box is accepted under the
-    bisection's own condition: (d == hi or g(d+1) <= g(d)), not
-    (d > lo and g(d) <= g(d-1)), and g(d) is 0.0 or a normal float
-    (below the smallest normal float g is not concave in floating
-    point).  With the estimate that is five link-pair evaluations per
-    blocklength; the few blocklengths where neither candidate passes
-    go to ``_bisect_first_maxima``, so every entry is the bisection's.
-    Returns (max log success, its d) arrays.
+    The candidates are e = floor of an estimate, clipped to the box, and
+    e + 1; one vector call evaluates g at e - 1 ... e + 2.  A candidate
+    d in the box is accepted under the bisection's own condition:
+    (d == hi or g(d+1) <= g(d)), not (d > lo and g(d) <= g(d-1)), and
+    g(d) is 0.0 or a normal float (below the smallest normal float g is
+    not concave in floating point).  Only the first maximum passes, so
+    every accepted entry is the bisection's, whatever the estimate.  The
+    estimate is lo + t (hi - lo) where a box-relative seed t is given
+    (BCD/MM's finish, from the relaxed pair), four link-pair evaluations
+    per blocklength, and the blocklengths where neither candidate passes
+    go to the unseeded call.  Without a seed it is
+    ``_first_maximum_start``'s, five evaluations per blocklength, and
+    the few blocklengths where neither candidate passes go to
+    ``_bisect_first_maxima``.  Returns (max log success, its d) arrays.
     """
-    est = np.floor(_first_maximum_start(legit, eve, d_m, m, lo, hi, log_ratio))
-    obj.evaluations += m.size
-    ds = np.minimum(np.maximum(est, lo), hi) + _PROBES
+    if t is None:
+        est = _first_maximum_start(legit, eve, d_m, m, lo, hi, log_ratio)
+        obj.evaluations += m.size
+    else:
+        est = lo + t * (hi - lo)
+    ds = np.minimum(np.maximum(np.floor(est), lo), hi) + _PROBES
     g = log_direction_success(legit, eve, m, d_m + ds)
     obj.evaluations += g.size
     c, gc = ds[1:3], g[1:3]
@@ -678,9 +715,10 @@ def _first_maxima(obj, legit, eve, d_m, m, lo, hi, log_ratio):
     if rest.size:
         def at(x):
             return x[rest] if np.ndim(x) else x
-        best[rest], d[rest] = _bisect_first_maxima(
-            obj, _Link(*map(at, legit)), _Link(*map(at, eve)), at(d_m),
-            m[rest], lo[rest], hi[rest])
+        args = (obj, _Link(*map(at, legit)), _Link(*map(at, eve)), at(d_m),
+                m[rest], lo[rest], hi[rest])
+        best[rest], d[rest] = (_bisect_first_maxima(*args) if t is None
+                               else _first_maxima(*args, at(log_ratio)))
     return best, d
 
 
@@ -689,40 +727,47 @@ def _integer_box(lo, hi):
     return np.ceil(lo - _BOX_SLACK), np.floor(hi + _BOX_SLACK)
 
 
-def _direction_tables(obj, m1, m2):
+def _direction_tables(obj, m1, m2, seed=None):
     """Each direction's best integer redundancy, direction 1 at the
     blocklengths of the array ``m1`` and direction 2 at ``m2``: per
     direction (ok, max log success, its d), where ok marks a non-empty
     integer box.  One ``_direction_bounds`` call gives both directions'
     boxes and one ``_first_maxima`` call fills every entry ok marks, each
     on the two directions' concatenated entries, whose constants are
-    indexed again only where some entry has no box."""
+    indexed again only where some entry has no box.  ``seed`` is
+    ``_first_maxima``'s box-relative seed per direction, (t1, t2), or
+    None; it changes the evaluations, never the tables."""
     n = m1.size
+    direction = np.arange(2 * n) // n
     m = np.concatenate((m1, m2))
-    legit, eve, d_m, log_ratio = obj.directions(np.arange(2 * n) // n)
+    constants = obj.geometry.constants
+    legit, eve, d_m, log_ratio = _directions(constants, direction)
     lo, hi = _integer_box(*_direction_bounds(legit, eve, d_m, m, np.sqrt,
                                              np.maximum))
     ok = hi >= lo
     i = slice(None)  # the finish's usual case: every entry has a box
     if not ok.all():
         i = ok.nonzero()[0]
-        legit, eve, d_m, log_ratio = obj.directions(i // n)
+        legit, eve, d_m, log_ratio = _directions(constants, direction[i])
+    t = None if seed is None else np.array(seed)[direction[i]]
     s = np.full(2 * n, -np.inf)
     d = np.zeros(2 * n, dtype=np.int64)
     s[i], d[i] = _first_maxima(obj, legit, eve, d_m, m[i], lo[i], hi[i],
-                               log_ratio)
+                               log_ratio, t)
     return (ok[:n], s[:n], d[:n]), (ok[n:], s[n:], d[n:])
 
 
-def _best_split(obj, splits):
+def _best_split(obj, splits, seed=None):
     """The best full-budget integer allocation over the ascending float
     array ``splits`` of m1 values, each with its exact best redundancy
     pair; the first split on ties, so the smallest (m1, d_r1, d_r2).
     Returns it with its table log success; None when no split has a
-    non-empty integer box in both directions.
+    non-empty integer box in both directions.  ``seed`` is
+    ``_direction_tables``'.
     """
     M = obj.scenario.M
-    (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, splits, M - splits)
+    (ok1, s1, d1), (ok2, s2, d2) = _direction_tables(obj, splits, M - splits,
+                                                     seed)
     ok = (ok1 & ok2).nonzero()[0]
     if not ok.size:
         return None
@@ -759,7 +804,7 @@ def _cell_bounds(obj, k):
     m2 = M - m1
     # both directions stacked: row 0 is direction 1 at m1, row 1 is
     # direction 2 at m2 = M - m1; the boxes of (ends, midpoint) x rows
-    legit, eve, d_m, _ = obj.both_directions
+    legit, eve, d_m, _ = obj.geometry.both
     lo, hi = _direction_bounds(legit, eve, d_m, np.stack((m1, m2), axis=1),
                                np.sqrt, np.maximum)
     top = np.maximum(hi[0], hi[1]) + _BOX_SLACK

@@ -18,6 +18,7 @@ from fblsec.bench_cli import (
     EXIT_INPUT,
     EXIT_OK,
     _VALIDATE_CHUNK,
+    SweepSpec,
     apply_sweep_value,
     ibl_reference_lfp,
     main,
@@ -197,6 +198,14 @@ REJECTED_FLAGS = [
      "--step"),
     ("sweep-step-5e-324",
      f"{SWEEP} --vary gamma_ab_db --from 3 --to 4 --step 5e-324 --methods bcd",
+     "--step"),
+    # a billion-point grid: a MemoryError traceback while the grid was
+    # built; 10,000 points is the most a grid may hold
+    ("sweep-grid-1e9-points",
+     f"{SWEEP} --vary gamma_ab_db --from 0 --to 1e9 --step 1 --methods bcd",
+     "sweep --step 1.0 is too small: the grid may hold at most 10000 points"),
+    ("sweep-grid-10001-points",
+     f"{SWEEP} --vary M --from 2 --to 10002 --step 1 --methods bcd",
      "--step"),
     # these rounded to the budgets 40, 40, 41, 42, 42 and 40, 42, 42
     ("sweep-M-half-step",
@@ -538,6 +547,12 @@ class TestSweepHelpers:
         assert ibl_reference_lfp(make_scenario()) == 0.0
         bad = make_scenario(gamma_ab=1.0, gamma_ae=2.0)
         assert ibl_reference_lfp(bad) == 1.0
+
+    def test_grid_of_the_cap_is_accepted(self):
+        # one point more is the sweep-grid-10001-points row
+        assert len(SweepSpec("M", 2.0, 10001.0, 1.0).values()) == 10_000
+        assert len(SweepSpec("gamma_ab_db", 0.0, 9.999, 1e-3).values()) \
+            == 10_000
 
 
 class TestValidate:

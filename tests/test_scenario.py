@@ -23,13 +23,16 @@ class TestScenarioInvariants:
         ("M", 40.7), ("d_m1", 4.9), ("d_m2", float("nan")),
         ("M", float("inf")), ("M", 2**53),
         pytest.param("d_m1", 10**300, id="d_m1-10**300"),
+        # ints beyond float range, which float() cannot convert
+        *[pytest.param(field, sign * 10**400, id=f"{field}-{sign}e400")
+          for field in ("M", "d_m1", "d_m2") for sign in (1, -1)],
     ])
     def test_invalid_fields_rejected(self, field, value):
         kwargs = dict(gamma_ab=3.0, gamma_ae=1.0, gamma_ba=3.0, gamma_be=1.0,
                       d_m1=4, d_m2=4, M=100, eps_ab_max=0.5, eps_ba_max=0.5,
                       eps_e_max=0.5)
         kwargs[field] = value
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"Scenario.{field} must "):
             Scenario(**kwargs)
 
     @pytest.mark.parametrize("field,value,M", [

@@ -49,12 +49,14 @@ from fblsec.solvers import (
     _direction_tables,
     _edge_or_root,
     _first_maxima,
+    _geometry,
     _integer_reconstruct,
     _m1_block,
     _m1_profile,
     _m1_profile_grid,
     _Objective,
     _redundancy_pass,
+    _split_grid,
     _surrogate_min,
 )
 
@@ -123,6 +125,9 @@ NEAR_DEGENERATE = make_scenario(
     gamma_ab=1.1724898685987892, gamma_ae=0.9793948492744282,
     gamma_ba=6.089165608101732, gamma_be=0.2099366309057787,
     d_m1=4, d_m2=4, M=197)
+# Benchmark ladder seed 1: its rung 7 (M = 1000) ends at LFP ~4e-190,
+# rung 8 (M = 4000) on an exact LFP 0.0 plateau.
+LADDER_1 = ladder_instances(1)
 
 
 class TestBcdScalarMin:
@@ -938,6 +943,52 @@ class TestIntegerFinish:
             assert report.lfp_final <= min(v for v in values if v is not None)
             assert report.lfp_final >= oracle.lfp_final
 
+    @pytest.mark.parametrize("sc", SOLVER_SUITE + [LADDER_1[8]])
+    def test_seeded_tables_are_the_unseeded_ones(self, sc, monkeypatch):
+        # every split's tables, as the oracle builds them, from seeds at
+        # the boxes' ends and inside them; on the LFP 0.0 plateau of
+        # LADDER_1[8] entries fall through to the unseeded estimate
+        m = np.arange(1.0, sc.M)
+        plain = _direction_tables(_Objective(sc), m, sc.M - m)
+        estimated = []
+        start = solvers._first_maximum_start
+
+        def recorded(legit, eve, d_m, m, *args):
+            estimated.append(m.size)
+            return start(legit, eve, d_m, m, *args)
+
+        monkeypatch.setattr(solvers, "_first_maximum_start", recorded)
+        for seed in ((0.0, 1.0), (0.5, 0.5), (0.3, 0.9)):
+            seeded = _direction_tables(_Objective(sc), m, sc.M - m, seed)
+            for (ok, s, d), (ok_s, s_s, d_s) in zip(plain, seeded):
+                assert ok.tolist() == ok_s.tolist()
+                assert d.tolist() == d_s.tolist()
+                assert hex_list(s) == hex_list(s_s)
+        if sc is LADDER_1[8]:
+            assert sum(estimated) > 0
+
+    @pytest.mark.parametrize("sc", SOLVER_SUITE + [LADDER_1[8]])
+    def test_seed_is_the_relaxed_pairs_position(self, sc, monkeypatch):
+        # the finish's seed is where the relaxed solve left its pair in
+        # the boxes of its split
+        seeds = []
+        reconstruct = solvers._integer_reconstruct
+
+        def recorded(obj, m1, seed=None):
+            seeds.append((m1, seed))
+            return reconstruct(obj, m1, seed)
+
+        monkeypatch.setattr(solvers, "_integer_reconstruct", recorded)
+        for solve in (solve_bcd, solve_mm):
+            seeds.clear()
+            relaxed = solve(sc, SolverConfig(integer_mode=False)).alloc
+            solve(sc)
+            (m1, (t1, t2)), = seeds
+            lo1, hi1, lo2, hi2, _ = _Objective(sc).box(m1)
+            assert m1 == relaxed.m1
+            assert (t1, t2) == ((relaxed.d_r1 - lo1) / (hi1 - lo1),
+                                (relaxed.d_r2 - lo2) / (hi2 - lo2))
+
     def test_no_integer_box_at_either_split_gives_the_oracle(self):
         # the window of m1 = 2.0 is splits 1, 2 and 3, none of which has
         # an integer box in the forward direction
@@ -1292,11 +1343,11 @@ class TestM1BracketGrid:
     point for point and bit for bit, the start it gives and the split
     it ends at."""
 
-    # ladder_instances(1)[7] (M = 1000) ends at LFP ~4e-190, where the
-    # profile's slopes are so small that their product underflows
+    # LADDER_1[7] ends where the profile's slopes are so small that
+    # their product underflows
     SCENARIOS = ([SMALL, NEAR_DEGENERATE, TestExhaustivePlateauTies.SC,
                   DEFAULT_M1000]
-                 + random_feasible_suite(4, seed=99) + [ladder_instances(1)[7]])
+                 + random_feasible_suite(4, seed=99) + [LADDER_1[7]])
 
     @pytest.mark.parametrize("sc", SCENARIOS)
     def test_grid_matches_scalar_profile(self, sc):
@@ -1306,7 +1357,8 @@ class TestM1BracketGrid:
         for xs in grids:
             for t1, t2 in ((0.0, 0.0), (1.0, 1.0), (0.25, 0.75), (0.5, 0.5)):
                 before = obj.evaluations
-                grid = _m1_profile_grid(obj, obj.split_grid(xs), t1, t2)
+                grid = _m1_profile_grid(
+                    obj, _split_grid(obj.geometry.both, sc.M, xs), t1, t2)
                 grid_count = obj.evaluations - before
                 scalar = [_m1_profile(obj, x, t1, t2)[0] for x in xs]
                 scalar_count = obj.evaluations - before - grid_count
@@ -1407,7 +1459,8 @@ class TestM1BracketGrid:
         # the near-degenerate forward direction is empty at short blocks
         obj = _Objective(NEAR_DEGENERATE)
         xs = np.arange(1.0, float(obj.scenario.M))
-        grid = _m1_profile_grid(obj, obj.split_grid(xs), 0.5, 0.5)
+        grid = _m1_profile_grid(
+            obj, _split_grid(obj.geometry.both, obj.scenario.M, xs), 0.5, 0.5)
         assert np.isinf(grid).any() and np.isfinite(grid).any()
 
     @pytest.mark.parametrize("sc", SCENARIOS)
@@ -1440,6 +1493,43 @@ class TestM1BracketGrid:
             below = _m1_profile(obj, x - tol, t1, t2)[1]
             above = _m1_profile(obj, x + tol, t1, t2)[1]
             assert below <= 0.0 <= above, (m1, x, below, above)
+
+
+class TestSharedGeometry:
+    """The geometry that BCD, MM and the oracle derive from the scenario
+    alone (``_geometry``): read-only, one per scenario value, and a
+    solve on a cold cache reports what a warm one does."""
+
+    def test_arrays_are_read_only(self):
+        g = _geometry(SMALL)
+        arrays = [g.constants, *g.both[0], *g.both[1], *g.both[2:], g.xs,
+                  *g.grid]
+        assert len(arrays) == 14
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_equal_scenarios_share_one_geometry(self):
+        twin = make_scenario(d_m1=2, d_m2=2, M=40)
+        assert twin == SMALL and twin is not SMALL
+        assert _Objective(twin).geometry is _Objective(SMALL).geometry
+        other = dataclasses.replace(SMALL, M=41)
+        assert _Objective(other).geometry is not _Objective(SMALL).geometry
+
+    @pytest.mark.parametrize("solve", [solve_bcd, solve_mm, solve_exhaustive])
+    def test_cold_cache_gives_the_warm_report(self, solve):
+        def report(sc):
+            out = solve(sc).to_dict()
+            del out["wall_time"]
+            return json.dumps(out)
+
+        for sc in SOLVER_SUITE + [DEFAULT_M1000]:
+            report(sc)
+            warm = report(sc)
+            _geometry.cache_clear()
+            assert report(sc) == warm
+            assert _geometry.cache_info().misses == 1
 
 
 class TestM1ProfileSlope:
