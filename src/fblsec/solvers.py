@@ -26,14 +26,18 @@
   redundancy and the objective separates by direction, so each optimum
   is the box edge or the root of the direction's hazard balance, found
   from the incumbent by the edge-or-root rule it shares with MM's step
-  (``_edge_or_root``).  The m1 block moves the split along the profile
-  that carries the redundancy pair at its box-relative position: a
-  coarse grid, both directions in one vector call, finds the best
-  basin, and Newton steps from the incumbent split on the profile's
-  log-scaled slope, whose scale does not shrink with the LFP, close in
-  on its root in the grid bracket; slope and second slope are closed
-  form.  Both blocks and MM's step share one bracketed Newton root
-  finder (``_bracketed_root``).  The descent starts from the m1 block
+  (``_edge_or_root``): Newton steps toward the edge the balance points
+  to, which is evaluated only where a step would leave the box.  The m1
+  block moves the split along the profile that carries the redundancy
+  pair at its box-relative position: a coarse grid, both directions in
+  one vector call, finds the best basin, and Newton steps on the
+  profile's log-scaled slope, whose scale does not shrink with the LFP,
+  close in on its root between the grid's best split's neighbours, from
+  the incumbent split where it lies inside them, else from that best
+  split; the neighbours, which the grid scored, are not scored again,
+  and slope and second slope are closed form.  Both blocks and MM's
+  step share one bracketed Newton root finder (``_bracketed_root``),
+  which evaluates no bracket end.  The descent starts from the m1 block
   itself, with the redundancy pair at mid-box, and stops on a relative
   change of the LFP alone, however small the LFP.  In integer mode an
   exact per-split finish follows: the splits
@@ -248,11 +252,13 @@ def _split_grid(both, M, m1):
     """The splits of the array ``m1`` as (2, n) rows, direction 1 at m1
     and direction 2 at M - m1, for the directions ``both`` of
     ``_Geometry``: (m, box edge lo, box width hi - lo, feasible per
+    split, the link pairs that scoring them counts: two per feasible
     split), with ``_Objective.box``'s bits and feasibility."""
     legit, eve, d_m, _ = both
     m = np.array((m1, M - m1))
     lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
-    return m, lo, hi - lo, (lo <= hi).all(axis=0)
+    feasible = (lo <= hi).all(axis=0)
+    return m, lo, hi - lo, feasible, 2 * int(np.count_nonzero(feasible))
 
 
 class _Geometry(NamedTuple):
@@ -262,7 +268,7 @@ class _Geometry(NamedTuple):
     constants: np.ndarray  # (8, 2): ``_directions``' constants by column
     both: tuple            # ``_directions`` of both, as (2, 1) rows
     xs: np.ndarray         # the m1 block's _M1_GRID + 1 splits on [1, M-1]
-    grid: tuple            # their ``_split_grid``
+    grid: tuple            # their ``_split_grid``, link-pair count included
 
 
 @lru_cache(maxsize=1024)
@@ -279,7 +285,7 @@ def _geometry(scenario):
     both = _directions(constants, np.arange(2)[:, None])
     xs = np.linspace(1.0, float(sc.M - 1), _M1_GRID + 1)
     grid = _split_grid(both, sc.M, xs)
-    for a in (*both[0], *both[1], *both[2:], xs, *grid):
+    for a in (*both[0], *both[1], *both[2:], xs, *grid[:4]):
         a.flags.writeable = False
     return _Geometry(constants, both, xs, grid)
 
@@ -330,21 +336,20 @@ def _positions(dirs, d_r1, d_r2):
     return _rel_pos(d_r1, lo1, hi1), _rel_pos(d_r2, lo2, hi2)
 
 
-def _bracketed_root(fn, a, fa, b, fb, x=None, atol=0.0, rtol=0.0):
+def _bracketed_root(fn, a, b, x, atol=0.0, rtol=0.0):
     """A root of ``fn`` in the bracket [a, b] of a function that falls
-    through zero there: fa = fn(a) > 0 > fb = fn(b).
+    through zero there, from the start x in it; the ends are never
+    evaluated.
 
-    ``fn(x)`` returns (value, slope).  From the start x (by default the
-    false-position point of the ends), each value narrows the bracket to
-    its sign change, and the next point is the Newton step, or the
-    bracket's midpoint where that step would leave the bracket or the
-    slope is 0 (rtsafe, Press et al., Numerical Recipes, section 9.4).
-    Stops at a zero or NaN value, after a step of at most max(atol, rtol
-    * |step|) or after ``_MAX_BLOCK_ITERS`` values, and returns the last
-    point reached.
+    ``fn(x)`` returns (value, slope).  Each value narrows the bracket to
+    the side its sign points to, and the next point is the Newton step,
+    or the bracket's midpoint where that step would leave the bracket or
+    the slope is 0 (rtsafe, Press et al., Numerical Recipes, section
+    9.4).  Where fn keeps one sign over the bracket, the points close in
+    on the end it points to.  Stops at a zero or NaN value, after a step
+    of at most max(atol, rtol * |step|) or after ``_MAX_BLOCK_ITERS``
+    values, and returns the last point reached.
     """
-    if x is None:
-        x = (a * fb - b * fa) / (fb - fa)
     for _ in range(_MAX_BLOCK_ITERS):
         r, slope = fn(x)
         if r > 0.0:
@@ -363,28 +368,42 @@ def _bracketed_root(fn, a, fa, b, fb, x=None, atol=0.0, rtol=0.0):
     return x
 
 
-def _edge_or_root(fn, x, lo, hi):
+def _edge_or_root(fn, x, lo, hi, atol=_BLOCK_TOL, rtol=_BLOCK_TOL):
     """Where a function F that falls strictly in d has its zero in the
     box [lo, hi], or the box edge it is closest to; ``fn(d)`` returns
     (F(d), F'(d)).
 
-    The answer is x where the Newton step from x rounds to x, else the
-    box edge that F(x)'s sign points to where F has not changed sign
-    there, else F's root between x and that edge (``_bracketed_root``
-    from x, to ``_BLOCK_TOL``).  An answer of x costs one value of
-    ``fn``, an edge two.
+    Newton steps run from x toward the edge that F(x)'s sign points to
+    while F keeps that sign.  The edge is evaluated only where a step
+    would leave the box (or is NaN or turns back), and it is the answer
+    where F has x's sign there or is 0.  Where F changes sign inside the
+    box, at a Newton point or at the edge, the answer is
+    ``_bracketed_root``'s between the last point of x's sign and there.
+    A step of at most max(atol, rtol * |step|) ends the search at the
+    step, so an answer of x costs one value of ``fn``, and an edge that
+    the first step leaves for costs two.
     """
     f_x, slope = fn(x)
-    if x - f_x / slope == x:
+    rises = f_x > 0.0
+    edge = hi if rises else lo
+    for _ in range(_MAX_BLOCK_ITERS):
+        step = x - f_x / slope if slope else math.nan
+        if not (x <= step <= edge if rises else edge <= step <= x):
+            f_edge = fn(edge)[0]
+            if f_edge == 0.0 or (f_edge > 0.0) == rises:
+                return edge
+            end = edge
+            break
+        if abs(step - x) <= max(atol, rtol * abs(step)):
+            return step
+        f_step, s = fn(step)
+        if not (f_step > 0.0 if rises else f_step < 0.0):
+            end = step  # F changed sign (or is 0 or NaN)
+            break
+        x, f_x, slope = step, f_step, s
+    else:
         return x
-    edge = hi if f_x > 0.0 else lo
-    f_edge = fn(edge)[0]
-    if f_edge == 0.0 or (f_edge > 0.0) == (f_x > 0.0):
-        return edge
-    a, fa, b, fb = ((x, f_x, edge, f_edge) if f_x > 0.0
-                    else (edge, f_edge, x, f_x))
-    return _bracketed_root(fn, a, fa, b, fb, x,
-                           atol=_BLOCK_TOL, rtol=_BLOCK_TOL)
+    return _bracketed_root(fn, min(x, end), max(x, end), x, atol, rtol)
 
 
 def _direction_balance(obj, legit, eve, d_m, log_ratio, m):
@@ -473,12 +492,12 @@ def _m1_profile_grid(obj, grid, t1, t2):
     """``_m1_profile``'s values at every split of the ``_split_grid``
     ``grid``, both directions in one vector evaluation, with the same
     bits per point; +inf where the box is empty.  Each feasible point
-    counts as two link pairs."""
-    m, lo, span, feasible = grid
+    counts as two link pairs, as the grid holds them."""
+    m, lo, span, feasible, pairs = grid
     legit, eve, d_m, _ = obj.geometry.both
     s = log_direction_success(legit, eve, m,
                               d_m + (lo + np.array(((t1,), (t2,))) * span))
-    obj.evaluations += 2 * int(np.count_nonzero(feasible))
+    obj.evaluations += pairs
     return np.where(feasible, -(s[0] + s[1]), math.inf)
 
 
@@ -508,22 +527,29 @@ def _m1_block(obj, t1, t2, m1=None):
     the redundancy pair held at its box-relative position
     (``_m1_profile``).  A coarse grid on [1, M-1]
     (``_Geometry.grid``), evaluated in one vector call, isolates the
-    best basin.  The profile's slope at the grid's best split x points
-    to a neighbour y; where y's box is empty, y becomes
-    ``_feasibility_edge``'s split between x and y.  Where the slope
-    changes sign between x and y, ``_bracketed_root`` closes in on its
-    root with Newton steps to ``_LINE_SEARCH_TOL``, from the incumbent if
-    it lies strictly inside the bracket, else from its false-position
-    point.  The steps run on q = p'/p, q' = p''/p - q^2 (p = -log
-    success), and on (p', p'') where p is 0.0: the raw slope scales with
-    p, which can change by orders of magnitude across one bracket.
+    best basin: the bracket is the grid's best split x's neighbours (x
+    itself at a grid end).  The root search starts at the incumbent if
+    it lies strictly inside the bracket, else at x, and closes in on
+    the profile slope's root with ``_bracketed_root``'s Newton steps to
+    ``_LINE_SEARCH_TOL``, toward the end the slope at the start points
+    to.  That end is not scored: no grid neighbour scored better than
+    x, so on a unimodal profile the root lies short of it.  Where the
+    neighbour's box is empty, the end is ``_feasibility_edge``'s split
+    between the start and it, and the profile may fall all the way to
+    that edge, so the search is ``_edge_or_root``'s: the edge is scored
+    only where a step would leave past it, and is the block's answer
+    where the slope still points past it.  The steps run on q = p'/p,
+    q' = p''/p - q^2 (p = -log success), and on (p', p'') where p is
+    0.0: the raw slope scales with p, which can change by orders of
+    magnitude across one bracket.
 
     The answer is the best split the block scored, the latest on ties:
-    the root finder's points close in on the root, so the latest of
-    equal values lies nearest it; without a sign change it is the
-    better of x and y.  Its value and carried pair are those of its own
-    profile point, so no split is scored twice.  Returns (m1, d_r1,
-    d_r2, objective), or None where no grid split is feasible.
+    the grid's x, with the grid's value and carried pair (the profile's
+    bits), then the root finder's points, which close in on the root,
+    so the latest of equal values lies nearest it.  Its value and
+    carried pair are those it was scored with, so no split is scored
+    twice.  Returns (m1, d_r1, d_r2, objective), or None where no grid
+    split is feasible.
     """
     _, _, xs, grid = obj.geometry
     vals = _m1_profile_grid(obj, grid, t1, t2)
@@ -541,22 +567,27 @@ def _m1_block(obj, t1, t2, m1=None):
         q = s / p
         return -q, q * q - s2 / p
 
+    below, above = max(i - 1, 0), min(i + 1, _M1_GRID)
     x = float(xs[i])
-    f_x = scaled(x)[0]
-    j = i + 1 if f_x > 0.0 else i - 1 if f_x < 0.0 else i  # 0, NaN: stay
-    if j != i and 0 <= j <= _M1_GRID:
-        y = float(xs[j])
-        if not grid[3][j]:
-            y = _feasibility_edge(obj, x, y)
-        f_y = scaled(y)[0]
-        if f_x < 0.0 < f_y or f_y < 0.0 < f_x:
-            # the root finder's function falls through zero
-            a, fa, b, fb = (x, f_x, y, f_y) if x < y else (y, f_y, x, f_x)
-            start = m1 if m1 is not None and a < m1 < b else None
-            _bracketed_root(scaled, a, fa, b, fb, start,
+    start = m1 if m1 is not None and xs[below] < m1 < xs[above] else x
+    f = scaled(start)[0]
+    if f > 0.0 or f < 0.0:  # 0, NaN: stay
+        j = above if f > 0.0 else below
+        end = float(xs[j])
+        if grid[3][j]:
+            _bracketed_root(scaled, min(start, end), max(start, end), start,
                             atol=_LINE_SEARCH_TOL)
-    x = min(reversed(points), key=lambda z: points[z][0])
-    value, _, d_r1, d_r2, _ = points[x]
+        else:
+            end = _feasibility_edge(obj, start, end)
+            _edge_or_root(scaled, start, min(start, end), max(start, end),
+                          atol=_LINE_SEARCH_TOL, rtol=0.0)
+    _, lo, span, _, _ = grid
+    best = (float(vals[i]), x, float(lo[0, i] + t1 * span[0, i]),
+            float(lo[1, i] + t2 * span[1, i]))
+    for z, (p, _, d_r1, d_r2, _) in points.items():
+        if p <= best[0]:
+            best = (p, z, d_r1, d_r2)
+    value, x, d_r1, d_r2 = best
     return x, d_r1, d_r2, value
 
 

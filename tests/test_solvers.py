@@ -698,30 +698,35 @@ class TestBracketedRoot:
         # outside [-10, 8], so the next point is that bracket's midpoint
         fn, seen = counted(lambda x: (-math.atan(x - 1.0),
                                       -1.0 / (1.0 + (x - 1.0) ** 2)))
-        root = _bracketed_root(fn, -10.0, math.atan(11.0), 10.0,
-                               -math.atan(9.0), 8.0, atol=1e-12)
+        root = _bracketed_root(fn, -10.0, 10.0, 8.0, atol=1e-12)
         assert seen[:2] == [8.0, -1.0]
         assert abs(root - 1.0) <= 1e-12
         assert len(seen) < 15
 
     def test_zero_slope_is_bisected(self):
-        # F = 1 - x^10 on [0, 2] with a slope of 0: from the
-        # false-position start every step is the bracket's midpoint
+        # F = 1 - x^10 on [0, 2] with a slope of 0: from the start every
+        # step is the bracket's midpoint
         fn, seen = counted(lambda x: (1.0 - x ** 10, 0.0))
-        root = _bracketed_root(fn, 0.0, 1.0, 2.0, 1.0 - 2.0 ** 10,
-                               atol=1e-12)
-        x0 = 2.0 / 1024.0
-        assert seen[:3] == [x0, 0.5 * (x0 + 2.0), 0.5 * (x0 + seen[1])]
+        root = _bracketed_root(fn, 0.0, 2.0, 0.5, atol=1e-12)
+        assert seen[:3] == [0.5, 1.25, 0.875]
         assert abs(root - 1.0) <= 1e-12
 
     def test_stops_at_an_exact_zero(self):
         fn, seen = counted(lambda x: (0.5 - x, -1.0))
-        assert _bracketed_root(fn, 0.0, 0.5, 1.0, -0.5) == 0.5
-        assert seen == [0.5]
+        assert _bracketed_root(fn, 0.0, 1.0, 0.25) == 0.5
+        assert seen == [0.25, 0.5]
         # where the slope vanishes with the value, no step is taken
         fn, seen = counted(lambda x: (-(x - 0.5) ** 3, -3.0 * (x - 0.5) ** 2))
-        assert _bracketed_root(fn, 0.0, 0.125, 1.0, -0.125) == 0.5
+        assert _bracketed_root(fn, 0.0, 1.0, 0.5) == 0.5
         assert seen == [0.5]
+
+    def test_ends_are_never_evaluated(self):
+        # F = 5 - x keeps its sign over [0, 2]: the points close in on
+        # the end it points to without evaluating either end
+        fn, seen = counted(lambda x: (5.0 - x, -1.0))
+        root = _bracketed_root(fn, 0.0, 2.0, 1.0, atol=1e-9)
+        assert abs(root - 2.0) <= 1e-9
+        assert 0.0 not in seen and 2.0 not in seen
 
 
 class TestEdgeOrRoot:
@@ -746,12 +751,39 @@ class TestEdgeOrRoot:
         assert seen == [1.0, 2.0]
 
     def test_root_between_the_anchor_and_the_edge(self):
-        # a nonlinear F so that Newton from the anchor is not exact
+        # a nonlinear F so that Newton from the anchor is not exact; its
+        # first step leaves the box, so the edge is probed
         fn, seen = counted(lambda d: (math.exp(-d) - 0.25,
                                       -math.exp(-d)))
         root = _edge_or_root(fn, 4.0, 0.0, 10.0)
         assert seen[:2] == [4.0, 0.0]
         assert abs(root - math.log(4.0)) <= 1e-9
+
+    def test_interior_root_evaluates_no_edge(self):
+        # convex F: Newton from below approaches the root from one side;
+        # concave F: the first step overshoots it, inside the box.  No
+        # step leaves the box, so neither edge is evaluated
+        for f, root in ((lambda d: (math.exp(-d) - 0.25, -math.exp(-d)),
+                         math.log(4.0)),
+                        (lambda d: (1.0 - d * d, -2.0 * d), 1.0)):
+            fn, seen = counted(f)
+            assert abs(_edge_or_root(fn, 0.5, 0.25, 10.0) - root) <= 1e-9
+            assert seen[0] == 0.5 and len(seen) > 3
+            assert 0.25 not in seen and 10.0 not in seen
+
+    def test_edge_after_two_values_where_the_first_step_leaves(self):
+        # F < 0 over [3, 10]: the step from 4 lands at -8.6, below the
+        # box, and the edge 3 keeps F's sign
+        fn, seen = counted(lambda d: (math.exp(-d) - 0.25, -math.exp(-d)))
+        assert _edge_or_root(fn, 4.0, 3.0, 10.0) == 3.0
+        assert seen == [4.0, 3.0]
+
+    def test_edge_is_evaluated_when_a_later_step_leaves(self):
+        # F > 0 over [-1, 1]: the step from 0 stays in the box at 0.75,
+        # the next would leave it, and the edge 1 keeps F's sign
+        fn, seen = counted(lambda d: (math.exp(-d) - 0.25, -math.exp(-d)))
+        assert _edge_or_root(fn, 0.0, -1.0, 1.0) == 1.0
+        assert seen == [0.0, 0.75, 1.0]
 
     def test_point_box_gives_its_point(self):
         fn, seen = counted(lambda d: (5.0 - d, -1.0))
@@ -856,36 +888,45 @@ class TestMmStep:
         assert 0 < edges < 200
 
     def test_shifted_balance_is_the_balance_at_its_anchor(self, monkeypatch):
-        # the root finder's F at the anchor is the hazard balance, bit
-        # for bit; F falls, and its bracket ends have opposite signs
-        brackets = []
-        root = solvers._bracketed_root
+        # the edge-or-root rule's F at the anchor is the hazard balance,
+        # bit for bit; F falls, and where the root finder runs, its
+        # bracket starts at one end and F changes sign across it
+        calls = []
+        edge_or_root, root = solvers._edge_or_root, solvers._bracketed_root
 
-        def recorded(fn, a, fa, b, fb, x, **kwargs):
-            brackets.append((fn, a, fa, b, fb, x))
-            return root(fn, a, fa, b, fb, x, **kwargs)
+        def recorded(fn, x, lo, hi, **kwargs):
+            calls.append((fn, x))
+            return edge_or_root(fn, x, lo, hi, **kwargs)
 
-        monkeypatch.setattr(solvers, "_bracketed_root", recorded)
-        checked = 0
+        def recorded_root(fn, a, b, x, *args):
+            calls.append((a, b, x))
+            return root(fn, a, b, x, *args)
+
+        monkeypatch.setattr(solvers, "_edge_or_root", recorded)
+        monkeypatch.setattr(solvers, "_bracketed_root", recorded_root)
+        anchors = bracketed = 0
         for sc, m1, d_r1, d_r2 in self.ANCHORS:
             for legit, eve, d_m, m, lo, hi, x, at in direction_steps(
                     sc, m1, d_r1, d_r2):
-                brackets.clear()
+                calls.clear()
                 _surrogate_min(at, x, lo, hi)
-                if not brackets:
-                    continue  # the answer is a box edge
-                checked += 1
-                fn, a, fa, b, fb, start = brackets[0]
+                (fn, anchor), *bracket = calls
+                anchors += 1
                 _, c_b, c_e, _ = _balanced_start(legit, eve, m, m,
                                                  math.sqrt)
                 r = _hazard_balance(legit, eve, m, m, d_m + x, c_b, c_e,
                                     0.5 * math.log(legit.v / eve.v),
                                     math.sqrt, math.exp)[0]
-                assert start == x and x in (a, b)
+                assert anchor == x
                 assert fn(x)[0].hex() == float(r).hex()
-                assert fa > 0.0 > fb
+                if not bracket:
+                    continue  # the answer is a box edge or a Newton step
+                bracketed += 1
+                (a, b, start), = bracket
+                assert lo <= a < b <= hi and start in (a, b)
+                assert fn(a)[0] > 0.0 >= fn(b)[0]
                 assert fn(a)[1] < 0.0 and fn(b)[1] < 0.0
-        assert checked > 100
+        assert anchors == 200 and bracketed > 50
 
 
 # The sets whose oracle, BCD and MM solves ``conftest.violations`` judges
@@ -1036,9 +1077,9 @@ class TestReachesTheOracle:
     # exact ties on an LFP 0.0 plateau where BCD/MM's allocation (m1,
     # m2, d_r1, d_r2) is not the oracle's smallest tied one
     PLATEAU_TIES = {
-        "ladder1_8": (1374, 2626, 1424, 1696),
+        "ladder1_8": (1269, 2731, 1356, 1739),
         "ladder2_5": (2506, 1494, 2399, 1454),
-        "ladder3_8": (2373, 1627, 3268, 1502),
+        "ladder3_8": (2319, 1681, 3215, 1533),
     }
 
     def test_integer_result_within_the_gap(self, gate_reports):
@@ -1193,7 +1234,37 @@ class TestRedundancyBlock:
                         out.append(_direction_min(at, 0.5 * (a + b), a, b))
             evaluations += obj.evaluations
         assert hex_list(out) == list(self.PINNED)
-        assert evaluations == 210
+        assert evaluations == 174
+
+    def test_few_evaluations_per_block(self, monkeypatch):
+        # a box edge is evaluated only where a Newton step would leave
+        # the box: on average at most three link pairs per block from the
+        # incumbents of BCD's solves of the benchmark suite's first seed
+        # (about 2.7), and at most 4.5 from the MM step tests' interior
+        # anchors (about 4.3)
+        objs, counts = [], []
+        balance, block = solvers._direction_balance, solvers._direction_min
+
+        def recorded_balance(obj, *args):
+            objs[:] = [obj]
+            return balance(obj, *args)
+
+        def counted_block(*args):
+            before = objs[0].evaluations
+            out = block(*args)
+            counts.append(objs[0].evaluations - before)
+            return out
+
+        monkeypatch.setattr(solvers, "_direction_balance", recorded_balance)
+        monkeypatch.setattr(solvers, "_direction_min", counted_block)
+        for sc in suite_instances(1):
+            solve_bcd(sc)
+        assert len(counts) > 200 and sum(counts) <= 3.0 * len(counts)
+        counts.clear()
+        for sc, m1, d_r1, d_r2 in TestMmStep.ANCHORS:
+            for *_, lo, hi, x, at in direction_steps(sc, m1, d_r1, d_r2):
+                counted_block(at, x, lo, hi)
+        assert len(counts) == 200 and sum(counts) <= 4.5 * len(counts)
 
     def test_point_box_gives_its_point_from_one_evaluation(self):
         obj = _Objective(SMALL)
@@ -1253,10 +1324,10 @@ class TestRunControl:
 
 class TestEvaluatedOnce:
     """BCD and MM carry the incumbent's objective value instead of
-    scoring it again, the m1 block takes its answer's value from that
-    split's own profile point, and both redundancy steps score their
-    points from the hazard-balance evaluations they solve on, each
-    evaluated once."""
+    scoring it again, the m1 block takes its answer's value from the
+    point that scored it (its grid or its profile), and both redundancy
+    steps score their points from the hazard-balance evaluations they
+    solve on, each evaluated once."""
 
     @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
     def test_no_point_scored_twice_in_a_cycle(self, solve, monkeypatch):
@@ -1402,41 +1473,120 @@ class TestM1BracketGrid:
         else:
             assert report.trace[0] == (0, -math.expm1(-min(values)))
 
+    @staticmethod
+    def grid_best(sc, t1=0.5, t2=0.5):
+        """The grid's splits and the index of its best one at (t1, t2)."""
+        obj = _Objective(sc)
+        vals = _m1_profile_grid(obj, obj.geometry.grid, t1, t2)
+        return obj.geometry.xs, int(np.argmin(vals))
+
     def test_root_starts_at_an_incumbent_inside_its_bracket(self,
                                                             monkeypatch):
-        # an incumbent strictly inside the bracket is the root's first
-        # point; on or outside its ends the root starts at the
-        # false-position point, as without an incumbent
-        calls = []
-        root = solvers._bracketed_root
+        # the block's first profile point is the incumbent where it lies
+        # strictly inside the bracket of the grid's best split's
+        # neighbours, else that split; from that split the answer is the
+        # block's answer without an incumbent
+        points = []
+        profile = solvers._m1_profile
 
-        def recorded(fn, a, fa, b, fb, x=None, **kwargs):
-            calls.append((a, b, x))
-            return root(fn, a, fa, b, fb, x, **kwargs)
+        def recorded(obj, z, t1, t2):
+            points.append(z)
+            return profile(obj, z, t1, t2)
 
-        monkeypatch.setattr(solvers, "_bracketed_root", recorded)
-        bracketed = 0
+        monkeypatch.setattr(solvers, "_m1_profile", recorded)
+        inside = 0
         for sc in self.SCENARIOS:
-            calls.clear()
+            xs, i = self.grid_best(sc)
+            points.clear()
             plain = _m1_block(_Objective(sc), 0.5, 0.5)
-            if not calls:
-                continue
-            bracketed += 1
-            (a, b, start), = calls
-            assert start is None
-            for m1, want in ((a, None), (b, None), (a - 1.0, None),
-                             (b + 1.0, None), (0.5 * (a + b), 0.5 * (a + b))):
-                calls.clear()
-                moved = _m1_block(_Objective(sc), 0.5, 0.5, m1)
-                assert calls == [(a, b, want)], (sc, m1)
-                if want is None:
+            assert points[0] == xs[i]
+            a, b = xs[max(i - 1, 0)], xs[min(i + 1, _M1_GRID)]
+            for m1 in (a, b, a - 1.0, b + 1.0, 0.5 * (a + xs[i]),
+                       0.5 * (xs[i] + b)):
+                points.clear()
+                moved = _m1_block(_Objective(sc), 0.5, 0.5, float(m1))
+                if a < m1 < b:
+                    inside += 1
+                    assert points[0] == m1, (sc, m1)
+                else:
+                    assert points[0] == xs[i], (sc, m1)
                     assert moved == plain
-        assert bracketed >= 5
+        assert inside >= 10
+
+    def test_answer_never_worse_than_the_grids_best_split(self,
+                                                          monkeypatch):
+        # with the root search cut short, an incumbent inside the bracket
+        # that scores worse than the grid's best split leaves that
+        # split, with the profile's value and carried pair, as the answer
+        for search in ("_bracketed_root", "_edge_or_root"):
+            monkeypatch.setattr(solvers, search, lambda *a, **k: None)
+        checked = 0
+        for sc in self.SCENARIOS:
+            xs, i = self.grid_best(sc)
+            best = _m1_profile(_Objective(sc), xs[i], 0.5, 0.5)
+            for m1 in (0.5 * (xs[max(i - 1, 0)] + xs[i]),
+                       0.5 * (xs[i] + xs[min(i + 1, _M1_GRID)])):
+                if m1 == xs[i] or _m1_profile(_Objective(sc), m1, 0.5,
+                                              0.5)[0] <= best[0]:
+                    continue
+                checked += 1
+                assert _m1_block(_Objective(sc), 0.5, 0.5, float(m1)) == (
+                    xs[i], best[2], best[3], best[0])
+        assert checked >= 5
+
+    def test_no_bracket_end_is_scored(self, monkeypatch):
+        # in the blocks of BCD and MM solves: the grid's best split's
+        # neighbours are never scored, and a feasibility edge only where
+        # the Newton step from the point scored before it would leave
+        # past it, as the edge-or-root rule probes a box edge
+        blocks = []  # per block: (t1, t2, neighbours, edges, points)
+        grid, profile, edge = (solvers._m1_profile_grid, solvers._m1_profile,
+                               solvers._feasibility_edge)
+
+        def recorded_grid(obj, g, t1, t2):
+            vals = grid(obj, g, t1, t2)
+            i, xs = int(np.argmin(vals)), obj.geometry.xs
+            blocks.append((t1, t2, {xs[j] for j in (i - 1, i + 1)
+                                    if 0 <= j <= _M1_GRID}, set(), []))
+            return vals
+
+        def recorded_profile(obj, z, t1, t2):
+            blocks[-1][4].append(z)
+            return profile(obj, z, t1, t2)
+
+        def recorded_edge(obj, x, y):
+            out = edge(obj, x, y)
+            blocks[-1][3].add(out)
+            return out
+
+        monkeypatch.setattr(solvers, "_m1_profile_grid", recorded_grid)
+        monkeypatch.setattr(solvers, "_m1_profile", recorded_profile)
+        monkeypatch.setattr(solvers, "_feasibility_edge", recorded_edge)
+        edges = scored = 0
+        for sc in self.SCENARIOS + SOLVER_SUITE + ACCEPTANCE_BATCH:
+            blocks.clear()
+            solve_bcd(sc)
+            solve_mm(sc)
+            for t1, t2, neighbours, ends, points in blocks:
+                assert not neighbours & set(points), sc
+                edges += bool(ends)
+                for k in (k for k, z in enumerate(points) if z in ends):
+                    scored += 1
+                    # the root finder's function, as the block scales it
+                    p, s, _, _, s2 = profile(_Objective(sc), points[k - 1],
+                                             t1, t2)
+                    f, slope = (-s, -s2) if not p else (-s / p, (s / p) ** 2
+                                                        - s2 / p)
+                    step = points[k - 1] - f / slope
+                    assert not (min(points[k - 1], points[k]) <= step
+                                <= max(points[k - 1], points[k])), sc
+        assert edges > 10 and scored > 0
 
     def test_few_profile_points_per_block(self, monkeypatch):
-        # Newton steps on the log-scaled slope: about five scalar profile
-        # points per block on the benchmark suite's first seed, against
-        # about eight with false-position steps
+        # Newton steps on the log-scaled slope from the incumbent or the
+        # grid's best split, with no grid neighbour scored: about three and
+        # a half scalar profile points per block on the benchmark suite's
+        # first seed
         blocks, points = [], []
         block, profile = solvers._m1_block, solvers._m1_profile
 
@@ -1453,7 +1603,7 @@ class TestM1BracketGrid:
         for sc in suite_instances(1):
             solve_bcd(sc)
             solve_mm(sc)
-        assert len(points) <= 6.0 * len(blocks)
+        assert len(points) <= 4.5 * len(blocks)
 
     def test_grid_sees_infeasible_splits(self):
         # the near-degenerate forward direction is empty at short blocks
@@ -1503,8 +1653,10 @@ class TestSharedGeometry:
     def test_arrays_are_read_only(self):
         g = _geometry(SMALL)
         arrays = [g.constants, *g.both[0], *g.both[1], *g.both[2:], g.xs,
-                  *g.grid]
+                  *g.grid[:4]]
         assert len(arrays) == 14
+        # the grid's link pairs per scoring: two per feasible split
+        assert g.grid[4] == 2 * np.count_nonzero(g.grid[3]) > 0
         for a in arrays:
             assert isinstance(a, np.ndarray) and not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
