@@ -294,14 +294,14 @@ def _direction_bound_slopes(legit, eve, m, lo):
             curv_hi)
 
 
-def _split_boxes(links, scenario, m1, m2, sqrt=math.sqrt, maximum=max):
-    """Unchecked boxes of both directions, direction 1 at ``m1`` and 2
-    at ``m2``: (d_r1_min, d_r1_max, d_r2_min, d_r2_max, feasible), for
-    floats or, with ``np.sqrt`` and ``np.maximum``, arrays."""
+def _split_boxes(links, scenario, m1, m2):
+    """Unchecked boxes of both directions at the float blocklengths,
+    direction 1 at ``m1`` and 2 at ``m2``: (d_r1_min, d_r1_max,
+    d_r2_min, d_r2_max, feasible)."""
     ab, ae, ba, be = links
-    lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m1, sqrt, maximum)
-    lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m2, sqrt, maximum)
-    feasible = (lo1 <= hi1) & (lo2 <= hi2)  # lo >= 0, so hi >= 0 too
+    lo1, hi1 = _direction_bounds(ab, ae, scenario.d_m1, m1)
+    lo2, hi2 = _direction_bounds(ba, be, scenario.d_m2, m2)
+    feasible = lo1 <= hi1 and lo2 <= hi2  # lo >= 0, so hi >= 0 too
     return lo1, hi1, lo2, hi2, feasible
 
 

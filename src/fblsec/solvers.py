@@ -106,19 +106,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # enough to isolate the global basin of the (empirically unimodal)
 # split profile.
 _M1_GRID = 32
-# Run control of BCD and MM: relative stopping tolerance (outer cycle
-# and MM pass), outer and MM-pass caps, and the absolute tolerance in
-# m1 of the m1 block's root and feasibility-edge searches.
+# Run control of BCD and MM: ``_stopped``'s relative change of the
+# objective, ``_step_done``'s step relative to max(1, |x|), and one cap
+# on the cycles, the MM passes and the values of each search (bisection
+# alone reaches it only on a bracket 2^99 times its tolerance).
 _REL_TOL = 1e-8
-_MAX_OUTER_ITERS = 100
-_MAX_INNER_ITERS = 200
-_LINE_SEARCH_TOL = 1e-6
-# The Newton step tolerance of the redundancy block and MM's step,
-# relative to max(1, |x|), and a cap on the steps of every bracketed
-# search; bisection alone reaches the cap only on a bracket wider than
-# 1e21 times its tolerance.
 _BLOCK_TOL = 1e-9
-_MAX_BLOCK_ITERS = 100
+_MAX_ITERS = 100
 # Smallest normal float: ``_first_maxima`` accepts no candidate whose
 # nonzero log success is smaller in magnitude.
 _TINY = float(np.finfo(float).tiny)
@@ -150,9 +144,9 @@ class SolverConfig:
     optima are never better unless the full-budget boxes are empty
     (eavesdroppers above their legitimate receivers).  Run control is
     fixed: stop when a cycle changes the LFP by at most 1e-8 relative,
-    however small the LFP, or after 100 cycles; at most 200 MM passes
-    per cycle, under the same rule on the objective; the m1 block's
-    root to 1e-6 in m1; Newton steps to 1e-9 relative.
+    however small the LFP, and MM's passes by the same rule on the
+    objective; every search ends on a step of at most 1e-9 relative to
+    max(1, |x|); at most 100 cycles, MM passes or values per search.
     """
 
     integer_mode: bool = True
@@ -336,39 +330,45 @@ def _positions(dirs, d_r1, d_r2):
     return _rel_pos(d_r1, lo1, hi1), _rel_pos(d_r2, lo2, hi2)
 
 
-def _bracketed_root(fn, a, b, x, atol=0.0, rtol=0.0):
-    """A root of ``fn`` in the bracket [a, b] of a function that falls
+def _step_done(step, x):
+    """The one rule that ends every search of BCD and MM: a step from x
+    of at most ``_BLOCK_TOL`` relative to max(1, |x|)."""
+    return abs(step - x) <= _BLOCK_TOL * max(1.0, abs(x))
+
+
+def _bracketed_root(fn, x, lo, hi):
+    """A root of ``fn`` in the bracket [lo, hi] of a function that falls
     through zero there, from the start x in it; the ends are never
     evaluated.
 
     ``fn(x)`` returns (value, slope).  Each value narrows the bracket to
     the side its sign points to, and the next point is the Newton step,
-    or the bracket's midpoint where that step would leave the bracket or
-    the slope is 0 (rtsafe, Press et al., Numerical Recipes, section
-    9.4).  Where fn keeps one sign over the bracket, the points close in
-    on the end it points to.  Stops at a zero or NaN value, after a step
-    of at most max(atol, rtol * |step|) or after ``_MAX_BLOCK_ITERS``
-    values, and returns the last point reached.
+    or the bracket's midpoint where that step would leave the bracket,
+    would return to the point before x, or the slope is 0 (rtsafe, Press
+    et al., Numerical Recipes, section 9.4).  Where fn keeps one sign
+    over the bracket, the points close in on the end it points to.
+    Stops at a zero or NaN value, at a step that ``_step_done`` accepts
+    or after ``_MAX_ITERS`` values, and returns the last point reached.
     """
-    for _ in range(_MAX_BLOCK_ITERS):
+    prev = math.nan
+    for _ in range(_MAX_ITERS):
         r, slope = fn(x)
         if r > 0.0:
-            a = x
+            lo = x
         elif r < 0.0:
-            b = x
+            hi = x
         else:
             break
         step = x - r / slope if slope else math.nan
-        if not a <= step <= b:  # NaN included
-            step = 0.5 * (a + b)
-        done = abs(step - x) <= max(atol, rtol * abs(step))
-        x = step
-        if done:
+        if not lo <= step <= hi or step == prev:  # NaN included
+            step = 0.5 * (lo + hi)
+        prev, x = x, step
+        if _step_done(x, prev):
             break
     return x
 
 
-def _edge_or_root(fn, x, lo, hi, atol=_BLOCK_TOL, rtol=_BLOCK_TOL):
+def _edge_or_root(fn, x, lo, hi):
     """Where a function F that falls strictly in d has its zero in the
     box [lo, hi], or the box edge it is closest to; ``fn(d)`` returns
     (F(d), F'(d)).
@@ -379,14 +379,14 @@ def _edge_or_root(fn, x, lo, hi, atol=_BLOCK_TOL, rtol=_BLOCK_TOL):
     where F has x's sign there or is 0.  Where F changes sign inside the
     box, at a Newton point or at the edge, the answer is
     ``_bracketed_root``'s between the last point of x's sign and there.
-    A step of at most max(atol, rtol * |step|) ends the search at the
-    step, so an answer of x costs one value of ``fn``, and an edge that
-    the first step leaves for costs two.
+    A step that ``_step_done`` accepts ends the search at the step, so
+    an answer of x costs one value of ``fn``, and an edge that the first
+    step leaves for costs two.
     """
     f_x, slope = fn(x)
     rises = f_x > 0.0
     edge = hi if rises else lo
-    for _ in range(_MAX_BLOCK_ITERS):
+    for _ in range(_MAX_ITERS):
         step = x - f_x / slope if slope else math.nan
         if not (x <= step <= edge if rises else edge <= step <= x):
             f_edge = fn(edge)[0]
@@ -394,7 +394,7 @@ def _edge_or_root(fn, x, lo, hi, atol=_BLOCK_TOL, rtol=_BLOCK_TOL):
                 return edge
             end = edge
             break
-        if abs(step - x) <= max(atol, rtol * abs(step)):
+        if _step_done(step, x):
             return step
         f_step, s = fn(step)
         if not (f_step > 0.0 if rises else f_step < 0.0):
@@ -403,7 +403,7 @@ def _edge_or_root(fn, x, lo, hi, atol=_BLOCK_TOL, rtol=_BLOCK_TOL):
         x, f_x, slope = step, f_step, s
     else:
         return x
-    return _bracketed_root(fn, min(x, end), max(x, end), x, atol, rtol)
+    return _bracketed_root(fn, x, min(x, end), max(x, end))
 
 
 def _direction_balance(obj, legit, eve, d_m, log_ratio, m):
@@ -503,10 +503,10 @@ def _m1_profile_grid(obj, grid, t1, t2):
 
 def _feasibility_edge(obj, x, y):
     """The feasible end of a bisection between the feasible split x and
-    the infeasible split y, to ``_LINE_SEARCH_TOL``: box checks only,
-    no link evaluations."""
-    for _ in range(_MAX_BLOCK_ITERS):
-        if abs(y - x) <= _LINE_SEARCH_TOL:
+    the infeasible split y, until ``_step_done`` accepts the step from x
+    to y: box checks only, no link evaluations."""
+    for _ in range(_MAX_ITERS):
+        if _step_done(y, x):
             break
         mid = 0.5 * (x + y)
         if obj.box(mid)[4]:
@@ -530,15 +530,15 @@ def _m1_block(obj, t1, t2, m1=None):
     best basin: the bracket is the grid's best split x's neighbours (x
     itself at a grid end).  The root search starts at the incumbent if
     it lies strictly inside the bracket, else at x, and closes in on
-    the profile slope's root with ``_bracketed_root``'s Newton steps to
-    ``_LINE_SEARCH_TOL``, toward the end the slope at the start points
-    to.  That end is not scored: no grid neighbour scored better than
-    x, so on a unimodal profile the root lies short of it.  Where the
-    neighbour's box is empty, the end is ``_feasibility_edge``'s split
-    between the start and it, and the profile may fall all the way to
-    that edge, so the search is ``_edge_or_root``'s: the edge is scored
-    only where a step would leave past it, and is the block's answer
-    where the slope still points past it.  The steps run on q = p'/p,
+    the profile slope's root toward the end the slope at the start
+    points to.  That end is not scored: no grid neighbour scored better
+    than x, so on a unimodal profile the root lies short of it, and the
+    search is ``_bracketed_root``'s.  Where the neighbour's box is
+    empty, the end is ``_feasibility_edge``'s split between the start
+    and it, and the profile may fall all the way to that edge, so the
+    search is ``_edge_or_root``'s: the edge is scored only where a step
+    would leave past it, and is the block's answer where the slope
+    still points past it.  The steps run on q = p'/p,
     q' = p''/p - q^2 (p = -log success), and on (p', p'') where p is
     0.0: the raw slope scales with p, which can change by orders of
     magnitude across one bracket.
@@ -573,14 +573,10 @@ def _m1_block(obj, t1, t2, m1=None):
     f = scaled(start)[0]
     if f > 0.0 or f < 0.0:  # 0, NaN: stay
         j = above if f > 0.0 else below
-        end = float(xs[j])
-        if grid[3][j]:
-            _bracketed_root(scaled, min(start, end), max(start, end), start,
-                            atol=_LINE_SEARCH_TOL)
-        else:
-            end = _feasibility_edge(obj, start, end)
-            _edge_or_root(scaled, start, min(start, end), max(start, end),
-                          atol=_LINE_SEARCH_TOL, rtol=0.0)
+        search, end = _bracketed_root, float(xs[j])
+        if not grid[3][j]:
+            search, end = _edge_or_root, _feasibility_edge(obj, start, end)
+        search(scaled, start, min(start, end), max(start, end))
     _, lo, span, _, _ = grid
     best = (float(vals[i]), x, float(lo[0, i] + t1 * span[0, i]),
             float(lo[1, i] + t2 * span[1, i]))
@@ -595,7 +591,7 @@ def _stopped(prev, cur):
     return abs(prev - cur) <= _REL_TOL * abs(prev)
 
 
-def _integer_reconstruct(obj, m1, seed=None):
+def _integer_reconstruct(obj, m1, seed):
     """Round a relaxed split m1 to the best integer allocation over the
     splits floor(m1) - 1 ... ceil(m1) + 1 in [1, M - 1], each with its
     exact best redundancy pair (``_best_split``, as the oracle computes
@@ -632,8 +628,8 @@ def _descend(scenario, config, redundancy_step):
     redundancy pair by ``redundancy_step(dirs, d_r1, d_r2, f)`` and
     records the LFP -expm1(-f) (``lfp_value``'s bits); the incumbent's
     objective value f is carried, never re-evaluated.  It stops when
-    ``_stopped`` holds for consecutive LFPs, or after
-    ``_MAX_OUTER_ITERS`` cycles.  In integer mode
+    ``_stopped`` holds for consecutive LFPs, or after ``_MAX_ITERS``
+    cycles, the one cap of every loop of BCD and MM.  In integer mode
     ``_integer_reconstruct`` finishes exactly at the splits within one
     of floor/ceil of the relaxed m1, with the oracle's per-direction
     tables seeded with the relaxed pair's box-relative positions.
@@ -652,7 +648,7 @@ def _descend(scenario, config, redundancy_step):
     dirs = obj.split(m1)
     trace = [(0, -math.expm1(-f))]
     status = STATUS_MAX_ITERS
-    for k in range(1, _MAX_OUTER_ITERS + 1):
+    for k in range(1, _MAX_ITERS + 1):
         if k > 1:
             moved = _m1_block(obj, *_positions(dirs, d_r1, d_r2), m1)
             if moved is not None and moved[3] <= f:
@@ -1017,7 +1013,7 @@ def _mm_step(dirs, d_r1, d_r2, f):
     exp(l̂ - l), 1 at the anchor, so the pass's keep only guards against
     rounding.  The passes stop when ``_stopped`` holds for consecutive
     objectives, as it does after a pass that leaves the pair unchanged."""
-    for _ in range(_MAX_INNER_ITERS):
+    for _ in range(_MAX_ITERS):
         f_prev = f
         d_r1, d_r2, f = _redundancy_pass(_surrogate_min, dirs, d_r1, d_r2, f)
         if _stopped(f_prev, f):

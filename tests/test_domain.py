@@ -21,10 +21,12 @@ import pytest
 
 from fblsec import (
     DomainError,
+    SolverConfig,
     scenario_from_dict,
     solve_bcd,
     solve_exhaustive,
     solve_mm,
+    solvers,
 )
 from fblsec.bench_cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK
 from conftest import violations
@@ -39,6 +41,28 @@ NARROW = {"gamma_ab_db": 19.56197444185515, "gamma_ae_db": 38.182100212393706,
           "eps_ab_max": 1.67134218652424e-63,
           "eps_ba_max": 2.0262442380868608e-22,
           "eps_e_max": 2.335130315605269e-252}
+# Seed 226, draw 131: the m1 profile's scaled slope is subnormal, and a
+# Newton step from one side of its root lands on the point before, on
+# the other side
+SUBNORMAL_SLOPE = {"gamma_ab_db": 37.90783791845497,
+                   "gamma_ae_db": -6.579457118768147,
+                   "gamma_ba_db": 13.872289441129311,
+                   "gamma_be_db": -10.151012725190139,
+                   "d_m1": 20, "d_m2": 1, "M": 1335,
+                   "eps_ab_max": 1.61567144827451e-253,
+                   "eps_ba_max": 7.122129975474088e-136,
+                   "eps_e_max": 5.979490687091041e-144}
+# Seed 209, draw 145: the relaxed optimum sits at a short block (m1 about
+# 6.45), and its LFP with every search run to a 1e-13 step
+SHORT_BLOCK = {"gamma_ab_db": 39.86425791677375,
+               "gamma_ae_db": -13.022605147766559,
+               "gamma_ba_db": 25.962759372905275,
+               "gamma_be_db": 8.935220467509097,
+               "d_m1": 20, "d_m2": 4, "M": 678,
+               "eps_ab_max": 4.07505175700077e-42,
+               "eps_ba_max": 1.378003623584561e-250,
+               "eps_e_max": 1.9632792627733011e-289}
+SHORT_BLOCK_LFP = 1.0450513727949467e-70
 
 
 def draw(rng):
@@ -79,6 +103,41 @@ def test_a_feasible_set_the_start_grid_misses_is_solved():
     assert (oracle.alloc.m1, oracle.alloc.m2, oracle.alloc.d_r1,
             oracle.alloc.d_r2) == (15, 2092, 2, 152)
     assert bcd.alloc == mm.alloc == oracle.alloc
+
+
+def test_root_search_never_steps_back_where_the_slope_is_subnormal(
+        monkeypatch):
+    # every bracketed root search of both solves ends short of the cap
+    values = []  # per search
+    root = solvers._bracketed_root
+
+    def counted(fn, *args, **kwargs):
+        values.append(0)
+
+        def value(x):
+            values[-1] += 1
+            return fn(x)
+        return root(value, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_bracketed_root", counted)
+    sc = scenario_from_dict(SUBNORMAL_SLOPE)
+    reports = {"bcd": solve_bcd(sc), "mm": solve_mm(sc)}
+    assert violations(sc, solve_exhaustive(sc), reports) == []
+    assert values and max(values) < 100
+
+
+@pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
+def test_short_block_relaxed_optimum_is_converged(solve, monkeypatch):
+    # the m1 root ends on the step rule of every other search, so the
+    # relaxed LFP is the one a 1e-13 step gives, to the 1e-8 at which
+    # the descent itself stops
+    sc = scenario_from_dict(SHORT_BLOCK)
+    relaxed = SolverConfig(integer_mode=False)
+    lfp = solve(sc, relaxed).lfp_final
+    monkeypatch.setattr(solvers, "_BLOCK_TOL", 1e-13)
+    tight = solve(sc, relaxed).lfp_final
+    assert math.isclose(tight, SHORT_BLOCK_LFP, rel_tol=1e-10, abs_tol=0.0)
+    assert math.isclose(lfp, tight, rel_tol=1e-8, abs_tol=0.0)
 
 
 @pytest.mark.parametrize("method", ["exhaustive", "bcd", "mm"])

@@ -1,11 +1,16 @@
-"""The link kernel is the one place that evaluates a link.
+"""The link kernel is the one place that evaluates a link, and BCD and
+MM have one stopping rule.
 
 ``lfp_model._link_pair`` is the only function of ``src/fblsec`` that
 takes ``log_ndtr`` of a margin, and the margin expression
 ``fbl_core._margin`` is used only by it, by ``fbl_core.rate_margin`` and
 by ``lfp_model.link_errors``.  A second copy of either would let the
-value, the derivatives and the balance drift apart; this reads every
-module's syntax tree and names the functions that use each of them.
+value, the derivatives and the balance drift apart.  Every search of
+BCD and MM ends on the one step rule ``solvers._step_done``, the only
+reader of its tolerance ``_BLOCK_TOL``, and the descent and MM's passes
+on ``solvers._stopped``, the only reader of ``_REL_TOL``; no solver
+function takes a tolerance of its own.  This reads every module's
+syntax tree and names the functions that use each of them.
 """
 
 import ast
@@ -59,6 +64,25 @@ def test_margin_is_evaluated_in_three_places():
     assert package_sites("_margin") == {
         "fbl_core.rate_margin", "lfp_model._link_pair",
         "lfp_model.link_errors"}
+
+
+def test_each_tolerance_is_read_by_its_rule_alone():
+    # "<module>" is the constant's own definition
+    assert package_sites("_BLOCK_TOL") == {"solvers.<module>",
+                                           "solvers._step_done"}
+    assert package_sites("_REL_TOL") == {"solvers.<module>",
+                                         "solvers._stopped"}
+
+
+def test_no_solver_function_takes_a_tolerance():
+    tree = ast.parse((SRC / "solvers.py").read_text(encoding="utf-8"))
+    parameters = {arg.arg for node in ast.walk(tree)
+                  if isinstance(node, ast.arguments)
+                  for arg in (*node.posonlyargs, *node.args,
+                              *node.kwonlyargs)}
+    assert "x" in parameters
+    assert not parameters & {"atol", "rtol"}
+    assert not package_sites("atol") | package_sites("rtol")
 
 
 def test_a_second_site_is_caught():

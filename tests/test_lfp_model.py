@@ -23,10 +23,10 @@ from fblsec import (
 from fblsec.fbl_core import LN2, _P_CEIL, _P_FLOOR, _margin, q_func, rate_margin
 from fblsec.lfp_model import (
     _balanced_start,
+    _direction_bounds,
     _direction_log_terms,
     _hazard_balance,
     _log_success,
-    _split_boxes,
     link_constants,
     log_direction_success,
     log_round_trip_success,
@@ -232,8 +232,9 @@ TABLE_SCENARIOS = [
 
 
 class TestRedundancyBoundsTable:
-    """The oracle's vector boxes (``_split_boxes`` on an array of
-    blocklengths, both directions at the same m) against the scalar
+    """The oracle's vector boxes (``_direction_bounds`` on an array of
+    blocklengths with ``np.sqrt`` and ``np.maximum``, as the oracle's
+    tables and BCD/MM's m1 grid build them) against the scalar
     ``redundancy_bounds``, paired as the oracle pairs them: direction 1
     at m1, direction 2 at m2 = M - m1."""
 
@@ -241,8 +242,9 @@ class TestRedundancyBoundsTable:
     def test_matches_scalar_boxes_bit_for_bit(self, sc):
         M = sc.M
         m = np.arange(1, M, dtype=float)
-        lo1, hi1, lo2, hi2, _ = _split_boxes(link_constants(sc), sc, m, m,
-                                             np.sqrt, np.maximum)
+        ab, ae, ba, be = link_constants(sc)
+        lo1, hi1 = _direction_bounds(ab, ae, sc.d_m1, m, np.sqrt, np.maximum)
+        lo2, hi2 = _direction_bounds(ba, be, sc.d_m2, m, np.sqrt, np.maximum)
         for m1 in range(1, M):
             box = redundancy_bounds(sc, float(m1), float(M - m1))
             table = (lo1[m1 - 1], hi1[m1 - 1], lo2[M - m1 - 1], hi2[M - m1 - 1])

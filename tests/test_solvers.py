@@ -30,15 +30,15 @@ from fblsec import (
 from fblsec import solvers
 from fblsec.lfp_model import (
     _balanced_start,
+    _direction_bounds,
     _hazard_balance,
     _link_pair,
-    _split_boxes,
     link_constants,
     log_direction_success,
     log_round_trip_success,
 )
 from fblsec.solvers import (
-    _LINE_SEARCH_TOL,
+    _BLOCK_TOL,
     _M1_GRID,
     _best_full_budget,
     _best_split,
@@ -342,14 +342,12 @@ class TestExhaustivePlateauTies:
 def direction_boxes(sc):
     """(legit, eve, d_m, m, lo, hi) of both directions over every
     blocklength with a non-empty integer box, as ``solve_exhaustive``
-    tabulates them."""
+    tabulates them: the vector boxes of ``_direction_bounds``."""
     ab, ae, ba, be = link_constants(sc)
     m = np.arange(1, sc.M, dtype=float)
-    lo1, hi1, lo2, hi2, _ = _split_boxes((ab, ae, ba, be), sc, m, m,
-                                         np.sqrt, np.maximum)
     out = []
-    for legit, eve, d_m, lo, hi in ((ab, ae, sc.d_m1, lo1, hi1),
-                                    (ba, be, sc.d_m2, lo2, hi2)):
+    for legit, eve, d_m in ((ab, ae, sc.d_m1), (ba, be, sc.d_m2)):
+        lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
         lo = np.ceil(lo - 1e-9)
         hi = np.floor(hi + 1e-9)
         ok = hi >= lo
@@ -698,35 +696,46 @@ class TestBracketedRoot:
         # outside [-10, 8], so the next point is that bracket's midpoint
         fn, seen = counted(lambda x: (-math.atan(x - 1.0),
                                       -1.0 / (1.0 + (x - 1.0) ** 2)))
-        root = _bracketed_root(fn, -10.0, 10.0, 8.0, atol=1e-12)
+        root = _bracketed_root(fn, 8.0, -10.0, 10.0)
         assert seen[:2] == [8.0, -1.0]
         assert abs(root - 1.0) <= 1e-12
         assert len(seen) < 15
 
     def test_zero_slope_is_bisected(self):
         # F = 1 - x^10 on [0, 2] with a slope of 0: from the start every
-        # step is the bracket's midpoint
+        # step is the bracket's midpoint, down to a step of 1e-9
         fn, seen = counted(lambda x: (1.0 - x ** 10, 0.0))
-        root = _bracketed_root(fn, 0.0, 2.0, 0.5, atol=1e-12)
+        root = _bracketed_root(fn, 0.5, 0.0, 2.0)
         assert seen[:3] == [0.5, 1.25, 0.875]
-        assert abs(root - 1.0) <= 1e-12
+        assert abs(root - 1.0) <= 2.0 * _BLOCK_TOL
 
     def test_stops_at_an_exact_zero(self):
         fn, seen = counted(lambda x: (0.5 - x, -1.0))
-        assert _bracketed_root(fn, 0.0, 1.0, 0.25) == 0.5
+        assert _bracketed_root(fn, 0.25, 0.0, 1.0) == 0.5
         assert seen == [0.25, 0.5]
         # where the slope vanishes with the value, no step is taken
         fn, seen = counted(lambda x: (-(x - 0.5) ** 3, -3.0 * (x - 0.5) ** 2))
-        assert _bracketed_root(fn, 0.0, 1.0, 0.5) == 0.5
+        assert _bracketed_root(fn, 0.5, 0.0, 1.0) == 0.5
         assert seen == [0.5]
 
     def test_ends_are_never_evaluated(self):
         # F = 5 - x keeps its sign over [0, 2]: the points close in on
         # the end it points to without evaluating either end
         fn, seen = counted(lambda x: (5.0 - x, -1.0))
-        root = _bracketed_root(fn, 0.0, 2.0, 1.0, atol=1e-9)
-        assert abs(root - 2.0) <= 1e-9
+        root = _bracketed_root(fn, 1.0, 0.0, 2.0)
+        assert abs(root - 2.0) <= 2.0 * _BLOCK_TOL
         assert 0.0 not in seen and 2.0 not in seen
+
+    def test_step_back_to_the_point_before_is_bisected(self):
+        # a step of F with slope -2: from 0.25 Newton goes to 0.75 and
+        # from there straight back to 0.25; that step is bisected, so
+        # the points close in on the sign change at 0.5 instead of
+        # alternating between two points until the cap
+        fn, seen = counted(lambda x: (1.0, -2.0) if x < 0.5 else (-1.0, -2.0))
+        root = _bracketed_root(fn, 0.25, 0.0, 1.0)
+        assert seen[:3] == [0.25, 0.75, 0.5]
+        assert abs(root - 0.5) <= 2.0 * _BLOCK_TOL
+        assert len(seen) < 40
 
 
 class TestEdgeOrRoot:
@@ -894,13 +903,13 @@ class TestMmStep:
         calls = []
         edge_or_root, root = solvers._edge_or_root, solvers._bracketed_root
 
-        def recorded(fn, x, lo, hi, **kwargs):
+        def recorded(fn, x, lo, hi):
             calls.append((fn, x))
-            return edge_or_root(fn, x, lo, hi, **kwargs)
+            return edge_or_root(fn, x, lo, hi)
 
-        def recorded_root(fn, a, b, x, *args):
-            calls.append((a, b, x))
-            return root(fn, a, b, x, *args)
+        def recorded_root(fn, x, lo, hi):
+            calls.append((lo, hi, x))
+            return root(fn, x, lo, hi)
 
         monkeypatch.setattr(solvers, "_edge_or_root", recorded)
         monkeypatch.setattr(solvers, "_bracketed_root", recorded_root)
@@ -1015,7 +1024,7 @@ class TestIntegerFinish:
         seeds = []
         reconstruct = solvers._integer_reconstruct
 
-        def recorded(obj, m1, seed=None):
+        def recorded(obj, m1, seed):
             seeds.append((m1, seed))
             return reconstruct(obj, m1, seed)
 
@@ -1036,7 +1045,7 @@ class TestIntegerFinish:
         sc = NEAR_DEGENERATE
         for m1 in (1, 2, 3):
             assert dense_split(sc, m1) == (None, None)
-        alloc, log_p = _integer_reconstruct(_Objective(sc), 2.0)
+        alloc, log_p = _integer_reconstruct(_Objective(sc), 2.0, None)
         oracle = solve_exhaustive(sc)
         assert alloc == oracle.alloc
         assert -math.expm1(log_p) == oracle.lfp_final
@@ -1304,14 +1313,14 @@ class TestReportSurface:
 
 
 class TestRunControl:
-    """The fixed outer-iteration cap."""
+    """The one iteration cap of BCD and MM."""
 
     @pytest.mark.parametrize("solve", [solve_bcd, solve_mm])
     def test_outer_cap_stops_with_max_iters(self, solve, monkeypatch,
                                             small_scenario_path):
         # the first cycle moves the LFP (0.17091 -> 0.16972), so one
         # cycle cannot satisfy the stopping test
-        monkeypatch.setattr(solvers, "_MAX_OUTER_ITERS", 1)
+        monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
         sc = load_scenario(small_scenario_path)
         report = solve(sc)
         assert report.status == "max_iters"
@@ -1629,11 +1638,13 @@ class TestM1BracketGrid:
             solve_bcd(sc)
             solve_mm(sc)
         assert positions
-        tol = _LINE_SEARCH_TOL
         grid_edges = (1.0, float(sc.M - 1))
         for t1, t2, m1 in positions:
             obj = _Objective(sc)
             x, a, b, value = _m1_block(obj, t1, t2, m1)
+            # probes far enough out that the slopes' rounding, about
+            # 1e-15 where the profile is flat, cannot hide their signs
+            tol = 1e-6 * max(1.0, x)
             point = _m1_profile(_Objective(sc), x, t1, t2)
             assert (value, a, b) == (point[0], point[2], point[3])
             if x in grid_edges:
