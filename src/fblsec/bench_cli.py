@@ -436,6 +436,12 @@ def main(argv=None) -> int:
     except (DomainError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except MemoryError as exc:
+        # a budget M up to 2**43 is valid input, but its oracle tables
+        # may not fit in the memory this process may take; numpy names
+        # the allocation, Python's own allocator gives no message
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

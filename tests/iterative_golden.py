@@ -63,7 +63,10 @@ MODES = (
     ("mm", solve_mm, SolverConfig()),
     ("mm_relaxed", solve_mm, SolverConfig(integer_mode=False)),
 )
-# The partial-budget oracle is O(M^2) in its split pairs.
+# The instances that get a partial-budget oracle record: every one but
+# roundtrip_default (M = 1000).  The cap fixes which records the golden
+# file holds, not a cost: the partial path is O(M), two tables over the
+# blocklengths 1 ... M - 1 and a prefix maximum.
 PARTIAL_BUDGET_MAX_M = 200
 
 

@@ -23,7 +23,7 @@ from fblsec.bench_cli import (
     ibl_reference_lfp,
     main,
 )
-from fblsec import DomainError, scenario_from_dict
+from fblsec import DomainError, bench_cli, scenario_from_dict
 from conftest import REPO_ROOT, make_scenario
 from iterative_golden import (
     SWEEP_ARGV,
@@ -298,6 +298,23 @@ class TestSolve:
         code, _, _ = run_main(capsys, [
             "solve", "--scenario", path, "--method", "exhaustive"])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("message, needle", [
+        ("Unable to allocate 90.5 MiB for an array with shape (2, 5931640)",
+         "Unable to allocate 90.5 MiB"),
+        ("", "out of memory"),
+    ])
+    def test_out_of_memory_exits_1(self, capsys, tmp_path, monkeypatch,
+                                   message, needle):
+        # a budget near M = 2**43 under an address-space limit: this was
+        # a MemoryError traceback
+        def out_of_memory(scenario, config):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(bench_cli._METHODS, "exhaustive", out_of_memory)
+        path = write_scenario(tmp_path)
+        rejects(capsys, ["solve", "--scenario", path, "--method",
+                         "exhaustive"], needle)
 
     @pytest.mark.parametrize("method", ["bcd", "mm"])
     def test_degenerate_forward_direction_solves(self, capsys, tmp_path,

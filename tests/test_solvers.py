@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -632,6 +633,58 @@ class TestPrunedOracle:
         _best_split(obj, np.arange(1.0, 5000.0))
         assert obj.evaluations == 49_900
         assert solve_exhaustive(sc).evaluations < obj.evaluations / 10
+
+    # direction 2 needs one symbol, so the optimum m1 = M - 1 = 996 lies
+    # in the last cell, which holds 4 of its k = 16 splits
+    LAST_CELL = make_scenario(gamma_ab=1.0, gamma_ae=0.5, gamma_ba=1e6,
+                              gamma_be=0.01, d_m2=1, M=997)
+
+    @pytest.mark.parametrize("sc", [
+        *(dataclasses.replace(TestFirstMaxima.DEFAULT, M=M)
+          for M in (500, 997, 4000, 10**5)),
+        *(sc for sc, _ in PLATEAU),
+        LAST_CELL,
+    ], ids=["500", "997", "4000", "1e5", "plateau-1000", "plateau-4000",
+            "last-cell"])
+    def test_splits_are_the_kept_cells_mask(self, sc, monkeypatch):
+        # the splits ``_best_split`` receives are the kept cells' mask
+        # over every split m1 = 1 ... M - 1, partial last cell included
+        cells = []
+
+        def cell_spy(obj, k):
+            cells.append((k, _cell_bounds(obj, k)))
+            return cells[-1][1]
+
+        monkeypatch.setattr(solvers, "_cell_bounds", cell_spy)
+        seen = self.tabulated(monkeypatch)
+        M = sc.M
+        report = solve_exhaustive(sc)
+        [(k, (bound, lower, first))] = cells
+        total = bound[0] + bound[1]
+        keep = ~np.isfinite(total) | (total >= lower
+                                      - (1e-9 * abs(lower) + 1e-300))
+        if lower == 0.0:
+            keep[first + 1:] = False
+        expected = np.arange(1.0, M)[np.repeat(keep, k)[:M - 1]]
+        assert seen[-1].dtype == expected.dtype
+        assert np.array_equal(seen[-1], expected)
+        assert 0 < expected.size < M - 1
+        if sc is self.LAST_CELL:
+            assert (M - 1) % k and keep[-1]
+            assert report.alloc.m1 == M - 1
+
+    def test_memory_follows_the_kept_cells_not_the_budget(self):
+        # at M = 1e8 every split m1 as a float is 763 MiB; the cells and
+        # the kept cells' splits take about 12 MiB
+        sc = dataclasses.replace(self.DEFAULT, M=10**8)
+        tracemalloc.start()
+        try:
+            report = solve_exhaustive(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged"
+        assert peak < 64 * 2**20
 
 
 class TestBcd:
