@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,6 +64,14 @@ class Scenario:
     eps_e_max: float
 
     def __post_init__(self):
+        # as the JSON surface's ``_number``: no booleans, strings, None or
+        # containers; Python and numpy integers and floats pass
+        numeric = (int, float, np.integer, np.floating)
+        for name in (f.name for f in fields(self)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numeric):
+                raise DomainError(f"Scenario.{name} must be a number, "
+                                  f"got {v!r}")
         for name in ("gamma_ab", "gamma_ae", "gamma_ba", "gamma_be"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):

@@ -59,7 +59,11 @@ share everything else: ``_descend``, the split's boxes and balances
 What depends on the scenario alone, the direction constants and the m1
 block's grid with its boxes, is built once per scenario (``_geometry``)
 and shared by the BCD, MM and oracle solves of that scenario; a
-solve's own state is its ``_Objective``.
+solve's own state is its ``_Objective``.  Every vector pass over both
+directions, the m1 block's grid, the oracle's cell pass and its
+per-direction tables, lays them out by one builder (``_both``):
+direction 1's entries, then direction 2's, in one flat array, each
+entry with its own constants, blocklength and box.
 
 Every accepted step is checked against the incumbent, so traces are
 nonincreasing by construction.  All solvers are deterministic functions
@@ -116,13 +120,13 @@ _MAX_ITERS = 100
 # Smallest normal float: ``_first_maxima`` accepts no candidate whose
 # nonzero log success is smaller in magnitude.
 _TINY = float(np.finfo(float).tiny)
-# Budgets below which ``_best_full_budget`` tabulates every split: there
-# the cell-bound pass costs more than it saves.  Full scan / pruned,
-# median of 25 alternating runs on 2 shared cores (Python 3.11, numpy
-# 2.4), at the default point and per solve on the four SNR draws of
-# benchmark ladder seed 1: M = 250 0.62 / 0.77 and 0.61 / 0.72 ms,
-# M = 350 0.75 / 0.76 and 0.75 / 0.74, M = 500 0.94 / 0.80 and
-# 0.96 / 0.75, M = 700 1.21 / 0.83 and 1.24 / 0.79.
+# Budgets below which ``_best_full_budget`` tabulates every split.
+# Pruned / full scan, in-process pairs on the 8 SNR draws of benchmark
+# ladder seeds 1-2 (320 pairs per M, geometric mean; 2 shared cores,
+# Python 3.11, numpy 2.4): M = 100 x1.37, 150 x1.19, 200 x1.06-1.10,
+# 250 x0.95-0.98, 300 x0.87, 400 x0.73, 499 x0.62.  The bound pass pays
+# for itself from about M = 250; the cut stays at 500 because moving it
+# changes the oracle's evaluation counts, which the sweep golden holds.
 _PRUNE_MIN_M = 500
 # The offsets e - 1 ... e + 2 at which ``_first_maxima`` probes.
 _PROBES = np.arange(-1.0, 3.0)[:, None]
@@ -242,25 +246,41 @@ def _directions(constants, index):
     return _Link(*c[:3]), _Link(*c[3:6]), c[6], c[7]
 
 
-def _split_grid(both, M, m1):
-    """The splits of the array ``m1`` as (2, n) rows, direction 1 at m1
-    and direction 2 at M - m1, for the directions ``both`` of
-    ``_Geometry``: (m, box edge lo, box width hi - lo, feasible per
-    split, the link pairs that scoring them counts: two per feasible
-    split), with ``_Objective.box``'s bits and feasibility."""
-    legit, eve, d_m, _ = both
-    m = np.array((m1, M - m1))
-    lo, hi = _direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum)
-    feasible = (lo <= hi).all(axis=0)
-    return m, lo, hi - lo, feasible, 2 * int(np.count_nonzero(feasible))
+def _both(constants, m1, m2):
+    """Both directions laid out for one vector pass: direction 1 at the
+    blocklengths of the array ``m1`` and direction 2 at those of ``m2``,
+    of m1's shape, concatenated along the last axis, so that every entry
+    carries its own constants.  Returns (each entry's direction (0s and
+    1s), the blocklengths m, ``_directions`` of the entries (legit, eve,
+    d_m, log ratio), and their ``_direction_bounds`` (lo, hi))."""
+    n = m1.shape[-1]
+    direction = np.arange(2 * n) // n
+    m = np.concatenate((m1, m2), axis=-1)
+    legit, eve, d_m, log_ratio = _directions(constants, direction)
+    return (direction, m, legit, eve, d_m, log_ratio,
+            *_direction_bounds(legit, eve, d_m, m, np.sqrt, np.maximum))
+
+
+def _split_grid(constants, M, m1):
+    """The splits of the array ``m1``, n of them, laid out by ``_both``:
+    direction 1 at m1 in entries 0 ... n - 1 and direction 2 at M - m1
+    in entries n ... 2n - 1.  Returns (legit, eve, d_m, m, box edge lo,
+    box width hi - lo, per entry; feasible, per split; the link pairs
+    that scoring them counts: two per feasible split), with
+    ``_Objective.box``'s bits and feasibility."""
+    _, m, legit, eve, d_m, _, lo, hi = _both(constants, m1, M - m1)
+    feasible = (lo <= hi).reshape(2, -1).all(axis=0)
+    return (legit, eve, d_m, m, lo, hi - lo, feasible,
+            2 * int(np.count_nonzero(feasible)))
 
 
 class _Geometry(NamedTuple):
     """What BCD, MM and the oracle derive from the scenario alone
-    (``_geometry``); every array is read-only."""
+    (``_geometry``): the direction constants, from which ``_both`` lays
+    out every vector pass, and the m1 block's grid in that layout; every
+    array is read-only."""
 
     constants: np.ndarray  # (8, 2): ``_directions``' constants by column
-    both: tuple            # ``_directions`` of both, as (2, 1) rows
     xs: np.ndarray         # the m1 block's _M1_GRID + 1 splits on [1, M-1]
     grid: tuple            # their ``_split_grid``, link-pair count included
 
@@ -276,12 +296,11 @@ def _geometry(scenario):
                           for b, e, d_m in zip(links[::2], links[1::2],
                                                (sc.d_m1, sc.d_m2))]).T
     constants.flags.writeable = False
-    both = _directions(constants, np.arange(2)[:, None])
     xs = np.linspace(1.0, float(sc.M - 1), _M1_GRID + 1)
-    grid = _split_grid(both, sc.M, xs)
-    for a in (*both[0], *both[1], *both[2:], xs, *grid[:4]):
+    grid = _split_grid(constants, sc.M, xs)
+    for a in (xs, *grid[0], *grid[1], *grid[2:7]):
         a.flags.writeable = False
-    return _Geometry(constants, both, xs, grid)
+    return _Geometry(constants, xs, grid)
 
 
 class _Objective:
@@ -490,15 +509,18 @@ def _m1_profile(obj, m1, t1, t2):
 
 def _m1_profile_grid(obj, grid, t1, t2):
     """``_m1_profile``'s values at every split of the ``_split_grid``
-    ``grid``, both directions in one vector evaluation, with the same
-    bits per point; +inf where the box is empty.  Each feasible point
-    counts as two link pairs, as the grid holds them."""
-    m, lo, span, feasible, pairs = grid
-    legit, eve, d_m, _ = obj.geometry.both
-    s = log_direction_success(legit, eve, m,
-                              d_m + (lo + np.array(((t1,), (t2,))) * span))
+    ``grid``, both directions in one vector evaluation of its flat
+    layout, position t1 in direction 1's entries and t2 in direction
+    2's, with the same bits per point; +inf where the box is empty.
+    Each feasible point counts as two link pairs, as the grid holds
+    them."""
+    legit, eve, d_m, m, lo, span, feasible, pairs = grid
+    n = feasible.size
+    t = np.empty(2 * n)
+    t[:n], t[n:] = t1, t2
+    s = log_direction_success(legit, eve, m, d_m + (lo + t * span))
     obj.evaluations += pairs
-    return np.where(feasible, -(s[0] + s[1]), math.inf)
+    return np.where(feasible, -(s[:n] + s[n:]), math.inf)
 
 
 def _feasibility_edge(obj, x, y):
@@ -551,7 +573,8 @@ def _m1_block(obj, t1, t2, m1=None):
     twice.  Returns (m1, d_r1, d_r2, objective), or None where no grid
     split is feasible.
     """
-    _, _, xs, grid = obj.geometry
+    _, xs, grid = obj.geometry
+    *_, lo, span, feasible, _ = grid
     vals = _m1_profile_grid(obj, grid, t1, t2)
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
@@ -574,12 +597,11 @@ def _m1_block(obj, t1, t2, m1=None):
     if f > 0.0 or f < 0.0:  # 0, NaN: stay
         j = above if f > 0.0 else below
         search, end = _bracketed_root, float(xs[j])
-        if not grid[3][j]:
+        if not feasible[j]:
             search, end = _edge_or_root, _feasibility_edge(obj, start, end)
         search(scaled, start, min(start, end), max(start, end))
-    _, lo, span, _, _ = grid
-    best = (float(vals[i]), x, float(lo[0, i] + t1 * span[0, i]),
-            float(lo[1, i] + t2 * span[1, i]))
+    best = (float(vals[i]), x, float(lo[i] + t1 * span[i]),
+            float(lo[i + xs.size] + t2 * span[i + xs.size]))
     for z, (p, _, d_r1, d_r2, _) in points.items():
         if p <= best[0]:
             best = (p, z, d_r1, d_r2)
@@ -764,13 +786,9 @@ def _direction_tables(obj, m1, m2, seed=None):
     indexed again only where some entry has no box.  ``seed`` is
     ``_first_maxima``'s box-relative seed per direction, (t1, t2), or
     None; it changes the evaluations, never the tables."""
-    n = m1.size
-    direction = np.arange(2 * n) // n
-    m = np.concatenate((m1, m2))
-    constants = obj.geometry.constants
-    legit, eve, d_m, log_ratio = _directions(constants, direction)
-    lo, hi = _integer_box(*_direction_bounds(legit, eve, d_m, m, np.sqrt,
-                                             np.maximum))
+    n, constants = m1.size, obj.geometry.constants
+    direction, m, legit, eve, d_m, log_ratio, *box = _both(constants, m1, m2)
+    lo, hi = _integer_box(*box)
     ok = hi >= lo
     i = slice(None)  # the finish's usual case: every entry has a box
     if not ok.all():
@@ -807,7 +825,10 @@ def _best_split(obj, splits, seed=None):
 def _cell_bounds(obj, k):
     """Bounds on the oracle's tables over cells of k splits: the cells
     [a, b] = [1, k], [k + 1, 2k], ... of m1 in [1, M - 1], where
-    direction 2 sees m2 in [M - b, M - a].
+    direction 2 sees m2 in [M - b, M - a].  ``_both`` lays the cells
+    out as three rows, each direction's shortest blocklength (a, M - b),
+    its longest (b, M - a) and its midpoint split's, so one pass covers
+    both directions.
 
     Per cell and direction, ``_cell_bound`` bounds the log success over
     the cell's blocklengths and the total bits [d_m, d_m + max(hi(a),
@@ -828,21 +849,18 @@ def _cell_bounds(obj, k):
     a = np.arange(1, M, k)
     b = np.minimum(a + (k - 1), M - 1)
     m1 = np.array((a, b, (a + b) // 2), dtype=float)  # ends and midpoint
-    m2 = M - m1
-    # both directions stacked: row 0 is direction 1 at m1, row 1 is
-    # direction 2 at m2 = M - m1; the boxes of (ends, midpoint) x rows
-    legit, eve, d_m, _ = obj.geometry.both
-    lo, hi = _direction_bounds(legit, eve, d_m, np.stack((m1, m2), axis=1),
-                               np.sqrt, np.maximum)
+    # rows: each direction's shortest blocklength, longest, midpoint
+    _, m, legit, eve, d_m, _, lo, hi = _both(obj.geometry.constants, m1,
+                                             M - m1[[1, 0, 2]])
     top = np.maximum(hi[0], hi[1]) + _BOX_SLACK
-    bound, D = _cell_bound(legit, eve, np.array((m1[1], m2[0])),
-                           np.array((m1[0], m2[1])), d_m, d_m + top)
+    bound, D = _cell_bound(legit, eve, m[1], m[0], d_m, d_m + top)
     ilo, ihi = _integer_box(lo[2], hi[2])
     d = np.minimum(np.maximum(np.rint(D - d_m), ilo), ihi)
-    g = log_direction_success(legit, eve, np.array((m1[2], m2[2])), d_m + d)
+    g = log_direction_success(legit, eve, m[2], d_m + d).reshape(2, -1)
     obj.evaluations += 3 * g.size
-    mid = np.where((ihi >= ilo).all(axis=0), g[0] + g[1], -math.inf)
-    return bound, float(mid.max()), int(mid.argmax())
+    mid = np.where((ihi >= ilo).reshape(2, -1).all(axis=0), g[0] + g[1],
+                   -math.inf)
+    return bound.reshape(2, -1), float(mid.max()), int(mid.argmax())
 
 
 def _best_full_budget(obj):

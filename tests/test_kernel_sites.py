@@ -9,8 +9,11 @@ value, the derivatives and the balance drift apart.  Every search of
 BCD and MM ends on the one step rule ``solvers._step_done``, the only
 reader of its tolerance ``_BLOCK_TOL``, and the descent and MM's passes
 on ``solvers._stopped``, the only reader of ``_REL_TOL``; no solver
-function takes a tolerance of its own.  This reads every module's
-syntax tree and names the functions that use each of them.
+function takes a tolerance of its own.  Both directions are laid out
+for a vector pass in one place, ``solvers._both``, the only reader of
+``_directions`` besides the tables' re-index of the entries that have
+a box.  This reads every module's syntax tree and names the functions
+that use each of them.
 """
 
 import ast
@@ -72,6 +75,11 @@ def test_each_tolerance_is_read_by_its_rule_alone():
                                            "solvers._step_done"}
     assert package_sites("_REL_TOL") == {"solvers.<module>",
                                          "solvers._stopped"}
+
+
+def test_both_directions_are_laid_out_in_one_place():
+    assert package_sites("_directions") == {"solvers._both",
+                                            "solvers._direction_tables"}
 
 
 def test_no_solver_function_takes_a_tolerance():

@@ -26,6 +26,10 @@ class TestScenarioInvariants:
         # ints beyond float range, which float() cannot convert
         *[pytest.param(field, sign * 10**400, id=f"{field}-{sign}e400")
           for field in ("M", "d_m1", "d_m2") for sign in (1, -1)],
+        # booleans and non-numbers, as the JSON surface rejects them
+        ("gamma_ab", True), ("d_m1", True), ("gamma_ae", np.bool_(True)),
+        ("gamma_ba", "3"), ("eps_ab_max", "0.5"), ("M", None), ("M", "100"),
+        ("gamma_be", [1.0]),
     ])
     def test_invalid_fields_rejected(self, field, value):
         kwargs = dict(gamma_ab=3.0, gamma_ae=1.0, gamma_ba=3.0, gamma_be=1.0,
@@ -50,6 +54,15 @@ class TestScenarioInvariants:
         kwargs[field] = np.float64(value)
         with pytest.raises(DomainError, match=f"Scenario.{field}"):
             Scenario(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        sc = Scenario(gamma_ab=np.float64(3.0), gamma_ae=np.float32(1.0),
+                      gamma_ba=3, gamma_be=1.0, d_m1=np.int64(4),
+                      d_m2=np.float64(4.0), M=np.int32(100),
+                      eps_ab_max=np.float64(0.5), eps_ba_max=0.5,
+                      eps_e_max=0.5)
+        assert (sc.d_m1, sc.d_m2, sc.M) == (4, 4, 100)
+        assert type(sc.M) is int
 
     def test_extreme_snrs_inside_the_range_accepted(self):
         # 1540 dB and -3000 dB keep V and M / V finite at M = 1000

@@ -31,6 +31,7 @@ from fblsec import (
 from fblsec import solvers
 from fblsec.lfp_model import (
     _balanced_start,
+    _cell_bound,
     _direction_bounds,
     _hazard_balance,
     _link_pair,
@@ -556,6 +557,50 @@ class TestPrunedOracle:
                 assert lower <= total[mid - 1] + (1e-9 * abs(best) + 1e-300)
             else:
                 assert lower == -math.inf
+
+    @staticmethod
+    def cell_reference(sc, k):
+        """``_cell_bounds``' (bounds, lower bound, first cell), rebuilt one
+        direction at a time from the scalar ``link_constants`` entries:
+        ab/ae over m1 and ba/be over m2 = M - m1."""
+        M, slack = sc.M, solvers._BOX_SLACK
+        ab, ae, ba, be = link_constants(sc)
+        a = np.arange(1.0, M, k)
+        b = np.minimum(a + (k - 1), M - 1)
+        mid = (a + b) // 2
+        bounds, total, ok = [], 0.0, True
+        # (legit, eve, d_m, shortest, longest and midpoint blocklength)
+        for legit, eve, d_m, short, long, m in (
+                (ab, ae, sc.d_m1, a, b, mid),
+                (ba, be, sc.d_m2, M - b, M - a, M - mid)):
+            lo, hi = _direction_bounds(legit, eve, d_m,
+                                       np.array((short, long, m)), np.sqrt,
+                                       np.maximum)
+            # the legitimate margin peaks at the longest blocklength, the
+            # eavesdropper's at the shortest
+            bound, D = _cell_bound(legit, eve, long, short, d_m,
+                                   d_m + np.maximum(hi[0], hi[1]) + slack)
+            ilo, ihi = np.ceil(lo[2] - slack), np.floor(hi[2] + slack)
+            d = np.minimum(np.maximum(np.rint(D - d_m), ilo), ihi)
+            total = total + log_direction_success(legit, eve, m, d_m + d)
+            ok = ok & (ihi >= ilo)
+            bounds.append(bound)
+        total = np.where(ok, total, -math.inf)
+        return bounds, float(total.max()), int(total.argmax())
+
+    @pytest.mark.parametrize("k", [None, 23])
+    def test_cell_bounds_match_a_per_direction_reference(self, prune_suite,
+                                                         k):
+        # bit for bit, at the pruning's own cell size and at 23
+        for sc in prune_suite + [dataclasses.replace(self.DEFAULT, M=4000)]:
+            cells = k or math.isqrt(sc.M) // 2 + 1
+            bound, lower, first = _cell_bounds(_Objective(sc), cells)
+            ref, ref_lower, ref_first = self.cell_reference(sc, cells)
+            assert bound.shape == (2, len(ref[0]))
+            for row, ref_row in zip(bound, ref):
+                assert [v.hex() for v in row.tolist()] == \
+                    [v.hex() for v in ref_row.tolist()], sc
+            assert (lower, first) == (ref_lower, ref_first), sc
 
     @pytest.mark.parametrize("M", [700, 4000])
     def test_mirrored_tie_survives(self, M, monkeypatch):
@@ -1490,8 +1535,8 @@ class TestM1BracketGrid:
         for xs in grids:
             for t1, t2 in ((0.0, 0.0), (1.0, 1.0), (0.25, 0.75), (0.5, 0.5)):
                 before = obj.evaluations
-                grid = _m1_profile_grid(
-                    obj, _split_grid(obj.geometry.both, sc.M, xs), t1, t2)
+                grid = _m1_profile_grid(obj, _split_grid(
+                    obj.geometry.constants, sc.M, xs), t1, t2)
                 grid_count = obj.evaluations - before
                 scalar = [_m1_profile(obj, x, t1, t2)[0] for x in xs]
                 scalar_count = obj.evaluations - before - grid_count
@@ -1671,8 +1716,8 @@ class TestM1BracketGrid:
         # the near-degenerate forward direction is empty at short blocks
         obj = _Objective(NEAR_DEGENERATE)
         xs = np.arange(1.0, float(obj.scenario.M))
-        grid = _m1_profile_grid(
-            obj, _split_grid(obj.geometry.both, obj.scenario.M, xs), 0.5, 0.5)
+        grid = _m1_profile_grid(obj, _split_grid(
+            obj.geometry.constants, obj.scenario.M, xs), 0.5, 0.5)
         assert np.isinf(grid).any() and np.isfinite(grid).any()
 
     @pytest.mark.parametrize("sc", SCENARIOS)
@@ -1716,11 +1761,10 @@ class TestSharedGeometry:
 
     def test_arrays_are_read_only(self):
         g = _geometry(SMALL)
-        arrays = [g.constants, *g.both[0], *g.both[1], *g.both[2:], g.xs,
-                  *g.grid[:4]]
-        assert len(arrays) == 14
+        arrays = [g.constants, g.xs, *g.grid[0], *g.grid[1], *g.grid[2:7]]
+        assert len(arrays) == 13
         # the grid's link pairs per scoring: two per feasible split
-        assert g.grid[4] == 2 * np.count_nonzero(g.grid[3]) > 0
+        assert g.grid[7] == 2 * np.count_nonzero(g.grid[6]) > 0
         for a in arrays:
             assert isinstance(a, np.ndarray) and not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
